@@ -231,10 +231,12 @@ def cmd_detect(args, ctx) -> int:
             system_names.append(name)
             for ds in datasets:
                 matrix = matrices[ds.name]
-                for doc in ds.documents:
-                    matrix.cover(doc.id, name)
-                    for sdg in fragment.predicted(doc.id, name):
-                        matrix.add(doc.id, name, sdg)
+                ds_ids = {doc.id for doc in ds.documents}
+                for doc_id in ds_ids:
+                    matrix.cover(doc_id, name)
+                for doc_id, _, sdg in fragment.assignments:
+                    if doc_id in ds_ids:
+                        matrix.add(doc_id, name, sdg)
 
     hit_rows = []
     freq_rows = []

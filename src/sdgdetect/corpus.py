@@ -86,12 +86,6 @@ class Dataset:
         if len(set(ids)) != len(ids):
             raise SchemaError(f"dataset {self.name!r} has duplicate document ids")
 
-    def by_id(self, doc_id: str) -> Document:
-        for d in self.documents:
-            if d.id == doc_id:
-                return d
-        raise KeyError(doc_id)
-
     @property
     def labeled(self) -> bool:
         return any(isinstance(d, LabeledDocument) for d in self.documents)

@@ -17,13 +17,27 @@ parser. Wildcards are trailing-only and mean prefix match. NEAR/n
 requires both operands to be position-bearing (terms, phrases, or ORs
 over those); |p1 - p2| <= n over token indices, with a phrase's position
 being its start index.
+
+Matching compiles each query once per corpus (``CorpusIndex.compile``):
+wildcards are expanded against the corpus's sorted vocabulary, and every
+distinct term or phrase becomes one literal shared by all queries.
+``CorpusIndex.search`` finds the documents holding each literal, derives
+from them the documents each query can possibly match, and visits each
+document once: it computes each literal's positions there at most once
+(``TokenIndex``) and evaluates each candidate query in a single
+traversal that yields both the match and its positive-literal hits.
+``match_query`` and ``match_positions`` run the same code on a
+one-document corpus.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from itertools import chain
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import NearOperandError, QuerySyntaxError
 
@@ -37,6 +51,8 @@ __all__ = [
     "Node",
     "MatchResult",
     "TokenIndex",
+    "CompiledQuery",
+    "CorpusIndex",
     "parse_query",
     "match_query",
     "match_positions",
@@ -284,65 +300,258 @@ def query_to_string(node: Node) -> str:
 # ---------------------------------------------------------------------------
 
 
-class TokenIndex:
-    """Word -> sorted positions map over one document's tokens.
+@dataclass(eq=False, slots=True)
+class _Literal:
+    """A term or phrase compiled against one corpus.
 
-    Building the index once per document keeps corpus-scale matching
-    linear in document length; the observable semantics stay those of a
-    naive scan.
+    A term's ``words`` are the corpus words it matches: the word itself,
+    or a wildcard's expansion. A phrase has ``words = None`` and one term
+    literal per word in ``parts``. ``docs`` holds the indices of the
+    documents that can contain the literal, once ``CorpusIndex.search``
+    has located it.
     """
 
-    __slots__ = ("tokens", "positions")
+    surface: str
+    words: frozenset[str] | None
+    parts: tuple["_Literal", ...]
+    docs: frozenset[int] | None = None
 
-    def __init__(self, tokens: list[str] | tuple[str, ...]):
+
+class TokenIndex:
+    """One document's word -> sorted positions map, plus the positions of
+    every literal matched on it so far.
+
+    Only ``words``, the words of the corpus's literals, are mapped. Each
+    literal's positions are computed at most once per document and shared
+    by all queries and systems run on it. An index lives only while its
+    document is being matched, so the cache never spans a corpus.
+    """
+
+    __slots__ = ("tokens", "positions", "_literals")
+
+    def __init__(self, tokens: Sequence[str], words: frozenset[str]):
         self.tokens = tokens
-        positions: dict[str, list[int]] = {}
+        present = words.intersection(tokens)
+        positions: dict[str, list[int]] = {w: [] for w in present}
         for i, tok in enumerate(tokens):
-            positions.setdefault(tok, []).append(i)
+            if tok in present:
+                positions[tok].append(i)
         self.positions = positions
+        self._literals: dict[_Literal, list[int]] = {}
 
-    def term_positions(self, term: Term) -> list[int]:
-        if not term.wildcard:
-            return self.positions.get(term.word, [])
-        out: list[int] = []
-        for word, plist in self.positions.items():
-            if word.startswith(term.word):
-                out.extend(plist)
-        out.sort()
-        return out
+    def literal_positions(self, literal: _Literal) -> list[int]:
+        """Sorted positions of a literal compiled against this document's corpus."""
+        found = self._literals.get(literal)
+        if found is None:
+            found = self._literals[literal] = self._find(literal)
+        return found
 
-    def phrase_positions(self, phrase: Phrase) -> list[int]:
-        words = phrase.words
+    def _find(self, literal: _Literal) -> list[int]:
+        if literal.words is not None:
+            positions = self.positions
+            words = literal.words
+            if len(words) <= len(positions):
+                lists = [positions[w] for w in words if w in positions]
+            else:
+                lists = [plist for w, plist in positions.items() if w in words]
+            return lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+        first, *rest = literal.parts
         tokens = self.tokens
-        starts: list[int] = []
-        for p in self.term_positions(words[0]):
-            if p + len(words) > len(tokens):
+        end = len(tokens) - len(rest)
+        return [
+            p
+            for p in self.literal_positions(first)
+            if p < end and all(tokens[p + k] in part.words for k, part in enumerate(rest, 1))
+        ]
+
+
+class CompiledQuery:
+    """A query compiled by ``CorpusIndex.compile``; ``ast`` is its source."""
+
+    __slots__ = ("_run", "ast")
+
+    def __init__(self, run: Callable[[TokenIndex, list], bool], ast: Node):
+        self._run = run
+        self.ast = ast
+
+    def match(self, index: TokenIndex) -> MatchResult:
+        """Match against one document of the corpus the query was compiled for.
+
+        ``matched_terms`` is populated only for matching queries and reports
+        the hit positions of positive literals (literals under an even
+        number of NOTs), whether or not they decided the match.
+        """
+        found: list[tuple[str, list[int]]] = []
+        if not self._run(index, found):
+            return _NO_MATCH
+        hits: dict[str, set[int]] = {}
+        for surface, positions in found:
+            hits.setdefault(surface, set()).update(positions)
+        return MatchResult(
+            True, tuple((surface, tuple(sorted(p))) for surface, p in sorted(hits.items()))
+        )
+
+
+_NO_MATCH = MatchResult(False, ())
+
+
+class CorpusIndex:
+    """The documents of a corpus and the literals compiled against it.
+
+    ``compile`` turns a query AST into its one compiled form for this
+    corpus: each wildcard is expanded once, by bisecting its prefix range
+    in the sorted vocabulary (code-point order keeps a prefix's words
+    contiguous), and each distinct term or phrase becomes one literal
+    shared by every query compiled here. ``search`` then finds the
+    documents holding each literal, in one pass over the corpus, and
+    matches the compiled queries document by document.
+    """
+
+    def __init__(self, documents: Sequence[Sequence[str]]):
+        self.documents = documents
+        self._literals: dict[Term | Phrase, _Literal] = {}
+
+    @cached_property
+    def vocabulary(self) -> list[str]:
+        """The corpus's distinct words in code-point order; sorted on first use."""
+        return sorted(set().union(*self.documents))
+
+    def compile(self, ast: Node) -> CompiledQuery:
+        return CompiledQuery(self._compile(ast, False), ast)
+
+    def search(
+        self, queries: Sequence[CompiledQuery]
+    ) -> Iterator[tuple[int, int, MatchResult]]:
+        """Yield ``(document index, query index, result)`` for every match.
+
+        Documents come in corpus order and queries in list order. Each
+        document is matched only against the queries that can match it,
+        through one TokenIndex that is dropped when the document is done.
+        """
+        words = self._locate_literals()
+        anywhere: list[int] = []
+        by_doc: list[list[int]] = [[] for _ in self.documents]
+        for q, query in enumerate(queries):
+            docs = self._required_docs(query.ast)
+            if docs is None:
+                anywhere.append(q)
+            else:
+                for d in docs:
+                    by_doc[d].append(q)
+        for d, candidates in enumerate(by_doc):
+            if not candidates and not anywhere:
                 continue
-            if all(_word_matches(tokens[p + k], words[k]) for k in range(1, len(words))):
-                starts.append(p)
-        return starts
+            index = TokenIndex(self.documents[d], words)
+            for q in sorted(candidates + anywhere):
+                result = queries[q].match(index)
+                if result.matched:
+                    yield d, q, result
 
+    def _expand(self, term: Term) -> frozenset[str]:
+        if not term.wildcard:
+            return frozenset((term.word,))
+        vocabulary = self.vocabulary
+        start = end = bisect_left(vocabulary, term.word)
+        while end < len(vocabulary) and vocabulary[end].startswith(term.word):
+            end += 1
+        return frozenset(vocabulary[start:end])
 
-def _word_matches(token: str, term: Term) -> bool:
-    if term.wildcard:
-        return token.startswith(term.word)
-    return token == term.word
+    def _literal(self, node: Term | Phrase) -> _Literal:
+        literal = self._literals.get(node)
+        if literal is None:
+            if isinstance(node, Term):
+                literal = _Literal(_term_pattern(node), self._expand(node), ())
+            else:
+                parts = tuple(self._literal(w) for w in node.words)
+                literal = _Literal(query_to_string(node), None, parts)
+            self._literals[node] = literal
+        return literal
 
+    def _locate_literals(self) -> frozenset[str]:
+        """Set ``docs`` on every literal compiled so far; return their words.
 
-def _positions(node: Node, index: TokenIndex) -> list[int]:
-    if isinstance(node, Term):
-        return index.term_positions(node)
-    if isinstance(node, Phrase):
-        return index.phrase_positions(node)
-    if isinstance(node, Or):
-        merged: set[int] = set()
-        for child in node.children:
-            merged.update(_positions(child, index))
-        return sorted(merged)
-    raise NearOperandError(
-        f"positions are only defined for terms, phrases, and OR over those, "
-        f"not {type(node).__name__}"
-    )
+        Only the literals' words are looked up in each document, so the
+        pass costs one set intersection per document rather than a full
+        word -> documents index of the corpus.
+        """
+        literals = list(self._literals.values())
+        terms = [lit for lit in literals if lit.words is not None]
+        words = frozenset().union(*(lit.words for lit in terms))
+        postings: dict[str, list[int]] = {w: [] for w in words}
+        for d, tokens in enumerate(self.documents):
+            for word in words.intersection(tokens):
+                postings[word].append(d)
+        for lit in terms:
+            lit.docs = frozenset().union(*(postings[w] for w in lit.words))
+        for lit in literals:
+            if lit.words is None:
+                lit.docs = min((part.docs for part in lit.parts), key=len)
+        return words
+
+    def _required_docs(self, node: Node) -> frozenset[int] | None:
+        """Documents holding a literal that every match needs, or None.
+
+        A literal requires itself; OR requires the union of its children's
+        sets when each child has one; AND and NEAR require the smallest of
+        their operands' sets; NOT requires nothing.
+        """
+        if isinstance(node, (Term, Phrase)):
+            return self._literal(node).docs
+        if isinstance(node, Or):
+            sets = [self._required_docs(c) for c in node.children]
+            return None if any(s is None for s in sets) else frozenset().union(*sets)
+        if isinstance(node, (And, Near)):
+            operands = node.children if isinstance(node, And) else (node.left, node.right)
+            sets = [s for s in map(self._required_docs, operands) if s is not None]
+            return min(sets, key=len) if sets else None
+        return None
+
+    def _compile(self, node: Node, negated: bool) -> Callable[[TokenIndex, list], bool]:
+        """``run(index, found) -> matched``; ``run`` appends each positive
+        literal's ``(surface, positions)`` to ``found``."""
+        if isinstance(node, (Term, Phrase)):
+            positions = self._compile_positions(node, negated)
+            return lambda index, found: bool(positions(index, found))
+        if isinstance(node, (Or, And)):
+            parts = [self._compile(c, negated) for c in node.children]
+            # every child runs, so that each positive literal reports its hits
+            if isinstance(node, Or):
+                return lambda index, found: any([part(index, found) for part in parts])
+            return lambda index, found: all([part(index, found) for part in parts])
+        if isinstance(node, Not):
+            child = self._compile(node.child, not negated)
+            return lambda index, found: not child(index, found)
+        if isinstance(node, Near):
+            left = self._compile_positions(node.left, negated)
+            right = self._compile_positions(node.right, negated)
+            n = node.n
+            return lambda index, found: _near_pair_exists(
+                left(index, found), right(index, found), n
+            )
+        raise TypeError(f"not a query node: {node!r}")
+
+    def _compile_positions(
+        self, node: Node, negated: bool
+    ) -> Callable[[TokenIndex, list], list[int]]:
+        if isinstance(node, (Term, Phrase)):
+            literal = self._literal(node)
+            if negated:
+                return lambda index, found: index.literal_positions(literal)
+
+            def positive(index: TokenIndex, found: list) -> list[int]:
+                positions = index.literal_positions(literal)
+                if positions:
+                    found.append((literal.surface, positions))
+                return positions
+
+            return positive
+        if isinstance(node, Or):
+            parts = [self._compile_positions(c, negated) for c in node.children]
+            return lambda index, found: sorted(set().union(*[part(index, found) for part in parts]))
+        raise NearOperandError(
+            f"positions are only defined for terms, phrases, and OR over those, "
+            f"not {type(node).__name__}"
+        )
 
 
 def _near_pair_exists(left: list[int], right: list[int], n: int) -> bool:
@@ -359,76 +568,18 @@ def _near_pair_exists(left: list[int], right: list[int], n: int) -> bool:
     return False
 
 
-def _eval(node: Node, index: TokenIndex) -> bool:
-    if isinstance(node, (Term, Phrase)):
-        return bool(_positions(node, index))
-    if isinstance(node, Or):
-        return any(_eval(c, index) for c in node.children)
-    if isinstance(node, And):
-        return all(_eval(c, index) for c in node.children)
-    if isinstance(node, Not):
-        return not _eval(node.child, index)
-    if isinstance(node, Near):
-        return _near_pair_exists(
-            _positions(node.left, index), _positions(node.right, index), node.n
-        )
-    raise TypeError(f"not a query node: {node!r}")
+def match_query(ast: Node, tokens: Sequence[str]) -> MatchResult:
+    """Match a parsed query against one token list, searched as a
+    one-document corpus; see ``CompiledQuery.match``."""
+    corpus = CorpusIndex([tokens])
+    for _, _, result in corpus.search([corpus.compile(ast)]):
+        return result
+    return _NO_MATCH
 
 
-def _collect_positive_hits(
-    node: Node, index: TokenIndex, negated: bool, out: dict[str, set[int]]
-) -> None:
-    if isinstance(node, (Term, Phrase)):
-        if not negated:
-            positions = _positions(node, index)
-            if positions:
-                out.setdefault(_surface(node), set()).update(positions)
-        return
-    if isinstance(node, (Or, And)):
-        for child in node.children:
-            _collect_positive_hits(child, index, negated, out)
-        return
-    if isinstance(node, Not):
-        _collect_positive_hits(node.child, index, not negated, out)
-        return
-    if isinstance(node, Near):
-        _collect_positive_hits(node.left, index, negated, out)
-        _collect_positive_hits(node.right, index, negated, out)
-        return
-
-
-def _surface(node: Node) -> str:
-    if isinstance(node, Term):
-        return _term_pattern(node)
-    if isinstance(node, Phrase):
-        return '"' + " ".join(_term_pattern(w) for w in node.words) + '"'
-    raise TypeError(f"not a literal: {node!r}")
-
-
-def match_query(
-    ast: Node, tokens: list[str] | tuple[str, ...], index: TokenIndex | None = None
-) -> MatchResult:
-    """Match a parsed query against a token list.
-
-    ``matched_terms`` is populated only for matching queries and reports
-    the hit positions of positive literals (literals under an even number
-    of NOTs).
-    """
-    idx = index if index is not None else TokenIndex(tokens)
-    matched = _eval(ast, idx)
-    if not matched:
-        return MatchResult(False, ())
-    hits: dict[str, set[int]] = {}
-    _collect_positive_hits(ast, idx, False, hits)
-    terms = tuple(
-        (pattern, tuple(sorted(positions))) for pattern, positions in sorted(hits.items())
-    )
-    return MatchResult(True, terms)
-
-
-def match_positions(
-    ast: Node, tokens: list[str] | tuple[str, ...], index: TokenIndex | None = None
-) -> list[int]:
+def match_positions(ast: Node, tokens: Sequence[str]) -> list[int]:
     """Sorted match positions for a position-bearing query node."""
-    idx = index if index is not None else TokenIndex(tokens)
-    return _positions(ast, idx)
+    corpus = CorpusIndex([tokens])
+    # compiled as if negated, so that no hits are collected
+    positions = corpus._compile_positions(ast, True)
+    return list(positions(TokenIndex(tokens, corpus._locate_literals()), []))

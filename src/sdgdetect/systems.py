@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Dataset
 from .errors import IoError, SchemaError, SdgToolError
-from .query import Node, TokenIndex, match_query, parse_query
+from .query import CorpusIndex, Node, parse_query
 
 __all__ = [
     "SystemEntry",
@@ -164,19 +164,23 @@ def _reraise_with_context(exc: SdgToolError, system: str, query_id: str):
 
 
 def detect(dataset: Dataset, systems: Sequence[SystemDefinition]) -> list[Hit]:
-    """Run every system entry over every document; deterministic order."""
+    """Run every system entry over every document; deterministic order.
+
+    All queries are compiled once against the dataset, so each wildcard is
+    expanded once and each document is matched only by the queries that
+    can match it.
+    """
     if not systems:
         raise SchemaError("detect requires at least one system")
+    entries = [(system.name, entry) for system in systems for entry in system.entries]
+    corpus = CorpusIndex([doc.tokens for doc in dataset.documents])
+    queries = [corpus.compile(entry.query) for _, entry in entries]
     hits: list[Hit] = []
-    for doc in dataset.documents:
-        index = TokenIndex(doc.tokens)
-        for system in systems:
-            for entry in system.entries:
-                result = match_query(entry.query, doc.tokens, index=index)
-                if result.matched:
-                    hits.append(
-                        Hit(doc.id, system.name, entry.sdg, entry.query_id, result.matched_terms)
-                    )
+    for d, q, result in corpus.search(queries):
+        name, entry = entries[q]
+        hits.append(
+            Hit(dataset.documents[d].id, name, entry.sdg, entry.query_id, result.matched_terms)
+        )
     hits.sort(key=lambda h: (h.doc_id, h.system, h.sdg, h.query_id))
     return hits
 

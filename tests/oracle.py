@@ -44,41 +44,79 @@ def naive_eval(node: Node, tokens) -> bool:
     raise AssertionError(f"unknown node: {node!r}")
 
 
+def _surface(node: Node) -> str:
+    words = node.words if isinstance(node, Phrase) else (node,)
+    text = " ".join(w.word + ("*" if w.wildcard else "") for w in words)
+    return f'"{text}"' if isinstance(node, Phrase) else text
+
+
+def naive_positive_hits(node: Node, tokens) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """``matched_terms`` as the library reports them, or () for a non-match.
+
+    Every literal under an even number of NOTs that occurs in ``tokens``
+    reports its sorted positions, merged per surface pattern.
+    """
+    if not naive_eval(node, tokens):
+        return ()
+    hits: dict[str, set[int]] = {}
+
+    def visit(n: Node, negated: bool) -> None:
+        if isinstance(n, (Term, Phrase)):
+            positions = naive_positions(n, tokens)
+            if positions and not negated:
+                hits.setdefault(_surface(n), set()).update(positions)
+        elif isinstance(n, (Or, And)):
+            for c in n.children:
+                visit(c, negated)
+        elif isinstance(n, Not):
+            visit(n.child, not negated)
+        elif isinstance(n, Near):
+            visit(n.left, negated)
+            visit(n.right, negated)
+
+    visit(node, False)
+    return tuple((s, tuple(sorted(p))) for s, p in sorted(hits.items()))
+
+
 VOCAB = ["apple", "app", "berry", "cedar", "delta", "echo", "fig", "grape"]
+# words that share prefixes, including non-ASCII ones that sort after "z"
+PREFIX_VOCAB = ["app", "apple", "apply", "applied", "ap", "über", "überall", "ub", "zed"]
 
 
-def random_positional(rng, depth: int) -> Node:
+def random_positional(rng, depth: int, vocab=VOCAB) -> Node:
     roll = rng.random()
     if roll < 0.45 or depth <= 0:
-        word = rng.choice(VOCAB)
+        word = rng.choice(vocab)
         if rng.random() < 0.3:
             cut = rng.randrange(1, len(word) + 1)
             return Term(word[:cut], wildcard=True)
         return Term(word)
     if roll < 0.7:
         n_words = rng.randrange(2, 4)
-        return Phrase(tuple(Term(rng.choice(VOCAB)) for _ in range(n_words)))
-    return Or(tuple(random_positional(rng, depth - 1) for _ in range(rng.randrange(2, 4))))
+        return Phrase(tuple(Term(rng.choice(vocab)) for _ in range(n_words)))
+    return Or(
+        tuple(random_positional(rng, depth - 1, vocab) for _ in range(rng.randrange(2, 4)))
+    )
 
 
-def random_query(rng, depth: int) -> Node:
+def random_query(rng, depth: int, vocab=VOCAB) -> Node:
     if depth <= 0:
-        return random_positional(rng, 0)
+        return random_positional(rng, 0, vocab)
     roll = rng.random()
     if roll < 0.25:
-        return random_positional(rng, depth)
+        return random_positional(rng, depth, vocab)
     if roll < 0.45:
-        return Or(tuple(random_query(rng, depth - 1) for _ in range(rng.randrange(2, 4))))
+        return Or(tuple(random_query(rng, depth - 1, vocab) for _ in range(rng.randrange(2, 4))))
     if roll < 0.65:
-        return And(tuple(random_query(rng, depth - 1) for _ in range(rng.randrange(2, 4))))
+        return And(tuple(random_query(rng, depth - 1, vocab) for _ in range(rng.randrange(2, 4))))
     if roll < 0.8:
-        return Not(random_query(rng, depth - 1))
+        return Not(random_query(rng, depth - 1, vocab))
     return Near(
-        random_positional(rng, depth - 1),
-        random_positional(rng, depth - 1),
+        random_positional(rng, depth - 1, vocab),
+        random_positional(rng, depth - 1, vocab),
         rng.randrange(0, 6),
     )
 
 
-def random_tokens(rng, max_len: int = 50) -> list[str]:
-    return [rng.choice(VOCAB) for _ in range(rng.randrange(0, max_len + 1))]
+def random_tokens(rng, max_len: int = 50, vocab=VOCAB) -> list[str]:
+    return [rng.choice(vocab) for _ in range(rng.randrange(0, max_len + 1))]

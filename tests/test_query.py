@@ -16,7 +16,7 @@ from sdgdetect.query import (
     query_to_string,
 )
 
-from oracle import naive_eval, random_query, random_tokens
+from oracle import PREFIX_VOCAB, naive_eval, naive_positive_hits, random_query, random_tokens
 
 
 class TestParse:
@@ -119,6 +119,14 @@ class TestMatch:
         assert result.matched
         assert result.matched_terms == (("a", (0,)),)
 
+    def test_near_with_absent_right_operand(self):
+        assert not match_query(Near(Term("a"), Term("zz", wildcard=True), 5), ["a", "b"]).matched
+        assert match_query(Not(Near(Term("a"), Term("zz"), 5)), ["a", "b"]).matched
+
+    def test_negated_literals_still_decide_the_match(self):
+        ast = And((Term("a"), Not(Term("b", wildcard=True))))
+        assert not match_query(ast, ["a", "bee"]).matched
+
     def test_positions_within_document(self):
         tokens = ["a", "b", "a", "b"]
         result = match_query(Or((Term("a"), Phrase((Term("a"), Term("b"))))), tokens)
@@ -138,6 +146,18 @@ class TestMatchPositions:
 
     def test_wildcard_prefix(self):
         assert match_positions(Term("pol", wildcard=True), ["policy", "polish", "nope"]) == [0, 1]
+
+    def test_wildcard_prefix_that_is_a_whole_word(self):
+        assert match_positions(Term("app", wildcard=True), ["apple", "ap", "app"]) == [0, 2]
+
+    def test_wildcard_prefix_matching_no_word(self):
+        assert match_positions(Term("zz", wildcard=True), ["apple", "zebra"]) == []
+        assert match_positions(Phrase((Term("a"), Term("zz", wildcard=True))), ["a", "z"]) == []
+
+    def test_non_ascii_wildcard(self):
+        tokens = ["über", "ubiquity", "überall", "zed"]
+        assert match_positions(Term("über", wildcard=True), tokens) == [0, 2]
+        assert match_positions(Term("u", wildcard=True), tokens) == [1]
 
     @pytest.mark.parametrize(
         "node",
@@ -159,6 +179,13 @@ class TestProperties:
             ast = random_query(rng, 4)
             tokens = random_tokens(rng)
             assert match_query(ast, tokens).matched == naive_eval(ast, tokens)
+
+    def test_matched_terms_oracle_equivalence(self):
+        rng = random.Random(103)
+        for _ in range(1000):
+            ast = random_query(rng, 4, PREFIX_VOCAB)
+            tokens = random_tokens(rng, 30, PREFIX_VOCAB)
+            assert match_query(ast, tokens).matched_terms == naive_positive_hits(ast, tokens)
 
     def test_de_morgan(self):
         rng = random.Random(17)

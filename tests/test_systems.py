@@ -1,15 +1,21 @@
+import random
+
 import pytest
 
 from sdgdetect.corpus import Dataset, Document
 from sdgdetect.errors import QuerySyntaxError, SchemaError
+from sdgdetect.query import query_to_string
 from sdgdetect.systems import (
     SystemDefinition,
+    SystemEntry,
     detect,
     import_external_predictions,
     keyword_frequencies,
     load_system,
     to_matrix,
 )
+
+from oracle import PREFIX_VOCAB, naive_eval, naive_positive_hits, random_query, random_tokens
 
 
 def _dataset(*texts):
@@ -89,6 +95,70 @@ class TestDetect:
         )
         hits = detect(_dataset("only health mentioned"), [system])
         assert len(hits) == 1 and hits[0].sdg == 3
+
+    def _hits(self, tmp_path, query, *texts):
+        system = load_system(_system(tmp_path / "s.csv", [f'demo,1,q1,"{query}"']))
+        return [(h.doc_id, h.matched_terms) for h in detect(_dataset(*texts), [system])]
+
+    def test_wildcard_prefix_matching_no_corpus_word(self, tmp_path):
+        assert self._hits(tmp_path, "zz*", "apple", "zebra") == []
+        assert self._hits(tmp_path, "NOT zz*", "apple", "") == [("d1", ()), ("d2", ())]
+
+    def test_wildcard_prefix_that_is_a_whole_word(self, tmp_path):
+        assert self._hits(tmp_path, "app*", "app apple", "ap") == [("d1", (("app*", (0, 1)),))]
+
+    def test_not_matches_empty_document(self, tmp_path):
+        assert self._hits(tmp_path, "NOT war", "war", "", "peace") == [("d2", ()), ("d3", ())]
+
+    def test_pure_not_visits_every_document(self, tmp_path):
+        # x occurs in no document at all, so nothing narrows the documents to visit
+        assert self._hits(tmp_path, "NOT x", "a", "b") == [("d1", ()), ("d2", ())]
+
+    def test_and_not_with_negated_word_in_other_documents(self, tmp_path):
+        hits = self._hits(tmp_path, "a AND NOT b", "a c", "b", "a b", "a")
+        assert hits == [("d1", (("a", (0,)),)), ("d4", (("a", (0,)),))]
+
+    def test_near_with_right_operand_absent_from_corpus(self, tmp_path):
+        assert self._hits(tmp_path, "a NEAR/3 zz", "a b a", "b") == []
+        assert self._hits(tmp_path, "NOT (a NEAR/3 zz*)", "a b", "") == [("d1", ()), ("d2", ())]
+
+    def test_matches_oracle_on_random_corpora(self):
+        # compiled corpus path vs the naive per-document scan, over words that
+        # share prefixes (app/apple/apply/applied, über/überall) so that one
+        # wildcard expands to several corpus words
+        rng = random.Random(404)
+        for trial in range(120):
+            vocab = rng.sample(PREFIX_VOCAB, rng.randrange(1, len(PREFIX_VOCAB) + 1))
+            docs = tuple(
+                Document.from_text(f"d{i}", " ".join(random_tokens(rng, 20, vocab)))
+                for i in range(rng.randrange(1, 8))
+            )
+            systems = []
+            for s in range(rng.randrange(1, 3)):
+                entries = []
+                for q in range(rng.randrange(1, 12)):
+                    ast = random_query(rng, 3, PREFIX_VOCAB)
+                    sdg = rng.randrange(1, 18)
+                    entries.append(SystemEntry(sdg, f"q{q}", query_to_string(ast), ast))
+                systems.append(SystemDefinition(f"s{s}", tuple(entries)))
+            expected = sorted(
+                (
+                    doc.id,
+                    system.name,
+                    entry.sdg,
+                    entry.query_id,
+                    naive_positive_hits(entry.query, doc.tokens),
+                )
+                for doc in docs
+                for system in systems
+                for entry in system.entries
+                if naive_eval(entry.query, doc.tokens)
+            )
+            got = [
+                (h.doc_id, h.system, h.sdg, h.query_id, h.matched_terms)
+                for h in detect(Dataset(f"t{trial}", docs), systems)
+            ]
+            assert got == expected
 
 
 class TestMatrix:
