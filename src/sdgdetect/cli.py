@@ -10,14 +10,16 @@ Exit codes: 0 success, 2 usage/parameter error, 3 data/schema error,
 
 A key=value config file (via --config or the SDGDETECT_CONFIG env var)
 may supply defaults for the global flags seed, threads, out_dir, json;
-command-line flags always win. --threads is recorded in the manifest;
-commands run single-process.
+command-line flags always win. --threads is accepted but has no effect:
+commands run single-process, and the manifest does not record it.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -79,16 +81,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def _write_table(out_dir: Path, name: str, header: list[str], rows, as_json: bool) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [_fmt(v) for v in row]
-        quoted = []
-        for cell in cells:
-            if any(c in cell for c in ',"\n'):
-                cell = '"' + cell.replace('"', '""') + '"'
-            quoted.append(cell)
-        lines.append(",".join(quoted))
-    _atomic_write_text(out_dir / f"{name}.csv", "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_fmt, row) for row in rows)
+    _atomic_write_text(out_dir / f"{name}.csv", buf.getvalue())
     if as_json:
         payload = [dict(zip(header, [None if v is None else v for v in row])) for row in rows]
         _atomic_write_text(
@@ -133,25 +130,54 @@ def _write_matrix_file(
     )
 
 
+def _assignment_problem(item, doc_ids: set[str], systems: set[str]) -> str | None:
+    """Why a matrix.json assignment is invalid, or None when it is valid."""
+    if not isinstance(item, list) or len(item) != 3:
+        return "expected [doc_id, system, sdg]"
+    doc_id, system, sdg = item
+    if not isinstance(doc_id, str) or doc_id not in doc_ids:
+        return "unknown doc_id"
+    if not isinstance(system, str) or system not in systems:
+        return "system not listed in 'systems'"
+    if type(sdg) is not int or not 1 <= sdg <= 17:
+        return "SDG id must be an integer in 1..17"
+    return None
+
+
 def _load_matrix_file(
     path: Path, datasets: list[Dataset]
 ) -> tuple[list[str], dict[str, PredictionMatrix]]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        systems = list(payload["systems"])
+        systems = payload["systems"]
         raw = payload["datasets"]
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise SchemaError(f"cannot read prediction matrix {path}: {exc}") from exc
+    if not isinstance(systems, list) or not all(isinstance(s, str) for s in systems):
+        raise SchemaError(f"{path}: 'systems' must be a list of names")
+    if len(set(systems)) != len(systems):
+        raise SchemaError(f"{path}: 'systems' lists a name twice: {systems}")
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: 'datasets' must map dataset names to assignments")
+    known_systems = set(systems)
     matrices: dict[str, PredictionMatrix] = {}
     for ds in datasets:
         if ds.name not in raw:
             raise SchemaError(f"matrix file has no predictions for dataset {ds.name!r}")
+        entry = raw[ds.name]
+        assignments = entry.get("assignments") if isinstance(entry, dict) else None
+        if not isinstance(assignments, list):
+            raise SchemaError(f"{path}: dataset {ds.name!r} has no 'assignments' list")
+        doc_ids = {doc.id for doc in ds.documents}
         matrix = PredictionMatrix()
         for doc in ds.documents:
             for s in systems:
                 matrix.cover(doc.id, s)
-        for doc_id, system, sdg in raw[ds.name]["assignments"]:
-            matrix.add(doc_id, system, int(sdg))
+        for item in assignments:
+            problem = _assignment_problem(item, doc_ids, known_systems)
+            if problem:
+                raise SchemaError(f"{path}: dataset {ds.name!r}, assignment {item!r}: {problem}")
+            matrix.add(*item)
         matrices[ds.name] = matrix
     return systems, matrices
 
@@ -476,7 +502,10 @@ def cmd_synth(args, ctx) -> int:
     else:
         if not args.lengths:
             raise ParamError("synth requires --lengths or --match")
-        lengths = tuple(int(x) for x in args.lengths.split(","))
+        try:
+            lengths = tuple(int(x) for x in args.lengths.split(","))
+        except ValueError:
+            raise ParamError(f"invalid --lengths {args.lengths!r}: expected integers") from None
         spec = SynthSpec(lengths, args.docs_per_length, ctx["seed"])
         dataset = generate_documents(table, spec)
         inputs = [args.freq_table]
@@ -676,8 +705,10 @@ def cmd_importance(args, ctx) -> int:
 def _read_config(path: str | None) -> dict[str, str]:
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
-    if not path or not Path(path).exists():
-        return {}
+        if not path or not Path(path).exists():
+            return {}
+    elif not Path(path).exists():
+        raise ParamError(f"config file {path} does not exist")
     config = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -693,7 +724,7 @@ def _read_config(path: str | None) -> dict[str, str]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=None, help="recorded; single-process")
+    common.add_argument("--threads", type=int, default=None, help="no effect; single-process")
     common.add_argument("--out-dir", default=None, help="output directory (default ./out)")
     common.add_argument("--json", action="store_true", default=None, help="mirror CSVs as JSON")
     common.add_argument("--config", default=None, help=f"key=value config (or ${CONFIG_ENV_VAR})")
@@ -766,7 +797,10 @@ def _build_context(args) -> dict:
         if flag_value is not None:
             return flag_value
         if key in config:
-            return convert(config[key])
+            try:
+                return convert(config[key])
+            except ValueError:
+                raise ParamError(f"config key {key}: invalid value {config[key]!r}") from None
         return fallback
 
     return {

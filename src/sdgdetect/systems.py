@@ -63,49 +63,61 @@ class Hit:
     matched_terms: tuple[tuple[str, tuple[int, ...]], ...]
 
 
+def _sdgs(mask: int) -> list[int]:
+    """The SDG ids whose bits are set in a row mask, ascending."""
+    sdgs = []
+    while mask:
+        low = mask & -mask
+        sdgs.append(low.bit_length())
+        mask ^= low
+    return sdgs
+
+
 class PredictionMatrix:
     """Boolean (doc_id, system, sdg) assignments plus coverage tracking.
 
     Coverage records which (doc, system) pairs were actually evaluated so
     that an absent assignment can be told apart from a system that was
     never run on the document.
+
+    Each covered (doc, system) pair is one row: a 17-bit mask whose bit
+    ``sdg - 1`` is set when the SDG is predicted. Every lookup is one
+    dictionary probe.
     """
 
     def __init__(self):
-        self._true: set[tuple[str, str, int]] = set()
-        self._covered: set[tuple[str, str]] = set()
+        self._rows: dict[tuple[str, str], int] = {}
 
     def cover(self, doc_id: str, system: str) -> None:
-        self._covered.add((doc_id, system))
+        self._rows.setdefault((doc_id, system), 0)
 
     def add(self, doc_id: str, system: str, sdg: int) -> None:
         if not 1 <= sdg <= 17:
             raise SchemaError(f"SDG id {sdg} outside 1..17")
-        self._true.add((doc_id, system, sdg))
-        self._covered.add((doc_id, system))
+        key = (doc_id, system)
+        self._rows[key] = self._rows.get(key, 0) | 1 << (sdg - 1)
 
     def is_predicted(self, doc_id: str, system: str, sdg: int) -> bool:
-        return (doc_id, system, sdg) in self._true
+        return 1 <= sdg <= 17 and bool(self._rows.get((doc_id, system), 0) >> (sdg - 1) & 1)
 
     def predicted(self, doc_id: str, system: str) -> frozenset[int]:
-        return frozenset(
-            g for (d, s, g) in self._true if d == doc_id and s == system
-        )
+        return frozenset(_sdgs(self._rows.get((doc_id, system), 0)))
 
     def covers(self, doc_id: str, system: str) -> bool:
-        return (doc_id, system) in self._covered
+        return (doc_id, system) in self._rows
 
     @property
     def systems(self) -> list[str]:
-        return sorted({s for (_, s) in self._covered})
+        return sorted({s for (_, s) in self._rows})
 
     @property
     def assignments(self) -> list[tuple[str, str, int]]:
-        return sorted(self._true)
+        return sorted((d, s, g) for (d, s), mask in self._rows.items() for g in _sdgs(mask))
 
     def merge(self, other: "PredictionMatrix") -> None:
-        self._true |= other._true
-        self._covered |= other._covered
+        rows = self._rows
+        for key, mask in other._rows.items():
+            rows[key] = rows.get(key, 0) | mask
 
 
 def load_system(path: str | Path) -> SystemDefinition:

@@ -4,6 +4,7 @@ Deliberately avoids the library's TokenIndex: every node is evaluated by
 scanning the raw token list, and NEAR enumerates all position pairs.
 """
 
+from sdgdetect.errors import SchemaError
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term
 
 
@@ -120,3 +121,41 @@ def random_query(rng, depth: int, vocab=VOCAB) -> Node:
 
 def random_tokens(rng, max_len: int = 50, vocab=VOCAB) -> list[str]:
     return [rng.choice(vocab) for _ in range(rng.randrange(0, max_len + 1))]
+
+
+class NaiveMatrix:
+    """Reference prediction matrix: plain sets of tuples, every lookup a scan."""
+
+    def __init__(self):
+        self._true: set[tuple[str, str, int]] = set()
+        self._covered: set[tuple[str, str]] = set()
+
+    def cover(self, doc_id: str, system: str) -> None:
+        self._covered.add((doc_id, system))
+
+    def add(self, doc_id: str, system: str, sdg: int) -> None:
+        if not 1 <= sdg <= 17:
+            raise SchemaError(f"SDG id {sdg} outside 1..17")
+        self._true.add((doc_id, system, sdg))
+        self._covered.add((doc_id, system))
+
+    def is_predicted(self, doc_id: str, system: str, sdg: int) -> bool:
+        return (doc_id, system, sdg) in self._true
+
+    def predicted(self, doc_id: str, system: str) -> frozenset[int]:
+        return frozenset(g for (d, s, g) in self._true if d == doc_id and s == system)
+
+    def covers(self, doc_id: str, system: str) -> bool:
+        return (doc_id, system) in self._covered
+
+    @property
+    def systems(self) -> list[str]:
+        return sorted({s for (_, s) in self._covered})
+
+    @property
+    def assignments(self) -> list[tuple[str, str, int]]:
+        return sorted(self._true)
+
+    def merge(self, other: "NaiveMatrix") -> None:
+        self._true |= other._true
+        self._covered |= other._covered

@@ -119,6 +119,47 @@ class TestEvaluateAndBias:
         assert (out / "correlations.csv").exists() and (out / "profiles.csv").exists()
 
 
+class TestMatrixFileValidation:
+    """A malformed matrix.json assignment is a schema error (exit 3), never a crash."""
+
+    def _run(self, corpus, system, tmp_path, capsys, assignment=None, systems=None):
+        _detect(corpus, system, tmp_path / "det")
+        matrix = tmp_path / "det" / "matrix.json"
+        payload = json.loads(matrix.read_text())
+        if assignment is not None:
+            payload["datasets"]["corpus"]["assignments"].append(assignment)
+        if systems is not None:
+            payload["systems"] = systems
+        matrix.write_text(json.dumps(payload))
+        capsys.readouterr()
+        for command in ("evaluate", "bias"):
+            out = str(tmp_path / command)
+            rc = main([command, "--dataset", corpus, "--matrix", str(matrix), "--out-dir", out])
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert "E_SCHEMA" in err and "Traceback" not in err
+
+    def test_two_element_assignment(self, corpus, system, tmp_path, capsys):
+        self._run(corpus, system, tmp_path, capsys, ["d1", "demo"])
+
+    def test_unknown_doc_id(self, corpus, system, tmp_path, capsys):
+        self._run(corpus, system, tmp_path, capsys, ["d9", "demo", 1])
+
+    def test_system_not_listed(self, corpus, system, tmp_path, capsys):
+        self._run(corpus, system, tmp_path, capsys, ["d1", "ghost", 1])
+
+    @pytest.mark.parametrize("sdg", ["3", 3.0, True, None])
+    def test_non_integer_sdg(self, corpus, system, tmp_path, capsys, sdg):
+        self._run(corpus, system, tmp_path, capsys, ["d1", "demo", sdg])
+
+    @pytest.mark.parametrize("sdg", [0, 18])
+    def test_sdg_out_of_range(self, corpus, system, tmp_path, capsys, sdg):
+        self._run(corpus, system, tmp_path, capsys, ["d1", "demo", sdg])
+
+    def test_system_listed_twice(self, corpus, system, tmp_path, capsys):
+        self._run(corpus, system, tmp_path, capsys, systems=["demo", "demo"])
+
+
 class TestSynth:
     def test_lengths(self, tmp_path):
         freq = tmp_path / "freq.tsv"
@@ -144,6 +185,15 @@ class TestSynth:
         assert len(lines) == 4
         assert len(json.loads(lines[0])["text"].split()) == 5
         assert len(json.loads(lines[-1])["text"].split()) == 10
+
+    def test_non_integer_length_is_param_error(self, tmp_path, capsys):
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("alpha\t1\n")
+        rc = main(
+            ["synth", "--freq-table", str(freq), "--lengths", "5,x", "--out-dir", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert "E_PARAMS" in capsys.readouterr().err
 
     def test_match(self, corpus, tmp_path):
         freq = tmp_path / "freq.tsv"
@@ -303,3 +353,17 @@ class TestConfig:
         assert not env_out.exists()
         manifest = json.loads((flag_out / "manifest.json").read_text())
         assert manifest["seed"] == 5
+
+    @pytest.mark.parametrize("line", ["seed=abc", "threads=x"])
+    def test_invalid_config_value_is_param_error(self, corpus, system, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        rc = _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)])
+        assert rc == 2
+        assert "E_PARAMS" in capsys.readouterr().err
+
+    def test_missing_explicit_config_is_param_error(self, corpus, system, tmp_path, capsys):
+        rc = _detect(corpus, system, tmp_path / "o", ["--config", str(tmp_path / "no_such.cfg")])
+        assert rc == 2
+        assert "E_PARAMS" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -6,6 +6,7 @@ from sdgdetect.corpus import Dataset, Document
 from sdgdetect.errors import QuerySyntaxError, SchemaError
 from sdgdetect.query import query_to_string
 from sdgdetect.systems import (
+    PredictionMatrix,
     SystemDefinition,
     SystemEntry,
     detect,
@@ -15,7 +16,7 @@ from sdgdetect.systems import (
     to_matrix,
 )
 
-from oracle import PREFIX_VOCAB, naive_eval, naive_positive_hits, random_query, random_tokens
+from oracle import PREFIX_VOCAB, NaiveMatrix, naive_eval, naive_positive_hits, random_query, random_tokens
 
 
 def _dataset(*texts):
@@ -195,6 +196,65 @@ class TestMatrix:
         assert a.systems == ["demo", "other"]
         assert a.is_predicted("d1", "demo", 1)
         assert not a.is_predicted("d1", "other", 1)
+
+    @pytest.mark.parametrize("sdg", [0, 18, -1])
+    def test_add_rejects_sdg_outside_range(self, sdg):
+        matrix = PredictionMatrix()
+        with pytest.raises(SchemaError):
+            matrix.add("d1", "demo", sdg)
+        assert not matrix.covers("d1", "demo")
+
+    def test_matches_oracle_on_random_operations(self):
+        rng = random.Random(2024)
+        docs = [f"d{i}" for i in range(6)]
+        systems = ["a", "b", "c"]
+        # 1 and 17 are the lowest and highest bits of a row
+        sdgs = [1, 2, 9, 16, 17]
+
+        def random_ops(n):
+            ops = []
+            for _ in range(n):
+                doc, system = rng.choice(docs), rng.choice(systems)
+                if rng.random() < 0.3:
+                    ops.append(("cover", doc, system))
+                else:
+                    ops.append(("add", doc, system, rng.choice(sdgs)))
+            return ops
+
+        def apply(matrix, ops):
+            for name, *args in ops:
+                getattr(matrix, name)(*args)
+            return matrix
+
+        def assert_same(got, want):
+            assert got.systems == want.systems
+            assert got.assignments == want.assignments
+            for doc in docs + ["absent"]:
+                for system in systems + ["absent"]:
+                    assert got.covers(doc, system) == want.covers(doc, system)
+                    assert got.predicted(doc, system) == want.predicted(doc, system)
+                    for sdg in range(0, 19):
+                        assert got.is_predicted(doc, system, sdg) == want.is_predicted(
+                            doc, system, sdg
+                        )
+
+        for _ in range(200):
+            ops = random_ops(rng.randrange(0, 40))
+            got, want = apply(PredictionMatrix(), ops), apply(NaiveMatrix(), ops)
+            assert_same(got, want)
+            other_ops = random_ops(rng.randrange(0, 20))
+            got.merge(apply(PredictionMatrix(), other_ops))
+            want.merge(apply(NaiveMatrix(), other_ops))
+            assert_same(got, want)
+            more = random_ops(5)
+            assert_same(apply(got, more), apply(want, more))
+
+    def test_full_row_has_all_seventeen_sdgs(self):
+        matrix = PredictionMatrix()
+        for sdg in range(17, 0, -1):
+            matrix.add("d1", "demo", sdg)
+        assert matrix.predicted("d1", "demo") == frozenset(range(1, 18))
+        assert matrix.assignments == [("d1", "demo", g) for g in range(1, 18)]
 
 
 class TestExternalPredictions:
