@@ -9,9 +9,8 @@ Exit codes: 0 success, 2 usage/parameter error, 3 data/schema error,
 4 degenerate computation.
 
 A key=value config file (via --config or the SDGDETECT_CONFIG env var)
-may supply defaults for the global flags seed, threads, out_dir, json;
-command-line flags always win. --threads is accepted but has no effect:
-commands run single-process, and the manifest does not record it.
+may supply defaults for the global flags seed, out_dir, json; any other
+key is a parameter error. Command-line flags always win.
 """
 
 from __future__ import annotations
@@ -23,13 +22,12 @@ import io
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import __version__
 from .bias import bias as bias_vector
 from .bias import profile, profile_bias, profile_fidelity
-from .corpus import Dataset, LabeledDocument, load_documents, save_documents
+from .corpus import Dataset, LabeledDocument, atomic_write_text, load_documents, save_documents
 from .ensemble import (
     CvConfig,
     ForestParams,
@@ -72,23 +70,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_table(out_dir: Path, name: str, header: list[str], rows, as_json: bool) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(_fmt, row) for row in rows)
-    _atomic_write_text(out_dir / f"{name}.csv", buf.getvalue())
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(map(_fmt, row) for row in rows)
+        # with a "\n" terminator, only QUOTE_ALL quotes a cell holding "\r",
+        # which csv.reader would otherwise take for the end of the row
+        text = buf.getvalue()
+        if "\r" not in text:
+            break
+    atomic_write_text(out_dir / f"{name}.csv", text)
     if as_json:
-        payload = [dict(zip(header, [None if v is None else v for v in row])) for row in rows]
-        _atomic_write_text(
+        payload = [dict(zip(header, row)) for row in rows]
+        atomic_write_text(
             out_dir / f"{name}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
 
@@ -110,7 +106,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs, seed: int
         "params": params,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
     }
-    _atomic_write_text(
+    atomic_write_text(
         out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
 
@@ -125,7 +121,7 @@ def _write_matrix_file(
             for name, matrix in sorted(matrices.items())
         },
     }
-    _atomic_write_text(
+    atomic_write_text(
         out_dir / "matrix.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"
     )
 
@@ -187,20 +183,31 @@ def _load_matrix_file(
 # ---------------------------------------------------------------------------
 
 
-def _load_datasets(paths: list[str]) -> list[Dataset]:
-    datasets = [load_documents(p) for p in paths]
-    names = [d.name for d in datasets]
+def _distinct_names(items: list, kind: str) -> list:
+    names = [item.name for item in items]
     if len(set(names)) != len(names):
-        raise SchemaError(f"dataset names collide: {names}")
-    return datasets
+        raise SchemaError(f"{kind} names collide: {names}")
+    return items
+
+
+def _load_datasets(paths: list[str]) -> list[Dataset]:
+    return _distinct_names([load_documents(p) for p in paths], "dataset")
 
 
 def _load_systems(paths: list[str]):
-    systems = [load_system(p) for p in paths]
-    names = [s.name for s in systems]
-    if len(set(names)) != len(names):
-        raise SchemaError(f"system names collide: {names}")
-    return systems
+    return _distinct_names([load_system(p) for p in paths], "system")
+
+
+def _load_model_and_systems(model_path: str, system_paths: list[str]):
+    """The saved model and the systems it must be applied with."""
+    model = load_model(model_path)
+    systems = _load_systems(system_paths)
+    if {s.name for s in systems} != set(model.system_names):
+        raise SchemaError(
+            f"model was trained on systems {sorted(model.system_names)}, "
+            f"got {sorted(s.name for s in systems)}"
+        )
+    return model, systems
 
 
 def _detect_all(datasets, systems) -> tuple[list, dict[str, PredictionMatrix]]:
@@ -211,6 +218,17 @@ def _detect_all(datasets, systems) -> tuple[list, dict[str, PredictionMatrix]]:
         matrices[ds.name] = to_matrix(hits, ds, systems)
         all_hits.append((ds.name, hits))
     return all_hits, matrices
+
+
+def _ensemble_inputs(dataset_paths: list[str], freq_table: str, systems, seed: int):
+    """Labeled datasets, a length-matched synthetic one for each, and all their matrices."""
+    labeled = _load_datasets(dataset_paths)
+    table = load_frequency_table(freq_table)
+    synthetic = [
+        generate_matched(table, ds, _child_seed(seed, i)) for i, ds in enumerate(labeled)
+    ]
+    _, matrices = _detect_all(labeled + synthetic, systems)
+    return labeled, synthetic, matrices
 
 
 def _parse_k_grid(raw: str) -> list[float]:
@@ -509,7 +527,6 @@ def cmd_synth(args, ctx) -> int:
         spec = SynthSpec(lengths, args.docs_per_length, ctx["seed"])
         dataset = generate_documents(table, spec)
         inputs = [args.freq_table]
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_documents(dataset, out_dir / "synthetic.jsonl")
     _write_manifest(
         out_dir,
@@ -530,12 +547,7 @@ def cmd_train(args, ctx) -> int:
     out_dir = ctx["out_dir"]
     seed = ctx["seed"]
     systems = _load_systems(args.systems)
-    labeled = _load_datasets(args.dataset)
-    table = load_frequency_table(args.freq_table)
-    synthetic = [
-        generate_matched(table, ds, _child_seed(seed, i)) for i, ds in enumerate(labeled)
-    ]
-    _, matrices = _detect_all(labeled + synthetic, systems)
+    labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
     system_names = [s.name for s in systems]
 
     grid = _parse_k_grid(args.k_grid) if args.k_grid else []
@@ -579,7 +591,6 @@ def cmd_train(args, ctx) -> int:
     model = train_model(
         rows, system_names, args.k, _forest_params(args, seed), args.threshold
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
 
     _write_table(
@@ -622,13 +633,7 @@ def cmd_train(args, ctx) -> int:
 
 def cmd_predict(args, ctx) -> int:
     out_dir = ctx["out_dir"]
-    model = load_model(args.model)
-    systems = _load_systems(args.systems)
-    if {s.name for s in systems} != set(model.system_names):
-        raise SchemaError(
-            f"model was trained on systems {sorted(model.system_names)}, "
-            f"got {sorted(s.name for s in systems)}"
-        )
+    model, systems = _load_model_and_systems(args.model, args.systems)
     datasets = _load_datasets(args.dataset)
     _, matrices = _detect_all(datasets, systems)
 
@@ -660,19 +665,8 @@ def cmd_predict(args, ctx) -> int:
 def cmd_importance(args, ctx) -> int:
     out_dir = ctx["out_dir"]
     seed = ctx["seed"]
-    model = load_model(args.model)
-    systems = _load_systems(args.systems)
-    if {s.name for s in systems} != set(model.system_names):
-        raise SchemaError(
-            f"model was trained on systems {sorted(model.system_names)}, "
-            f"got {sorted(s.name for s in systems)}"
-        )
-    labeled = _load_datasets(args.dataset)
-    table = load_frequency_table(args.freq_table)
-    synthetic = [
-        generate_matched(table, ds, _child_seed(seed, i)) for i, ds in enumerate(labeled)
-    ]
-    _, matrices = _detect_all(labeled + synthetic, systems)
+    model, systems = _load_model_and_systems(args.model, args.systems)
+    labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
     rows = build_features(matrices, list(model.system_names), labeled, synthetic, model.k)
     importances = model_importance(model, rows, repetitions=args.repetitions, seed=seed)
 
@@ -716,15 +710,16 @@ def _read_config(path: str | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ParamError(f"config {path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ("seed", "out_dir", "json"):
+            raise ParamError(f"config {path}:{lineno}: unknown key {key!r}")
+        config[key] = value
     return config
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=None, help="no effect; single-process")
     common.add_argument("--out-dir", default=None, help="output directory (default ./out)")
     common.add_argument("--json", action="store_true", default=None, help="mirror CSVs as JSON")
     common.add_argument("--config", default=None, help=f"key=value config (or ${CONFIG_ENV_VAR})")
@@ -805,7 +800,6 @@ def _build_context(args) -> dict:
 
     return {
         "seed": pick(args.seed, "seed", 0, int),
-        "threads": pick(args.threads, "threads", 1, int),
         "out_dir": Path(pick(args.out_dir, "out_dir", "out", str)),
         "json": bool(pick(args.json, "json", False, lambda v: v.lower() in ("1", "true", "yes"))),
     }

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -25,6 +27,7 @@ __all__ = [
     "tokenize",
     "load_documents",
     "save_documents",
+    "atomic_write_text",
 ]
 
 import re
@@ -105,6 +108,10 @@ def _build_document(
 ) -> Document:
     if not isinstance(doc_id, str) or not doc_id:
         raise SchemaError(f"{where}: missing or invalid 'id'")
+    try:
+        doc_id.encode("utf-8")  # fails on a lone surrogate, such as JSON's "\ud800"
+    except UnicodeEncodeError:
+        raise SchemaError(f"{where}: 'id' {doc_id!r} cannot be written as UTF-8") from None
     if not isinstance(text, str):
         raise SchemaError(f"{where}: missing or invalid 'text'")
     if labels is None and evaluated is None:
@@ -135,23 +142,18 @@ def _parse_int_list(raw: str, where: str) -> list[int] | None:
 
 def load_documents(
     path: str | Path,
-    format: str | None = None,
     name: str | None = None,
     kind: str | None = None,
 ) -> Dataset:
-    """Load a dataset from JSONL or CSV (format inferred from the suffix)."""
+    """Load a dataset from CSV (a ``.csv`` suffix) or else JSONL."""
     path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "jsonl"
-    if format not in ("jsonl", "csv"):
-        raise SchemaError(f"unknown dataset format {format!r}")
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read dataset {path}: {exc}") from exc
 
     documents: list[Document] = []
-    if format == "jsonl":
+    if path.suffix.lower() != ".csv":
         for lineno, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -195,7 +197,6 @@ def load_documents(
 
 def save_documents(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as JSONL; a round-trip through load_documents is lossless."""
-    path = Path(path)
     lines = []
     for doc in dataset.documents:
         record: dict = {"id": doc.id, "text": doc.text}
@@ -203,7 +204,24 @@ def save_documents(dataset: Dataset, path: str | Path) -> None:
             record["labels"] = sorted(doc.labels)
             record["evaluated"] = sorted(doc.evaluated)
         lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through a temporary file renamed into
+    place, so readers see the old file or the whole new one. On any error the
+    temporary file is removed; an ``OSError`` is raised as ``IoError``."""
+    path = Path(path)
+    tmp = None
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+        tmp = None
     except OSError as exc:
-        raise IoError(f"cannot write dataset {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None:
+            os.unlink(tmp)

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, LabeledDocument
+from .corpus import Dataset, LabeledDocument, atomic_write_text
 from .errors import (
     IoError,
     MissingSystemError,
@@ -611,7 +609,6 @@ def _node_from_obj(obj) -> Leaf | Split:
 
 
 def save_model(model: EnsembleModel, path: str | Path) -> None:
-    path = Path(path)
     payload = {
         "magic": MODEL_MAGIC,
         "version": MODEL_VERSION,
@@ -636,13 +633,7 @@ def save_model(model: EnsembleModel, path: str | Path) -> None:
             for sdg, forest in sorted(model.forests.items())
         },
     }
-    try:
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoError(f"cannot write model {path}: {exc}") from exc
+    atomic_write_text(path, json.dumps(payload, sort_keys=True))
 
 
 def load_model(path: str | Path) -> EnsembleModel:

@@ -159,20 +159,13 @@ def load_system(path: str | Path) -> SystemDefinition:
         try:
             ast = parse_query(query_text)
         except SdgToolError as exc:
-            _reraise_with_context(exc, system, query_id)
+            # keep the error's type, code and position; only say where it is
+            exc.args = (f"system {system!r}, query {query_id!r}: {exc}",)
+            raise
         entries.append(SystemEntry(sdg, query_id, query_text, ast))
     if name is None:
         raise SchemaError(f"{path.name}: no rows")
     return SystemDefinition(name, tuple(entries))
-
-
-def _reraise_with_context(exc: SdgToolError, system: str, query_id: str):
-    # keep the original error code (e.g. E_SYNTAX) while adding context
-    err = exc.__class__.__new__(exc.__class__)
-    Exception.__init__(err, f"system {system!r}, query {query_id!r}: {exc}")
-    if hasattr(exc, "position"):
-        err.position = exc.position
-    raise err from exc
 
 
 def detect(dataset: Dataset, systems: Sequence[SystemDefinition]) -> list[Hit]:
@@ -214,7 +207,7 @@ def to_matrix(
 def import_external_predictions(
     path: str | Path,
     system_name: str,
-    known_doc_ids: Iterable[str] | None = None,
+    known_doc_ids: Iterable[str],
     strict: bool = True,
 ) -> PredictionMatrix:
     """Import black-box predictions from a ``doc_id,sdg`` CSV.
@@ -227,11 +220,10 @@ def import_external_predictions(
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read predictions file {path}: {exc}") from exc
-    known = None if known_doc_ids is None else set(known_doc_ids)
+    known = set(known_doc_ids)
     matrix = PredictionMatrix()
-    if known is not None:
-        for doc_id in known:
-            matrix.cover(doc_id, system_name)
+    for doc_id in known:
+        matrix.cover(doc_id, system_name)
     reader = csv.DictReader(raw.splitlines())
     if raw.strip() and (reader.fieldnames is None or not {"doc_id", "sdg"} <= set(reader.fieldnames)):
         raise SchemaError(f"{path.name}: header must be 'doc_id,sdg'")
@@ -244,7 +236,7 @@ def import_external_predictions(
             raise SchemaError(f"{where}: non-integer sdg {row.get('sdg')!r}") from None
         if not 1 <= sdg <= 17:
             raise SchemaError(f"{where}: SDG id {sdg} outside 1..17")
-        if known is not None and doc_id not in known:
+        if doc_id not in known:
             if strict:
                 raise SchemaError(f"{where}: unknown doc_id {doc_id!r}")
             print(f"warning: {where}: skipping unknown doc_id {doc_id!r}", file=sys.stderr)

@@ -1,4 +1,6 @@
+import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,13 @@ def _detect(corpus, system, out, extra=()):
     )
 
 
+def _fail_rename(monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+
+
 class TestDetect:
     def test_outputs(self, corpus, system, tmp_path):
         out = tmp_path / "out"
@@ -56,6 +65,33 @@ class TestDetect:
         _detect(corpus, system, out2)
         for name in ("hits.csv", "keyword_frequencies.csv", "matrix.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_carriage_return_cell_round_trips(self, system, tmp_path):
+        corpus = tmp_path / "cr.jsonl"
+        corpus.write_text('{"id":"d\\r1","text":"end poverty"}\n{"id":"d2","text":"poverty"}\n')
+        out = tmp_path / "out"
+        assert _detect(str(corpus), system, out) == 0
+        with open(out / "hits.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            ["cr", "d\r1", "demo", "1", "q1", "poverty", "1"],
+            ["cr", "d2", "demo", "1", "q1", "poverty", "0"],
+        ]
+
+    def test_failed_table_write_leaves_no_temp(self, corpus, system, tmp_path, monkeypatch, capsys):
+        _fail_rename(monkeypatch)
+        out = tmp_path / "out"
+        assert _detect(corpus, system, out) == 3
+        assert "error [E_IO]: cannot write" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_id_not_writable_as_utf8_is_3(self, system, tmp_path, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text('{"id":"d\\ud800","text":"end poverty"}\n')
+        out = tmp_path / "out"
+        assert _detect(str(corpus), system, out) == 3
+        assert "E_SCHEMA" in capsys.readouterr().err
+        assert list(out.glob("*.tmp")) == []
 
     def test_json_mirror(self, corpus, system, tmp_path):
         out = tmp_path / "out"
@@ -195,6 +231,16 @@ class TestSynth:
         assert rc == 2
         assert "E_PARAMS" in capsys.readouterr().err
 
+    def test_failed_write_leaves_no_temp(self, tmp_path, monkeypatch, capsys):
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("alpha\t1\n")
+        out = tmp_path / "out"
+        _fail_rename(monkeypatch)
+        rc = main(["synth", "--freq-table", str(freq), "--lengths", "5", "--out-dir", str(out)])
+        assert rc == 3
+        assert "E_IO" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_match(self, corpus, tmp_path):
         freq = tmp_path / "freq.tsv"
         freq.write_text("alpha\t1\n")
@@ -293,6 +339,21 @@ class TestExitCodes:
         assert rc == 3
         assert "E_IO" in capsys.readouterr().err
 
+    def test_query_error_names_system_and_query(self, corpus, tmp_path, capsys):
+        sysfile = tmp_path / "bad.csv"
+        sysfile.write_text("system,sdg,query_id,query\nbad,1,q1,poverty AND\n")
+        assert _detect(corpus, str(sysfile), tmp_path / "o") == 3
+        assert capsys.readouterr().err == (
+            "error [E_SYNTAX]: system 'bad', query 'q1': "
+            "expected a term, phrase, or '(' (at position 11)\n"
+        )
+
+    def test_threads_is_unknown_argument(self, corpus, system, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _detect(corpus, system, tmp_path / "o", ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
     def test_schema_error_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id":"d1","text":"x","labels":[99]}\n')
@@ -354,13 +415,19 @@ class TestConfig:
         manifest = json.loads((flag_out / "manifest.json").read_text())
         assert manifest["seed"] == 5
 
-    @pytest.mark.parametrize("line", ["seed=abc", "threads=x"])
+    @pytest.mark.parametrize("line", ["seed=abc", "threads=x", "sed=5"])
     def test_invalid_config_value_is_param_error(self, corpus, system, tmp_path, capsys, line):
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")
         rc = _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)])
         assert rc == 2
         assert "E_PARAMS" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_named(self, corpus, system, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=1\nout_dirr=x\n")
+        assert _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)]) == 2
+        assert f"config {cfg}:2: unknown key 'out_dirr'" in capsys.readouterr().err
 
     def test_missing_explicit_config_is_param_error(self, corpus, system, tmp_path, capsys):
         rc = _detect(corpus, system, tmp_path / "o", ["--config", str(tmp_path / "no_such.cfg")])

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from sdgdetect.corpus import (
@@ -5,6 +7,7 @@ from sdgdetect.corpus import (
     Dataset,
     Document,
     LabeledDocument,
+    atomic_write_text,
     load_documents,
     save_documents,
     tokenize,
@@ -75,6 +78,13 @@ class TestLoad:
         with pytest.raises(SchemaError):
             load_documents(p)
 
+    def test_id_not_writable_as_utf8(self, tmp_path):
+        p = tmp_path / "ds.jsonl"
+        p.write_text('{"id":"d\\ud800","text":"x"}\n')
+        with pytest.raises(SchemaError) as err:
+            load_documents(p)
+        assert "ds.jsonl:1" in str(err.value) and "UTF-8" in str(err.value)
+
     def test_duplicate_ids(self, tmp_path):
         p = tmp_path / "ds.jsonl"
         p.write_text('{"id":"d1","text":"x"}\n{"id":"d1","text":"y"}\n')
@@ -128,3 +138,29 @@ class TestLoad:
         p.write_text("\n")
         with pytest.raises(SchemaError):
             load_documents(p)
+
+
+class TestAtomicWrite:
+    def test_creates_directory_and_writes_utf8(self, tmp_path):
+        path = tmp_path / "sub" / "out.txt"
+        atomic_write_text(path, "überall\n")
+        assert path.read_bytes() == "überall\n".encode("utf-8")
+        assert os.listdir(path.parent) == ["out.txt"]
+
+    def test_failed_rename_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoError, match="disk full"):
+            atomic_write_text(path, "new")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_other_errors_reraised_unchanged(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "out.txt", "d\ud800")
+        assert os.listdir(tmp_path) == []

@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sdgdetect.corpus import Dataset, Document, LabeledDocument
 from sdgdetect.errors import (
+    IoError,
     MissingSystemError,
     ModelCorruptError,
     ModelVersionError,
@@ -365,6 +367,17 @@ class TestPersistence:
                 assert forest_score(loaded.forests[g], r.features) == forest_score(
                     model.forests[g], r.features
                 )
+
+    def test_failed_write_leaves_no_temp(self, tmp_path, monkeypatch):
+        model, _ = _full_model()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoError, match="disk full"):
+            save_model(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file_corrupt(self, tmp_path):
         model, _ = _full_model()

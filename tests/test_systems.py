@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdgdetect.corpus import Dataset, Document
-from sdgdetect.errors import QuerySyntaxError, SchemaError
+from sdgdetect.errors import NearOperandError, QuerySyntaxError, SchemaError
 from sdgdetect.query import query_to_string
 from sdgdetect.systems import (
     PredictionMatrix,
@@ -53,6 +53,29 @@ class TestLoadSystem:
         with pytest.raises(QuerySyntaxError) as err:
             load_system(p)
         assert "q1" in str(err.value) and "demo" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "query,error,message,position",
+        [
+            ("poverty AND", QuerySyntaxError, "expected a term, phrase, or '(' (at position 11)", 11),
+            (
+                '"(a AND b) NEAR/2 c"',
+                NearOperandError,
+                "NEAR operand must be a term, phrase, or OR over those (at position 10)",
+                None,
+            ),
+        ],
+    )
+    def test_query_error_keeps_type_code_and_position(
+        self, tmp_path, query, error, message, position
+    ):
+        p = _system(tmp_path / "s.csv", [f"bad,1,q1,{query}"])
+        with pytest.raises(error) as err:
+            load_system(p)
+        assert type(err.value) is error
+        assert err.value.code == error.code
+        assert str(err.value) == f"system 'bad', query 'q1': {message}"
+        assert getattr(err.value, "position", None) == position
 
     def test_mixed_system_names(self, tmp_path):
         p = _system(tmp_path / "s.csv", ["a,1,q1,poverty", "b,2,q2,hunger"])
