@@ -183,19 +183,21 @@ def _load_matrix_file(
 # ---------------------------------------------------------------------------
 
 
-def _distinct_names(items: list, kind: str) -> list:
-    names = [item.name for item in items]
+def _distinct_names(names: list[str], kind: str) -> None:
     if len(set(names)) != len(names):
         raise SchemaError(f"{kind} names collide: {names}")
-    return items
 
 
 def _load_datasets(paths: list[str]) -> list[Dataset]:
-    return _distinct_names([load_documents(p) for p in paths], "dataset")
+    datasets = [load_documents(p) for p in paths]
+    _distinct_names([ds.name for ds in datasets], "dataset")
+    return datasets
 
 
 def _load_systems(paths: list[str]):
-    return _distinct_names([load_system(p) for p in paths], "system")
+    systems = [load_system(p) for p in paths]
+    _distinct_names([s.name for s in systems], "system")
+    return systems
 
 
 def _load_model_and_systems(model_path: str, system_paths: list[str]):
@@ -259,20 +261,22 @@ def _forest_params(args, seed: int) -> ForestParams:
 def cmd_detect(args, ctx) -> int:
     out_dir = ctx["out_dir"]
     systems = _load_systems(args.systems)
+    externals = []
+    for item in args.external or []:
+        if "=" not in item:
+            raise ParamError("--external expects NAME=PATH")
+        externals.append(item.split("=", 1))
+    system_names = [s.name for s in systems] + [name for name, _ in externals]
+    _distinct_names(system_names, "system")
     datasets = _load_datasets(args.dataset)
     hits_by_ds, matrices = _detect_all(datasets, systems)
-    system_names = [s.name for s in systems]
 
-    if args.external:
+    if externals:
         all_ids = {doc.id for ds in datasets for doc in ds.documents}
-        for item in args.external:
-            if "=" not in item:
-                raise ParamError("--external expects NAME=PATH")
-            name, path = item.split("=", 1)
+        for name, path in externals:
             fragment = import_external_predictions(
                 path, name, known_doc_ids=all_ids, strict=not args.lenient_external
             )
-            system_names.append(name)
             for ds in datasets:
                 matrix = matrices[ds.name]
                 ds_ids = {doc.id for doc in ds.documents}
@@ -323,7 +327,7 @@ def cmd_detect(args, ctx) -> int:
         out_dir,
         "detect",
         {"datasets": args.dataset, "systems": args.systems, "external": args.external or []},
-        args.dataset + args.systems + [i.split("=", 1)[1] for i in (args.external or [])],
+        args.dataset + args.systems + [path for _, path in externals],
         ctx["seed"],
     )
     return 0
@@ -544,6 +548,10 @@ def cmd_synth(args, ctx) -> int:
 
 
 def cmd_train(args, ctx) -> int:
+    if not 0 <= args.k <= 10:
+        raise ParamError("--k must lie in [0, 10]")
+    if not 0 <= args.threshold <= 1:
+        raise ParamError("--threshold must lie in [0, 1]")
     out_dir = ctx["out_dir"]
     seed = ctx["seed"]
     systems = _load_systems(args.systems)
@@ -556,7 +564,6 @@ def cmd_train(args, ctx) -> int:
     grid = sorted(set(grid))
 
     curve_rows = []
-    final_cv = None
     for kg in grid:
         rows = build_features(matrices, system_names, labeled, synthetic, kg)
         cv = cross_validate(
@@ -568,9 +575,8 @@ def cmd_train(args, ctx) -> int:
             (kg, cv.pooled_report.accuracy, cv.mean_origin_accuracy, cv.synthetic_fp_rate)
         )
         if kg == args.k:
-            final_cv = cv
+            final_cv, final_rows = cv, rows
 
-    assert final_cv is not None
     cv_rows = [
         (
             rec.sdg,
@@ -587,9 +593,8 @@ def cmd_train(args, ctx) -> int:
     ]
     skipped_rows = [(sdg, rep, fold, reason) for sdg, rep, fold, reason in final_cv.skipped]
 
-    rows = build_features(matrices, system_names, labeled, synthetic, args.k)
     model = train_model(
-        rows, system_names, args.k, _forest_params(args, seed), args.threshold
+        final_rows, system_names, args.k, _forest_params(args, seed), args.threshold
     )
     save_model(model, out_dir / "model.json")
 

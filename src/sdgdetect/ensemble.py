@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, LabeledDocument, atomic_write_text
+from .corpus import ALL_SDGS, Dataset, LabeledDocument, atomic_write_text
 from .errors import (
     IoError,
     MissingSystemError,
@@ -47,6 +47,7 @@ __all__ = [
     "CvConfig",
     "CvFoldRecord",
     "CvResult",
+    "feature_row",
     "build_features",
     "train_forest",
     "forest_score",
@@ -126,6 +127,14 @@ class Forest:
 # ---------------------------------------------------------------------------
 
 
+def feature_row(
+    predicted: Sequence[Container[int]], sdg: int, word_count: int
+) -> tuple[float, ...]:
+    """One SDG's features: a 0/1 flag per system's predicted SDG set (in
+    system order), then the word count."""
+    return tuple([1.0 if sdg in p else 0.0 for p in predicted] + [float(word_count)])
+
+
 def build_features(
     matrices: Mapping[str, PredictionMatrix],
     system_names: Sequence[str],
@@ -133,58 +142,40 @@ def build_features(
     synthetic_datasets: Sequence[Dataset],
     k: float,
 ) -> dict[int, list[FeatureRow]]:
-    """Per-SDG feature rows with per-dataset 1/N (labeled) or k/N (synthetic) weights."""
+    """Per-SDG feature rows with per-dataset 1/N (labeled) or k/N (synthetic) weights.
+
+    Rows come from the labeled datasets first, then, when k > 0, from the
+    synthetic ones, which are negative for all 17 SDGs.
+    """
     if k < 0:
         raise ParamError("synthetic weight factor k must be non-negative")
+    sources = [(ds, 1.0 / len(ds.documents), False) for ds in labeled_datasets]
+    if k > 0:
+        sources += [(ds, k / len(ds.documents), True) for ds in synthetic_datasets]
     rows: dict[int, list[FeatureRow]] = {g: [] for g in range(1, 18)}
-
-    def features_for(matrix: PredictionMatrix, doc, sdg: int) -> tuple[float, ...]:
-        feats = []
-        for s in system_names:
-            if not matrix.covers(doc.id, s):
-                raise MissingSystemError(
-                    f"system {s!r} has no predictions for document {doc.id!r}"
-                )
-            feats.append(1.0 if matrix.is_predicted(doc.id, s, sdg) else 0.0)
-        feats.append(float(doc.word_count))
-        return tuple(feats)
-
-    for ds in labeled_datasets:
-        if not ds.labeled:
+    for ds, weight, synthetic in sources:
+        if not synthetic and not ds.labeled:
             raise NoLabelsError(f"dataset {ds.name!r} has no expert labels")
         matrix = matrices[ds.name]
-        weight = 1.0 / len(ds.documents)
         for doc in ds.documents:
-            if not isinstance(doc, LabeledDocument):
+            if synthetic:
+                sdgs, labels = ALL_SDGS, frozenset()
+            elif isinstance(doc, LabeledDocument):
+                sdgs, labels = doc.evaluated, doc.labels
+            else:
                 continue
-            for sdg in sorted(doc.evaluated):
+            predicted = []
+            for s in system_names:
+                if not matrix.covers(doc.id, s):
+                    raise MissingSystemError(
+                        f"system {s!r} has no predictions for document {doc.id!r}"
+                    )
+                predicted.append(matrix.predicted(doc.id, s))
+            for sdg in sorted(sdgs):
+                features = feature_row(predicted, sdg, doc.word_count)
                 rows[sdg].append(
-                    FeatureRow(
-                        doc.id,
-                        ds.name,
-                        sdg,
-                        features_for(matrix, doc, sdg),
-                        sdg in doc.labels,
-                        weight,
-                    )
+                    FeatureRow(doc.id, ds.name, sdg, features, sdg in labels, weight, synthetic)
                 )
-    if k > 0:
-        for ds in synthetic_datasets:
-            matrix = matrices[ds.name]
-            weight = k / len(ds.documents)
-            for doc in ds.documents:
-                for sdg in range(1, 18):
-                    rows[sdg].append(
-                        FeatureRow(
-                            doc.id,
-                            ds.name,
-                            sdg,
-                            features_for(matrix, doc, sdg),
-                            False,
-                            weight,
-                            synthetic=True,
-                        )
-                    )
     return rows
 
 
@@ -337,13 +328,11 @@ class EnsembleModel:
                 f"model was trained on systems {sorted(self.system_names)}, "
                 f"got {sorted(system_predictions)}"
             )
+        predicted = [system_predictions[s] for s in self.system_names]
         scores: dict[int, float] = {}
         assigned: set[int] = set()
         for sdg in range(1, 18):
-            feats = [
-                1.0 if sdg in system_predictions[s] else 0.0 for s in self.system_names
-            ] + [float(word_count)]
-            score = forest_score(self.forests[sdg], feats)
+            score = forest_score(self.forests[sdg], feature_row(predicted, sdg, word_count))
             scores[sdg] = score
             if score >= self.threshold:
                 assigned.add(sdg)
@@ -531,13 +520,15 @@ def permutation_importance(
         raise ParamError("permutation importance needs evaluation rows")
     X, y, w = _rows_to_arrays(rows)
     total_w = w.sum()
+    labels = y.astype(bool).tolist()
+    weights = w.tolist()
 
     def weighted_accuracy(Xm: np.ndarray) -> float:
+        # plain-float rows: a split test on a list is cheaper than on a numpy row
         correct = 0.0
-        for i in range(Xm.shape[0]):
-            predicted = forest_score(forest, Xm[i]) >= threshold
-            if predicted == bool(y[i]):
-                correct += w[i]
+        for features, label, weight in zip(Xm.tolist(), labels, weights):
+            if (forest_score(forest, features) >= threshold) == label:
+                correct += weight
         return correct / total_w
 
     baseline = weighted_accuracy(X)
@@ -592,20 +583,23 @@ def _node_to_obj(node: Leaf | Split):
     }
 
 
-def _node_from_obj(obj) -> Leaf | Split:
+def _node_from_obj(obj, n_features: int) -> Leaf | Split:
     if not isinstance(obj, dict):
         raise ModelCorruptError("malformed tree node")
     if "p" in obj:
         return Leaf(float(obj["p"]), float(obj["w"]))
     try:
-        return Split(
+        node = Split(
             int(obj["f"]),
             float(obj["t"]),
-            _node_from_obj(obj["l"]),
-            _node_from_obj(obj["r"]),
+            _node_from_obj(obj["l"], n_features),
+            _node_from_obj(obj["r"], n_features),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"malformed tree node: {exc}") from exc
+    if not 0 <= node.feature < n_features:
+        raise ModelCorruptError(f"split feature {node.feature} outside 0..{n_features - 1}")
+    return node
 
 
 def save_model(model: EnsembleModel, path: str | Path) -> None:
@@ -619,14 +613,7 @@ def save_model(model: EnsembleModel, path: str | Path) -> None:
         "threshold": model.threshold,
         "forests": {
             str(sdg): {
-                "params": {
-                    "num_trees": forest.params.num_trees,
-                    "mtry": forest.params.mtry,
-                    "min_leaf_frac": forest.params.min_leaf_frac,
-                    "max_depth": forest.params.max_depth,
-                    "bootstrap": forest.params.bootstrap,
-                    "seed": forest.params.seed,
-                },
+                "params": asdict(forest.params),
                 "n_features": forest.n_features,
                 "trees": [_node_to_obj(t) for t in forest.trees],
             }
@@ -653,12 +640,27 @@ def load_model(path: str | Path) -> EnsembleModel:
             f"unsupported model version {payload.get('version')!r} (expected {MODEL_VERSION})"
         )
     try:
+        feature_names = tuple(payload["feature_names"])
+        system_names = tuple(payload["system_names"])
+        if list(feature_names) != feature_names_for(system_names):
+            raise ModelCorruptError(
+                f"feature_names {list(feature_names)} are not the system names plus "
+                f"{WORD_COUNT_FEATURE!r}"
+            )
         forests = {}
         for key, fobj in payload["forests"].items():
             p = fobj["params"]
+            n_features = int(fobj["n_features"])
+            if n_features != len(feature_names):
+                raise ModelCorruptError(
+                    f"forest {key}: n_features is {n_features}, "
+                    f"but there are {len(feature_names)} feature names"
+                )
+            if not fobj["trees"]:
+                raise ModelCorruptError(f"forest {key} has no trees")
             forests[int(key)] = Forest(
-                tuple(_node_from_obj(t) for t in fobj["trees"]),
-                int(fobj["n_features"]),
+                tuple(_node_from_obj(t, n_features) for t in fobj["trees"]),
+                n_features,
                 ForestParams(
                     num_trees=int(p["num_trees"]),
                     mtry=p["mtry"],
@@ -670,8 +672,8 @@ def load_model(path: str | Path) -> EnsembleModel:
             )
         return EnsembleModel(
             forests,
-            tuple(payload["feature_names"]),
-            tuple(payload["system_names"]),
+            feature_names,
+            system_names,
             float(payload["k"]),
             int(payload["seed"]),
             float(payload["threshold"]),

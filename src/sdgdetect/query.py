@@ -183,8 +183,9 @@ def _lex(text: str) -> list[tuple[str, object, int]]:
                         i = mi.end()
                         continue
                 raise QuerySyntaxError("NEAR requires an integer window (NEAR/<int>)", i)
-            term, i = _lex_word_token(text, i)
+            term, j = _lex_word_token(text, i)
             tokens.append(("TERM", term, i))
+            i = j
             continue
         raise QuerySyntaxError(f"unexpected character {c!r}", i)
     return tokens

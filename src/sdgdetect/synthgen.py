@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Document
+from .corpus import Dataset, Document, tokenize
 from .errors import IoError, ParamError, SchemaError
 
 __all__ = [
@@ -62,7 +62,8 @@ class SynthSpec:
 def load_frequency_table(path: str | Path) -> WordFrequencyTable:
     """Read a TSV ``word<TAB>count`` table; '#' lines are comments.
 
-    Words are lowercased; duplicate rows are merged by summing counts.
+    Words are lowercased and must each be exactly one token (see
+    ``corpus.tokenize``); duplicate rows are merged by summing counts.
     """
     path = Path(path)
     try:
@@ -80,6 +81,9 @@ def load_frequency_table(path: str | Path) -> WordFrequencyTable:
         word = parts[0].strip().lower()
         if not word:
             raise SchemaError(f"{path.name}:{lineno}: empty word")
+        if tokenize(word) != [word]:
+            # a word of several tokens would not survive a save/load round trip
+            raise SchemaError(f"{path.name}:{lineno}: word {word!r} is not a single token")
         try:
             count = int(parts[1])
         except ValueError:

@@ -108,6 +108,19 @@ class TestDetect:
         assert "black" in matrix["systems"]
         assert ["d3", "black", 15] in matrix["datasets"]["corpus"]["assignments"]
 
+    @pytest.mark.parametrize(
+        "names", [["demo"], ["black", "black"]], ids=["same-as-system", "given-twice"]
+    )
+    def test_external_name_collision_is_3(self, corpus, system, tmp_path, capsys, names):
+        ext = tmp_path / "ext.csv"
+        ext.write_text("doc_id,sdg\nd3,15\n")
+        extra = [arg for name in names for arg in ("--external", f"{name}={ext}")]
+        out = tmp_path / "out"
+        assert _detect(corpus, system, out, extra) == 3
+        err = capsys.readouterr().err
+        assert "E_SCHEMA" in err and "system names collide" in err
+        assert not (out / "matrix.json").exists()
+
     def test_manifest_contents(self, corpus, system, tmp_path):
         out = tmp_path / "out"
         _detect(corpus, system, out, ["--seed", "42"])
@@ -325,6 +338,32 @@ class TestTrainPredictImportance:
         assert rc == 0
         assert (imp_out / "importance.csv").read_text().splitlines()[0] == "sdg,feature,importance"
 
+    def test_predict_with_out_of_range_split_feature_is_3(self, tmp_path, capsys):
+        out = tmp_path / "train"
+        assert self._train(out) == 0
+        model = out / "model.json"
+        payload = json.loads(model.read_text())
+        splits = [t for f in payload["forests"].values() for t in f["trees"] if "f" in t]
+        splits[0]["f"] = 99
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model),
+                "--dataset",
+                str(DEMO / "corpus.jsonl"),
+                "--systems",
+                str(DEMO / "system_alpha.csv"),
+                "--out-dir",
+                str(tmp_path / "pred"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "E_CORRUPT" in err and "split feature 99" in err and "Traceback" not in err
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
@@ -389,6 +428,30 @@ class TestExitCodes:
         )
         assert rc == 4
         assert "E_ONE_CLASS" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--k", "50"), ("--k", "-1"), ("--k", "nan"), ("--threshold", "nan"), ("--threshold", "1.5")],
+    )
+    def test_train_out_of_range_is_param_error(self, corpus, system, tmp_path, capsys, flag, value):
+        rc = main(
+            [
+                "train",
+                "--dataset",
+                corpus,
+                "--systems",
+                system,
+                "--freq-table",
+                str(DEMO / "wordfreq.tsv"),
+                flag,
+                value,
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 2
+        assert f"error [E_PARAMS]: {flag} must lie in" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -393,6 +393,37 @@ class TestPersistence:
         with pytest.raises(ModelCorruptError):
             load_model(path)
 
+    @staticmethod
+    def _first_split(payload):
+        for forest in payload["forests"].values():
+            for tree in forest["trees"]:
+                if "f" in tree:
+                    return tree
+        raise AssertionError("model has no split")
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m["forests"]["3"].update(trees=[]), "forest 3 has no trees"),
+            (lambda m: m["forests"]["3"].update(n_features=3), "n_features is 3"),
+            (lambda m: m.update(feature_names=["sysB", "word_count"]), "feature_names"),
+            (lambda m: TestPersistence._first_split(m).update(f=2), "split feature 2"),
+            (lambda m: TestPersistence._first_split(m).update(f=-1), "split feature -1"),
+        ],
+        ids=["no-trees", "n-features", "feature-names", "split-feature-high", "split-feature-negative"],
+    )
+    def test_structurally_invalid_model_is_corrupt(self, tmp_path, edit, message):
+        import json
+
+        model, _ = _full_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelCorruptError, match=message):
+            load_model(path)
+
     def test_wrong_version(self, tmp_path):
         model, _ = _full_model()
         path = tmp_path / "model.json"

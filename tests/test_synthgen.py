@@ -40,6 +40,14 @@ class TestLoadTable:
         with pytest.raises(SchemaError):
             load_frequency_table(p)
 
+    @pytest.mark.parametrize("word", ["non-profit", "it's", "a_b", "two words"])
+    def test_word_must_be_one_token(self, word, tmp_path):
+        # saved synthetic documents are read back by tokenizing their text
+        p = tmp_path / "f.tsv"
+        p.write_text(f"the\t3\n{word}\t5\n")
+        with pytest.raises(SchemaError, match=r"f\.tsv:2: .* is not a single token"):
+            load_frequency_table(p)
+
     def test_probabilities_normalized(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("a\t3\nb\t1\n")

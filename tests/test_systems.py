@@ -58,6 +58,8 @@ class TestLoadSystem:
         "query,error,message,position",
         [
             ("poverty AND", QuerySyntaxError, "expected a term, phrase, or '(' (at position 11)", 11),
+            ("a b", QuerySyntaxError, "unexpected trailing input (at position 2)", 2),
+            ("water  energy", QuerySyntaxError, "unexpected trailing input (at position 7)", 7),
             (
                 '"(a AND b) NEAR/2 c"',
                 NearOperandError,
