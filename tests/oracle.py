@@ -1,9 +1,16 @@
-"""Independent naive evaluator used as a test oracle.
+"""Independent naive references used as test oracles.
 
-Deliberately avoids the library's TokenIndex: every node is evaluated by
-scanning the raw token list, and NEAR enumerates all position pairs.
+The query evaluator deliberately avoids the library's TokenIndex: every
+node is evaluated by scanning the raw token list, and NEAR enumerates all
+position pairs. The tree grower at the end copies rows and argsorts every
+candidate column at every node.
 """
 
+import math
+
+import numpy as np
+
+from sdgdetect.ensemble import Leaf, Split
 from sdgdetect.errors import SchemaError
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term
 
@@ -159,3 +166,81 @@ class NaiveMatrix:
     def merge(self, other: "NaiveMatrix") -> None:
         self._true |= other._true
         self._covered |= other._covered
+
+
+# ---------------------------------------------------------------------------
+# Reference tree grower: the per-node copy-and-argsort CART that the library
+# grew its forests with before presorting. Kept verbatim so that a change to
+# the library's grower can be checked tree for tree.
+# ---------------------------------------------------------------------------
+
+
+def naive_best_split(X, y, w, feature_ids, min_leaf_weight):
+    total = w.sum()
+    pos = float((w * y).sum())
+    p1 = pos / total
+    parent = 2.0 * p1 * (1.0 - p1) * total
+    best_gain = 1e-12
+    best = None
+    for f in sorted(int(f) for f in feature_ids):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ws = w[order]
+        ps = ws * y[order]
+        cw = np.cumsum(ws)
+        cp = np.cumsum(ps)
+        wl = cw[:-1]
+        wr = total - wl
+        valid = (xs[:-1] < xs[1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
+        if not valid.any():
+            continue
+        pl = np.divide(cp[:-1], wl, out=np.zeros_like(wl), where=wl > 0)
+        pr = np.divide(pos - cp[:-1], wr, out=np.zeros_like(wr), where=wr > 0)
+        children = 2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr
+        gains = np.where(valid, parent - children, -np.inf)
+        i = int(np.argmax(gains))
+        gain = float(gains[i])
+        if gain > best_gain:
+            best_gain = gain
+            best = (f, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def naive_grow(X, y, w, depth, rng, mtry, min_leaf_weight, max_depth):
+    total = float(w.sum())
+    pos_frac = float((w * y).sum() / total)
+    if pos_frac <= 0.0 or pos_frac >= 1.0 or (max_depth is not None and depth >= max_depth):
+        return Leaf(pos_frac, total)
+    n_features = X.shape[1]
+    feature_ids = rng.choice(n_features, size=min(mtry, n_features), replace=False)
+    best = naive_best_split(X, y, w, feature_ids, min_leaf_weight)
+    if best is None:
+        return Leaf(pos_frac, total)
+    f, threshold = best
+    mask = X[:, f] <= threshold
+    left = naive_grow(X[mask], y[mask], w[mask], depth + 1, rng, mtry, min_leaf_weight, max_depth)
+    right = naive_grow(
+        X[~mask], y[~mask], w[~mask], depth + 1, rng, mtry, min_leaf_weight, max_depth
+    )
+    return Split(f, threshold, left, right)
+
+
+def naive_trees(rows, params) -> tuple:
+    """The trees ``train_forest(rows, params)`` grows, by the reference grower."""
+    X = np.asarray([r.features for r in rows], dtype=np.float64)
+    y = np.asarray([r.label for r in rows], dtype=np.float64)
+    w = np.asarray([r.weight for r in rows], dtype=np.float64)
+    n, n_features = X.shape
+    mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(n_features))
+    p = w / w.sum()
+    trees = []
+    for t in range(params.num_trees):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
+        if params.bootstrap:
+            idx = rng.choice(n, size=n, replace=True, p=p)
+            Xt, yt, wt = X[idx], y[idx], np.ones(n, dtype=np.float64)
+        else:
+            Xt, yt, wt = X, y, w
+        min_leaf_weight = params.min_leaf_frac * float(wt.sum())
+        trees.append(naive_grow(Xt, yt, wt, 0, rng, mtry, min_leaf_weight, params.max_depth))
+    return tuple(trees)

@@ -1,10 +1,13 @@
+import json
 import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import naive_trees
 
-from sdgdetect.corpus import Dataset, Document, LabeledDocument
+from sdgdetect.corpus import Dataset, Document, LabeledDocument, load_documents
 from sdgdetect.errors import (
     IoError,
     MissingSystemError,
@@ -26,11 +29,16 @@ from sdgdetect.ensemble import (
     forest_score,
     load_model,
     permutation_importance,
+    _node_to_obj,
     save_model,
     train_forest,
     train_model,
 )
-from sdgdetect.systems import PredictionMatrix
+from sdgdetect.synthgen import generate_matched, load_frequency_table
+from sdgdetect.systems import PredictionMatrix, detect, load_system, to_matrix
+
+DATA = Path(__file__).parent / "data"
+DEMO = Path(__file__).parent.parent / "demo"
 
 
 def _row(doc_id, features, label, weight=1.0, origin="ds", sdg=1, synthetic=False):
@@ -214,6 +222,116 @@ class TestSplitOracle:
         assert (a.feature, a.threshold) == (b.feature, b.threshold)
         assert a.left.positive_fraction == pytest.approx(b.left.positive_fraction)
         assert a.right.positive_fraction == pytest.approx(b.right.positive_fraction)
+
+
+def _trees_json(trees) -> list:
+    return [_node_to_obj(t) for t in trees]
+
+
+def _oracle_case(rng: random.Random):
+    """Random rows and params over the cases the grower treats differently:
+    0/1 flag columns (some constant), tied and Gaussian numeric columns,
+    non-unit weights, bootstrap on and off, depth and leaf-weight limits."""
+    choices = ["flag", "flag", "zeros", "ones", "tied", "gauss"]
+    kinds = [rng.choice(choices) for _ in range(rng.randint(1, 4))]
+    kinds.append(rng.choice(["tied", "gauss", "flag"]))
+    n = rng.randint(8, 90)
+    weights = [rng.choice([0.1, 1 / 3, 7 / 13, 2.0, 1.0]) for _ in range(n)]
+    rows = []
+    for i in range(n):
+        features = []
+        for kind in kinds:
+            if kind == "flag":
+                features.append(float(rng.random() < 0.4))
+            elif kind in ("zeros", "ones"):
+                features.append(float(kind == "ones"))
+            elif kind == "tied":
+                features.append(float(rng.randint(0, 6)))
+            else:
+                features.append(rng.gauss(0, 1))
+        label = rng.random() < (0.5 if kinds[0] == "gauss" else 0.2 + 0.6 * features[0])
+        rows.append(_row(f"d{i}", features, label, weight=weights[i]))
+    rows[0] = _row("d0", rows[0].features, True, rows[0].weight)
+    rows[1] = _row("d1", rows[1].features, False, rows[1].weight)
+    params = ForestParams(
+        num_trees=rng.randint(1, 3),
+        mtry=rng.choice([None, rng.randint(1, len(kinds) + 1)]),
+        min_leaf_frac=rng.choice([1e-6, 0.0, 0.05, 0.2]),
+        max_depth=rng.choice([None, None, 1, 3]),
+        bootstrap=rng.random() < 0.5,
+        seed=rng.randrange(1000),
+    )
+    return rows, params
+
+
+class TestGrowOracle:
+    """The grower's trees equal the reference per-node copy-and-argsort CART's."""
+
+    def test_random_forests_match_reference(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            rows, params = _oracle_case(rng)
+            got = _trees_json(train_forest(rows, params).trees)
+            assert got == _trees_json(naive_trees(rows, params)), params
+
+    def test_constant_flag_columns(self):
+        # columns 0 and 1 are 0/1 flags that hold one value at every node
+        rng = random.Random(3)
+        rows = []
+        for i in range(60):
+            flag = float(i % 3 == 0)
+            wc = float(rng.randint(10, 14))
+            label = rng.random() < 0.3 + 0.4 * flag
+            weight = rng.choice([1 / 3, 2.0])
+            rows.append(_row(f"d{i}", (0.0, 1.0, flag, wc), label, weight=weight))
+        rows[0] = _row("d0", rows[0].features, True, rows[0].weight)
+        rows[1] = _row("d1", rows[1].features, False, rows[1].weight)
+        for bootstrap in (False, True):
+            params = ForestParams(num_trees=4, mtry=4, bootstrap=bootstrap, seed=9)
+            trees = train_forest(rows, params).trees
+            assert _trees_json(trees) == _trees_json(naive_trees(rows, params))
+            assert all(isinstance(t, Split) and t.feature >= 2 for t in trees)
+
+
+def _demo_model_rows():
+    labeled = load_documents(DEMO / "corpus.jsonl")
+    systems = [load_system(DEMO / f"system_{s}.csv") for s in ("alpha", "beta", "gamma")]
+    synthetic = generate_matched(load_frequency_table(DEMO / "wordfreq.tsv"), labeled, seed=17)
+    matrices = {
+        ds.name: to_matrix(detect(ds, systems), ds, systems) for ds in (labeled, synthetic)
+    }
+    names = [s.name for s in systems]
+    return build_features(matrices, names, [labeled], [synthetic], k=1.0), names
+
+
+def _golden_forest_rows():
+    rng = random.Random(61)
+    rows = []
+    for i in range(90):
+        flags = [float(rng.random() < 0.35) for _ in range(3)]
+        label = rng.random() < 0.15 + 0.25 * sum(flags)
+        weight = rng.choice([0.1, 1 / 3, 7 / 13, 2.0])
+        rows.append(_row(f"d{i}", flags + [float(rng.randint(40, 60))], label, weight=weight))
+    return rows
+
+
+class TestGolden:
+    """Trees pinned to files written by an earlier version of the grower.
+
+    Two runs of one version agreeing shows determinism; these show that a
+    change to the grower keeps every tree byte for byte.
+    """
+
+    def test_demo_model_bytes(self, tmp_path):
+        rows, names = _demo_model_rows()
+        model = train_model(rows, names, k=1.0, params=ForestParams(num_trees=20, seed=5))
+        save_model(model, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == (DATA / "golden_model.json").read_bytes()
+
+    def test_weighted_no_bootstrap_forest(self):
+        params = ForestParams(num_trees=3, mtry=2, bootstrap=False, seed=8)
+        trees = _trees_json(train_forest(_golden_forest_rows(), params).trees)
+        assert json.dumps(trees, sort_keys=True) == (DATA / "golden_forest.json").read_text()
 
 
 class TestPredictOracle:
