@@ -189,72 +189,107 @@ def _child_seed(*parts: int) -> int:
 
 
 def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
+    cols: np.ndarray,
     w: np.ndarray,
+    wy: np.ndarray,
+    rows: np.ndarray,
+    orders: Sequence[np.ndarray | None],
     feature_ids: np.ndarray,
     min_leaf_weight: float,
 ) -> tuple[int, float] | None:
     """Exhaustive weighted-Gini scan over candidate features and thresholds.
 
+    ``cols`` holds the tree sample's feature columns, ``w`` its weights and
+    ``wy`` its positive weights (``w * y``). ``rows`` are the node's sample
+    rows in ascending order, and ``orders[f]`` the same rows stably sorted
+    by column ``f``, or None for a 0/1 flag column. A flag column's stable
+    sort puts its 0 rows first, so its one candidate cut follows them, at
+    threshold 0.5; ``np.cumsum`` over the 0 rows in row order gives the
+    float that a scan of the sorted column reaches at that cut.
+
     Returns (feature, threshold) with the largest impurity decrease, or
     None if no split improves on the parent. Ties break toward the lower
     feature index, then the lower threshold, so results are deterministic.
     """
-    total = w.sum()
-    pos = float((w * y).sum())
+    total = w[rows].sum()
+    pos = float(wy[rows].sum())
     p1 = pos / total
     parent = 2.0 * p1 * (1.0 - p1) * total  # total-weighted Gini
     best_gain = 1e-12
     best: tuple[int, float] | None = None
-    for f in sorted(int(f) for f in feature_ids):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ws = w[order]
-        ps = ws * y[order]
-        cw = np.cumsum(ws)
-        cp = np.cumsum(ps)
-        wl = cw[:-1]
-        wr = total - wl
-        valid = (xs[:-1] < xs[1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
-        if not valid.any():
-            continue
-        pl = np.divide(cp[:-1], wl, out=np.zeros_like(wl), where=wl > 0)
-        pr = np.divide(pos - cp[:-1], wr, out=np.zeros_like(wr), where=wr > 0)
-        children = 2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr
-        gains = np.where(valid, parent - children, -np.inf)
-        i = int(np.argmax(gains))
-        gain = float(gains[i])
+    for f in sorted(feature_ids.tolist()):
+        order = orders[f]
+        if order is None:
+            zeros = rows[cols[f][rows] == 0.0]
+            if not 0 < len(zeros) < len(rows):
+                continue
+            wl = np.cumsum(w[zeros])[-1]
+            cl = np.cumsum(wy[zeros])[-1]
+            wr = total - wl
+            if wl < min_leaf_weight or wr < min_leaf_weight:
+                continue
+            pl = cl / wl if wl > 0 else 0.0
+            pr = (pos - cl) / wr if wr > 0 else 0.0
+            gain = parent - (2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr)
+            threshold = 0.5
+        else:
+            xs = cols[f][order]
+            cw = np.cumsum(w[order])
+            cp = np.cumsum(wy[order])
+            wl = cw[:-1]
+            wr = total - wl
+            valid = (xs[:-1] < xs[1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
+            if not valid.any():
+                continue
+            pl = np.divide(cp[:-1], wl, out=np.zeros_like(wl), where=wl > 0)
+            pr = np.divide(pos - cp[:-1], wr, out=np.zeros_like(wr), where=wr > 0)
+            children = 2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr
+            gains = np.where(valid, parent - children, -np.inf)
+            i = int(np.argmax(gains))
+            gain = gains[i]
+            threshold = float((xs[i] + xs[i + 1]) / 2.0)
         if gain > best_gain:
-            best_gain = gain
-            best = (f, float((xs[i] + xs[i + 1]) / 2.0))
+            best_gain = float(gain)
+            best = (f, threshold)
     return best
 
 
 def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
+    cols: np.ndarray,
     w: np.ndarray,
+    wy: np.ndarray,
+    rows: np.ndarray,
+    orders: Sequence[np.ndarray | None],
     depth: int,
     rng: np.random.Generator,
     mtry: int,
     min_leaf_weight: float,
     max_depth: int | None,
 ) -> Leaf | Split:
-    total = float(w.sum())
-    pos_frac = float((w * y).sum() / total)
+    """Grow the subtree over the sample rows ``rows`` (ascending).
+
+    No node copies the sample or sorts a column: a split filters ``rows``
+    and each presorted order in ``orders``, and a stable filter of a stable
+    sort equals the node's own stable sort, ties included. Each node draws
+    its candidate features from ``rng``; the left subtree grows before the
+    right.
+    """
+    total = float(w[rows].sum())
+    pos_frac = float(wy[rows].sum() / total)
     if pos_frac <= 0.0 or pos_frac >= 1.0 or (max_depth is not None and depth >= max_depth):
         return Leaf(pos_frac, total)
-    n_features = X.shape[1]
-    feature_ids = rng.choice(n_features, size=min(mtry, n_features), replace=False)
-    best = _best_split(X, y, w, feature_ids, min_leaf_weight)
+    feature_ids = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
+    best = _best_split(cols, w, wy, rows, orders, feature_ids, min_leaf_weight)
     if best is None:
         return Leaf(pos_frac, total)
     f, threshold = best
-    mask = X[:, f] <= threshold
-    left = _grow(X[mask], y[mask], w[mask], depth + 1, rng, mtry, min_leaf_weight, max_depth)
-    right = _grow(X[~mask], y[~mask], w[~mask], depth + 1, rng, mtry, min_leaf_weight, max_depth)
-    return Split(f, threshold, left, right)
+    left = cols[f] <= threshold
+    children = []
+    for side in (left, ~left):
+        sub_orders = [o if o is None else o[side[o]] for o in orders]
+        tree_args = (depth + 1, rng, mtry, min_leaf_weight, max_depth)
+        children.append(_grow(cols, w, wy, rows[side[rows]], sub_orders, *tree_args))
+    return Split(f, threshold, *children)
 
 
 def _rows_to_arrays(rows: Sequence[FeatureRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,16 +308,19 @@ def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
     n, n_features = X.shape
     mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(n_features))
     p = w / w.sum()
+    flags = ((X == 0.0) | (X == 1.0)).all(axis=0)
     trees = []
     for t in range(params.num_trees):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
-        if params.bootstrap:
+        if params.bootstrap:  # resampled rows carry unit weight, so w * y is y
             idx = rng.choice(n, size=n, replace=True, p=p)
-            Xt, yt, wt = X[idx], y[idx], np.ones(n, dtype=np.float64)
+            cols, wt, wy = X[idx].T.copy(), np.ones(n, dtype=np.float64), y[idx]
         else:
-            Xt, yt, wt = X, y, w
+            cols, wt, wy = X.T.copy(), w, w * y
+        orders = [None if flag else np.argsort(c, kind="stable") for c, flag in zip(cols, flags)]
         min_leaf_weight = params.min_leaf_frac * float(wt.sum())
-        trees.append(_grow(Xt, yt, wt, 0, rng, mtry, min_leaf_weight, params.max_depth))
+        tree_args = (0, rng, mtry, min_leaf_weight, params.max_depth)
+        trees.append(_grow(cols, wt, wy, np.arange(n), orders, *tree_args))
     return Forest(tuple(trees), n_features, params)
 
 
@@ -587,7 +625,13 @@ def _node_from_obj(obj, n_features: int) -> Leaf | Split:
     if not isinstance(obj, dict):
         raise ModelCorruptError("malformed tree node")
     if "p" in obj:
-        return Leaf(float(obj["p"]), float(obj["w"]))
+        leaf = Leaf(float(obj["p"]), float(obj["w"]))
+        if not (0.0 <= leaf.positive_fraction <= 1.0 and 0.0 <= leaf.weight < math.inf):
+            raise ModelCorruptError(
+                f"leaf p={leaf.positive_fraction} w={leaf.weight}: "
+                "p must lie in [0, 1] and w be finite and non-negative"
+            )
+        return leaf
     try:
         node = Split(
             int(obj["f"]),
@@ -658,25 +702,27 @@ def load_model(path: str | Path) -> EnsembleModel:
                 )
             if not fobj["trees"]:
                 raise ModelCorruptError(f"forest {key} has no trees")
-            forests[int(key)] = Forest(
-                tuple(_node_from_obj(t, n_features) for t in fobj["trees"]),
-                n_features,
-                ForestParams(
-                    num_trees=int(p["num_trees"]),
-                    mtry=p["mtry"],
-                    min_leaf_frac=float(p["min_leaf_frac"]),
-                    max_depth=p["max_depth"],
-                    bootstrap=bool(p["bootstrap"]),
-                    seed=int(p["seed"]),
-                ),
+            if not isinstance(p["bootstrap"], bool):
+                raise ModelCorruptError(f"forest {key}: bootstrap {p['bootstrap']!r} is not a bool")
+            params = ForestParams(
+                num_trees=int(p["num_trees"]),
+                mtry=p["mtry"],
+                min_leaf_frac=float(p["min_leaf_frac"]),
+                max_depth=p["max_depth"],
+                bootstrap=p["bootstrap"],
+                seed=int(p["seed"]),
             )
-        return EnsembleModel(
-            forests,
-            feature_names,
-            system_names,
-            float(payload["k"]),
-            int(payload["seed"]),
-            float(payload["threshold"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+            if params.num_trees != len(fobj["trees"]):
+                raise ModelCorruptError(
+                    f"forest {key}: num_trees is {params.num_trees}, "
+                    f"but {len(fobj['trees'])} trees are stored"
+                )
+            trees = tuple(_node_from_obj(t, n_features) for t in fobj["trees"])
+            forests[int(key)] = Forest(trees, n_features, params)
+        threshold = float(payload["threshold"])
+        if not 0.0 <= threshold <= 1.0:
+            raise ModelCorruptError(f"threshold {threshold} outside [0, 1]")
+        k, seed = float(payload["k"]), int(payload["seed"])
+        return EnsembleModel(forests, feature_names, system_names, k, seed, threshold)
+    except (KeyError, TypeError, ValueError, ParamError) as exc:
         raise ModelCorruptError(f"malformed model file: {exc}") from exc

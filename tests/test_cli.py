@@ -365,6 +365,79 @@ class TestTrainPredictImportance:
         assert "E_CORRUPT" in err and "split feature 99" in err and "Traceback" not in err
 
 
+def _first_leaf(payload):
+    node = payload["forests"]["1"]["trees"][0]
+    while "p" not in node:
+        node = node["l"]
+    return node
+
+
+def _set_params(payload, **values):
+    payload["forests"]["3"]["params"].update(values)
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("train")
+    assert TestTrainPredictImportance()._train(out) == 0
+    return out / "model.json"
+
+
+class TestPredictRejectsCorruptModel:
+    """A model file whose values no training run writes is data corruption
+    (exit 3), not a parameter error, and never loads silently."""
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: _set_params(m, num_trees=0), "num_trees must be positive"),
+            (lambda m: _set_params(m, num_trees=5), "num_trees is 5, but 10 trees are stored"),
+            (lambda m: _set_params(m, bootstrap="no"), "bootstrap 'no' is not a bool"),
+            (lambda m: m.update(threshold=float("nan")), "threshold nan outside"),
+            (lambda m: m.update(threshold=7), "threshold 7.0 outside"),
+            (lambda m: _first_leaf(m).update(p=float("nan")), "leaf p=nan"),
+            (lambda m: _first_leaf(m).update(p=1.5), "leaf p=1.5"),
+            (lambda m: _first_leaf(m).update(w=-1.0), "w=-1.0"),
+            (lambda m: _first_leaf(m).update(w=float("inf")), "w=inf"),
+        ],
+        ids=[
+            "num-trees-zero",
+            "num-trees-mismatch",
+            "bootstrap-string",
+            "threshold-nan",
+            "threshold-above-one",
+            "leaf-p-nan",
+            "leaf-p-above-one",
+            "leaf-w-negative",
+            "leaf-w-inf",
+        ],
+    )
+    def test_predict_exits_3(self, trained_model, tmp_path, capsys, edit, message):
+        payload = json.loads(trained_model.read_text())
+        edit(payload)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model),
+                "--dataset",
+                str(DEMO / "corpus.jsonl"),
+                "--systems",
+                str(DEMO / "system_alpha.csv"),
+                "--out-dir",
+                str(tmp_path / "pred"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error [E_CORRUPT]: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
