@@ -190,29 +190,29 @@ def _child_seed(*parts: int) -> int:
 
 def _best_split(
     cols: np.ndarray,
-    w: np.ndarray,
-    wy: np.ndarray,
+    weights: np.ndarray,
     rows: np.ndarray,
     orders: Sequence[np.ndarray | None],
     feature_ids: np.ndarray,
     min_leaf_weight: float,
+    total: float,
+    pos: float,
 ) -> tuple[int, float] | None:
     """Exhaustive weighted-Gini scan over candidate features and thresholds.
 
-    ``cols`` holds the tree sample's feature columns, ``w`` its weights and
-    ``wy`` its positive weights (``w * y``). ``rows`` are the node's sample
-    rows in ascending order, and ``orders[f]`` the same rows stably sorted
-    by column ``f``, or None for a 0/1 flag column. A flag column's stable
+    ``cols`` holds the tree sample's feature columns, and ``weights`` its
+    row weights ``w`` over its positive weights ``w * y``. ``rows`` are the
+    node's sample rows in ascending order, ``orders[f]`` the same rows
+    stably sorted by column ``f`` (None for a 0/1 flag column), and
+    ``total`` and ``pos`` their summed weights. A flag column's stable
     sort puts its 0 rows first, so its one candidate cut follows them, at
     threshold 0.5; ``np.cumsum`` over the 0 rows in row order gives the
-    float that a scan of the sorted column reaches at that cut.
+    floats that a scan of the sorted column reaches at that cut.
 
     Returns (feature, threshold) with the largest impurity decrease, or
     None if no split improves on the parent. Ties break toward the lower
     feature index, then the lower threshold, so results are deterministic.
     """
-    total = w[rows].sum()
-    pos = float(wy[rows].sum())
     p1 = pos / total
     parent = 2.0 * p1 * (1.0 - p1) * total  # total-weighted Gini
     best_gain = 1e-12
@@ -223,8 +223,7 @@ def _best_split(
             zeros = rows[cols[f][rows] == 0.0]
             if not 0 < len(zeros) < len(rows):
                 continue
-            wl = np.cumsum(w[zeros])[-1]
-            cl = np.cumsum(wy[zeros])[-1]
+            wl, cl = np.cumsum(weights[:, zeros], axis=1)[:, -1].tolist()
             wr = total - wl
             if wl < min_leaf_weight or wr < min_leaf_weight:
                 continue
@@ -234,8 +233,7 @@ def _best_split(
             threshold = 0.5
         else:
             xs = cols[f][order]
-            cw = np.cumsum(w[order])
-            cp = np.cumsum(wy[order])
+            cw, cp = np.cumsum(weights[:, order], axis=1)
             wl = cw[:-1]
             wr = total - wl
             valid = (xs[:-1] < xs[1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
@@ -256,8 +254,7 @@ def _best_split(
 
 def _grow(
     cols: np.ndarray,
-    w: np.ndarray,
-    wy: np.ndarray,
+    weights: np.ndarray,
     rows: np.ndarray,
     orders: Sequence[np.ndarray | None],
     depth: int,
@@ -274,12 +271,13 @@ def _grow(
     its candidate features from ``rng``; the left subtree grows before the
     right.
     """
-    total = float(w[rows].sum())
-    pos_frac = float(wy[rows].sum() / total)
+    total = float(weights[0][rows].sum())
+    pos = float(weights[1][rows].sum())
+    pos_frac = pos / total
     if pos_frac <= 0.0 or pos_frac >= 1.0 or (max_depth is not None and depth >= max_depth):
         return Leaf(pos_frac, total)
     feature_ids = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
-    best = _best_split(cols, w, wy, rows, orders, feature_ids, min_leaf_weight)
+    best = _best_split(cols, weights, rows, orders, feature_ids, min_leaf_weight, total, pos)
     if best is None:
         return Leaf(pos_frac, total)
     f, threshold = best
@@ -288,7 +286,7 @@ def _grow(
     for side in (left, ~left):
         sub_orders = [o if o is None else o[side[o]] for o in orders]
         tree_args = (depth + 1, rng, mtry, min_leaf_weight, max_depth)
-        children.append(_grow(cols, w, wy, rows[side[rows]], sub_orders, *tree_args))
+        children.append(_grow(cols, weights, rows[side[rows]], sub_orders, *tree_args))
     return Split(f, threshold, *children)
 
 
@@ -312,15 +310,15 @@ def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
     trees = []
     for t in range(params.num_trees):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
-        if params.bootstrap:  # resampled rows carry unit weight, so w * y is y
+        if params.bootstrap:  # resampled rows carry unit weight
             idx = rng.choice(n, size=n, replace=True, p=p)
-            cols, wt, wy = X[idx].T.copy(), np.ones(n, dtype=np.float64), y[idx]
+            cols, weights = X[idx].T.copy(), np.stack((np.ones(n), y[idx]))
         else:
-            cols, wt, wy = X.T.copy(), w, w * y
+            cols, weights = X.T.copy(), np.stack((w, w * y))
         orders = [None if flag else np.argsort(c, kind="stable") for c, flag in zip(cols, flags)]
-        min_leaf_weight = params.min_leaf_frac * float(wt.sum())
+        min_leaf_weight = params.min_leaf_frac * float(weights[0].sum())
         tree_args = (0, rng, mtry, min_leaf_weight, params.max_depth)
-        trees.append(_grow(cols, wt, wy, np.arange(n), orders, *tree_args))
+        trees.append(_grow(cols, weights, np.arange(n), orders, *tree_args))
     return Forest(tuple(trees), n_features, params)
 
 
