@@ -200,18 +200,21 @@ def _best_split(
 ) -> tuple[int, float] | None:
     """Exhaustive weighted-Gini scan over candidate features and thresholds.
 
-    ``cols`` holds the tree sample's feature columns, and ``weights`` its
-    row weights ``w`` over its positive weights ``w * y``. ``rows`` are the
-    node's sample rows in ascending order, ``orders[f]`` the same rows
-    stably sorted by column ``f`` (None for a 0/1 flag column), and
-    ``total`` and ``pos`` their summed weights. A flag column's stable
-    sort puts its 0 rows first, so its one candidate cut follows them, at
-    threshold 0.5; ``np.cumsum`` over the 0 rows in row order gives the
-    floats that a scan of the sorted column reaches at that cut.
+    ``cols`` holds the tree sample's feature columns; ``weights`` has two
+    rows, the sample's weights ``w`` and its positive weights ``w * y``.
+    ``rows`` are the node's sample rows in ascending order, ``orders[f]``
+    the same rows stably sorted by column ``f`` (None for a 0/1 flag
+    column), and ``total`` and ``pos`` their summed weights.
 
-    Returns (feature, threshold) with the largest impurity decrease, or
-    None if no split improves on the parent. Ties break toward the lower
-    feature index, then the lower threshold, so results are deterministic.
+    A numeric column is scanned at every cut between distinct values of
+    its presorted order. A flag column's stable sort puts its 0 rows
+    first, so its one candidate cut follows them, at threshold 0.5:
+    ``np.cumsum`` over the 0 rows in row order gives, in closed form, the
+    floats that the scan reaches at that cut, and the gain is the scan's
+    expression. Returns (feature, threshold) with the largest impurity
+    decrease, or None if no split improves on the parent. Ties break
+    toward the lower feature index, then the lower threshold, so results
+    are deterministic.
     """
     p1 = pos / total
     parent = 2.0 * p1 * (1.0 - p1) * total  # total-weighted Gini
@@ -282,10 +285,10 @@ def _grow(
         return Leaf(pos_frac, total)
     f, threshold = best
     left = cols[f] <= threshold
+    tree_args = (depth + 1, rng, mtry, min_leaf_weight, max_depth)
     children = []
     for side in (left, ~left):
         sub_orders = [o if o is None else o[side[o]] for o in orders]
-        tree_args = (depth + 1, rng, mtry, min_leaf_weight, max_depth)
         children.append(_grow(cols, weights, rows[side[rows]], sub_orders, *tree_args))
     return Split(f, threshold, *children)
 
@@ -310,7 +313,7 @@ def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
     trees = []
     for t in range(params.num_trees):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
-        if params.bootstrap:  # resampled rows carry unit weight
+        if params.bootstrap:  # unit weights, so a row's positive weight is its label
             idx = rng.choice(n, size=n, replace=True, p=p)
             cols, weights = X[idx].T.copy(), np.stack((np.ones(n), y[idx]))
         else:
@@ -641,6 +644,8 @@ def _node_from_obj(obj, n_features: int) -> Leaf | Split:
         raise ModelCorruptError(f"malformed tree node: {exc}") from exc
     if not 0 <= node.feature < n_features:
         raise ModelCorruptError(f"split feature {node.feature} outside 0..{n_features - 1}")
+    if not math.isfinite(node.threshold):
+        raise ModelCorruptError(f"split threshold {node.threshold} is not finite")
     return node
 
 
@@ -721,6 +726,8 @@ def load_model(path: str | Path) -> EnsembleModel:
         if not 0.0 <= threshold <= 1.0:
             raise ModelCorruptError(f"threshold {threshold} outside [0, 1]")
         k, seed = float(payload["k"]), int(payload["seed"])
+        if not 0.0 <= k <= 10.0:
+            raise ModelCorruptError(f"k {k} outside [0, 10]")
         return EnsembleModel(forests, feature_names, system_names, k, seed, threshold)
     except (KeyError, TypeError, ValueError, ParamError) as exc:
         raise ModelCorruptError(f"malformed model file: {exc}") from exc

@@ -372,6 +372,10 @@ def _first_leaf(payload):
     return node
 
 
+def _first_split(payload):
+    return next(t for f in payload["forests"].values() for t in f["trees"] if "f" in t)
+
+
 def _set_params(payload, **values):
     payload["forests"]["3"]["params"].update(values)
 
@@ -399,6 +403,9 @@ class TestPredictRejectsCorruptModel:
             (lambda m: _first_leaf(m).update(p=1.5), "leaf p=1.5"),
             (lambda m: _first_leaf(m).update(w=-1.0), "w=-1.0"),
             (lambda m: _first_leaf(m).update(w=float("inf")), "w=inf"),
+            (lambda m: _first_split(m).update(t=float("nan")), "split threshold nan"),
+            (lambda m: m.update(k=-1), "k -1.0 outside [0, 10]"),
+            (lambda m: m.update(k=float("nan")), "k nan outside"),
         ],
         ids=[
             "num-trees-zero",
@@ -410,6 +417,9 @@ class TestPredictRejectsCorruptModel:
             "leaf-p-above-one",
             "leaf-w-negative",
             "leaf-w-inf",
+            "split-threshold-nan",
+            "k-negative",
+            "k-nan",
         ],
     )
     def test_predict_exits_3(self, trained_model, tmp_path, capsys, edit, message):
