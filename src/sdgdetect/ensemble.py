@@ -200,21 +200,12 @@ def _best_split(
 ) -> tuple[int, float] | None:
     """Exhaustive weighted-Gini scan over candidate features and thresholds.
 
-    ``cols`` holds the tree sample's feature columns; ``weights`` has two
-    rows, the sample's weights ``w`` and its positive weights ``w * y``.
-    ``rows`` are the node's sample rows in ascending order, ``orders[f]``
-    the same rows stably sorted by column ``f`` (None for a 0/1 flag
-    column), and ``total`` and ``pos`` their summed weights.
-
-    A numeric column is scanned at every cut between distinct values of
-    its presorted order. A flag column's stable sort puts its 0 rows
-    first, so its one candidate cut follows them, at threshold 0.5:
-    ``np.cumsum`` over the 0 rows in row order gives, in closed form, the
-    floats that the scan reaches at that cut, and the gain is the scan's
-    expression. Returns (feature, threshold) with the largest impurity
-    decrease, or None if no split improves on the parent. Ties break
-    toward the lower feature index, then the lower threshold, so results
-    are deterministic.
+    ``orders[f]`` is None for a 0/1 flag column: its only cut follows its
+    0 rows, at 0.5, and ``np.cumsum`` over those rows in row order gives
+    the floats the scan would reach there. Returns (feature, threshold)
+    with the largest impurity decrease, or None if no split improves on
+    the parent. Ties break toward the lower feature index, then the lower
+    threshold, so results are deterministic.
     """
     p1 = pos / total
     parent = 2.0 * p1 * (1.0 - p1) * total  # total-weighted Gini
@@ -266,13 +257,12 @@ def _grow(
     min_leaf_weight: float,
     max_depth: int | None,
 ) -> Leaf | Split:
-    """Grow the subtree over the sample rows ``rows`` (ascending).
+    """Grow the subtree over the sample rows ``rows`` (ascending), given
+    ``orders[f]``, those rows stably sorted by column ``f``.
 
-    No node copies the sample or sorts a column: a split filters ``rows``
-    and each presorted order in ``orders``, and a stable filter of a stable
-    sort equals the node's own stable sort, ties included. Each node draws
-    its candidate features from ``rng``; the left subtree grows before the
-    right.
+    A split stably filters ``rows`` and each order: a stable filter of a
+    stable sort equals the child's own stable sort, ties included, so no
+    node copies the sample or sorts a column.
     """
     total = float(weights[0][rows].sum())
     pos = float(weights[1][rows].sum())
