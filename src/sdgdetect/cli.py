@@ -27,7 +27,14 @@ from pathlib import Path
 from . import __version__
 from .bias import bias as bias_vector
 from .bias import profile, profile_bias, profile_fidelity
-from .corpus import Dataset, LabeledDocument, atomic_write_text, load_documents, save_documents
+from .corpus import (
+    Dataset,
+    LabeledDocument,
+    atomic_write_text,
+    load_documents,
+    read_input,
+    save_documents,
+)
 from .ensemble import (
     CvConfig,
     ForestParams,
@@ -53,6 +60,7 @@ from .systems import (
 )
 
 CONFIG_ENV_VAR = "SDGDETECT_CONFIG"
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +152,10 @@ def _load_matrix_file(
     path: Path, datasets: list[Dataset]
 ) -> tuple[list[str], dict[str, PredictionMatrix]]:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_input(path, "prediction matrix"))
         systems = payload["systems"]
         raw = payload["datasets"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise SchemaError(f"cannot read prediction matrix {path}: {exc}") from exc
     if not isinstance(systems, list) or not all(isinstance(s, str) for s in systems):
         raise SchemaError(f"{path}: 'systems' must be a list of names")
@@ -709,7 +717,7 @@ def _read_config(path: str | None) -> dict[str, str]:
     elif not Path(path).exists():
         raise ParamError(f"config file {path} does not exist")
     config = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_input(path, "config file").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -799,14 +807,14 @@ def _build_context(args) -> dict:
         if key in config:
             try:
                 return convert(config[key])
-            except ValueError:
+            except (KeyError, ValueError):
                 raise ParamError(f"config key {key}: invalid value {config[key]!r}") from None
         return fallback
 
     return {
         "seed": pick(args.seed, "seed", 0, int),
         "out_dir": Path(pick(args.out_dir, "out_dir", "out", str)),
-        "json": bool(pick(args.json, "json", False, lambda v: v.lower() in ("1", "true", "yes"))),
+        "json": pick(args.json, "json", False, lambda v: _CONFIG_BOOLS[v.lower()]),
     }
 
 

@@ -15,7 +15,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import IoError, SchemaError
 
@@ -25,6 +25,8 @@ __all__ = [
     "LabeledDocument",
     "Dataset",
     "tokenize",
+    "read_input",
+    "read_csv_rows",
     "load_documents",
     "save_documents",
     "atomic_write_text",
@@ -95,6 +97,8 @@ class Dataset:
 
 
 def _check_sdg_list(values, where: str) -> frozenset[int]:
+    if not isinstance(values, list):
+        raise SchemaError(f"{where}: SDG ids must be a list, not {values!r}")
     out = set()
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= 17:
@@ -116,7 +120,7 @@ def _build_document(
         raise SchemaError(f"{where}: missing or invalid 'text'")
     if labels is None and evaluated is None:
         return Document.from_text(doc_id, text)
-    lab = _check_sdg_list(labels or [], where)
+    lab = frozenset() if labels is None else _check_sdg_list(labels, where)
     ev = ALL_SDGS if evaluated is None else _check_sdg_list(evaluated, where)
     if not lab <= ev:
         raise SchemaError(f"{where}: labels {sorted(lab - ev)} outside the evaluated set")
@@ -140,6 +144,43 @@ def _parse_int_list(raw: str, where: str) -> list[int] | None:
     return out
 
 
+def read_input(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 input file. An ``OSError`` is raised as ``IoError``
+    and undecodable bytes as ``SchemaError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{what} {path} is not valid UTF-8: {exc}") from exc
+
+
+def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[tuple[str, dict]]:
+    """The data rows of a CSV input as (``file:line``, row) pairs; an empty
+    file has none. The header must name every ``required`` column, and a
+    required ``sdg`` cell is parsed to an int in 1..17."""
+    raw, name = read_input(path, what), Path(path).name
+    limit = csv.field_size_limit(len(raw))  # no field is longer than the file
+    try:
+        reader = csv.DictReader(raw.splitlines())
+        if raw.strip() and not set(required) <= set(reader.fieldnames or ()):
+            raise SchemaError(f"{name}: CSV header must include {','.join(required)}")
+        rows = [(f"{name}:{n}", row) for n, row in enumerate(reader, start=2)]
+    except csv.Error as exc:
+        raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
+    finally:
+        csv.field_size_limit(limit)  # the limit is process-wide
+    if "sdg" in required:
+        for where, row in rows:
+            try:
+                row["sdg"] = int(row["sdg"] or "")
+            except ValueError:
+                raise SchemaError(f"{where}: non-integer sdg {row['sdg']!r}") from None
+            if not 1 <= row["sdg"] <= 17:
+                raise SchemaError(f"{where}: SDG id {row['sdg']} outside 1..17")
+    return rows
+
+
 def load_documents(
     path: str | Path,
     name: str | None = None,
@@ -147,14 +188,9 @@ def load_documents(
 ) -> Dataset:
     """Load a dataset from CSV (a ``.csv`` suffix) or else JSONL."""
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read dataset {path}: {exc}") from exc
-
     documents: list[Document] = []
     if path.suffix.lower() != ".csv":
-        for lineno, line in enumerate(raw.splitlines(), start=1):
+        for lineno, line in enumerate(read_input(path, "dataset").splitlines(), start=1):
             if not line.strip():
                 continue
             where = f"{path.name}:{lineno}"
@@ -174,12 +210,7 @@ def load_documents(
                 )
             )
     else:
-        reader = csv.DictReader(raw.splitlines())
-        required = {"id", "text"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise SchemaError(f"{path.name}: CSV header must include 'id' and 'text'")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path.name}:{lineno}"
+        for where, row in read_csv_rows(path, "dataset", ("id", "text")):
             documents.append(
                 _build_document(
                     row.get("id"),

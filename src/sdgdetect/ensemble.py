@@ -23,9 +23,8 @@ from typing import Container, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ALL_SDGS, Dataset, LabeledDocument, atomic_write_text
+from .corpus import ALL_SDGS, Dataset, LabeledDocument, atomic_write_text, read_input
 from .errors import (
-    IoError,
     MissingSystemError,
     ModelCorruptError,
     ModelVersionError,
@@ -192,7 +191,7 @@ def _best_split(
     cols: np.ndarray,
     weights: np.ndarray,
     rows: np.ndarray,
-    orders: Sequence[np.ndarray | None],
+    flags: np.ndarray,
     feature_ids: np.ndarray,
     min_leaf_weight: float,
     total: float,
@@ -200,9 +199,10 @@ def _best_split(
 ) -> tuple[int, float] | None:
     """Exhaustive weighted-Gini scan over candidate features and thresholds.
 
-    ``orders[f]`` is None for a 0/1 flag column: its only cut follows its
-    0 rows, at 0.5, and ``np.cumsum`` over those rows in row order gives
-    the floats the scan would reach there. Returns (feature, threshold)
+    A 0/1 flag column (``flags[f]``) has one cut, after its 0 rows, at
+    0.5, and ``np.cumsum`` over those rows in row order gives the floats
+    the scan would reach there. Any other column is scanned over the
+    node's ascending ``rows`` stably sorted by it. Returns (feature, threshold)
     with the largest impurity decrease, or None if no split improves on
     the parent. Ties break toward the lower feature index, then the lower
     threshold, so results are deterministic.
@@ -212,8 +212,7 @@ def _best_split(
     best_gain = 1e-12
     best: tuple[int, float] | None = None
     for f in sorted(feature_ids.tolist()):
-        order = orders[f]
-        if order is None:
+        if flags[f]:
             zeros = rows[cols[f][rows] == 0.0]
             if not 0 < len(zeros) < len(rows):
                 continue
@@ -226,6 +225,7 @@ def _best_split(
             gain = parent - (2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr)
             threshold = 0.5
         else:
+            order = rows[np.argsort(cols[f][rows], kind="stable")]
             xs = cols[f][order]
             cw, cp = np.cumsum(weights[:, order], axis=1)
             wl = cw[:-1]
@@ -250,36 +250,28 @@ def _grow(
     cols: np.ndarray,
     weights: np.ndarray,
     rows: np.ndarray,
-    orders: Sequence[np.ndarray | None],
+    flags: np.ndarray,
     depth: int,
     rng: np.random.Generator,
     mtry: int,
     min_leaf_weight: float,
     max_depth: int | None,
 ) -> Leaf | Split:
-    """Grow the subtree over the sample rows ``rows`` (ascending), given
-    ``orders[f]``, those rows stably sorted by column ``f``.
-
-    A split stably filters ``rows`` and each order: a stable filter of a
-    stable sort equals the child's own stable sort, ties included, so no
-    node copies the sample or sorts a column.
-    """
+    """Grow the subtree over the sample rows ``rows`` (ascending); a split
+    passes each child its own rows, so no node copies the sample."""
     total = float(weights[0][rows].sum())
     pos = float(weights[1][rows].sum())
     pos_frac = pos / total
     if pos_frac <= 0.0 or pos_frac >= 1.0 or (max_depth is not None and depth >= max_depth):
         return Leaf(pos_frac, total)
     feature_ids = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
-    best = _best_split(cols, weights, rows, orders, feature_ids, min_leaf_weight, total, pos)
+    best = _best_split(cols, weights, rows, flags, feature_ids, min_leaf_weight, total, pos)
     if best is None:
         return Leaf(pos_frac, total)
     f, threshold = best
     left = cols[f] <= threshold
-    tree_args = (depth + 1, rng, mtry, min_leaf_weight, max_depth)
-    children = []
-    for side in (left, ~left):
-        sub_orders = [o if o is None else o[side[o]] for o in orders]
-        children.append(_grow(cols, weights, rows[side[rows]], sub_orders, *tree_args))
+    tree_args = (flags, depth + 1, rng, mtry, min_leaf_weight, max_depth)
+    children = [_grow(cols, weights, rows[side[rows]], *tree_args) for side in (left, ~left)]
     return Split(f, threshold, *children)
 
 
@@ -308,10 +300,9 @@ def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
             cols, weights = X[idx].T.copy(), np.stack((np.ones(n), y[idx]))
         else:
             cols, weights = X.T.copy(), np.stack((w, w * y))
-        orders = [None if flag else np.argsort(c, kind="stable") for c, flag in zip(cols, flags)]
         min_leaf_weight = params.min_leaf_frac * float(weights[0].sum())
-        tree_args = (0, rng, mtry, min_leaf_weight, params.max_depth)
-        trees.append(_grow(cols, weights, np.arange(n), orders, *tree_args))
+        tree_args = (flags, 0, rng, mtry, min_leaf_weight, params.max_depth)
+        trees.append(_grow(cols, weights, np.arange(n), *tree_args))
     return Forest(tuple(trees), n_features, params)
 
 
@@ -661,13 +652,8 @@ def save_model(model: EnsembleModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> EnsembleModel:
-    path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read model {path}: {exc}") from exc
-    try:
-        payload = json.loads(raw)
+        payload = json.loads(read_input(path, "model"))
     except json.JSONDecodeError as exc:
         raise ModelCorruptError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Document, tokenize
-from .errors import IoError, ParamError, SchemaError
+from .corpus import Dataset, Document, read_input, tokenize
+from .errors import ParamError, SchemaError
 
 __all__ = [
     "WordFrequencyTable",
@@ -66,12 +66,8 @@ def load_frequency_table(path: str | Path) -> WordFrequencyTable:
     ``corpus.tokenize``); duplicate rows are merged by summing counts.
     """
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read frequency table {path}: {exc}") from exc
     merged: dict[str, int] = {}
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path, "frequency table").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

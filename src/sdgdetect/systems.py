@@ -9,15 +9,14 @@ no keyword evidence.
 
 from __future__ import annotations
 
-import csv
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Dataset
-from .errors import IoError, SchemaError, SdgToolError
+from .corpus import Dataset, read_csv_rows
+from .errors import SchemaError, SdgToolError
 from .query import CorpusIndex, Node, parse_query
 
 __all__ = [
@@ -123,19 +122,10 @@ class PredictionMatrix:
 def load_system(path: str | Path) -> SystemDefinition:
     """Load one system definition; all rows must share the system name."""
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read system file {path}: {exc}") from exc
-    reader = csv.DictReader(raw.splitlines())
-    required = {"system", "sdg", "query_id", "query"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise SchemaError(f"{path.name}: header must be 'system,sdg,query_id,query'")
     name: str | None = None
     entries: list[SystemEntry] = []
     seen_ids: set[str] = set()
-    for lineno, row in enumerate(reader, start=2):
-        where = f"{path.name}:{lineno}"
+    for where, row in read_csv_rows(path, "system file", ("system", "sdg", "query_id", "query")):
         system = (row.get("system") or "").strip()
         if not system:
             raise SchemaError(f"{where}: missing system name")
@@ -143,12 +133,6 @@ def load_system(path: str | Path) -> SystemDefinition:
             name = system
         elif system != name:
             raise SchemaError(f"{where}: mixed system names ({name!r} vs {system!r})")
-        try:
-            sdg = int(row.get("sdg") or "")
-        except ValueError:
-            raise SchemaError(f"{where}: non-integer sdg {row.get('sdg')!r}") from None
-        if not 1 <= sdg <= 17:
-            raise SchemaError(f"{where}: SDG id {sdg} outside 1..17")
         query_id = (row.get("query_id") or "").strip()
         if not query_id:
             raise SchemaError(f"{where}: missing query_id")
@@ -162,7 +146,7 @@ def load_system(path: str | Path) -> SystemDefinition:
             # keep the error's type, code and position; only say where it is
             exc.args = (f"system {system!r}, query {query_id!r}: {exc}",)
             raise
-        entries.append(SystemEntry(sdg, query_id, query_text, ast))
+        entries.append(SystemEntry(row["sdg"], query_id, query_text, ast))
     if name is None:
         raise SchemaError(f"{path.name}: no rows")
     return SystemDefinition(name, tuple(entries))
@@ -215,33 +199,19 @@ def import_external_predictions(
     Unknown doc_ids raise E_SCHEMA when strict, otherwise they are
     skipped with a warning on stderr.
     """
-    path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot read predictions file {path}: {exc}") from exc
+    rows = read_csv_rows(path, "predictions file", ("doc_id", "sdg"))
     known = set(known_doc_ids)
     matrix = PredictionMatrix()
     for doc_id in known:
         matrix.cover(doc_id, system_name)
-    reader = csv.DictReader(raw.splitlines())
-    if raw.strip() and (reader.fieldnames is None or not {"doc_id", "sdg"} <= set(reader.fieldnames)):
-        raise SchemaError(f"{path.name}: header must be 'doc_id,sdg'")
-    for lineno, row in enumerate(reader, start=2):
-        where = f"{path.name}:{lineno}"
-        doc_id = row.get("doc_id") or ""
-        try:
-            sdg = int(row.get("sdg") or "")
-        except ValueError:
-            raise SchemaError(f"{where}: non-integer sdg {row.get('sdg')!r}") from None
-        if not 1 <= sdg <= 17:
-            raise SchemaError(f"{where}: SDG id {sdg} outside 1..17")
+    for where, row in rows:
+        doc_id = row["doc_id"] or ""
         if doc_id not in known:
             if strict:
                 raise SchemaError(f"{where}: unknown doc_id {doc_id!r}")
             print(f"warning: {where}: skipping unknown doc_id {doc_id!r}", file=sys.stderr)
             continue
-        matrix.add(doc_id, system_name, sdg)
+        matrix.add(doc_id, system_name, row["sdg"])
     return matrix
 
 

@@ -537,6 +537,33 @@ class TestExitCodes:
         assert f"error [E_PARAMS]: {flag} must lie in" in capsys.readouterr().err
 
 
+class TestNonUtf8Input:
+    """Every input file that is not UTF-8 is a schema error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "which", ["dataset", "system", "external", "freq-table", "model", "matrix", "config"]
+    )
+    def test_exit_3(self, corpus, system, tmp_path, capsys, which):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\n")
+        detect = ["detect", "--dataset", corpus, "--systems", system]
+        argv = {
+            "dataset": ["detect", "--dataset", str(bad), "--systems", system],
+            "system": ["detect", "--dataset", corpus, "--systems", str(bad)],
+            "external": detect + ["--external", f"black={bad}"],
+            "freq-table": ["synth", "--freq-table", str(bad), "--lengths", "5"],
+            "model": ["predict", "--model", str(bad), "--dataset", corpus, "--systems", system],
+            "matrix": ["evaluate", "--dataset", corpus, "--matrix", str(bad)],
+            "config": detect + ["--config", str(bad)],
+        }[which]
+        rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error [E_SCHEMA]: ") and "not valid UTF-8" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
 class TestConfig:
     def test_config_file_supplies_defaults(self, corpus, system, tmp_path):
         cfg = tmp_path / "cfg"
@@ -561,13 +588,20 @@ class TestConfig:
         manifest = json.loads((flag_out / "manifest.json").read_text())
         assert manifest["seed"] == 5
 
-    @pytest.mark.parametrize("line", ["seed=abc", "threads=x", "sed=5"])
+    @pytest.mark.parametrize("line", ["seed=abc", "threads=x", "sed=5", "json=banana"])
     def test_invalid_config_value_is_param_error(self, corpus, system, tmp_path, capsys, line):
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")
         rc = _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)])
         assert rc == 2
         assert "E_PARAMS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,mirrored", [("YES", True), ("1", True), ("False", False), ("no", False)])
+    def test_config_json_accepts_booleans(self, corpus, system, tmp_path, value, mirrored):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"json={value}\n")
+        assert _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)]) == 0
+        assert (tmp_path / "o" / "hits.json").exists() == mirrored
 
     def test_unknown_config_key_is_named(self, corpus, system, tmp_path, capsys):
         cfg = tmp_path / "cfg"

@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 
 import pytest
@@ -103,6 +105,32 @@ class TestLoad:
         assert ds.documents[0].evaluated == frozenset({1, 2, 3})
         assert ds.documents[0].text == "end poverty, now"
         assert not isinstance(ds.documents[1], LabeledDocument)
+
+    @pytest.mark.parametrize("key,value", [("labels", 5), ("evaluated", True), ("labels", 0)])
+    def test_jsonl_sdg_ids_not_a_list(self, tmp_path, key, value):
+        p = tmp_path / "ds.jsonl"
+        p.write_text(json.dumps({"id": "d1", "text": "x", key: value}) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_documents(p)
+        assert "ds.jsonl:1" in str(err.value) and "must be a list" in str(err.value)
+
+    def test_csv_long_text_loads_as_jsonl(self, tmp_path):
+        text = "water " * 30_000  # 180 000 characters, beyond csv's default field limit
+        as_csv, as_jsonl = tmp_path / "ds.csv", tmp_path / "ds.jsonl"
+        as_csv.write_text(f"id,text,labels,evaluated\nd1,{text},6,6|7\n")
+        as_jsonl.write_text(json.dumps({"id": "d1", "text": text, "labels": [6], "evaluated": [6, 7]}))
+        limit = csv.field_size_limit()
+        assert load_documents(as_csv) == load_documents(as_jsonl)
+        assert csv.field_size_limit() == limit
+
+    def test_csv_error_is_schema_error(self, tmp_path, monkeypatch):
+        # a field limit that cannot be raised makes the csv module itself fail
+        monkeypatch.setattr(csv, "field_size_limit", lambda *args: 131_072)
+        p = tmp_path / "ds.csv"
+        p.write_text("id,text\nd1," + "x" * 200_000 + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_documents(p)
+        assert "ds.csv: malformed CSV" in str(err.value)
 
     def test_csv_bad_header(self, tmp_path):
         p = tmp_path / "ds.csv"

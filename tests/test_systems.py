@@ -297,6 +297,12 @@ class TestExternalPredictions:
         matrix = import_external_predictions(p, "ext", known_doc_ids=["d1"])
         assert matrix.predicted("d1", "ext") == frozenset()
 
+    def test_zero_byte_file_all_false(self, tmp_path):
+        p = tmp_path / "ext.csv"
+        p.write_bytes(b"")
+        matrix = import_external_predictions(p, "ext", known_doc_ids=["d1"])
+        assert matrix.predicted("d1", "ext") == frozenset()
+
     def test_sdg_out_of_range(self, tmp_path):
         p = tmp_path / "ext.csv"
         p.write_text("doc_id,sdg\nd9,21\n")
