@@ -717,7 +717,7 @@ def _read_config(path: str | None) -> dict[str, str]:
     elif not Path(path).exists():
         raise ParamError(f"config file {path} does not exist")
     config = {}
-    for lineno, line in enumerate(read_input(path, "config file").splitlines(), 1):
+    for lineno, line in enumerate(read_input(path, "config file").split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -2,6 +2,9 @@
 
 Tokens are maximal runs of Unicode letters/digits, lowercased; every
 other character (hyphens and apostrophes included) separates tokens.
+ASCII text takes one ``str.translate`` (letters and digits lowered, all
+else a space) and a whitespace split; other text lowers each regex match
+on its own, as lowering the whole text differs (``İ``, Greek final sigma).
 Documents come from JSONL (one object per line: id, text, optional
 labels / evaluated int arrays) or CSV (header ``id,text,labels,evaluated``,
 labels/evaluated ``|``-separated).
@@ -10,6 +13,7 @@ labels/evaluated ``|``-separated).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -37,10 +41,13 @@ import re
 ALL_SDGS = frozenset(range(1, 18))
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_ASCII_TABLE = str.maketrans({i: chr(i).lower() if chr(i).isalnum() else " " for i in range(128)})
 
 
 def tokenize(text: str) -> list[str]:
-    return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
+    if text.isascii():
+        return text.translate(_ASCII_TABLE).split()
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,11 @@ def _parse_int_list(raw: str, where: str) -> list[int] | None:
 
 
 def read_input(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 input file. An ``OSError`` is raised as ``IoError``
-    and undecodable bytes as ``SchemaError``."""
+    """The text of a UTF-8 input file, line ends untranslated and a leading
+    byte-order mark dropped. An ``OSError`` is raised as ``IoError`` and
+    undecodable bytes as ``SchemaError``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -156,16 +164,18 @@ def read_input(path: str | Path, what: str) -> str:
 
 
 def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[tuple[str, dict]]:
-    """The data rows of a CSV input as (``file:line``, row) pairs; an empty
-    file has none. The header must name every ``required`` column, and a
-    required ``sdg`` cell is parsed to an int in 1..17."""
+    """The data rows of a CSV input as (``file:line``, row) pairs, the line
+    being the one a row ends on; an empty file has none. Only LF, CR and CRLF
+    end a line, and a quoted cell keeps its line breaks. The header must name
+    every ``required`` column, and a required ``sdg`` cell is parsed to an
+    int in 1..17."""
     raw, name = read_input(path, what), Path(path).name
     limit = csv.field_size_limit(len(raw))  # no field is longer than the file
     try:
-        reader = csv.DictReader(raw.splitlines())
+        reader = csv.DictReader(io.StringIO(raw, newline=""))
         if raw.strip() and not set(required) <= set(reader.fieldnames or ()):
             raise SchemaError(f"{name}: CSV header must include {','.join(required)}")
-        rows = [(f"{name}:{n}", row) for n, row in enumerate(reader, start=2)]
+        rows = [(f"{name}:{reader.line_num}", row) for row in reader]
     except csv.Error as exc:
         raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
     finally:
@@ -186,11 +196,13 @@ def load_documents(
     name: str | None = None,
     kind: str | None = None,
 ) -> Dataset:
-    """Load a dataset from CSV (a ``.csv`` suffix) or else JSONL."""
+    """Load a dataset from CSV (a ``.csv`` suffix) or else JSONL. JSONL lines
+    end at LF (a CR before it is ignored), so a text may hold U+2028 or
+    U+0085 unescaped."""
     path = Path(path)
     documents: list[Document] = []
     if path.suffix.lower() != ".csv":
-        for lineno, line in enumerate(read_input(path, "dataset").splitlines(), start=1):
+        for lineno, line in enumerate(read_input(path, "dataset").split("\n"), start=1):
             if not line.strip():
                 continue
             where = f"{path.name}:{lineno}"

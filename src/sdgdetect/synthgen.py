@@ -67,7 +67,7 @@ def load_frequency_table(path: str | Path) -> WordFrequencyTable:
     """
     path = Path(path)
     merged: dict[str, int] = {}
-    for lineno, line in enumerate(read_input(path, "frequency table").splitlines(), start=1):
+    for lineno, line in enumerate(read_input(path, "frequency table").split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,5 +1,6 @@
 """Independent naive references used as test oracles.
 
+The tokenizer lowers every regex match on its own, with no ASCII path.
 The query evaluator deliberately avoids the library's TokenIndex: every
 node is evaluated by scanning the raw token list, and NEAR enumerates all
 position pairs. The tree grower at the end copies rows and argsorts every
@@ -7,12 +8,19 @@ candidate column at every node.
 """
 
 import math
+import re
 
 import numpy as np
 
 from sdgdetect.ensemble import Leaf, Split
 from sdgdetect.errors import SchemaError
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def naive_tokenize(text: str) -> list[str]:
+    return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
 
 
 def _word_ok(token: str, term: Term) -> bool:

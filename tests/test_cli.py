@@ -603,6 +603,20 @@ class TestConfig:
         assert _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)]) == 0
         assert (tmp_path / "o" / "hits.json").exists() == mirrored
 
+    def test_byte_order_mark_ignored(self, corpus, system, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=11\njson=1\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["seed"] == 11
+        assert (tmp_path / "o" / "hits.json").exists()
+
+    def test_lines_end_at_line_feed_only(self, corpus, system, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=1\r\n\u2028\u0085\r\nout_dirr=x\r\n", encoding="utf-8")
+        assert _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)]) == 2
+        assert f"config {cfg}:3: unknown key 'out_dirr'" in capsys.readouterr().err
+
     def test_unknown_config_key_is_named(self, corpus, system, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("seed=1\nout_dirr=x\n")

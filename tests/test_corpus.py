@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 
 import pytest
 
@@ -15,6 +16,14 @@ from sdgdetect.corpus import (
     tokenize,
 )
 from sdgdetect.errors import IoError, SchemaError
+
+from oracle import naive_tokenize
+
+# non-ASCII characters whose lowering or tokenizing is easy to get wrong:
+# dotted capital I, Greek sigmas, combining acute and dot above, sharp s,
+# no-break space, line and paragraph separators, NEL, fullwidth digits,
+# Cyrillic, a curly quote and an en dash
+_TRICKY = "İΣσς\u0301\u0307ß\u00a0\u2028\u2029\u0085１２ЖжДд\u2019\u2013é"
 
 
 class TestTokenize:
@@ -36,6 +45,28 @@ class TestTokenize:
     def test_idempotent_on_canonical_form(self):
         tokens = tokenize("Some mixed-case TEXT, with 42 numbers!")
         assert tokenize(" ".join(tokens)) == tokens
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # the sigma before an apostrophe ends its token, so it lowers to final sigma
+            ("ΑΣ'Α", ["ας", "α"]),
+            # İ lowers to i + U+0307, which stays inside the token
+            ("İstanbul", ["i\u0307stanbul"]),
+        ],
+        ids=["final-sigma", "dotted-capital-i"],
+    )
+    def test_lowers_each_token_on_its_own(self, text, expected):
+        assert tokenize(text) == expected == naive_tokenize(text)
+
+    def test_matches_oracle_on_random_strings(self):
+        rng = random.Random(8)
+        ascii_chars = [chr(i) for i in range(128)]
+        mixed = ascii_chars + list("ΑΣaAs'  ") + list(_TRICKY) * 4
+        for n in range(5000):
+            pool = ascii_chars if n % 2 else mixed
+            text = "".join(rng.choice(pool) for _ in range(rng.randrange(40)))
+            assert tokenize(text) == naive_tokenize(text), repr(text)
 
 
 class TestLoad:
@@ -132,6 +163,53 @@ class TestLoad:
             load_documents(p)
         assert "ds.csv: malformed CSV" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["hello\nworld", "hello\r\nworld"], ids=["lf", "crlf"])
+    def test_csv_quoted_line_break_kept(self, tmp_path, text):
+        as_csv, as_jsonl = tmp_path / "ds.csv", tmp_path / "ds.jsonl"
+        as_csv.write_bytes(f'id,text,labels\r\nd1,"{text}",1\r\n'.encode())
+        as_jsonl.write_text(json.dumps({"id": "d1", "text": text, "labels": [1]}))
+        loaded = load_documents(as_csv)
+        assert loaded == load_documents(as_jsonl)
+        assert loaded.documents[0].text == text
+        assert loaded.documents[0].tokens == ("hello", "world")
+
+    def test_csv_crlf_same_rows_and_lines(self, tmp_path):
+        rows = ["id,text,labels", "d1,end poverty,1", "d2,clean water,6"]
+        lf, crlf = tmp_path / "lf" / "ds.csv", tmp_path / "crlf" / "ds.csv"
+        for path, end in ((lf, "\n"), (crlf, "\r\n")):
+            path.parent.mkdir()
+            path.write_bytes(end.join(rows).encode() + end.encode())
+        assert load_documents(lf) == load_documents(crlf)
+        for path, end in ((lf, "\n"), (crlf, "\r\n")):
+            path.write_bytes(end.join(rows + ["d3,x,99"]).encode() + end.encode())
+            with pytest.raises(SchemaError, match=r"^ds\.csv:4: SDG id 99 outside"):
+                load_documents(path)
+
+    def test_csv_error_names_physical_line(self, tmp_path):
+        p = tmp_path / "ds.csv"
+        p.write_text('id,text,labels\nd1,"two\nlines",1\n\nd2,x,99\n')
+        with pytest.raises(SchemaError, match=r"^ds\.csv:5: SDG id 99 outside"):
+            load_documents(p)
+
+    def test_csv_unquoted_line_separator_stays_in_row(self, tmp_path):
+        p = tmp_path / "ds.csv"
+        p.write_text("id,text\nd1,end\u2028poverty\u0085now\n", encoding="utf-8")
+        (doc,) = load_documents(p).documents
+        assert doc.text == "end\u2028poverty\u0085now"
+        assert doc.tokens == ("end", "poverty", "now")
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_byte_order_mark_ignored(self, tmp_path, suffix):
+        body = {
+            ".jsonl": '{"id":"d1","text":"end poverty","labels":[1]}\n',
+            ".csv": "id,text,labels\nd1,end poverty,1\n",
+        }[suffix]
+        plain, bom = tmp_path / f"plain{suffix}", tmp_path / f"bom{suffix}"
+        plain.write_text(body, encoding="utf-8")
+        bom.write_text(body, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_documents(bom, name="ds") == load_documents(plain, name="ds")
+
     def test_csv_bad_header(self, tmp_path):
         p = tmp_path / "ds.csv"
         p.write_text("name,body\nx,y\n")
@@ -149,6 +227,25 @@ class TestLoad:
         save_documents(ds, out)
         loaded = load_documents(out, name="mix", kind="labeled")
         assert loaded == ds
+
+    def test_roundtrip_unicode_line_separators(self, tmp_path):
+        texts = ["end\u2028poverty", "clean\u0085water", "group\x1cseparator", "crlf\r\ninside"]
+        ds = Dataset("seps", tuple(Document.from_text(f"d{i}", t) for i, t in enumerate(texts)))
+        out = tmp_path / "seps.jsonl"
+        save_documents(ds, out)
+        assert out.read_text(encoding="utf-8").count("\n") == len(texts)
+        assert load_documents(out) == ds
+
+    def test_jsonl_crlf(self, tmp_path):
+        lines = ['{"id":"d1","text":"end poverty","labels":[1]}', '{"id":"d2","text":"water"}']
+        lf, crlf = tmp_path / "lf" / "ds.jsonl", tmp_path / "crlf" / "ds.jsonl"
+        for path, end in ((lf, b"\n"), (crlf, b"\r\n")):
+            path.parent.mkdir()
+            path.write_bytes(end.join(line.encode() for line in lines) + end)
+        assert load_documents(crlf) == load_documents(lf)
+        crlf.write_bytes(crlf.read_bytes() + b"{broken\r\n")
+        with pytest.raises(SchemaError, match=r"^ds\.jsonl:3: invalid JSON"):
+            load_documents(crlf)
 
     def test_word_count(self):
         doc = Document.from_text("d", "three word text")

@@ -25,6 +25,12 @@ class TestLoadTable:
         table = load_frequency_table(p)
         assert dict(zip(table.words, table.counts)) == {"the": 10, "water": 3}
 
+    def test_lines_end_at_line_feed_only(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_bytes("the\t10\r\n\u2028\r\nwater\t3\r\nbad\r\n".encode())
+        with pytest.raises(SchemaError, match=r"^f\.tsv:4: expected"):
+            load_frequency_table(p)
+
     def test_duplicates_merged_case_insensitively(self, tmp_path):
         p = tmp_path / "f.tsv"
         p.write_text("The\t4\nthe\t6\n")

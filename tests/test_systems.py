@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -37,6 +38,14 @@ class TestLoadSystem:
         assert system.name == "demo"
         assert system.entries[0].sdg == 1
         assert system.entries[0].query_id == "q1"
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        rows = ['demo,1,q1,"poverty OR destitution"', "demo,6,q2,water"]
+        plain = _system(tmp_path / "plain.csv", rows)
+        bom = tmp_path / "bom.csv"
+        bom.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_system(bom) == load_system(plain)
 
     def test_duplicate_query_id(self, tmp_path):
         p = _system(tmp_path / "s.csv", ["demo,1,q1,poverty", "demo,2,q1,hunger"])
@@ -302,6 +311,14 @@ class TestExternalPredictions:
         p.write_bytes(b"")
         matrix = import_external_predictions(p, "ext", known_doc_ids=["d1"])
         assert matrix.predicted("d1", "ext") == frozenset()
+
+    def test_ids_with_line_breaks_kept_exactly(self, tmp_path):
+        ids = ["d\r1", "d\r\n2", "d\n3"]
+        p = tmp_path / "ext.csv"
+        with open(p, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["doc_id", "sdg"]] + [[doc_id, 5] for doc_id in ids])
+        matrix = import_external_predictions(p, "ext", known_doc_ids=ids)
+        assert [matrix.predicted(doc_id, "ext") for doc_id in ids] == [frozenset({5})] * 3
 
     def test_sdg_out_of_range(self, tmp_path):
         p = tmp_path / "ext.csv"
