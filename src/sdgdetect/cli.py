@@ -155,7 +155,7 @@ def _load_matrix_file(
         payload = json.loads(read_input(path, "prediction matrix"))
         systems = payload["systems"]
         raw = payload["datasets"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise SchemaError(f"cannot read prediction matrix {path}: {exc}") from exc
     if not isinstance(systems, list) or not all(isinstance(s, str) for s in systems):
         raise SchemaError(f"{path}: 'systems' must be a list of names")
@@ -811,8 +811,11 @@ def _build_context(args) -> dict:
                 raise ParamError(f"config key {key}: invalid value {config[key]!r}") from None
         return fallback
 
+    seed = pick(args.seed, "seed", 0, int)
+    if seed < 0:
+        raise ParamError(f"seed must be a non-negative integer, got {seed}")
     return {
-        "seed": pick(args.seed, "seed", 0, int),
+        "seed": seed,
         "out_dir": Path(pick(args.out_dir, "out_dir", "out", str)),
         "json": pick(args.json, "json", False, lambda v: _CONFIG_BOOLS[v.lower()]),
     }

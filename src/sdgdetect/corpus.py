@@ -208,7 +208,7 @@ def load_documents(
             where = f"{path.name}:{lineno}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise SchemaError(f"{where}: expected a JSON object")

@@ -654,7 +654,7 @@ def save_model(model: EnsembleModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> EnsembleModel:
     try:
         payload = json.loads(read_input(path, "model"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelCorruptError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
         raise ModelCorruptError("not an ensemble model file (bad magic)")
@@ -705,5 +705,5 @@ def load_model(path: str | Path) -> EnsembleModel:
         if not 0.0 <= k <= 10.0:
             raise ModelCorruptError(f"k {k} outside [0, 10]")
         return EnsembleModel(forests, feature_names, system_names, k, seed, threshold)
-    except (KeyError, TypeError, ValueError, ParamError) as exc:
+    except (KeyError, TypeError, ValueError, ParamError, RecursionError) as exc:
         raise ModelCorruptError(f"malformed model file: {exc}") from exc

@@ -1,7 +1,8 @@
 """Boolean/proximity query language: parsing and matching.
 
 Grammar (operators are case-sensitive uppercase; precedence from loosest
-to tightest: OR, AND, NOT, NEAR; parentheses override):
+to tightest: OR, AND, NOT, NEAR; parentheses override and nest at most
+100 deep):
 
     query  = or ;
     or     = and { "OR" and } ;
@@ -12,11 +13,15 @@ to tightest: OR, AND, NOT, NEAR; parentheses override):
     TERM   = word [ "*" ] ;
     PHRASE = '"' word { " " word } '"'   (trailing "*" allowed per word)
 
-Words are maximal runs of Unicode letters/digits, lowercased by the
-parser. Wildcards are trailing-only and mean prefix match. NEAR/n
-requires both operands to be position-bearing (terms, phrases, or ORs
-over those); |p1 - p2| <= n over token indices, with a phrase's position
-being its start index.
+One token pattern lexes the text in one left-to-right pass: each match
+is whitespace, NEAR/<digits>, a word with an optional trailing "*", a
+parenthesis, a quoted phrase or an unclosed quote, and any other
+character is a syntax error. One word pattern reads terms and phrase
+words alike: a maximal run of Unicode letters/digits ("_" is not a
+letter), lowercased by the parser. Wildcards are trailing-only and mean
+prefix match. NEAR/n requires both operands to be position-bearing
+(terms, phrases, or ORs over those); |p1 - p2| <= n over token indices,
+with a phrase's position being its start index.
 
 Matching compiles each query once per corpus (``CorpusIndex.compile``):
 wildcards are expanded against the corpus's sorted vocabulary, and every
@@ -116,128 +121,92 @@ def is_position_bearing(node: Node) -> bool:
 # Lexer / parser
 # ---------------------------------------------------------------------------
 
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_INT_RE = re.compile(r"\d+")
+# One alternative per token: leading whitespace, NEAR/<int>, a word with an
+# optional "*", a parenthesis, a quoted phrase, a quote left open, and any
+# other character, so that the matches cover the whole text. Each token
+# takes the whitespace after it along.
+_TOKEN_RE = re.compile(r'\s+|(?:NEAR/(\d+)|([^\W_]+)(\*?)|([()])|"([^"]*)"|(")|(.))\s*', re.S)
+# A term or a phrase word: letters and digits, then an optional "*".
+_WORD_RE = re.compile(r"([^\W_]+)(\*?)")
+# Deepest parenthesis nesting parsed; deeper queries would exhaust the stack.
+_MAX_NESTING = 100
+_Token = tuple[str, Union[Node, int, None], int]
 
 
-def _lex_word_token(text: str, i: int) -> tuple[Term, int]:
-    m = _WORD_RE.match(text, i)
-    assert m is not None
-    word = m.group()
-    j = m.end()
-    wildcard = False
-    if j < len(text) and text[j] == "*":
-        wildcard = True
-        j += 1
-        if j < len(text) and _WORD_RE.match(text, j):
-            raise QuerySyntaxError("wildcard '*' must be trailing", j)
-    return Term(word.lower(), wildcard), j
-
-
-def _parse_phrase_word(part: str, position: int) -> Term:
-    wildcard = part.endswith("*")
-    core = part[:-1] if wildcard else part
-    m = _WORD_RE.fullmatch(core)
-    if not m or not core:
-        raise QuerySyntaxError(f"invalid word {part!r} in phrase", position)
-    return Term(core.lower(), wildcard)
-
-
-def _lex(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise QuerySyntaxError("unterminated phrase quote", i)
-            parts = text[i + 1 : j].split()
+def _lex(text: str) -> list[_Token]:
+    """``(kind, value, position)`` tokens: each term or phrase one finished
+    ``ATOM``, and last an ``END`` token at ``len(text)``."""
+    tokens: list[_Token] = []
+    for m in _TOKEN_RE.finditer(text):
+        near, word, star, paren, phrase, quote, other = m.groups()
+        i = m.start()
+        if word == "NEAR":
+            raise QuerySyntaxError("NEAR requires an integer window (NEAR/<int>)", i)
+        elif word in ("OR", "AND", "NOT"):
+            if star:
+                raise QuerySyntaxError("unexpected character '*'", m.start(3))
+            tokens.append((word, None, i))
+        elif word:
+            if star and _WORD_RE.match(text, m.end(3)):
+                raise QuerySyntaxError("wildcard '*' must be trailing", m.end(3))
+            tokens.append(("ATOM", Term(word.lower(), bool(star)), i))
+        elif near:
+            tokens.append(("NEAR", int(near), i))
+        elif paren:
+            tokens.append((paren, None, i))
+        elif phrase is not None:
+            parts = phrase.split()
             if not parts:
                 raise QuerySyntaxError("empty phrase", i)
-            words = tuple(_parse_phrase_word(p, i) for p in parts)
-            tokens.append(("PHRASE", words, i))
-            i = j + 1
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group()
-            if word in ("OR", "AND", "NOT"):
-                tokens.append((word, word, i))
-                i = m.end()
-                continue
-            if word == "NEAR":
-                j = m.end()
-                if j < n and text[j] == "/":
-                    mi = _INT_RE.match(text, j + 1)
-                    if mi:
-                        tokens.append(("NEAR", int(mi.group()), i))
-                        i = mi.end()
-                        continue
-                raise QuerySyntaxError("NEAR requires an integer window (NEAR/<int>)", i)
-            term, j = _lex_word_token(text, i)
-            tokens.append(("TERM", term, i))
-            i = j
-            continue
-        raise QuerySyntaxError(f"unexpected character {c!r}", i)
+            words = [_WORD_RE.fullmatch(part) for part in parts]
+            if None in words:
+                raise QuerySyntaxError(f"invalid word {parts[words.index(None)]!r} in phrase", i)
+            tokens.append(("ATOM", Phrase(tuple(Term(w[1].lower(), bool(w[2])) for w in words)), i))
+        elif quote:
+            raise QuerySyntaxError("unterminated phrase quote", i)
+        elif other:
+            raise QuerySyntaxError(f"unexpected character {other!r}", i)
+    tokens.append(("END", None, len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, object, int]], length: int):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.length = length
+        self.depth = 0
 
-    def _peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def _here(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][2]
-        return self.length
+    def _take(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
 
     def parse(self) -> Node:
         node = self._or()
-        if self.pos != len(self.tokens):
-            raise QuerySyntaxError("unexpected trailing input", self._here())
+        if self.tokens[self.pos][0] != "END":
+            raise QuerySyntaxError("unexpected trailing input", self.tokens[self.pos][2])
         return node
 
     def _or(self) -> Node:
-        children = [self._and()]
-        while self._peek() == "OR":
-            self.pos += 1
-            children.append(self._and())
-        return children[0] if len(children) == 1 else Or(tuple(children))
+        return self._nary("OR", Or, self._and)
 
     def _and(self) -> Node:
-        children = [self._not()]
-        while self._peek() == "AND":
-            self.pos += 1
-            children.append(self._not())
-        return children[0] if len(children) == 1 else And(tuple(children))
+        return self._nary("AND", And, self._not)
+
+    def _nary(self, op: str, node_type: type[Or | And], operand: Callable[[], Node]) -> Node:
+        children = [operand()]
+        while self._take(op):
+            children.append(operand())
+        return children[0] if len(children) == 1 else node_type(tuple(children))
 
     def _not(self) -> Node:
-        if self._peek() == "NOT":
-            self.pos += 1
-            return Not(self._near())
-        return self._near()
+        return Not(self._near()) if self._take("NOT") else self._near()
 
     def _near(self) -> Node:
         node = self._prim()
-        while self._peek() == "NEAR":
-            at = self._here()
-            n = self.tokens[self.pos][1]
+        while self.tokens[self.pos][0] == "NEAR":
+            _, n, at = self.tokens[self.pos]
             self.pos += 1
             right = self._prim()
             for operand in (node, right):
@@ -246,33 +215,30 @@ class _Parser:
                         f"NEAR operand must be a term, phrase, or OR over those "
                         f"(at position {at})"
                     )
-            node = Near(node, right, int(n))  # type: ignore[arg-type]
+            node = Near(node, right, n)  # type: ignore[arg-type]
         return node
 
     def _prim(self) -> Node:
-        kind = self._peek()
-        if kind == "TERM":
-            term = self.tokens[self.pos][1]
-            self.pos += 1
-            return term  # type: ignore[return-value]
-        if kind == "PHRASE":
-            words = self.tokens[self.pos][1]
-            self.pos += 1
-            return Phrase(words)  # type: ignore[arg-type]
+        kind, value, at = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "ATOM":
+            return value  # type: ignore[return-value]
         if kind == "(":
-            self.pos += 1
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise QuerySyntaxError("query nested too deeply", at)
             node = self._or()
-            if self._peek() != ")":
-                raise QuerySyntaxError("missing closing parenthesis", self._here())
-            self.pos += 1
+            if not self._take(")"):
+                raise QuerySyntaxError("missing closing parenthesis", self.tokens[self.pos][2])
+            self.depth -= 1
             return node
-        raise QuerySyntaxError("expected a term, phrase, or '('", self._here())
+        raise QuerySyntaxError("expected a term, phrase, or '('", at)
 
 
 def parse_query(text: str) -> Node:
     if not text or not text.strip():
         raise QuerySyntaxError("empty query", 0)
-    return _Parser(_lex(text), len(text)).parse()
+    return _Parser(_lex(text)).parse()
 
 
 def _term_pattern(term: Term) -> str:

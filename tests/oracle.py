@@ -3,8 +3,9 @@
 The tokenizer lowers every regex match on its own, with no ASCII path.
 The query evaluator deliberately avoids the library's TokenIndex: every
 node is evaluated by scanning the raw token list, and NEAR enumerates all
-position pairs. The tree grower at the end copies rows and argsorts every
-candidate column at every node.
+position pairs. The query parser scans its text one character at a time. The tree
+grower at the end copies rows and argsorts every candidate column at
+every node.
 """
 
 import math
@@ -13,8 +14,8 @@ import re
 import numpy as np
 
 from sdgdetect.ensemble import Leaf, Split
-from sdgdetect.errors import SchemaError
-from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term
+from sdgdetect.errors import NearOperandError, QuerySyntaxError, SchemaError
+from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term, is_position_bearing
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -92,6 +93,173 @@ def naive_positive_hits(node: Node, tokens) -> tuple[tuple[str, tuple[int, ...]]
 
     visit(node, False)
     return tuple((s, tuple(sorted(p))) for s, p in sorted(hits.items()))
+
+
+# ---------------------------------------------------------------------------
+# Reference query parser: the character-at-a-time lexer and the recursive
+# descent parser that the library parsed queries with before it lexed them
+# with one token pattern. Kept verbatim so that a change to the library's
+# front end can be checked AST for AST and error for error.
+# ---------------------------------------------------------------------------
+
+
+_NAIVE_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_NAIVE_INT_RE = re.compile(r"\d+")
+
+
+def _naive_lex_word_token(text: str, i: int) -> tuple[Term, int]:
+    m = _NAIVE_WORD_RE.match(text, i)
+    assert m is not None
+    word = m.group()
+    j = m.end()
+    wildcard = False
+    if j < len(text) and text[j] == "*":
+        wildcard = True
+        j += 1
+        if j < len(text) and _NAIVE_WORD_RE.match(text, j):
+            raise QuerySyntaxError("wildcard '*' must be trailing", j)
+    return Term(word.lower(), wildcard), j
+
+
+def _naive_parse_phrase_word(part: str, position: int) -> Term:
+    wildcard = part.endswith("*")
+    core = part[:-1] if wildcard else part
+    m = _NAIVE_WORD_RE.fullmatch(core)
+    if not m or not core:
+        raise QuerySyntaxError(f"invalid word {part!r} in phrase", position)
+    return Term(core.lower(), wildcard)
+
+
+def _naive_lex(text: str) -> list[tuple[str, object, int]]:
+    tokens: list[tuple[str, object, int]] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "()":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        if c == '"':
+            j = text.find('"', i + 1)
+            if j < 0:
+                raise QuerySyntaxError("unterminated phrase quote", i)
+            parts = text[i + 1 : j].split()
+            if not parts:
+                raise QuerySyntaxError("empty phrase", i)
+            words = tuple(_naive_parse_phrase_word(p, i) for p in parts)
+            tokens.append(("PHRASE", words, i))
+            i = j + 1
+            continue
+        m = _NAIVE_WORD_RE.match(text, i)
+        if m:
+            word = m.group()
+            if word in ("OR", "AND", "NOT"):
+                tokens.append((word, word, i))
+                i = m.end()
+                continue
+            if word == "NEAR":
+                j = m.end()
+                if j < n and text[j] == "/":
+                    mi = _NAIVE_INT_RE.match(text, j + 1)
+                    if mi:
+                        tokens.append(("NEAR", int(mi.group()), i))
+                        i = mi.end()
+                        continue
+                raise QuerySyntaxError("NEAR requires an integer window (NEAR/<int>)", i)
+            term, j = _naive_lex_word_token(text, i)
+            tokens.append(("TERM", term, i))
+            i = j
+            continue
+        raise QuerySyntaxError(f"unexpected character {c!r}", i)
+    return tokens
+
+
+class _NaiveParser:
+    def __init__(self, tokens: list[tuple[str, object, int]], length: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.length = length
+
+    def _peek(self) -> str | None:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][0]
+        return None
+
+    def _here(self) -> int:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][2]
+        return self.length
+
+    def parse(self) -> Node:
+        node = self._or()
+        if self.pos != len(self.tokens):
+            raise QuerySyntaxError("unexpected trailing input", self._here())
+        return node
+
+    def _or(self) -> Node:
+        children = [self._and()]
+        while self._peek() == "OR":
+            self.pos += 1
+            children.append(self._and())
+        return children[0] if len(children) == 1 else Or(tuple(children))
+
+    def _and(self) -> Node:
+        children = [self._not()]
+        while self._peek() == "AND":
+            self.pos += 1
+            children.append(self._not())
+        return children[0] if len(children) == 1 else And(tuple(children))
+
+    def _not(self) -> Node:
+        if self._peek() == "NOT":
+            self.pos += 1
+            return Not(self._near())
+        return self._near()
+
+    def _near(self) -> Node:
+        node = self._prim()
+        while self._peek() == "NEAR":
+            at = self._here()
+            n = self.tokens[self.pos][1]
+            self.pos += 1
+            right = self._prim()
+            for operand in (node, right):
+                if not is_position_bearing(operand):
+                    raise NearOperandError(
+                        f"NEAR operand must be a term, phrase, or OR over those "
+                        f"(at position {at})"
+                    )
+            node = Near(node, right, int(n))  # type: ignore[arg-type]
+        return node
+
+    def _prim(self) -> Node:
+        kind = self._peek()
+        if kind == "TERM":
+            term = self.tokens[self.pos][1]
+            self.pos += 1
+            return term  # type: ignore[return-value]
+        if kind == "PHRASE":
+            words = self.tokens[self.pos][1]
+            self.pos += 1
+            return Phrase(words)  # type: ignore[arg-type]
+        if kind == "(":
+            self.pos += 1
+            node = self._or()
+            if self._peek() != ")":
+                raise QuerySyntaxError("missing closing parenthesis", self._here())
+            self.pos += 1
+            return node
+        raise QuerySyntaxError("expected a term, phrase, or '('", self._here())
+
+
+def naive_parse_query(text: str) -> Node:
+    if not text or not text.strip():
+        raise QuerySyntaxError("empty query", 0)
+    return _NaiveParser(_naive_lex(text), len(text)).parse()
 
 
 VOCAB = ["apple", "app", "berry", "cedar", "delta", "echo", "fig", "grape"]

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
 
 from sdgdetect.cli import main
+from sdgdetect.query import _MAX_NESTING
 
 DEMO = Path(__file__).parent.parent / "demo"
 
@@ -470,6 +472,37 @@ class TestExitCodes:
             "expected a term, phrase, or '(' (at position 11)\n"
         )
 
+    def test_query_nested_too_deeply_is_3(self, corpus, tmp_path, capsys):
+        sysfile = tmp_path / "deep.csv"
+        sysfile.write_text(f"system,sdg,query_id,query\ndeep,1,q1,{'(' * 250}poverty{')' * 250}\n")
+        assert _detect(corpus, str(sysfile), tmp_path / "o") == 3
+        assert capsys.readouterr().err == (
+            "error [E_SYNTAX]: system 'deep', query 'q1': "
+            f"query nested too deeply (at position {_MAX_NESTING})\n"
+        )
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_negative_seed_flag_is_param_error(self, corpus, system, tmp_path, capsys):
+        rc = main(
+            [
+                "train",
+                "--dataset",
+                corpus,
+                "--systems",
+                system,
+                "--freq-table",
+                str(DEMO / "wordfreq.tsv"),
+                "--seed",
+                "-1",
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error [E_PARAMS]: seed must be a non-negative integer, got -1\n"
+        )
+
     def test_threads_is_unknown_argument(self, corpus, system, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             _detect(corpus, system, tmp_path / "o", ["--threads", "2"])
@@ -537,6 +570,113 @@ class TestExitCodes:
         assert f"error [E_PARAMS]: {flag} must lie in" in capsys.readouterr().err
 
 
+def _nested_lists(depth):
+    return "[" * depth + "]" * depth
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the interpreter's stack is bad input (exit 3) in
+    every reader, never a RecursionError traceback."""
+
+    def _check(self, capsys, tmp_path, rc, start):
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(start)
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_dataset_line(self, system, tmp_path, capsys):
+        dataset = tmp_path / "deep.jsonl"
+        dataset.write_text('{"id":"d1","text":"x"}\n' + _nested_lists(100_000) + "\n")
+        rc = _detect(str(dataset), system, tmp_path / "o")
+        self._check(capsys, tmp_path, rc, "error [E_SCHEMA]: deep.jsonl:2: invalid JSON")
+
+    def test_matrix_file(self, corpus, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(_nested_lists(100_000))
+        rc = main(
+            ["evaluate", "--dataset", corpus, "--matrix", str(matrix), "--out-dir", str(tmp_path / "o")]
+        )
+        self._check(capsys, tmp_path, rc, "error [E_SCHEMA]: cannot read prediction matrix")
+
+    def test_model_tree(self, trained_model, tmp_path, capsys):
+        payload = json.loads(trained_model.read_text())
+        payload["forests"]["1"]["trees"][0] = "TREE"
+        leaf = '{"p": 0.0, "w": 1.0}'
+        tree = f'{{"f": 0, "t": 0.5, "r": {leaf}, "l": ' * 1200 + leaf + "}" * 1200
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload).replace('"TREE"', tree))
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model),
+                "--dataset",
+                str(DEMO / "corpus.jsonl"),
+                "--systems",
+                str(DEMO / "system_alpha.csv"),
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        self._check(capsys, tmp_path, rc, "error [E_CORRUPT]: ")
+
+
+# Text spliced into the demo systems' query cells by the mutation test.
+_QUERY_MUTATIONS = ['"', "(", ")", "*", "_", "-", "/", "NEAR/", "NEAR/3 ", " OR ", " AND ", "NOT ",
+                    "é", "\u00a0", "\u2028", "\x1c", "\n"]
+
+
+def _mutate_query(rng, query):
+    roll = rng.random()
+    if roll < 0.1:
+        depth = rng.randrange(2 * _MAX_NESTING)
+        return "(" * depth + query + ")" * depth
+    if roll < 0.2:
+        return query[: rng.randrange(len(query) + 1)]
+    cut = rng.randrange(len(query) + 1)
+    return query[:cut] + rng.choice(_QUERY_MUTATIONS) + query[cut + rng.randrange(3) :]
+
+
+class TestQueryCellMutations:
+    def test_detect_exits_0_or_3(self, tmp_path, capsys):
+        """Seeded edits of one query cell in a demo system: detect either runs
+        or names an E_* error, with no traceback and no temporary file."""
+        rng = random.Random(59)
+        systems = {}
+        for name in ("system_alpha.csv", "system_beta.csv", "system_gamma.csv"):
+            with open(DEMO / name, newline="", encoding="utf-8") as f:
+                systems[name] = list(csv.reader(f))
+        exits = set()
+        for trial in range(200):
+            header, *rows = systems[rng.choice(sorted(systems))]
+            rows = [list(row) for row in rows]
+            row = rng.choice(rows)
+            for _ in range(rng.randrange(1, 4)):
+                row[3] = _mutate_query(rng, row[3])
+            path = tmp_path / "system.csv"
+            with open(path, "w", newline="", encoding="utf-8") as f:
+                csv.writer(f).writerows([header, *rows])
+            rc = main(
+                [
+                    "detect",
+                    "--dataset",
+                    str(DEMO / "corpus.jsonl"),
+                    "--systems",
+                    str(path),
+                    "--out-dir",
+                    str(tmp_path / f"out{trial}"),
+                ]
+            )
+            err = capsys.readouterr().err
+            assert rc in (0, 3), row[3]
+            assert (rc != 0) == err.startswith("error [E_"), (row[3], err)
+            assert "Traceback" not in err
+            exits.add(rc)
+        assert exits == {0, 3}
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 class TestNonUtf8Input:
     """Every input file that is not UTF-8 is a schema error, never a traceback."""
 
@@ -588,7 +728,7 @@ class TestConfig:
         manifest = json.loads((flag_out / "manifest.json").read_text())
         assert manifest["seed"] == 5
 
-    @pytest.mark.parametrize("line", ["seed=abc", "threads=x", "sed=5", "json=banana"])
+    @pytest.mark.parametrize("line", ["seed=abc", "threads=x", "sed=5", "json=banana", "seed=-1"])
     def test_invalid_config_value_is_param_error(self, corpus, system, tmp_path, capsys, line):
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")

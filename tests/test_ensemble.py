@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,21 @@ class TestPersistence:
         edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelCorruptError, match=message):
+            load_model(path)
+
+    def test_tree_too_deep_to_rebuild_is_corrupt(self, tmp_path, monkeypatch):
+        """A tree nested past the stack is corrupt also when the JSON decoder
+        accepts its nesting, so that rebuilding the tree is what recurses."""
+        model, _ = _full_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        tree = {"p": 0.0, "w": 1.0}
+        for _ in range(sys.getrecursionlimit()):
+            tree = {"f": 0, "t": 0.5, "l": tree, "r": {"p": 0.0, "w": 1.0}}
+        payload["forests"]["1"]["trees"][0] = tree
+        monkeypatch.setattr(json, "loads", lambda text: payload)
+        with pytest.raises(ModelCorruptError, match="malformed model file: maximum recursion"):
             load_model(path)
 
     def test_wrong_version(self, tmp_path):

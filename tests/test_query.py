@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdgdetect.errors import NearOperandError, QuerySyntaxError
+from sdgdetect.errors import NearOperandError, QuerySyntaxError, SdgToolError
 from sdgdetect.query import (
     And,
     Near,
@@ -16,7 +16,14 @@ from sdgdetect.query import (
     query_to_string,
 )
 
-from oracle import PREFIX_VOCAB, naive_eval, naive_positive_hits, random_query, random_tokens
+from oracle import (
+    PREFIX_VOCAB,
+    naive_eval,
+    naive_parse_query,
+    naive_positive_hits,
+    random_query,
+    random_tokens,
+)
 
 
 class TestParse:
@@ -87,6 +94,71 @@ class TestParse:
         for _ in range(200):
             ast = random_query(rng, 3)
             assert parse_query(query_to_string(ast)) == ast
+
+
+class TestLex:
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("OR*", "unexpected character '*'", 2),
+            ("po*verty", "wildcard '*' must be trailing", 3),
+            ("a NEAR b", "NEAR requires an integer window (NEAR/<int>)", 2),
+            ("a NEAR*", "NEAR requires an integer window (NEAR/<int>)", 2),
+            ('x "a-b"', "invalid word 'a-b' in phrase", 2),
+            ('"a b_"', "invalid word 'b_' in phrase", 0),
+            ("a _", "unexpected character '_'", 2),
+        ],
+    )
+    def test_error_message_and_position(self, text, message, position):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_near_window_ends_at_its_digits(self):
+        assert parse_query("a NEAR/5x") == Near(Term("a"), Term("x"), 5)
+        assert parse_query("a NEAR/05 b") == Near(Term("a"), Term("b"), 5)
+
+    def test_operator_prefixed_words_are_terms(self):
+        assert parse_query("NEARLY") == Term("nearly")
+        assert parse_query("ORx AND NOTe") == And((Term("orx"), Term("note")))
+
+    def test_phrase_words_are_not_operators(self):
+        assert parse_query('"a OR b*"') == Phrase((Term("a"), Term("or"), Term("b", True)))
+
+
+# Pieces the differential test builds query texts from: every token kind,
+# near misses of NEAR/<int>, characters that are not word characters, and
+# whitespace that only Unicode calls whitespace.
+_QUERY_PIECES = [
+    "OR", "AND", "NOT", "NEAR", "NEAR/", "NEAR/05", "NEAR/3", "NEARLY", "or",
+    '"', '"', "(", ")", "(", ")", "*", "_", "-", "/",
+    "a", "Ab", "x1", "é", "Σ", "ß", "\u0663", "\u00b2", "7",
+    " ", " ", " ", " ", "\u00a0", "\u2028", "\x1c", "\t",
+]
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except SdgToolError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+class TestParseOracle:
+    def test_matches_naive_parser(self):
+        """The token-pattern lexer gives the character scanner's AST, or its
+        error type, message and position, on every text."""
+        rng = random.Random(41)
+        for i in range(20_000):
+            if i % 4 == 0:
+                text = query_to_string(random_query(rng, rng.randrange(0, 4), PREFIX_VOCAB))
+                if i % 8 == 0:
+                    cut = rng.randrange(len(text) + 1)
+                    text = text[:cut] + rng.choice(_QUERY_PIECES) + text[cut + rng.randrange(3) :]
+            else:
+                text = "".join(rng.choice(_QUERY_PIECES) for _ in range(rng.randrange(0, 12)))
+            assert _parse_outcome(parse_query, text) == _parse_outcome(naive_parse_query, text), text
 
 
 class TestMatch:

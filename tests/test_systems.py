@@ -5,7 +5,7 @@ import pytest
 
 from sdgdetect.corpus import Dataset, Document
 from sdgdetect.errors import NearOperandError, QuerySyntaxError, SchemaError
-from sdgdetect.query import query_to_string
+from sdgdetect.query import _MAX_NESTING, Or, Term, query_to_string
 from sdgdetect.systems import (
     PredictionMatrix,
     SystemDefinition,
@@ -87,6 +87,25 @@ class TestLoadSystem:
         assert err.value.code == error.code
         assert str(err.value) == f"system 'bad', query 'q1': {message}"
         assert getattr(err.value, "position", None) == position
+
+    def test_query_nested_too_deeply(self, tmp_path):
+        # the deepest AST per parenthesis: OR over AND over NOT
+        at_bound = "(a OR b AND NOT " * _MAX_NESTING + "c" + ")" * _MAX_NESTING
+        system = load_system(_system(tmp_path / "ok.csv", [f'demo,1,q1,"{at_bound}"']))
+        ast = system.entries[0].query
+        for _ in range(_MAX_NESTING):
+            assert isinstance(ast, Or)
+            ast = ast.children[1].children[1].child
+        assert ast == Term("c")
+        assert len(detect(_dataset("a b c"), [system])) == 1  # matching stays within the stack
+
+        deeper = "(" * (_MAX_NESTING + 1) + "a" + ")" * (_MAX_NESTING + 1)
+        with pytest.raises(QuerySyntaxError) as err:
+            load_system(_system(tmp_path / "deep.csv", [f"demo,1,q1,{deeper}"]))
+        assert err.value.position == _MAX_NESTING
+        assert str(err.value) == (
+            f"system 'demo', query 'q1': query nested too deeply (at position {_MAX_NESTING})"
+        )
 
     def test_mixed_system_names(self, tmp_path):
         p = _system(tmp_path / "s.csv", ["a,1,q1,poverty", "b,2,q2,hunger"])
