@@ -34,6 +34,7 @@ from .corpus import (
     load_documents,
     read_input,
     save_documents,
+    warn,
 )
 from .ensemble import (
     CvConfig,
@@ -56,6 +57,7 @@ from .systems import (
     import_external_predictions,
     keyword_frequencies,
     load_system,
+    mask_sdgs,
     to_matrix,
 )
 
@@ -119,19 +121,45 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs, seed: int
     )
 
 
+def _json_block(brackets: str, lines: list[str], indent: str) -> str:
+    """A JSON array or object laid out as ``json.dumps(..., indent=2)`` lays it
+    out at ``indent``, from its members' lines, each indented one level more."""
+    if not lines:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(lines) + "\n" + indent + brackets[1]
+
+
+def _matrix_json(system_names: list[str], matrices: dict[str, PredictionMatrix]) -> str:
+    """The text of matrix.json: ``json.dumps(payload, sort_keys=True, indent=2)
+    + "\\n"`` for ``{"systems": sorted(system_names), "datasets": {name:
+    {"assignments": [[doc_id, system, sdg], ...]}}}``, byte for byte.
+
+    json's C encoder does no ``indent``, so the layout is joined here and
+    only each string is encoded, by ``json.dumps``. A row's doc id and
+    system are encoded once for all its SDGs.
+    """
+    datasets = []
+    for name, matrix in sorted(matrices.items()):
+        items, key, head = [], None, ""
+        for doc_id, system, sdg in matrix.assignments:
+            if (doc_id, system) != key:
+                key = (doc_id, system)
+                doc_json, system_json = json.dumps(doc_id), json.dumps(system)
+                head = f"        [\n          {doc_json},\n          {system_json},\n"
+            items.append(f"{head}          {sdg}\n        ]")
+        assignments = _json_block("[]", items, "      ")
+        datasets.append(f'    {json.dumps(name)}: {{\n      "assignments": {assignments}\n    }}')
+    systems = [f"    {json.dumps(s)}" for s in sorted(system_names)]
+    return (
+        f'{{\n  "datasets": {_json_block("{}", datasets, "  ")},\n'
+        f'  "systems": {_json_block("[]", systems, "  ")}\n}}\n'
+    )
+
+
 def _write_matrix_file(
     out_dir: Path, system_names: list[str], matrices: dict[str, PredictionMatrix]
 ) -> None:
-    payload = {
-        "systems": sorted(system_names),
-        "datasets": {
-            name: {"assignments": [list(t) for t in matrix.assignments]}
-            for name, matrix in sorted(matrices.items())
-        },
-    }
-    atomic_write_text(
-        out_dir / "matrix.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    )
+    atomic_write_text(out_dir / "matrix.json", _matrix_json(system_names, matrices))
 
 
 def _assignment_problem(item, doc_ids: set[str], systems: set[str]) -> str | None:
@@ -155,7 +183,8 @@ def _load_matrix_file(
         payload = json.loads(read_input(path, "prediction matrix"))
         systems = payload["systems"]
         raw = payload["datasets"]
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError, KeyError, TypeError) as exc:
+        # ValueError: invalid JSON, or an integer longer than int() converts
         raise SchemaError(f"cannot read prediction matrix {path}: {exc}") from exc
     if not isinstance(systems, list) or not all(isinstance(s, str) for s in systems):
         raise SchemaError(f"{path}: 'systems' must be a list of names")
@@ -163,7 +192,6 @@ def _load_matrix_file(
         raise SchemaError(f"{path}: 'systems' lists a name twice: {systems}")
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: 'datasets' must map dataset names to assignments")
-    known_systems = set(systems)
     matrices: dict[str, PredictionMatrix] = {}
     for ds in datasets:
         if ds.name not in raw:
@@ -172,17 +200,23 @@ def _load_matrix_file(
         assignments = entry.get("assignments") if isinstance(entry, dict) else None
         if not isinstance(assignments, list):
             raise SchemaError(f"{path}: dataset {ds.name!r} has no 'assignments' list")
-        doc_ids = {doc.id for doc in ds.documents}
-        matrix = PredictionMatrix()
-        for doc in ds.documents:
-            for s in systems:
-                matrix.cover(doc.id, s)
+        rows = {(doc.id, s): 0 for doc in ds.documents for s in systems}
         for item in assignments:
-            problem = _assignment_problem(item, doc_ids, known_systems)
-            if problem:
-                raise SchemaError(f"{path}: dataset {ds.name!r}, assignment {item!r}: {problem}")
-            matrix.add(*item)
-        matrices[ds.name] = matrix
+            # _assignment_problem's test, inline; it is called only to word the error
+            if (
+                type(item) is list
+                and len(item) == 3
+                and type(item[0]) is str
+                and type(item[1]) is str
+                and (item[0], item[1]) in rows
+                and type(item[2]) is int
+                and 1 <= item[2] <= 17
+            ):
+                rows[item[0], item[1]] |= 1 << (item[2] - 1)
+                continue
+            problem = _assignment_problem(item, {doc.id for doc in ds.documents}, set(systems))
+            raise SchemaError(f"{path}: dataset {ds.name!r}, assignment {item!r}: {problem}")
+        matrices[ds.name] = PredictionMatrix(rows)
     return systems, matrices
 
 
@@ -285,14 +319,10 @@ def cmd_detect(args, ctx) -> int:
             fragment = import_external_predictions(
                 path, name, known_doc_ids=all_ids, strict=not args.lenient_external
             )
+            row = fragment.row
             for ds in datasets:
-                matrix = matrices[ds.name]
-                ds_ids = {doc.id for doc in ds.documents}
-                for doc_id in ds_ids:
-                    matrix.cover(doc_id, name)
-                for doc_id, _, sdg in fragment.assignments:
-                    if doc_id in ds_ids:
-                        matrix.add(doc_id, name, sdg)
+                rows = {(doc.id, name): row(doc.id, name) for doc in ds.documents}
+                matrices[ds.name].merge(PredictionMatrix(rows))
 
     hit_rows = []
     freq_rows = []
@@ -415,14 +445,12 @@ def cmd_evaluate(args, ctx) -> int:
 
 
 def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, system: str):
-    expert_sets = []
-    system_sets = []
-    for doc in ds.documents:
-        if not isinstance(doc, LabeledDocument):
-            continue
-        expert_sets.append(doc.labels)
-        system_sets.append(matrix.predicted(doc.id, system) & doc.evaluated)
-    return profile(expert_sets), profile(system_sets)
+    """Expert and system SDG profiles; the system's counts only evaluated SDGs."""
+    labeled = [doc for doc in ds.documents if isinstance(doc, LabeledDocument)]
+    row = matrix.row
+    expert = profile([doc.labels for doc in labeled])
+    predicted = profile([mask_sdgs(row(doc.id, system) & doc.evaluated_mask) for doc in labeled])
+    return expert, predicted
 
 
 def cmd_bias(args, ctx) -> int:
@@ -475,13 +503,13 @@ def cmd_bias(args, ctx) -> int:
             try:
                 fidelities.append(profile_fidelity(expert, predicted))
             except DegenerateInputError as exc:
-                print(f"warning: fidelity for {system}/{ds.name}: {exc}", file=sys.stderr)
+                warn(f"fidelity for {system}/{ds.name}: {exc}")
         fidelity = sum(fidelities) / len(fidelities) if fidelities else None
         corr_rows.append((system, "profile_fidelity_mean_rho", fidelity))
         try:
             mean_r = profile_bias(biases, pairs) if pairs else None
         except DegenerateInputError as exc:
-            print(f"warning: profile bias for {system}: {exc}", file=sys.stderr)
+            warn(f"profile bias for {system}: {exc}")
             mean_r = None
         corr_rows.append((system, "profile_bias_mean_r", mean_r))
 

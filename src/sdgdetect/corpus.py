@@ -7,7 +7,10 @@ else a space) and a whitespace split; other text lowers each regex match
 on its own, as lowering the whole text differs (``İ``, Greek final sigma).
 Documents come from JSONL (one object per line: id, text, optional
 labels / evaluated int arrays) or CSV (header ``id,text,labels,evaluated``,
-labels/evaluated ``|``-separated).
+labels/evaluated ``|``-separated). A labeled document also holds its
+labels and evaluated set as 17-bit masks, the form of a prediction row.
+``read_input``, ``atomic_write_text`` and ``warn`` are the package's one
+reader, writer and warning line.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,6 +39,7 @@ __all__ = [
     "load_documents",
     "save_documents",
     "atomic_write_text",
+    "warn",
 ]
 
 import re
@@ -71,6 +77,19 @@ class LabeledDocument(Document):
     # the SDGs this document was actually judged for; scoring is
     # restricted to this set
     evaluated: frozenset[int] = ALL_SDGS
+
+    def __post_init__(self):
+        if not ALL_SDGS.issuperset(self.labels) or not ALL_SDGS.issuperset(self.evaluated):
+            raise SchemaError(f"document {self.id!r}: SDG ids must lie in 1..17")
+
+    # Bit ``sdg - 1`` of a mask stands for the SDG, as in a prediction matrix row.
+    @cached_property
+    def label_mask(self) -> int:
+        return sum(1 << (g - 1) for g in self.labels)
+
+    @cached_property
+    def evaluated_mask(self) -> int:
+        return sum(1 << (g - 1) for g in self.evaluated)
 
     @classmethod
     def from_text(
@@ -208,7 +227,7 @@ def load_documents(
             where = f"{path.name}:{lineno}"
             try:
                 record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError: also a too-long integer
                 raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
             if not isinstance(record, dict):
                 raise SchemaError(f"{where}: expected a JSON object")
@@ -248,6 +267,11 @@ def save_documents(dataset: Dataset, path: str | Path) -> None:
             record["evaluated"] = sorted(doc.evaluated)
         lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def warn(message: str) -> None:
+    """Print ``warning: <message>`` on stderr, the one form every warning takes."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

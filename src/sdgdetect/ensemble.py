@@ -654,7 +654,7 @@ def save_model(model: EnsembleModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> EnsembleModel:
     try:
         payload = json.loads(read_input(path, "model"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also a too-long integer
         raise ModelCorruptError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
         raise ModelCorruptError("not an ensemble model file (bad magic)")

@@ -55,24 +55,27 @@ class MetricReport:
 
 
 def confusion(matrix: PredictionMatrix, dataset: Dataset, system: str) -> ConfusionCounts:
-    """Tally TP/FP/TN/FN over every evaluated (document, SDG) pair."""
+    """Tally TP/FP/TN/FN over every evaluated (document, SDG) pair.
+
+    Each labeled document is one step of mask arithmetic: its prediction
+    row and its labels are each ANDed with its evaluated mask, so SDGs
+    outside the evaluated set never count, and each tally adds the
+    ``bit_count`` of one AND.
+    """
     if not dataset.labeled:
         raise NoLabelsError(f"dataset {dataset.name!r} has no expert labels")
     tp = fp = tn = fn = 0
+    row = matrix.row
     for doc in dataset.documents:
         if not isinstance(doc, LabeledDocument):
             continue
-        for sdg in doc.evaluated:
-            predicted = matrix.is_predicted(doc.id, system, sdg)
-            labeled = sdg in doc.labels
-            if predicted and labeled:
-                tp += 1
-            elif predicted:
-                fp += 1
-            elif labeled:
-                fn += 1
-            else:
-                tn += 1
+        evaluated = doc.evaluated_mask
+        predicted = row(doc.id, system) & evaluated
+        labeled = doc.label_mask & evaluated
+        tp += (predicted & labeled).bit_count()
+        fp += (predicted & ~labeled).bit_count()
+        fn += (labeled & ~predicted).bit_count()
+        tn += (evaluated & ~(predicted | labeled)).bit_count()
     return ConfusionCounts(tp, fp, tn, fn)
 
 
@@ -105,6 +108,7 @@ def sdgs_per_document(
 ) -> tuple[float, float]:
     """(mean SDGs assigned per document, mean word count) for plotting."""
     n = len(dataset.documents)
-    total_sdgs = sum(len(matrix.predicted(doc.id, system)) for doc in dataset.documents)
+    row = matrix.row
+    total_sdgs = sum(row(doc.id, system).bit_count() for doc in dataset.documents)
     total_words = sum(doc.word_count for doc in dataset.documents)
     return (total_sdgs / n, total_words / n)

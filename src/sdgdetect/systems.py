@@ -9,13 +9,12 @@ no keyword evidence.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, read_csv_rows
+from .corpus import Dataset, read_csv_rows, warn
 from .errors import SchemaError, SdgToolError
 from .query import CorpusIndex, Node, parse_query
 
@@ -24,6 +23,7 @@ __all__ = [
     "SystemDefinition",
     "Hit",
     "PredictionMatrix",
+    "mask_sdgs",
     "load_system",
     "detect",
     "to_matrix",
@@ -62,7 +62,7 @@ class Hit:
     matched_terms: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _sdgs(mask: int) -> list[int]:
+def mask_sdgs(mask: int) -> list[int]:
     """The SDG ids whose bits are set in a row mask, ascending."""
     sdgs = []
     while mask:
@@ -81,11 +81,13 @@ class PredictionMatrix:
 
     Each covered (doc, system) pair is one row: a 17-bit mask whose bit
     ``sdg - 1`` is set when the SDG is predicted. Every lookup is one
-    dictionary probe.
+    dictionary probe, and consumers score a whole row with mask
+    operations through ``row``. ``rows`` may hand over such a dictionary
+    whole, which the matrix then owns.
     """
 
-    def __init__(self):
-        self._rows: dict[tuple[str, str], int] = {}
+    def __init__(self, rows: dict[tuple[str, str], int] | None = None):
+        self._rows: dict[tuple[str, str], int] = {} if rows is None else rows
 
     def cover(self, doc_id: str, system: str) -> None:
         self._rows.setdefault((doc_id, system), 0)
@@ -96,11 +98,15 @@ class PredictionMatrix:
         key = (doc_id, system)
         self._rows[key] = self._rows.get(key, 0) | 1 << (sdg - 1)
 
+    def row(self, doc_id: str, system: str) -> int:
+        """The pair's SDG mask; 0 when nothing is predicted or it is not covered."""
+        return self._rows.get((doc_id, system), 0)
+
     def is_predicted(self, doc_id: str, system: str, sdg: int) -> bool:
         return 1 <= sdg <= 17 and bool(self._rows.get((doc_id, system), 0) >> (sdg - 1) & 1)
 
     def predicted(self, doc_id: str, system: str) -> frozenset[int]:
-        return frozenset(_sdgs(self._rows.get((doc_id, system), 0)))
+        return frozenset(mask_sdgs(self._rows.get((doc_id, system), 0)))
 
     def covers(self, doc_id: str, system: str) -> bool:
         return (doc_id, system) in self._rows
@@ -111,7 +117,8 @@ class PredictionMatrix:
 
     @property
     def assignments(self) -> list[tuple[str, str, int]]:
-        return sorted((d, s, g) for (d, s), mask in self._rows.items() for g in _sdgs(mask))
+        """Every (doc_id, system, sdg), sorted: rows by key, each row's SDGs ascending."""
+        return [(d, s, g) for (d, s), mask in sorted(self._rows.items()) for g in mask_sdgs(mask)]
 
     def merge(self, other: "PredictionMatrix") -> None:
         rows = self._rows
@@ -209,7 +216,7 @@ def import_external_predictions(
         if doc_id not in known:
             if strict:
                 raise SchemaError(f"{where}: unknown doc_id {doc_id!r}")
-            print(f"warning: {where}: skipping unknown doc_id {doc_id!r}", file=sys.stderr)
+            warn(f"{where}: skipping unknown doc_id {doc_id!r}")
             continue
         matrix.add(doc_id, system_name, row["sdg"])
     return matrix

@@ -3,7 +3,8 @@
 The tokenizer lowers every regex match on its own, with no ASCII path.
 The query evaluator deliberately avoids the library's TokenIndex: every
 node is evaluated by scanning the raw token list, and NEAR enumerates all
-position pairs. The query parser scans its text one character at a time. The tree
+position pairs. The query parser scans its text one character at a time.
+Scoring visits every evaluated (document, SDG) pair on its own. The tree
 grower at the end copies rows and argsorts every candidate column at
 every node.
 """
@@ -13,8 +14,11 @@ import re
 
 import numpy as np
 
+from sdgdetect.bias import profile
+from sdgdetect.corpus import LabeledDocument
 from sdgdetect.ensemble import Leaf, Split
-from sdgdetect.errors import NearOperandError, QuerySyntaxError, SchemaError
+from sdgdetect.errors import NearOperandError, NoLabelsError, QuerySyntaxError, SchemaError
+from sdgdetect.evaluation import ConfusionCounts
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term, is_position_bearing
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -342,6 +346,52 @@ class NaiveMatrix:
     def merge(self, other: "NaiveMatrix") -> None:
         self._true |= other._true
         self._covered |= other._covered
+
+
+# ---------------------------------------------------------------------------
+# Reference scoring: the per-SDG loops that evaluate and bias scored with
+# before they took whole matrix rows as masks. Kept verbatim so that the
+# mask arithmetic can be checked count for count.
+# ---------------------------------------------------------------------------
+
+
+def naive_confusion(matrix, dataset, system: str) -> ConfusionCounts:
+    if not dataset.labeled:
+        raise NoLabelsError(f"dataset {dataset.name!r} has no expert labels")
+    tp = fp = tn = fn = 0
+    for doc in dataset.documents:
+        if not isinstance(doc, LabeledDocument):
+            continue
+        for sdg in doc.evaluated:
+            predicted = matrix.is_predicted(doc.id, system, sdg)
+            labeled = sdg in doc.labels
+            if predicted and labeled:
+                tp += 1
+            elif predicted:
+                fp += 1
+            elif labeled:
+                fn += 1
+            else:
+                tn += 1
+    return ConfusionCounts(tp, fp, tn, fn)
+
+
+def naive_sdgs_per_document(matrix, dataset, system: str) -> tuple[float, float]:
+    n = len(dataset.documents)
+    total_sdgs = sum(len(matrix.predicted(doc.id, system)) for doc in dataset.documents)
+    total_words = sum(doc.word_count for doc in dataset.documents)
+    return (total_sdgs / n, total_words / n)
+
+
+def naive_dataset_profiles(ds, matrix, system: str):
+    expert_sets = []
+    system_sets = []
+    for doc in ds.documents:
+        if not isinstance(doc, LabeledDocument):
+            continue
+        expert_sets.append(doc.labels)
+        system_sets.append(matrix.predicted(doc.id, system) & doc.evaluated)
+    return profile(expert_sets), profile(system_sets)
 
 
 # ---------------------------------------------------------------------------

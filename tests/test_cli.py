@@ -622,6 +622,81 @@ class TestDeeplyNestedJson:
         self._check(capsys, tmp_path, rc, "error [E_CORRUPT]: ")
 
 
+class TestIntegerTooLongForInt:
+    """An integer with more digits than ``int()`` converts is bad input
+    (exit 3) in every JSON reader, never a ValueError traceback."""
+
+    HUGE = "9" * 5000
+
+    def _check(self, capsys, rc, start):
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith(start) and "Exceeds the limit" in err
+        assert "Traceback" not in err
+
+    def test_dataset_line(self, system, tmp_path, capsys):
+        dataset = tmp_path / "huge.jsonl"
+        dataset.write_text(f'{{"id":"d1","text":"x","labels":[{self.HUGE}]}}\n')
+        rc = _detect(str(dataset), system, tmp_path / "o")
+        self._check(capsys, rc, "error [E_SCHEMA]: huge.jsonl:1: invalid JSON")
+
+    def test_matrix_file(self, corpus, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(f'{{"systems": [], "datasets": {{"corpus": {self.HUGE}}}}}')
+        rc = main(
+            ["evaluate", "--dataset", corpus, "--matrix", str(matrix), "--out-dir", str(tmp_path / "o")]
+        )
+        self._check(capsys, rc, "error [E_SCHEMA]: cannot read prediction matrix")
+
+    def test_model_file(self, trained_model, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(trained_model.read_text().replace('"version": 1', f'"version": {self.HUGE}'))
+        assert self.HUGE in model.read_text()
+        rc = main(
+            [
+                "predict",
+                "--model",
+                str(model),
+                "--dataset",
+                str(DEMO / "corpus.jsonl"),
+                "--systems",
+                str(DEMO / "system_alpha.csv"),
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        self._check(capsys, rc, "error [E_CORRUPT]: model file is not valid JSON")
+
+
+class TestWarnings:
+    """Each warning's stderr line, word for word (the benchmark counts ``warning:`` lines)."""
+
+    def test_fidelity_and_profile_bias(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.jsonl").write_text('{"id":"d1","text":"x","labels":[1]}\n')
+        system = tmp_path / "none.csv"
+        system.write_text("system,sdg,query_id,query\nnone,1,q1,absent\n")
+        datasets = ["--dataset", str(tmp_path / "a.jsonl"), "--dataset", str(tmp_path / "b.jsonl")]
+        rc = main(["detect", *datasets, "--systems", str(system), "--out-dir", str(tmp_path / "d")])
+        assert rc == 0
+        matrix = str(tmp_path / "d" / "matrix.json")
+        capsys.readouterr()
+        rc = main(["bias", *datasets, "--matrix", matrix, "--out-dir", str(tmp_path / "b")])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: fidelity for none/a: correlation undefined for a constant vector\n"
+            "warning: fidelity for none/b: correlation undefined for a constant vector\n"
+            "warning: profile bias for none: pair (a, b) has only 1 commonly defined SDG biases\n"
+        )
+
+    def test_lenient_external_unknown_doc(self, corpus, system, tmp_path, capsys):
+        ext = tmp_path / "ext.csv"
+        ext.write_text("doc_id,sdg\nd1,3\nd9,2\n")
+        rc = _detect(corpus, system, tmp_path / "o", ["--external", f"x={ext}", "--lenient-external"])
+        assert rc == 0
+        assert capsys.readouterr().err == "warning: ext.csv:3: skipping unknown doc_id 'd9'\n"
+
+
 # Text spliced into the demo systems' query cells by the mutation test.
 _QUERY_MUTATIONS = ['"', "(", ")", "*", "_", "-", "/", "NEAR/", "NEAR/3 ", " OR ", " AND ", "NOT ",
                     "é", "\u00a0", "\u2028", "\x1c", "\n"]

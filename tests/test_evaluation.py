@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from sdgdetect.cli import _dataset_profiles
 from sdgdetect.corpus import ALL_SDGS, Dataset, Document, LabeledDocument
-from sdgdetect.errors import NoLabelsError, UndefinedMetricError
+from sdgdetect.errors import NoLabelsError, SchemaError, UndefinedMetricError
 from sdgdetect.evaluation import (
     ConfusionCounts,
     confusion,
@@ -12,6 +13,8 @@ from sdgdetect.evaluation import (
     sdgs_per_document,
 )
 from sdgdetect.systems import PredictionMatrix
+
+from oracle import naive_confusion, naive_dataset_profiles, naive_sdgs_per_document
 
 
 def _labeled(doc_id, labels, evaluated=None):
@@ -147,3 +150,70 @@ class TestSdgsPerDocument:
         preds = [(d.id, g) for d in docs for g in range(1, 18) if rng.random() < 0.5]
         mean_sdgs, _ = sdgs_per_document(_matrix(preds, [d.id for d in docs]), ds, "sys")
         assert 0.0 <= mean_sdgs <= 17.0
+
+
+class TestMaskScoringOracle:
+    """Mask scoring gives the per-SDG loops' counts (``tests/oracle.py``)."""
+
+    @staticmethod
+    def _sdg_set(rng, p):
+        return frozenset(g for g in range(1, 18) if rng.random() < p)
+
+    def _case(self, rng):
+        docs = []
+        for i in range(rng.randrange(1, 12)):
+            text = " ".join("w" for _ in range(rng.randrange(0, 6)))
+            kind = rng.random()
+            if kind < 0.2:
+                docs.append(Document.from_text(f"d{i}", text))
+            elif kind < 0.4:  # a loaded document: labels within a partial evaluated set
+                evaluated = self._sdg_set(rng, 0.5) or frozenset({1})
+                labels = frozenset(g for g in evaluated if rng.random() < 0.4)
+                docs.append(LabeledDocument.from_text(f"d{i}", text, labels, evaluated))
+            else:  # built directly: labels may lie outside the evaluated set
+                evaluated = ALL_SDGS if rng.random() < 0.3 else self._sdg_set(rng, 0.5)
+                docs.append(
+                    LabeledDocument(
+                        f"d{i}", text, tuple(text.split()), self._sdg_set(rng, 0.3), evaluated
+                    )
+                )
+        matrix = PredictionMatrix()
+        for doc in docs:
+            for system in ("sys", "other"):
+                if rng.random() < 0.2:
+                    continue  # an uncovered (doc, system) pair
+                matrix.cover(doc.id, system)
+                for g in self._sdg_set(rng, rng.random()):
+                    matrix.add(doc.id, system, g)
+        return Dataset("t", tuple(docs)), matrix
+
+    def test_matches_per_sdg_loops(self):
+        rng = random.Random(20)
+        scored = 0
+        for _ in range(400):
+            ds, matrix = self._case(rng)
+            for system in ("sys", "other", "absent"):
+                assert sdgs_per_document(matrix, ds, system) == naive_sdgs_per_document(
+                    matrix, ds, system
+                )
+                if not ds.labeled:
+                    with pytest.raises(NoLabelsError):
+                        confusion(matrix, ds, system)
+                    continue
+                scored += 1
+                assert confusion(matrix, ds, system) == naive_confusion(matrix, ds, system)
+                assert _dataset_profiles(ds, matrix, system) == naive_dataset_profiles(
+                    ds, matrix, system
+                )
+        assert scored > 1000
+
+    def test_labels_outside_evaluated_never_count(self):
+        doc = LabeledDocument("d1", "t", ("t",), frozenset({2, 9}), frozenset({2, 3}))
+        matrix = _matrix([("d1", 9), ("d1", 3)], ["d1"])
+        counts = confusion(matrix, Dataset("t", (doc,)), "sys")
+        assert counts == ConfusionCounts(tp=0, fp=1, tn=0, fn=1)
+
+    @pytest.mark.parametrize("labels, evaluated", [({0}, ALL_SDGS), ((), {18}), ((), {-1, 1})])
+    def test_sdg_ids_outside_range_are_rejected(self, labels, evaluated):
+        with pytest.raises(SchemaError, match="SDG ids must lie in 1..17"):
+            LabeledDocument("d1", "t", ("t",), frozenset(labels), frozenset(evaluated))

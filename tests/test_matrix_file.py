@@ -1,0 +1,255 @@
+"""matrix.json: its exact bytes, and how evaluate and bias take a broken one."""
+
+import csv
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from sdgdetect.cli import _matrix_json, main
+from sdgdetect.systems import PredictionMatrix
+
+DATA = Path(__file__).parent / "data"
+DEMO = Path(__file__).parent.parent / "demo"
+
+# ids with every kind of character json.dumps escapes: non-ASCII, '"', '\',
+# control characters, U+2028 and a character outside the BMP
+TRICKY_IDS = [
+    "plain",
+    "café über",
+    'say "hi"',
+    "back\\slash",
+    "ctrl\x01\x1f\ttab",
+    "line\u2028sep",
+    "cr\rlf\n",
+    "emoji \U0001f600",
+]
+
+
+def golden_inputs(root: Path) -> list[str]:
+    """Write the golden matrix's inputs under ``root``; return detect's flags.
+
+    Dataset ``corpus`` holds the tricky ids, and ``quiet`` matches nothing,
+    so it has no assignments. ``extérn\\al`` exists only as an
+    ``--external`` system.
+    """
+    texts = [
+        "poverty and hunger",
+        "clean water here",
+        "poverty",
+        "hunger water clean",
+        "poverty clean water",
+        "nothing",
+        "hunger",
+        "water",
+    ]
+    with open(root / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        for doc_id, text in zip(TRICKY_IDS, texts):
+            fh.write(json.dumps({"id": doc_id, "text": text}) + "\n")
+    (root / "quiet.jsonl").write_text(
+        '{"id": "q1", "text": "nothing relevant"}\n{"id": "q2", "text": "still nothing"}\n',
+        encoding="utf-8",
+    )
+    with open(root / "sys.csv", "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(["system", "sdg", "query_id", "query"])
+        name = 'sys "é"\\'
+        out.writerows(
+            [
+                [name, 1, "q1", "poverty"],
+                [name, 2, "q2", "hunger"],
+                [name, 6, "q3", "clean NEAR/2 water"],
+            ]
+        )
+    with open(root / "ext.csv", "w", newline="", encoding="utf-8") as fh:
+        out = csv.writer(fh)
+        out.writerow(["doc_id", "sdg"])
+        out.writerows(
+            [
+                ['say "hi"', 3],
+                ["line\u2028sep", 17],
+                ["café über", 9],
+                ["café über", 5],
+                ["cr\rlf\n", 1],
+                ["emoji \U0001f600", 4],
+            ]
+        )
+    return [
+        "--dataset", str(root / "corpus.jsonl"),
+        "--dataset", str(root / "quiet.jsonl"),
+        "--systems", str(root / "sys.csv"),
+        "--external", f"extérn\\al={root / 'ext.csv'}",
+    ]  # fmt: skip
+
+
+def test_golden_matrix(tmp_path):
+    """detect writes the bytes the json.dumps writer wrote (tests/data/golden_matrix.json)."""
+    flags = golden_inputs(tmp_path)
+    assert main(["detect", *flags, "--out-dir", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out" / "matrix.json").read_bytes()
+    assert written == (DATA / "golden_matrix.json").read_bytes()
+
+
+def _old_writer(system_names, matrices) -> str:
+    payload = {
+        "systems": sorted(system_names),
+        "datasets": {
+            name: {"assignments": [list(t) for t in matrix.assignments]}
+            for name, matrix in sorted(matrices.items())
+        },
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_emitter_matches_json_dumps():
+    rng = random.Random(10)
+    alphabet = ["a", "Z", "0", " ", "é", '"', "\\", "\x00", "\x1f", "\u2028", "\ud800",
+                "\U0001f600", "/", "\x7f"]  # fmt: skip
+
+    def text():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 5)))
+
+    cases = [([], {}), ([], {"d": PredictionMatrix()}), (["s"], {})]
+    for _ in range(500):
+        systems = sorted({text() for _ in range(rng.randrange(0, 4))})
+        matrices = {}
+        for _ in range(rng.randrange(0, 4)):
+            matrix = PredictionMatrix()
+            for _ in range(rng.randrange(0, 8)):
+                doc_id, system = text(), rng.choice(systems or ["s"])
+                matrix.cover(doc_id, system)
+                for g in rng.sample(range(1, 18), rng.randrange(0, 5)):
+                    matrix.add(doc_id, system, g)
+            matrices[text()] = matrix
+        cases.append((systems, matrices))
+    for systems, matrices in cases:
+        assert _matrix_json(systems, matrices) == _old_writer(systems, matrices)
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of the demo matrix.json, run through evaluate and bias
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def demo_matrix(tmp_path_factory):
+    out = tmp_path_factory.mktemp("detect")
+    systems = []
+    for name in ("alpha", "beta", "gamma"):
+        systems += ["--systems", str(DEMO / f"system_{name}.csv")]
+    corpus = str(DEMO / "corpus.jsonl")
+    assert main(["detect", "--dataset", corpus, *systems, "--out-dir", str(out)]) == 0
+    return (out / "matrix.json").read_bytes()
+
+
+def _edit(edit):
+    """A mutation that edits the parsed payload and writes it back as JSON."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        payload = json.loads(raw)
+        edit(payload, rng)
+        return json.dumps(payload).encode()
+
+    return mutate
+
+
+def _assignments(payload) -> list:
+    return payload["datasets"]["corpus"]["assignments"]
+
+
+def _set_field(index, value):
+    def edit(payload, rng):
+        rng.choice(_assignments(payload))[index] = value
+
+    return _edit(edit)
+
+
+def _append(item):
+    return _edit(lambda payload, rng: _assignments(payload).append(item))
+
+
+def _drop(path):
+    def edit(payload, rng):
+        *parents, key = path
+        for p in parents:
+            payload = payload[p]
+        del payload[key]
+
+    return _edit(edit)
+
+
+def _duplicate_key(raw: bytes, rng: random.Random) -> bytes:
+    # a second "systems" key last; json.loads keeps it, so no listed system is used
+    assert raw.endswith(b"\n}\n")
+    return raw[:-3] + b',\n  "systems": ["ghost"]\n}\n'
+
+
+def _duplicate_assignment(payload, rng):
+    items = _assignments(payload)
+    items.insert(rng.randrange(len(items) + 1), list(rng.choice(items)))
+
+
+MUTATIONS = {
+    "truncated": lambda raw, rng: raw[: rng.randrange(len(raw) - 2)],  # cuts the last "}"
+    "empty": lambda raw, rng: b"",
+    "non-utf8": lambda raw, rng: raw[:40] + b"\xff\xfe" + raw[40:],
+    "bom": lambda raw, rng: b"\xef\xbb\xbf" + raw,
+    "crlf": lambda raw, rng: raw.replace(b"\n", b"\r\n"),
+    "not an object": lambda raw, rng: b"[1, 2, 3]",
+    "a string": lambda raw, rng: b'"matrix"',
+    "dropped systems": _drop(["systems"]),
+    "dropped datasets": _drop(["datasets"]),
+    "dropped dataset": _drop(["datasets", "corpus"]),
+    "dropped assignments": _drop(["datasets", "corpus", "assignments"]),
+    "duplicated key": _duplicate_key,
+    "duplicate assignment": _edit(_duplicate_assignment),
+    "systems as object": _edit(lambda p, rng: p.update(systems={"alpha": 1})),
+    "system not a string": _edit(lambda p, rng: p.update(systems=p["systems"] + [7])),
+    "datasets as list": _edit(lambda p, rng: p.update(datasets=[])),
+    "dataset as list": _edit(lambda p, rng: p["datasets"].update(corpus=[])),
+    "assignments as number": _edit(lambda p, rng: p["datasets"]["corpus"].update(assignments=1)),
+    "assignment as object": _append({"doc_id": "d01"}),
+    "assignment too long": _append(["d01", "alpha", 1, 1]),
+    "bool sdg": _set_field(2, True),
+    "float sdg": _set_field(2, 1.0),
+    "nan sdg": _set_field(2, math.nan),
+    "inf sdg": lambda raw, rng: raw.replace(b" 1\n", b" 1e400\n", 1),
+    "huge sdg": lambda raw, rng: raw.replace(b" 1\n", b" " + b"9" * 5000 + b"\n", 1),
+    "sdg 0": _set_field(2, 0),
+    "sdg 18": _set_field(2, 18),
+    "negative sdg": _set_field(2, -3),
+    "string sdg": _set_field(2, "3"),
+    "unknown doc": _set_field(0, "d99"),
+    "doc id not a string": _set_field(0, ["d01"]),
+    "unknown system": _set_field(1, "ghost"),
+    "system id not a string": _set_field(1, {"a": 1}),
+    "null doc id": _set_field(0, None),
+}
+
+
+def test_mutated_matrix_files_fail_cleanly(demo_matrix, tmp_path, capsys):
+    """Every mutation exits 0, 2, 3 or 4, names its error, and leaves no temporary file."""
+    rng = random.Random(4)
+    corpus = str(DEMO / "corpus.jsonl")
+    outcomes = {}
+    for name, mutate in MUTATIONS.items():
+        path = tmp_path / "matrix.json"
+        path.write_bytes(mutate(demo_matrix, rng))
+        for command in ("evaluate", "bias"):
+            out = tmp_path / "out" / command
+            rc = main([command, "--dataset", corpus, "--matrix", str(path), "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            assert rc in (0, 2, 3, 4), (name, command, rc)
+            assert "Traceback" not in err, (name, command)
+            if rc:
+                assert err.startswith("error [E_") and err.count("\n") == 1, (name, command, err)
+            assert not list((tmp_path / "out").rglob("*.tmp")), (name, command)
+            outcomes[name, command] = rc
+    # what a reader may rely on: harmless layouts load, broken content does not
+    for name in ("bom", "crlf", "duplicate assignment"):
+        assert outcomes[name, "evaluate"] == outcomes[name, "bias"] == 0, name
+    for name in set(MUTATIONS) - {"bom", "crlf", "duplicate assignment"}:
+        assert outcomes[name, "evaluate"] == outcomes[name, "bias"] == 3, name
+
