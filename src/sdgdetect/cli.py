@@ -156,12 +156,6 @@ def _matrix_json(system_names: list[str], matrices: dict[str, PredictionMatrix])
     )
 
 
-def _write_matrix_file(
-    out_dir: Path, system_names: list[str], matrices: dict[str, PredictionMatrix]
-) -> None:
-    atomic_write_text(out_dir / "matrix.json", _matrix_json(system_names, matrices))
-
-
 def _assignment_problem(item, doc_ids: set[str], systems: set[str]) -> str | None:
     """Why a matrix.json assignment is invalid, or None when it is valid."""
     if not isinstance(item, list) or len(item) != 3:
@@ -230,22 +224,23 @@ def _distinct_names(names: list[str], kind: str) -> None:
         raise SchemaError(f"{kind} names collide: {names}")
 
 
-def _load_datasets(paths: list[str]) -> list[Dataset]:
-    datasets = [load_documents(p) for p in paths]
-    _distinct_names([ds.name for ds in datasets], "dataset")
-    return datasets
+def _load_named(load, paths: list[str], kind: str) -> list:
+    """``load`` of each path; two results with one name are a SchemaError."""
+    loaded = [load(p) for p in paths]
+    _distinct_names([x.name for x in loaded], kind)
+    return loaded
 
 
-def _load_systems(paths: list[str]):
-    systems = [load_system(p) for p in paths]
-    _distinct_names([s.name for s in systems], "system")
-    return systems
+def _load_scored(args) -> tuple[list[Dataset], list[str], dict[str, PredictionMatrix]]:
+    """The datasets that evaluate and bias score, the matrix.json systems and matrices."""
+    datasets = _load_named(load_documents, args.dataset, "dataset")
+    return (datasets, *_load_matrix_file(Path(args.matrix), datasets))
 
 
 def _load_model_and_systems(model_path: str, system_paths: list[str]):
     """The saved model and the systems it must be applied with."""
     model = load_model(model_path)
-    systems = _load_systems(system_paths)
+    systems = _load_named(load_system, system_paths, "system")
     if {s.name for s in systems} != set(model.system_names):
         raise SchemaError(
             f"model was trained on systems {sorted(model.system_names)}, "
@@ -266,7 +261,7 @@ def _detect_all(datasets, systems) -> tuple[list, dict[str, PredictionMatrix]]:
 
 def _ensemble_inputs(dataset_paths: list[str], freq_table: str, systems, seed: int):
     """Labeled datasets, a length-matched synthetic one for each, and all their matrices."""
-    labeled = _load_datasets(dataset_paths)
+    labeled = _load_named(load_documents, dataset_paths, "dataset")
     table = load_frequency_table(freq_table)
     synthetic = [
         generate_matched(table, ds, _child_seed(seed, i)) for i, ds in enumerate(labeled)
@@ -297,12 +292,46 @@ def _forest_params(args, seed: int) -> ForestParams:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# Each cmd_* computes and returns (tables, params, inputs): its rows keyed by
+# table name, its manifest parameters and its input files. main writes every
+# table and then, last, manifest.json; a command writes only its own files
+# (matrix.json, synthetic.jsonl, model.json).
 # ---------------------------------------------------------------------------
 
+# The columns of each table a command returns, by table name.
+TABLES = {
+    "hits": ["dataset", "doc_id", "system", "sdg", "query_id", "term", "positions"],
+    "keyword_frequencies": ["dataset", "system", "term", "count"],
+    "metrics": [
+        "dataset",
+        "system",
+        "tp",
+        "fp",
+        "tn",
+        "fn",
+        "sensitivity",
+        "specificity",
+        "accuracy",
+        "balanced_accuracy",
+        "precision",
+        "f1",
+    ],
+    "roc": ["dataset", "system", "fpr", "tpr"],
+    "sdgs_per_doc": ["dataset", "system", "mean_words", "mean_sdgs_per_doc"],
+    "bias": ["system", "dataset", "sdg", "observed", "predicted", "bias"],
+    "profiles": ["source", "dataset", "sdg", "proportion"],
+    "correlations": ["system", "metric", "value"],
+    "cv_report": ["sdg", "fold", "repeat", "tp", "fp", "tn", "fn", "accuracy", "f1"],
+    "curve": ["k", "pooled_accuracy", "mean_dataset_accuracy", "synthetic_fp_rate"],
+    "skipped": ["sdg", "repeat", "fold", "reason"],
+    "predictions": ["dataset", "doc_id", "sdg", "score", "assigned"],
+    "importance": ["sdg", "feature", "importance"],
+}
 
-def cmd_detect(args, ctx) -> int:
-    out_dir = ctx["out_dir"]
-    systems = _load_systems(args.systems)
+
+def cmd_detect(args, ctx) -> tuple[dict, dict, list]:
+    systems = _load_named(load_system, args.systems, "system")
     externals = []
     for item in args.external or []:
         if "=" not in item:
@@ -310,7 +339,7 @@ def cmd_detect(args, ctx) -> int:
         externals.append(item.split("=", 1))
     system_names = [s.name for s in systems] + [name for name, _ in externals]
     _distinct_names(system_names, "system")
-    datasets = _load_datasets(args.dataset)
+    datasets = _load_named(load_documents, args.dataset, "dataset")
     hits_by_ds, matrices = _detect_all(datasets, systems)
 
     if externals:
@@ -346,35 +375,16 @@ def cmd_detect(args, ctx) -> int:
         for system, term, count in keyword_frequencies(hits):
             freq_rows.append((ds_name, system, term, count))
 
-    _write_table(
-        out_dir,
-        "hits",
-        ["dataset", "doc_id", "system", "sdg", "query_id", "term", "positions"],
-        hit_rows,
-        ctx["json"],
-    )
-    _write_table(
-        out_dir,
-        "keyword_frequencies",
-        ["dataset", "system", "term", "count"],
-        freq_rows,
-        ctx["json"],
-    )
-    _write_matrix_file(out_dir, system_names, matrices)
-    _write_manifest(
-        out_dir,
-        "detect",
+    atomic_write_text(ctx["out_dir"] / "matrix.json", _matrix_json(system_names, matrices))
+    return (
+        {"hits": hit_rows, "keyword_frequencies": freq_rows},
         {"datasets": args.dataset, "systems": args.systems, "external": args.external or []},
         args.dataset + args.systems + [path for _, path in externals],
-        ctx["seed"],
     )
-    return 0
 
 
-def cmd_evaluate(args, ctx) -> int:
-    out_dir = ctx["out_dir"]
-    datasets = _load_datasets(args.dataset)
-    systems, matrices = _load_matrix_file(Path(args.matrix), datasets)
+def cmd_evaluate(args, ctx) -> tuple[dict, dict, list]:
+    datasets, systems, matrices = _load_scored(args)
 
     metric_rows = []
     roc_rows = []
@@ -406,42 +416,11 @@ def cmd_evaluate(args, ctx) -> int:
             mean_sdgs, mean_words = sdgs_per_document(matrix, ds, system)
             spd_rows.append((ds.name, system, mean_words, mean_sdgs))
 
-    _write_table(
-        out_dir,
-        "metrics",
-        [
-            "dataset",
-            "system",
-            "tp",
-            "fp",
-            "tn",
-            "fn",
-            "sensitivity",
-            "specificity",
-            "accuracy",
-            "balanced_accuracy",
-            "precision",
-            "f1",
-        ],
-        metric_rows,
-        ctx["json"],
-    )
-    _write_table(out_dir, "roc", ["dataset", "system", "fpr", "tpr"], roc_rows, ctx["json"])
-    _write_table(
-        out_dir,
-        "sdgs_per_doc",
-        ["dataset", "system", "mean_words", "mean_sdgs_per_doc"],
-        spd_rows,
-        ctx["json"],
-    )
-    _write_manifest(
-        out_dir,
-        "evaluate",
+    return (
+        {"metrics": metric_rows, "roc": roc_rows, "sdgs_per_doc": spd_rows},
         {"datasets": args.dataset, "matrix": args.matrix},
         args.dataset + [args.matrix],
-        ctx["seed"],
     )
-    return 0
 
 
 def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, system: str):
@@ -453,10 +432,8 @@ def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, system: str):
     return expert, predicted
 
 
-def cmd_bias(args, ctx) -> int:
-    out_dir = ctx["out_dir"]
-    datasets = _load_datasets(args.dataset)
-    systems, matrices = _load_matrix_file(Path(args.matrix), datasets)
+def cmd_bias(args, ctx) -> tuple[dict, dict, list]:
+    datasets, systems, matrices = _load_scored(args)
 
     excluded = set()
     for item in args.exclude_pair or []:
@@ -498,7 +475,6 @@ def cmd_bias(args, ctx) -> int:
                         vec[sdg - 1],
                     )
                 )
-            for sdg in range(1, 18):
                 profile_rows.append((system, ds.name, sdg, predicted.proportions[sdg - 1]))
             try:
                 fidelities.append(profile_fidelity(expert, predicted))
@@ -520,24 +496,8 @@ def cmd_bias(args, ctx) -> int:
             )
     profile_rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
-    _write_table(
-        out_dir,
-        "bias",
-        ["system", "dataset", "sdg", "observed", "predicted", "bias"],
-        bias_rows,
-        ctx["json"],
-    )
-    _write_table(
-        out_dir,
-        "profiles",
-        ["source", "dataset", "sdg", "proportion"],
-        profile_rows,
-        ctx["json"],
-    )
-    _write_table(out_dir, "correlations", ["system", "metric", "value"], corr_rows, ctx["json"])
-    _write_manifest(
-        out_dir,
-        "bias",
+    return (
+        {"bias": bias_rows, "profiles": profile_rows, "correlations": corr_rows},
         {
             "datasets": args.dataset,
             "matrix": args.matrix,
@@ -545,13 +505,10 @@ def cmd_bias(args, ctx) -> int:
             "pairs": [list(p) for p in pairs],
         },
         args.dataset + [args.matrix],
-        ctx["seed"],
     )
-    return 0
 
 
-def cmd_synth(args, ctx) -> int:
-    out_dir = ctx["out_dir"]
+def cmd_synth(args, ctx) -> tuple[dict, dict, list]:
     table = load_frequency_table(args.freq_table)
     if args.match:
         reference = load_documents(args.match)
@@ -567,10 +524,9 @@ def cmd_synth(args, ctx) -> int:
         spec = SynthSpec(lengths, args.docs_per_length, ctx["seed"])
         dataset = generate_documents(table, spec)
         inputs = [args.freq_table]
-    save_documents(dataset, out_dir / "synthetic.jsonl")
-    _write_manifest(
-        out_dir,
-        "synth",
+    save_documents(dataset, ctx["out_dir"] / "synthetic.jsonl")
+    return (
+        {},
         {
             "freq_table": args.freq_table,
             "match": args.match,
@@ -578,19 +534,16 @@ def cmd_synth(args, ctx) -> int:
             "docs_per_length": args.docs_per_length,
         },
         inputs,
-        ctx["seed"],
     )
-    return 0
 
 
-def cmd_train(args, ctx) -> int:
+def cmd_train(args, ctx) -> tuple[dict, dict, list]:
     if not 0 <= args.k <= 10:
         raise ParamError("--k must lie in [0, 10]")
     if not 0 <= args.threshold <= 1:
         raise ParamError("--threshold must lie in [0, 1]")
-    out_dir = ctx["out_dir"]
     seed = ctx["seed"]
-    systems = _load_systems(args.systems)
+    systems = _load_named(load_system, args.systems, "system")
     labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
     system_names = [s.name for s in systems]
 
@@ -627,31 +580,13 @@ def cmd_train(args, ctx) -> int:
         )
         for rec in final_cv.records
     ]
-    skipped_rows = [(sdg, rep, fold, reason) for sdg, rep, fold, reason in final_cv.skipped]
 
     model = train_model(
         final_rows, system_names, args.k, _forest_params(args, seed), args.threshold
     )
-    save_model(model, out_dir / "model.json")
-
-    _write_table(
-        out_dir,
-        "cv_report",
-        ["sdg", "fold", "repeat", "tp", "fp", "tn", "fn", "accuracy", "f1"],
-        cv_rows,
-        ctx["json"],
-    )
-    _write_table(
-        out_dir,
-        "curve",
-        ["k", "pooled_accuracy", "mean_dataset_accuracy", "synthetic_fp_rate"],
-        curve_rows,
-        ctx["json"],
-    )
-    _write_table(out_dir, "skipped", ["sdg", "repeat", "fold", "reason"], skipped_rows, ctx["json"])
-    _write_manifest(
-        out_dir,
-        "train",
+    save_model(model, ctx["out_dir"] / "model.json")
+    return (
+        {"cv_report": cv_rows, "curve": curve_rows, "skipped": final_cv.skipped},
         {
             "datasets": args.dataset,
             "systems": args.systems,
@@ -667,15 +602,12 @@ def cmd_train(args, ctx) -> int:
             "threshold": args.threshold,
         },
         args.dataset + args.systems + [args.freq_table],
-        seed,
     )
-    return 0
 
 
-def cmd_predict(args, ctx) -> int:
-    out_dir = ctx["out_dir"]
+def cmd_predict(args, ctx) -> tuple[dict, dict, list]:
     model, systems = _load_model_and_systems(args.model, args.systems)
-    datasets = _load_datasets(args.dataset)
+    datasets = _load_named(load_documents, args.dataset, "dataset")
     _, matrices = _detect_all(datasets, systems)
 
     rows = []
@@ -686,25 +618,14 @@ def cmd_predict(args, ctx) -> int:
             assigned, scores = model.predict_document(preds, doc.word_count)
             for sdg in range(1, 18):
                 rows.append((ds.name, doc.id, sdg, scores[sdg], sdg in assigned))
-    _write_table(
-        out_dir,
-        "predictions",
-        ["dataset", "doc_id", "sdg", "score", "assigned"],
-        rows,
-        ctx["json"],
-    )
-    _write_manifest(
-        out_dir,
-        "predict",
+    return (
+        {"predictions": rows},
         {"model": args.model, "datasets": args.dataset, "systems": args.systems},
         [args.model] + args.dataset + args.systems,
-        ctx["seed"],
     )
-    return 0
 
 
-def cmd_importance(args, ctx) -> int:
-    out_dir = ctx["out_dir"]
+def cmd_importance(args, ctx) -> tuple[dict, dict, list]:
     seed = ctx["seed"]
     model, systems = _load_model_and_systems(args.model, args.systems)
     labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
@@ -715,10 +636,8 @@ def cmd_importance(args, ctx) -> int:
     for sdg in sorted(importances):
         for feature in feature_names_for(model.system_names):
             out_rows.append((sdg, feature, importances[sdg][feature]))
-    _write_table(out_dir, "importance", ["sdg", "feature", "importance"], out_rows, ctx["json"])
-    _write_manifest(
-        out_dir,
-        "importance",
+    return (
+        {"importance": out_rows},
         {
             "model": args.model,
             "datasets": args.dataset,
@@ -727,9 +646,7 @@ def cmd_importance(args, ctx) -> int:
             "repetitions": args.repetitions,
         },
         [args.model] + args.dataset + args.systems + [args.freq_table],
-        seed,
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +771,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         ctx = _build_context(args)
-        ctx["out_dir"].mkdir(parents=True, exist_ok=True)
-        return args.func(args, ctx)
+        out_dir = ctx["out_dir"]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tables, params, inputs = args.func(args, ctx)
+        for name, rows in tables.items():
+            _write_table(out_dir, name, TABLES[name], rows, ctx["json"])
+        _write_manifest(out_dir, args.command, params, inputs, ctx["seed"])
+        return 0
     except SdgToolError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return exc.exit_code

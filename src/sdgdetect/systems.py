@@ -102,9 +102,6 @@ class PredictionMatrix:
         """The pair's SDG mask; 0 when nothing is predicted or it is not covered."""
         return self._rows.get((doc_id, system), 0)
 
-    def is_predicted(self, doc_id: str, system: str, sdg: int) -> bool:
-        return 1 <= sdg <= 17 and bool(self._rows.get((doc_id, system), 0) >> (sdg - 1) & 1)
-
     def predicted(self, doc_id: str, system: str) -> frozenset[int]:
         return frozenset(mask_sdgs(self._rows.get((doc_id, system), 0)))
 

@@ -350,8 +350,9 @@ class NaiveMatrix:
 
 # ---------------------------------------------------------------------------
 # Reference scoring: the per-SDG loops that evaluate and bias scored with
-# before they took whole matrix rows as masks. Kept verbatim so that the
-# mask arithmetic can be checked count for count.
+# before they took whole matrix rows as masks. Kept as they were, save that
+# they read the matrix through ``predicted``, so that the mask arithmetic can
+# be checked count for count.
 # ---------------------------------------------------------------------------
 
 
@@ -363,7 +364,7 @@ def naive_confusion(matrix, dataset, system: str) -> ConfusionCounts:
         if not isinstance(doc, LabeledDocument):
             continue
         for sdg in doc.evaluated:
-            predicted = matrix.is_predicted(doc.id, system, sdg)
+            predicted = sdg in matrix.predicted(doc.id, system)
             labeled = sdg in doc.labels
             if predicted and labeled:
                 tp += 1

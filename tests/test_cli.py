@@ -94,6 +94,7 @@ class TestDetect:
         assert _detect(str(corpus), system, out) == 3
         assert "E_SCHEMA" in capsys.readouterr().err
         assert list(out.glob("*.tmp")) == []
+        assert not (out / "manifest.json").exists()
 
     def test_json_mirror(self, corpus, system, tmp_path):
         out = tmp_path / "out"
@@ -131,6 +132,61 @@ class TestDetect:
         assert manifest["command"] == "detect"
         assert manifest["seed"] == 42
         assert corpus in manifest["inputs"]
+
+
+DEMO_SYSTEMS = [
+    arg for s in ("alpha", "beta", "gamma") for arg in ("--systems", str(DEMO / f"system_{s}.csv"))
+]
+
+
+@pytest.fixture(scope="module")
+def demo_commands(tmp_path_factory):
+    """Each command's arguments over the demo inputs, with a matrix and model made for them."""
+    root = tmp_path_factory.mktemp("demo-inputs")
+    data, freq = ["--dataset", str(DEMO / "corpus.jsonl")], str(DEMO / "wordfreq.tsv")
+    matrix, model = str(root / "detect" / "matrix.json"), str(root / "train" / "model.json")
+    commands = {
+        "detect": ["detect", *data, *DEMO_SYSTEMS],
+        "evaluate": ["evaluate", *data, "--matrix", matrix],
+        "bias": ["bias", *data, "--matrix", matrix],
+        "synth": ["synth", "--freq-table", freq, "--lengths", "10,20", "--docs-per-length", "5"],
+        "train": ["train", *data, *DEMO_SYSTEMS, "--freq-table", freq, "--trees", "5",
+                  "--folds", "2", "--repeats", "1"],
+        "predict": ["predict", "--model", model, *data, *DEMO_SYSTEMS],
+        "importance": ["importance", "--model", model, *data, *DEMO_SYSTEMS, "--freq-table", freq,
+                       "--repetitions", "1"],
+    }
+    for name in ("detect", "train"):
+        assert main([*commands[name], "--out-dir", str(root / name)]) == 0
+    return commands
+
+
+class TestFailedRunLeavesNoManifest:
+    """Every command writes at least two files; when the second fails, the run
+    exits 3 and leaves the first file only: no manifest.json, no *.tmp."""
+
+    @pytest.mark.parametrize("mirror", [[], ["--json"]], ids=["csv", "json"])
+    @pytest.mark.parametrize(
+        "command", ["detect", "evaluate", "bias", "synth", "train", "predict", "importance"]
+    )
+    def test_second_write_fails(
+        self, demo_commands, command, mirror, tmp_path, monkeypatch, capsys
+    ):
+        real_replace, targets = os.replace, []
+
+        def replace(src, dst):
+            targets.append(dst)
+            if len(targets) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "out"
+        assert main([*demo_commands[command], *mirror, "--out-dir", str(out)]) == 3
+        assert f"error [E_IO]: cannot write {targets[1]}: disk full" in capsys.readouterr().err
+        assert len(targets) == 2
+        assert not (out / "manifest.json").exists()
+        assert sorted(out.iterdir()) == [Path(targets[0])]
 
 
 class TestEvaluateAndBias:

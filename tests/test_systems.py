@@ -220,8 +220,8 @@ class TestMatrix:
         system = load_system(_system(tmp_path / "s.csv", ["demo,1,q1,poverty"]))
         ds = _dataset("poverty here", "nothing to see")
         matrix = to_matrix(detect(ds, [system]), ds, [system])
-        assert matrix.is_predicted("d1", "demo", 1)
-        assert not matrix.is_predicted("d2", "demo", 1)
+        assert 1 in matrix.predicted("d1", "demo")
+        assert 1 not in matrix.predicted("d2", "demo")
         assert matrix.covers("d2", "demo")
 
     def test_duplicate_hits_collapse(self, tmp_path):
@@ -247,8 +247,8 @@ class TestMatrix:
         b = to_matrix([], ds, ["other"])
         a.merge(b)
         assert a.systems == ["demo", "other"]
-        assert a.is_predicted("d1", "demo", 1)
-        assert not a.is_predicted("d1", "other", 1)
+        assert 1 in a.predicted("d1", "demo")
+        assert 1 not in a.predicted("d1", "other")
 
     @pytest.mark.parametrize("sdg", [0, 18, -1])
     def test_add_rejects_sdg_outside_range(self, sdg):
@@ -287,7 +287,7 @@ class TestMatrix:
                     assert got.covers(doc, system) == want.covers(doc, system)
                     assert got.predicted(doc, system) == want.predicted(doc, system)
                     for sdg in range(0, 19):
-                        assert got.is_predicted(doc, system, sdg) == want.is_predicted(
+                        assert (sdg in got.predicted(doc, system)) == want.is_predicted(
                             doc, system, sdg
                         )
 
