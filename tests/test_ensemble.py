@@ -2,6 +2,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -348,7 +349,78 @@ class TestPredictOracle:
         assert forest_score(forest, (0.1, 5.0)) == pytest.approx(0.1)
 
 
+def _golden_cv_rows(seed, sdgs, n_docs, n_synthetic):
+    """Two labeled origins and a synthetic one; the last SDG has a single
+    positive document, so the fold that holds it trains on one class."""
+    rng = random.Random(seed)
+    docs = [("lab_a", f"a{i}") for i in range(n_docs)] + [("lab_b", f"b{i}") for i in range(n_docs)]
+    rows = {}
+    for sdg in sdgs:
+        rows[sdg] = []
+        for j, (origin, doc_id) in enumerate(docs):
+            flags = [float(rng.random() < 0.4) for _ in range(2)]
+            label = j == 0 if sdg == sdgs[-1] else rng.random() < 0.2 + 0.3 * sum(flags)
+            features = flags + [float(rng.randint(20, 80))]
+            weight = rng.choice([1 / n_docs, 0.5 / n_docs, 2 / 3])
+            rows[sdg].append(_row(doc_id, features, label, weight, origin, sdg))
+        for i in range(n_synthetic):
+            features = [float(rng.random() < 0.2), 0.0, float(rng.randint(20, 80))]
+            rows[sdg].append(
+                _row(f"syn-{i}", features, False, 1 / n_synthetic, "synthetic", sdg, True)
+            )
+    return rows
+
+
+def _cv_json(cv) -> dict:
+    """Every CvResult field; dicts keep their insertion order."""
+    return {
+        "records": [
+            [r.sdg, r.repeat, r.fold, astuple(r.counts), asdict(r.report)] for r in cv.records
+        ],
+        "pooled_counts": astuple(cv.pooled_counts),
+        "pooled_report": asdict(cv.pooled_report),
+        "per_origin_accuracy": cv.per_origin_accuracy,
+        "mean_origin_accuracy": cv.mean_origin_accuracy,
+        "synthetic_fp_rate": cv.synthetic_fp_rate,
+        "skipped": cv.skipped,
+        "fold_assignments": [
+            [[origin, doc_id, fold] for (origin, doc_id), fold in a.items()]
+            for a in cv.fold_assignments
+        ],
+    }
+
+
+def golden_cv_text() -> str:
+    """The text of ``data/golden_cv.json``: two seeded cross-validations.
+
+    Regenerate it, after a deliberate change, with
+    ``PYTHONPATH=src:tests python -c "import test_ensemble as t; print(t.golden_cv_text(), end='')"``.
+    """
+    runs = {
+        "a": cross_validate(
+            _golden_cv_rows(5, (1, 2, 9), 12, 8),
+            CvConfig(folds=3, repeats=2, seed=4),
+            ForestParams(num_trees=4, seed=2),
+        ),
+        "b": cross_validate(
+            _golden_cv_rows(23, (3, 17), 15, 10),
+            CvConfig(folds=4, repeats=2, seed=9, threshold=0.4),
+            ForestParams(num_trees=3, mtry=2, seed=6),
+        ),
+    }
+    return json.dumps({name: _cv_json(cv) for name, cv in runs.items()}, indent=1) + "\n"
+
+
 class TestCrossValidate:
+    def test_golden_result(self):
+        """Every field of two results, pinned to a file written by an earlier
+        version of cross_validate (json writes each float as its repr)."""
+        assert golden_cv_text() == (DATA / "golden_cv.json").read_text()
+        golden = json.loads((DATA / "golden_cv.json").read_text())
+        for run in golden.values():
+            assert run["skipped"] and run["synthetic_fp_rate"] is not None
+            assert list(run["per_origin_accuracy"]) == ["lab_a", "lab_b", "synthetic"]
+
     def _rows_by_sdg(self):
         rows = {g: [] for g in range(1, 18)}
         rng = random.Random(8)

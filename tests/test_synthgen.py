@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sdgdetect.corpus import Dataset, Document, save_documents
+from sdgdetect.corpus import Dataset, Document, load_documents, save_documents
 from sdgdetect.errors import ParamError, SchemaError
 from sdgdetect.synthgen import (
     SynthSpec,
@@ -16,6 +16,7 @@ from sdgdetect.synthgen import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+DEMO = Path(__file__).parent.parent / "demo"
 
 
 class TestLoadTable:
@@ -133,3 +134,12 @@ class TestGenerate:
         # the golden file itself is valid JSONL
         for line in golden.read_text().splitlines():
             json.loads(line)
+
+    def test_golden_matched_file(self, tmp_path):
+        """Length-matched documents over the demo corpus, byte for byte."""
+        reference = load_documents(DEMO / "corpus.jsonl")
+        ds = generate_matched(load_frequency_table(DEMO / "wordfreq.tsv"), reference, seed=31)
+        assert (ds.name, ds.kind) == (f"synthetic_{reference.name}", "synthetic")
+        out = tmp_path / "matched.jsonl"
+        save_documents(ds, out)
+        assert out.read_text() == (DATA_DIR / "golden_matched.jsonl").read_text()
