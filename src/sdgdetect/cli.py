@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -557,7 +558,7 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
         rows = build_features(matrices, system_names, labeled, synthetic, kg)
         cv = cross_validate(
             rows,
-            CvConfig(args.folds, args.repeats, seed, kg, args.threshold),
+            CvConfig(folds=args.folds, repeats=args.repeats, seed=seed, threshold=args.threshold),
             _forest_params(args, seed),
         )
         curve_rows.append(
@@ -675,6 +676,7 @@ def _read_config(path: str | None) -> dict[str, str]:
     return config
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
@@ -773,6 +775,8 @@ def main(argv: list[str] | None = None) -> int:
         ctx = _build_context(args)
         out_dir = ctx["out_dir"]
         out_dir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's manifest must not outlive a rerun that fails part-way
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         tables, params, inputs = args.func(args, ctx)
         for name, rows in tables.items():
             _write_table(out_dir, name, TABLES[name], rows, ctx["json"])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Container, Mapping, Sequence
@@ -390,7 +391,6 @@ class CvConfig:
     folds: int = 5
     repeats: int = 2
     seed: int = 0
-    k: float = 1.0  # synthetic weight factor used to build the rows
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -453,12 +453,7 @@ def cross_validate(
     records: list[CvFoldRecord] = []
     skipped: list[tuple[int, int, int, str]] = []
     assignments: list[dict[tuple[str, str], int]] = []
-    pooled = ConfusionCounts()
-    origin_correct: dict[str, int] = {}
-    origin_total: dict[str, int] = {}
-    labeled_origins: set[str] = set()
-    synth_fp = 0
-    synth_total = 0
+    scored: list[tuple[FeatureRow, bool]] = []  # (test row, predicted) of every record
 
     for rep in range(config.repeats):
         rng = np.random.Generator(
@@ -481,41 +476,28 @@ def cross_validate(
                 except OneClassError as exc:
                     skipped.append((sdg, rep, fold, str(exc)))
                     continue
-                tp = fp = tn = fn = 0
-                for r in test:
-                    predicted = forest_score(forest, r.features) >= config.threshold
-                    if predicted and r.label:
-                        tp += 1
-                    elif predicted:
-                        fp += 1
-                    elif r.label:
-                        fn += 1
-                    else:
-                        tn += 1
-                    correct = predicted == r.label
-                    origin_correct[r.origin] = origin_correct.get(r.origin, 0) + int(correct)
-                    origin_total[r.origin] = origin_total.get(r.origin, 0) + 1
-                    if r.synthetic:
-                        synth_total += 1
-                        synth_fp += int(predicted)
-                    else:
-                        labeled_origins.add(r.origin)
-                counts = ConfusionCounts(tp, fp, tn, fn)
-                pooled += counts
+                outcomes = [(r, forest_score(forest, r.features) >= config.threshold) for r in test]
+                tally = Counter((predicted, r.label) for r, predicted in outcomes)
+                counts = ConfusionCounts(
+                    tally[True, True], tally[True, False], tally[False, False], tally[False, True]
+                )
+                scored += outcomes
                 records.append(CvFoldRecord(sdg, rep, fold, counts, metrics(counts)))
 
-    per_origin = {
-        origin: origin_correct[origin] / origin_total[origin] for origin in sorted(origin_total)
-    }
-    labeled_accs = [per_origin[o] for o in sorted(labeled_origins)]
-    mean_origin = sum(labeled_accs) / len(labeled_accs) if labeled_accs else None
+    pooled = sum((rec.counts for rec in records), ConfusionCounts())
+    hits: dict[str, list[bool]] = {}
+    for r, predicted in scored:
+        hits.setdefault(r.origin, []).append(predicted == r.label)
+    per_origin = {origin: sum(h) / len(h) for origin, h in sorted(hits.items())}
+    labeled = [per_origin[o] for o in sorted({r.origin for r, _ in scored if not r.synthetic})]
+    synthetic = [predicted for r, predicted in scored if r.synthetic]
     return CvResult(
         tuple(records),
         pooled,
         metrics(pooled),
         per_origin,
-        mean_origin,
-        (synth_fp / synth_total) if synth_total else None,
+        sum(labeled) / len(labeled) if labeled else None,
+        sum(synthetic) / len(synthetic) if synthetic else None,
         tuple(skipped),
         tuple(assignments),
     )

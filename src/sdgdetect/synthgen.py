@@ -93,42 +93,31 @@ def load_frequency_table(path: str | Path) -> WordFrequencyTable:
     return WordFrequencyTable(words, tuple(merged[w] for w in words))
 
 
-def _sample_document(
-    table_words: np.ndarray, probs: np.ndarray, length: int, seed: int, counter: int, doc_id: str
-) -> Document:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, counter))))
-    tokens = tuple(rng.choice(table_words, size=length, p=probs).tolist())
-    return Document(doc_id, " ".join(tokens), tokens)
+def _generate(
+    table: WordFrequencyTable, docs: list[tuple[int, str]], seed: int, name: str
+) -> Dataset:
+    """One document per ``(length, doc_id)``; the i-th draws from SeedSequence((seed, i))."""
+    words = np.asarray(table.words, dtype=object)
+    probs = table.probabilities
+    documents = []
+    for counter, (length, doc_id) in enumerate(docs):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, counter))))
+        tokens = tuple(rng.choice(words, size=length, p=probs).tolist())
+        documents.append(Document(doc_id, " ".join(tokens), tokens))
+    return Dataset(name, tuple(documents), kind="synthetic")
 
 
 def generate_documents(
     table: WordFrequencyTable, spec: SynthSpec, name: str = "synthetic"
 ) -> Dataset:
     """docs_per_length i.i.d. documents at each requested length."""
-    words = np.asarray(table.words, dtype=object)
-    probs = table.probabilities
-    documents = []
-    counter = 0
-    for length in spec.lengths:
-        for j in range(spec.docs_per_length):
-            documents.append(
-                _sample_document(
-                    words, probs, length, spec.seed, counter, f"syn-{length}-{j:05d}"
-                )
-            )
-            counter += 1
-    return Dataset(name, tuple(documents), kind="synthetic")
+    docs = [(n, f"syn-{n}-{j:05d}") for n in spec.lengths for j in range(spec.docs_per_length)]
+    return _generate(table, docs, spec.seed, name)
 
 
 def generate_matched(
     table: WordFrequencyTable, reference: Dataset, seed: int, name: str | None = None
 ) -> Dataset:
     """One synthetic document per reference document, word counts preserved."""
-    words = np.asarray(table.words, dtype=object)
-    probs = table.probabilities
-    documents = []
-    for counter, ref in enumerate(reference.documents):
-        documents.append(
-            _sample_document(words, probs, ref.word_count, seed, counter, f"syn-{ref.id}")
-        )
-    return Dataset(name or f"synthetic_{reference.name}", tuple(documents), kind="synthetic")
+    docs = [(ref.word_count, f"syn-{ref.id}") for ref in reference.documents]
+    return _generate(table, docs, seed, name or f"synthetic_{reference.name}")

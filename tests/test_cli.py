@@ -124,6 +124,17 @@ class TestDetect:
         assert "E_SCHEMA" in err and "system names collide" in err
         assert not (out / "matrix.json").exists()
 
+    def test_second_run_in_process_keeps_no_flag_of_the_first(self, corpus, system, tmp_path):
+        ext = tmp_path / "ext.csv"
+        ext.write_text("doc_id,sdg\nd3,15\n")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert _detect(corpus, system, first, ["--json", "--external", f"black={ext}"]) == 0
+        assert _detect(corpus, system, second) == 0
+        assert (first / "hits.json").exists()
+        assert sorted(p.name for p in second.glob("*.json")) == ["manifest.json", "matrix.json"]
+        assert json.loads((second / "manifest.json").read_text())["params"]["external"] == []
+        assert json.loads((second / "matrix.json").read_text())["systems"] == ["demo"]
+
     def test_manifest_contents(self, corpus, system, tmp_path):
         out = tmp_path / "out"
         _detect(corpus, system, out, ["--seed", "42"])
@@ -187,6 +198,29 @@ class TestFailedRunLeavesNoManifest:
         assert len(targets) == 2
         assert not (out / "manifest.json").exists()
         assert sorted(out.iterdir()) == [Path(targets[0])]
+
+
+    def test_failed_rerun_removes_the_earlier_manifest(
+        self, corpus, system, tmp_path, monkeypatch, capsys
+    ):
+        other = tmp_path / "other.csv"
+        other.write_text("system,sdg,query_id,query\nother,6,q1,water\n")
+        out = tmp_path / "out"
+        assert _detect(corpus, system, out) == 0
+        real_replace, targets = os.replace, []
+
+        def replace(src, dst):
+            targets.append(dst)
+            if len(targets) == 2:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        assert _detect(corpus, system, out, ["--systems", str(other)]) == 3
+        assert f"error [E_IO]: cannot write {targets[1]}: disk full" in capsys.readouterr().err
+        assert json.loads((out / "matrix.json").read_text())["systems"] == ["demo", "other"]
+        assert not (out / "manifest.json").exists()
+        assert list(out.glob("*.tmp")) == []
 
 
 class TestEvaluateAndBias:
