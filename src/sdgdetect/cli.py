@@ -613,12 +613,14 @@ def cmd_predict(args, ctx) -> tuple[dict, dict, list]:
 
     rows = []
     for ds in datasets:
-        matrix = matrices[ds.name]
-        for doc in ds.documents:
-            preds = {s: matrix.predicted(doc.id, s) for s in model.system_names}
-            assigned, scores = model.predict_document(preds, doc.word_count)
-            for sdg in range(1, 18):
-                rows.append((ds.name, doc.id, sdg, scores[sdg], sdg in assigned))
+        row = matrices[ds.name].row
+        scores = model.score_documents(
+            [[row(doc.id, s) for s in model.system_names] for doc in ds.documents],
+            [doc.word_count for doc in ds.documents],
+        )
+        for doc, column in zip(ds.documents, zip(*scores)):
+            for sdg, score in enumerate(column, 1):
+                rows.append((ds.name, doc.id, sdg, score, score >= model.threshold))
     return (
         {"predictions": rows},
         {"model": args.model, "datasets": args.dataset, "systems": args.systems},

@@ -11,6 +11,11 @@ rows then carry unit weight), with the best split chosen by weighted
 Gini impurity decrease among `mtry` features sampled per node. Forest
 scores are the mean leaf positive-fraction across trees; an SDG is
 assigned at score >= threshold (default 0.5).
+
+A forest is one flat node table. Trees are grown into it from a stack,
+and `forest_scores` walks a whole matrix of rows through all trees at
+once. Float sums run strictly left to right: from Python 3.12 on, the
+builtin `sum` compensates float sums and would round differently.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Container, Mapping, Sequence
 
@@ -26,6 +31,7 @@ import numpy as np
 
 from .corpus import ALL_SDGS, Dataset, LabeledDocument, atomic_write_text, read_input
 from .errors import (
+    DegenerateInputError,
     MissingSystemError,
     ModelCorruptError,
     ModelVersionError,
@@ -40,8 +46,6 @@ from .systems import PredictionMatrix
 __all__ = [
     "FeatureRow",
     "ForestParams",
-    "Leaf",
-    "Split",
     "Forest",
     "EnsembleModel",
     "CvConfig",
@@ -51,6 +55,7 @@ __all__ = [
     "build_features",
     "train_forest",
     "forest_score",
+    "forest_scores",
     "train_model",
     "cross_validate",
     "permutation_importance",
@@ -102,24 +107,35 @@ class ForestParams:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    positive_fraction: float
-    weight: float
-
-
-@dataclass(frozen=True)
-class Split:
-    feature: int
-    threshold: float
-    left: "Leaf | Split"
-    right: "Leaf | Split"
-
-
-@dataclass(frozen=True)
 class Forest:
-    trees: tuple["Leaf | Split", ...]
+    """Every tree of one forest as one flat node table, one array value per node.
+
+    A split has ``feature >= 0`` and sends a row with ``x[feature] <=
+    threshold`` to node ``left``, any other row to node ``right``. A leaf
+    has ``feature == -1``, positive fraction ``p`` and weight ``w``. Unused
+    fields hold 0 (``left`` and ``right``: -1). Each tree is stored in
+    pre-order, left subtree first, from its root node in ``trees``.
+    """
+
+    trees: tuple[int, ...]  # root node of each tree
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
     n_features: int
     params: ForestParams
+
+    def __eq__(self, other):  # the generated one would take an array's truth value
+        return isinstance(other, Forest) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+
+def _forest(nodes: list[list], trees: list[int], n_features: int, params: ForestParams) -> Forest:
+    """A Forest from its nodes, each ``[feature, threshold, left, right, p, w]``."""
+    return Forest(tuple(trees), *map(np.array, zip(*nodes)), n_features, params)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +198,14 @@ def build_features(
 # ---------------------------------------------------------------------------
 # Tree growing
 # ---------------------------------------------------------------------------
+
+
+def _sum_in_order(values: Sequence[float]) -> float:
+    """The float sum of ``values`` taken strictly left to right from 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _child_seed(*parts: int) -> int:
@@ -250,30 +274,40 @@ def _best_split(
 def _grow(
     cols: np.ndarray,
     weights: np.ndarray,
-    rows: np.ndarray,
     flags: np.ndarray,
-    depth: int,
     rng: np.random.Generator,
     mtry: int,
     min_leaf_weight: float,
     max_depth: int | None,
-) -> Leaf | Split:
-    """Grow the subtree over the sample rows ``rows`` (ascending); a split
-    passes each child its own rows, so no node copies the sample."""
-    total = float(weights[0][rows].sum())
-    pos = float(weights[1][rows].sum())
-    pos_frac = pos / total
-    if pos_frac <= 0.0 or pos_frac >= 1.0 or (max_depth is not None and depth >= max_depth):
-        return Leaf(pos_frac, total)
-    feature_ids = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
-    best = _best_split(cols, weights, rows, flags, feature_ids, min_leaf_weight, total, pos)
-    if best is None:
-        return Leaf(pos_frac, total)
-    f, threshold = best
-    left = cols[f] <= threshold
-    tree_args = (flags, depth + 1, rng, mtry, min_leaf_weight, max_depth)
-    children = [_grow(cols, weights, rows[side[rows]], *tree_args) for side in (left, ~left)]
-    return Split(f, threshold, *children)
+    nodes: list[list],
+) -> None:
+    """Append one tree's nodes to ``nodes`` in pre-order, left subtree first.
+
+    A stack stands in for recursion, so a tree may be as deep as its data
+    makes it, and pops nodes in the recursion's order, so every
+    ``rng.choice`` draw is too. Each child gets its own ascending sample
+    rows, so no node copies the sample.
+    """
+    stack = [(np.arange(cols.shape[1]), 0, -1)]  # (rows, depth, split it is the right child of)
+    while stack:
+        rows, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][3] = len(nodes)
+        total = float(weights[0][rows].sum())
+        pos = float(weights[1][rows].sum())
+        pos_frac = pos / total
+        best = None
+        if 0.0 < pos_frac < 1.0 and (max_depth is None or depth < max_depth):
+            feature_ids = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
+            best = _best_split(cols, weights, rows, flags, feature_ids, min_leaf_weight, total, pos)
+        if best is None:
+            nodes.append([-1, 0.0, -1, -1, pos_frac, total])
+            continue
+        f, threshold = best
+        nodes.append([f, threshold, len(nodes) + 1, -1, 0.0, 0.0])
+        left = cols[f][rows] <= threshold
+        stack.append((rows[~left], depth + 1, len(nodes) - 1))
+        stack.append((rows[left], depth + 1, -1))
 
 
 def _rows_to_arrays(rows: Sequence[FeatureRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,7 +327,8 @@ def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
     mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(n_features))
     p = w / w.sum()
     flags = ((X == 0.0) | (X == 1.0)).all(axis=0)
-    trees = []
+    nodes: list[list] = []
+    roots = []
     for t in range(params.num_trees):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
         if params.bootstrap:  # unit weights, so a row's positive weight is its label
@@ -302,24 +337,40 @@ def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
         else:
             cols, weights = X.T.copy(), np.stack((w, w * y))
         min_leaf_weight = params.min_leaf_frac * float(weights[0].sum())
-        tree_args = (flags, 0, rng, mtry, min_leaf_weight, params.max_depth)
-        trees.append(_grow(cols, weights, np.arange(n), *tree_args))
-    return Forest(tuple(trees), n_features, params)
+        roots.append(len(nodes))
+        _grow(cols, weights, flags, rng, mtry, min_leaf_weight, params.max_depth, nodes)
+    return _forest(nodes, roots, n_features, params)
 
 
-def _tree_score(node: Leaf | Split, features: Sequence[float]) -> float:
-    while isinstance(node, Split):
-        node = node.left if features[node.feature] <= node.threshold else node.right
-    return node.positive_fraction
+def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Each row's mean leaf positive-fraction over all trees, in [0, 1].
+
+    ``X`` is a 2-D float array, one row per feature row. Every (row, tree)
+    pair walks down one level per step, and only the pairs not yet at a
+    leaf advance. Each row's leaf values are then added tree by tree in
+    stored order, starting from 0.0, and divided by the tree count.
+    """
+    if X.shape[1] != forest.n_features:
+        raise SchemaMismatchError(f"expected {forest.n_features} features, got {X.shape[1]}")
+    feature, threshold, left, right = forest.feature, forest.threshold, forest.left, forest.right
+    n_trees = len(forest.trees)
+    node = np.tile(forest.trees, len(X))  # pair i * n_trees + t: row i in tree t
+    pairs = np.flatnonzero(feature[node] >= 0)
+    while pairs.size:
+        at = node[pairs]
+        goes_left = X[pairs // n_trees, feature[at]] <= threshold[at]
+        node[pairs] = np.where(goes_left, left[at], right[at])
+        pairs = pairs[feature[node[pairs]] >= 0]
+    leaf_p = forest.p[node].reshape(len(X), n_trees)
+    total = np.zeros(len(X))
+    for t in range(n_trees):
+        total += leaf_p[:, t]
+    return total / n_trees
 
 
 def forest_score(forest: Forest, features: Sequence[float]) -> float:
-    """Mean leaf positive-fraction over all trees, in [0, 1]."""
-    if len(features) != forest.n_features:
-        raise SchemaMismatchError(
-            f"expected {forest.n_features} features, got {len(features)}"
-        )
-    return sum(_tree_score(t, features) for t in forest.trees) / len(forest.trees)
+    """Mean leaf positive-fraction over all trees, in [0, 1], of one row."""
+    return float(forest_scores(forest, np.array([features], dtype=np.float64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +400,27 @@ class EnsembleModel:
                 f"model was trained on systems {sorted(self.system_names)}, "
                 f"got {sorted(system_predictions)}"
             )
-        predicted = [system_predictions[s] for s in self.system_names]
-        scores: dict[int, float] = {}
-        assigned: set[int] = set()
+        masks = [
+            sum(1 << (g - 1) for g in system_predictions[s] if 1 <= g <= 17)
+            for s in self.system_names
+        ]
+        columns = self.score_documents([masks], [word_count])
+        scores = {sdg: column[0] for sdg, column in enumerate(columns, 1)}
+        return {sdg for sdg, score in scores.items() if score >= self.threshold}, scores
+
+    def score_documents(
+        self, masks: Sequence[Sequence[int]], word_counts: Sequence[int]
+    ) -> list[list[float]]:
+        """``scores[sdg - 1][i]``: document i's score, where ``masks[i]`` holds its
+        SDG mask (bit ``sdg - 1``) from each system in ``system_names`` order."""
+        masks = np.array(masks, dtype=np.int64).reshape(len(word_counts), len(self.system_names))
+        X = np.empty((len(word_counts), len(self.feature_names)))
+        X[:, -1] = word_counts
+        scores = []
         for sdg in range(1, 18):
-            score = forest_score(self.forests[sdg], feature_row(predicted, sdg, word_count))
-            scores[sdg] = score
-            if score >= self.threshold:
-                assigned.add(sdg)
-        return assigned, scores
+            X[:, :-1] = (masks >> (sdg - 1)) & 1
+            scores.append(forest_scores(self.forests[sdg], X).tolist())
+        return scores
 
 
 def train_model(
@@ -476,7 +539,8 @@ def cross_validate(
                 except OneClassError as exc:
                     skipped.append((sdg, rep, fold, str(exc)))
                     continue
-                outcomes = [(r, forest_score(forest, r.features) >= config.threshold) for r in test]
+                scores = forest_scores(forest, np.array([r.features for r in test])).tolist()
+                outcomes = [(r, score >= config.threshold) for r, score in zip(test, scores)]
                 tally = Counter((predicted, r.label) for r, predicted in outcomes)
                 counts = ConfusionCounts(
                     tally[True, True], tally[True, False], tally[False, False], tally[False, True]
@@ -496,7 +560,7 @@ def cross_validate(
         pooled,
         metrics(pooled),
         per_origin,
-        sum(labeled) / len(labeled) if labeled else None,
+        _sum_in_order(labeled) / len(labeled) if labeled else None,
         sum(synthetic) / len(synthetic) if synthetic else None,
         tuple(skipped),
         tuple(assignments),
@@ -522,28 +586,23 @@ def permutation_importance(
         raise ParamError("permutation importance needs evaluation rows")
     X, y, w = _rows_to_arrays(rows)
     total_w = w.sum()
-    labels = y.astype(bool).tolist()
-    weights = w.tolist()
+    labels = y.astype(bool)
 
     def weighted_accuracy(Xm: np.ndarray) -> float:
-        # plain-float rows: a split test on a list is cheaper than on a numpy row
-        correct = 0.0
-        for features, label, weight in zip(Xm.tolist(), labels, weights):
-            if (forest_score(forest, features) >= threshold) == label:
-                correct += weight
-        return correct / total_w
+        hits = (forest_scores(forest, Xm) >= threshold) == labels
+        return _sum_in_order(w[hits].tolist()) / total_w
 
     baseline = weighted_accuracy(X)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
     importances = []
+    Xp = X.copy()  # one column at a time is permuted in place, then restored
     for f in range(X.shape[1]):
         drops = []
         for _ in range(repetitions):
-            perm = rng.permutation(X.shape[0])
-            Xp = X.copy()
-            Xp[:, f] = X[perm, f]
+            Xp[:, f] = X[rng.permutation(X.shape[0]), f]
             drops.append(baseline - weighted_accuracy(Xp))
-        importances.append(sum(drops) / repetitions)
+        Xp[:, f] = X[:, f]
+        importances.append(_sum_in_order(drops) / repetitions)
     return importances
 
 
@@ -574,42 +633,50 @@ def model_importance(
 # ---------------------------------------------------------------------------
 
 
-def _node_to_obj(node: Leaf | Split):
-    if isinstance(node, Leaf):
-        return {"p": node.positive_fraction, "w": node.weight}
-    return {
-        "f": node.feature,
-        "t": node.threshold,
-        "l": _node_to_obj(node.left),
-        "r": _node_to_obj(node.right),
-    }
+def _tree_objs(forest: Forest) -> list[dict]:
+    """Each tree as nested ``{"f", "t", "l", "r"}`` split and ``{"p", "w"}`` leaf objects."""
+    node_arrays = (forest.feature, forest.threshold, forest.left, forest.right, forest.p, forest.w)
+    f, t, left, right, p, w = (a.tolist() for a in node_arrays)
+    objs = [{"p": p[i], "w": w[i]} if f[i] < 0 else {"f": f[i], "t": t[i]} for i in range(len(f))]
+    for i, obj in enumerate(objs):
+        if f[i] >= 0:
+            obj["l"], obj["r"] = objs[left[i]], objs[right[i]]
+    return [objs[root] for root in forest.trees]
 
 
-def _node_from_obj(obj, n_features: int) -> Leaf | Split:
-    if not isinstance(obj, dict):
-        raise ModelCorruptError("malformed tree node")
-    if "p" in obj:
-        leaf = Leaf(float(obj["p"]), float(obj["w"]))
-        if not (0.0 <= leaf.positive_fraction <= 1.0 and 0.0 <= leaf.weight < math.inf):
-            raise ModelCorruptError(
-                f"leaf p={leaf.positive_fraction} w={leaf.weight}: "
-                "p must lie in [0, 1] and w be finite and non-negative"
-            )
-        return leaf
-    try:
-        node = Split(
-            int(obj["f"]),
-            float(obj["t"]),
-            _node_from_obj(obj["l"], n_features),
-            _node_from_obj(obj["r"], n_features),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelCorruptError(f"malformed tree node: {exc}") from exc
-    if not 0 <= node.feature < n_features:
-        raise ModelCorruptError(f"split feature {node.feature} outside 0..{n_features - 1}")
-    if not math.isfinite(node.threshold):
-        raise ModelCorruptError(f"split threshold {node.threshold} is not finite")
-    return node
+def _forest_from_objs(trees: Sequence, n_features: int, params: ForestParams) -> Forest:
+    """The Forest of nested tree objects, each node checked; a stack stands in
+    for recursion, so any depth the JSON decoder accepts can be read."""
+    nodes: list[list] = []
+    roots = []
+    for tree in trees:
+        roots.append(len(nodes))
+        stack = [(tree, -1)]  # (node object, the split it is the right child of, or -1)
+        while stack:
+            obj, parent = stack.pop()
+            if parent >= 0:
+                nodes[parent][3] = len(nodes)
+            if not isinstance(obj, dict):
+                raise ModelCorruptError("malformed tree node")
+            if "p" in obj:
+                p, w = float(obj["p"]), float(obj["w"])
+                if not (0.0 <= p <= 1.0 and 0.0 <= w < math.inf):
+                    raise ModelCorruptError(
+                        f"leaf p={p} w={w}: p must lie in [0, 1] and w be finite and non-negative"
+                    )
+                nodes.append([-1, 0.0, -1, -1, p, w])
+                continue
+            try:
+                f, t, left, right = int(obj["f"]), float(obj["t"]), obj["l"], obj["r"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ModelCorruptError(f"malformed tree node: {exc}") from exc
+            if not 0 <= f < n_features:
+                raise ModelCorruptError(f"split feature {f} outside 0..{n_features - 1}")
+            if not math.isfinite(t):
+                raise ModelCorruptError(f"split threshold {t} is not finite")
+            nodes.append([f, t, len(nodes) + 1, -1, 0.0, 0.0])
+            stack += [(right, len(nodes) - 1), (left, -1)]
+    return _forest(nodes, roots, n_features, params)
 
 
 def save_model(model: EnsembleModel, path: str | Path) -> None:
@@ -625,12 +692,19 @@ def save_model(model: EnsembleModel, path: str | Path) -> None:
             str(sdg): {
                 "params": asdict(forest.params),
                 "n_features": forest.n_features,
-                "trees": [_node_to_obj(t) for t in forest.trees],
+                "trees": _tree_objs(forest),
             }
             for sdg, forest in sorted(model.forests.items())
         },
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True))
+    try:
+        text = json.dumps(payload, sort_keys=True)
+    except RecursionError:
+        raise DegenerateInputError(
+            f"cannot save the model to {path}: a tree nests deeper than JSON can encode; "
+            "limit the tree depth with --max-depth"
+        ) from None
+    atomic_write_text(path, text)
 
 
 def load_model(path: str | Path) -> EnsembleModel:
@@ -678,8 +752,7 @@ def load_model(path: str | Path) -> EnsembleModel:
                     f"forest {key}: num_trees is {params.num_trees}, "
                     f"but {len(fobj['trees'])} trees are stored"
                 )
-            trees = tuple(_node_from_obj(t, n_features) for t in fobj["trees"])
-            forests[int(key)] = Forest(trees, n_features, params)
+            forests[int(key)] = _forest_from_objs(fobj["trees"], n_features, params)
         threshold = float(payload["threshold"])
         if not 0.0 <= threshold <= 1.0:
             raise ModelCorruptError(f"threshold {threshold} outside [0, 1]")
@@ -687,5 +760,5 @@ def load_model(path: str | Path) -> EnsembleModel:
         if not 0.0 <= k <= 10.0:
             raise ModelCorruptError(f"k {k} outside [0, 10]")
         return EnsembleModel(forests, feature_names, system_names, k, seed, threshold)
-    except (KeyError, TypeError, ValueError, ParamError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, ParamError) as exc:
         raise ModelCorruptError(f"malformed model file: {exc}") from exc

@@ -6,17 +6,19 @@ node is evaluated by scanning the raw token list, and NEAR enumerates all
 position pairs. The query parser scans its text one character at a time.
 Scoring visits every evaluated (document, SDG) pair on its own. The tree
 grower at the end copies rows and argsorts every candidate column at
-every node.
+every node, and builds each tree as nested JSON objects, the form
+``model.json`` stores; the tree scorer walks those objects recursively.
 """
 
+import functools
 import math
+import operator
 import re
 
 import numpy as np
 
 from sdgdetect.bias import profile
 from sdgdetect.corpus import LabeledDocument
-from sdgdetect.ensemble import Leaf, Split
 from sdgdetect.errors import NearOperandError, NoLabelsError, QuerySyntaxError, SchemaError
 from sdgdetect.evaluation import ConfusionCounts
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term, is_position_bearing
@@ -437,23 +439,24 @@ def naive_grow(X, y, w, depth, rng, mtry, min_leaf_weight, max_depth):
     total = float(w.sum())
     pos_frac = float((w * y).sum() / total)
     if pos_frac <= 0.0 or pos_frac >= 1.0 or (max_depth is not None and depth >= max_depth):
-        return Leaf(pos_frac, total)
+        return {"p": pos_frac, "w": total}
     n_features = X.shape[1]
     feature_ids = rng.choice(n_features, size=min(mtry, n_features), replace=False)
     best = naive_best_split(X, y, w, feature_ids, min_leaf_weight)
     if best is None:
-        return Leaf(pos_frac, total)
+        return {"p": pos_frac, "w": total}
     f, threshold = best
     mask = X[:, f] <= threshold
     left = naive_grow(X[mask], y[mask], w[mask], depth + 1, rng, mtry, min_leaf_weight, max_depth)
     right = naive_grow(
         X[~mask], y[~mask], w[~mask], depth + 1, rng, mtry, min_leaf_weight, max_depth
     )
-    return Split(f, threshold, left, right)
+    return {"f": f, "t": threshold, "l": left, "r": right}
 
 
-def naive_trees(rows, params) -> tuple:
-    """The trees ``train_forest(rows, params)`` grows, by the reference grower."""
+def naive_trees(rows, params) -> list:
+    """The trees ``train_forest(rows, params)`` grows, by the reference grower,
+    as the nested objects ``model.json`` stores."""
     X = np.asarray([r.features for r in rows], dtype=np.float64)
     y = np.asarray([r.label for r in rows], dtype=np.float64)
     w = np.asarray([r.weight for r in rows], dtype=np.float64)
@@ -470,4 +473,42 @@ def naive_trees(rows, params) -> tuple:
             Xt, yt, wt = X, y, w
         min_leaf_weight = params.min_leaf_frac * float(wt.sum())
         trees.append(naive_grow(Xt, yt, wt, 0, rng, mtry, min_leaf_weight, params.max_depth))
-    return tuple(trees)
+    return trees
+
+
+def naive_tree_score(node, features) -> float:
+    if "p" in node:
+        return node["p"]
+    return naive_tree_score(node["l"] if features[node["f"]] <= node["t"] else node["r"], features)
+
+
+def naive_forest_score(trees, features) -> float:
+    """Mean leaf positive-fraction over nested tree objects, added left to right."""
+    leaves = [naive_tree_score(t, features) for t in trees]
+    return functools.reduce(operator.add, leaves, 0.0) / len(trees)
+
+
+def naive_permutation_importance(trees, rows, repetitions, seed, threshold=0.5) -> list[float]:
+    """Per-feature mean drop in weighted accuracy, from a fresh copy of the
+    rows per permutation, every float sum taken left to right."""
+    X = np.asarray([r.features for r in rows], dtype=np.float64)
+    w = np.asarray([r.weight for r in rows], dtype=np.float64)
+    labels = [r.label for r in rows]
+
+    def accuracy(Xm):
+        scores = [naive_forest_score(trees, x) for x in Xm.tolist()]
+        correct = [wt for s, label, wt in zip(scores, labels, w.tolist()) if (s >= threshold) == label]
+        return functools.reduce(operator.add, correct, 0.0) / w.sum()
+
+    baseline = accuracy(X)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+    importances = []
+    for f in range(X.shape[1]):
+        drops = []
+        for _ in range(repetitions):
+            perm = rng.permutation(X.shape[0])
+            Xp = X.copy()
+            Xp[:, f] = X[perm, f]
+            drops.append(baseline - accuracy(Xp))
+        importances.append(functools.reduce(operator.add, drops, 0.0) / repetitions)
+    return importances

@@ -382,6 +382,32 @@ class TestTrainPredictImportance:
             ]
         )
 
+    def test_tree_too_deep_to_save_exits_4(self, tmp_path, monkeypatch, capsys):
+        """A tree nested past json's encoder limit fails the run with E_DEGENERATE,
+        leaving no model, no manifest and no temporary file."""
+        import sdgdetect.cli as cli
+        from sdgdetect.ensemble import ForestParams, _forest_from_objs
+
+        tree = {"p": 1.0, "w": 1.0}
+        for i in range(100_000):
+            tree = {"f": 1, "t": float(i), "l": {"p": 0.0, "w": 1.0}, "r": tree}
+        deep = _forest_from_objs([tree], 2, ForestParams(num_trees=1))
+        train_model = cli.train_model
+
+        def train_deep(*args, **kwargs):
+            model = train_model(*args, **kwargs)
+            model.forests[1] = deep
+            return model
+
+        monkeypatch.setattr(cli, "train_model", train_deep)
+        capsys.readouterr()
+        out = tmp_path / "train"
+        assert self._train(out) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error [E_DEGENERATE]: cannot save the model to ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     def test_train_and_downstream(self, tmp_path):
         out = tmp_path / "train"
         assert self._train(out) == 0

@@ -1,4 +1,7 @@
+import functools
 import json
+import math
+import operator
 import os
 import random
 import sys
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracle import naive_trees
+from oracle import naive_forest_score, naive_permutation_importance, naive_trees
 
 from sdgdetect.corpus import Dataset, Document, LabeledDocument, load_documents
 from sdgdetect.errors import (
@@ -17,21 +20,21 @@ from sdgdetect.errors import (
     ModelVersionError,
     OneClassError,
     ParamError,
+    SchemaMismatchError,
 )
 from sdgdetect.ensemble import (
     CvConfig,
     EnsembleModel,
     FeatureRow,
-    Forest,
     ForestParams,
-    Leaf,
-    Split,
+    _forest_from_objs,
+    _tree_objs,
     build_features,
     cross_validate,
     forest_score,
+    forest_scores,
     load_model,
     permutation_importance,
-    _node_to_obj,
     save_model,
     train_forest,
     train_model,
@@ -139,9 +142,10 @@ class TestTrainForest:
     def test_identical_features_single_leaf(self):
         rows = [_row(f"d{i}", (1.0, 2.0), i % 2 == 0) for i in range(10)]
         forest = train_forest(rows, ForestParams(num_trees=3, bootstrap=False, seed=0))
-        for tree in forest.trees:
-            assert isinstance(tree, Leaf)
-            assert tree.positive_fraction == pytest.approx(0.5)
+        assert len(forest.trees) == 3
+        for tree in _tree_objs(forest):
+            assert set(tree) == {"p", "w"}
+            assert tree["p"] == pytest.approx(0.5)
 
     def test_determinism(self):
         rows = _separable_rows(rng_seed=4)
@@ -180,9 +184,8 @@ class TestSplitOracle:
         params = ForestParams(
             num_trees=1, mtry=len(rows[0].features), max_depth=1, bootstrap=False, seed=seed
         )
-        forest = train_forest(rows, params)
-        root = forest.trees[0]
-        assert isinstance(root, Split)
+        root = _tree_objs(train_forest(rows, params))[0]
+        assert "f" in root
         return root
 
     def test_root_split_matches_brute_force(self):
@@ -205,8 +208,8 @@ class TestSplitOracle:
             w = np.array([r.weight for r in rows])
             expected = _brute_force_best_split(X, y, w)
             root = self._root_split(rows, seed=trial)
-            assert root.feature == expected[0]
-            assert root.threshold == pytest.approx(expected[1])
+            assert root["f"] == expected[0]
+            assert root["t"] == pytest.approx(expected[1])
 
     def test_weight_doubling_invariance(self):
         rng = random.Random(5)
@@ -221,13 +224,9 @@ class TestSplitOracle:
         ]
         a = self._root_split(rows)
         b = self._root_split(doubled)
-        assert (a.feature, a.threshold) == (b.feature, b.threshold)
-        assert a.left.positive_fraction == pytest.approx(b.left.positive_fraction)
-        assert a.right.positive_fraction == pytest.approx(b.right.positive_fraction)
-
-
-def _trees_json(trees) -> list:
-    return [_node_to_obj(t) for t in trees]
+        assert (a["f"], a["t"]) == (b["f"], b["t"])
+        assert a["l"]["p"] == pytest.approx(b["l"]["p"])
+        assert a["r"]["p"] == pytest.approx(b["r"]["p"])
 
 
 def _oracle_case(rng: random.Random):
@@ -273,8 +272,8 @@ class TestGrowOracle:
         rng = random.Random(2024)
         for _ in range(200):
             rows, params = _oracle_case(rng)
-            got = _trees_json(train_forest(rows, params).trees)
-            assert got == _trees_json(naive_trees(rows, params)), params
+            got = _tree_objs(train_forest(rows, params))
+            assert got == naive_trees(rows, params), params
 
     def test_constant_flag_columns(self):
         # columns 0 and 1 are 0/1 flags that hold one value at every node
@@ -290,9 +289,9 @@ class TestGrowOracle:
         rows[1] = _row("d1", rows[1].features, False, rows[1].weight)
         for bootstrap in (False, True):
             params = ForestParams(num_trees=4, mtry=4, bootstrap=bootstrap, seed=9)
-            trees = train_forest(rows, params).trees
-            assert _trees_json(trees) == _trees_json(naive_trees(rows, params))
-            assert all(isinstance(t, Split) and t.feature >= 2 for t in trees)
+            trees = _tree_objs(train_forest(rows, params))
+            assert trees == naive_trees(rows, params)
+            assert all("f" in t and t["f"] >= 2 for t in trees)
 
 
 def _demo_model_rows():
@@ -332,17 +331,117 @@ class TestGolden:
 
     def test_weighted_no_bootstrap_forest(self):
         params = ForestParams(num_trees=3, mtry=2, bootstrap=False, seed=8)
-        trees = _trees_json(train_forest(_golden_forest_rows(), params).trees)
+        trees = _tree_objs(train_forest(_golden_forest_rows(), params))
         assert json.dumps(trees, sort_keys=True) == (DATA / "golden_forest.json").read_text()
+
+
+class TestForestScores:
+    """The batch scorer against the recursive oracle over the nested tree
+    objects, compared float for float."""
+
+    def test_random_rows_match_oracle(self):
+        rng = random.Random(404)
+        np_rng = np.random.default_rng(404)
+        for _ in range(60):
+            rows, params = _oracle_case(rng)
+            forest = train_forest(rows, params)
+            n_features = forest.n_features
+            X = np.vstack([
+                np.array([r.features for r in rows]),
+                np_rng.normal(size=(20, n_features)),
+                np_rng.integers(0, 2, size=(20, n_features)).astype(float),
+            ])
+            # a row holding a split's threshold exactly takes the <= branch
+            for f, t in zip(forest.feature.tolist(), forest.threshold.tolist()):
+                if f >= 0:
+                    tie = X[rng.randrange(len(X))].copy()
+                    tie[f] = t
+                    X = np.vstack([X, tie])
+            trees = naive_trees(rows, params)
+            expected = [naive_forest_score(trees, x) for x in X.tolist()]
+            assert forest_scores(forest, X).tolist() == expected
+            assert [forest_score(forest, x) for x in X.tolist()] == expected
+
+    def test_one_row_and_no_rows(self):
+        rows = _separable_rows(rng_seed=6)
+        forest = train_forest(rows, ForestParams(num_trees=4, seed=2))
+        one = np.array([rows[3].features])
+        assert forest_scores(forest, one).tolist() == [
+            naive_forest_score(_tree_objs(forest), rows[3].features)
+        ]
+        none = forest_scores(forest, np.empty((0, 2)))
+        assert none.shape == (0,)
+
+    def test_width_mismatch(self):
+        forest = train_forest(_separable_rows(), ForestParams(num_trees=2))
+        with pytest.raises(SchemaMismatchError, match="expected 2 features, got 3"):
+            forest_scores(forest, np.zeros((4, 3)))
+        with pytest.raises(SchemaMismatchError, match="expected 2 features, got 1"):
+            forest_score(forest, (0.5,))
+
+    def test_leaf_values_add_left_to_right(self):
+        """Each score is its leaves' float sum taken in tree order from 0.0. The
+        builtin sum compensates float sums from Python 3.12 on, which gives
+        the first row here its correctly rounded sum (math.fsum), not this."""
+        left = [0.1, 0.7, 1 / 3, 0.2, 7 / 13, 0.3, 0.9, 0.05]
+        right = [1 - p for p in left]
+        trees = [
+            {"f": 0, "t": 0.5, "l": {"p": p, "w": 1.0}, "r": {"p": q, "w": 1.0}}
+            for p, q in zip(left, right)
+        ]
+        forest = _forest_from_objs(trees, 1, ForestParams(num_trees=len(trees)))
+        in_order = [functools.reduce(operator.add, leaves, 0.0) for leaves in (left, right)]
+        assert forest_scores(forest, np.array([[0.0], [1.0]])).tolist() == [
+            total / len(trees) for total in in_order
+        ]
+        assert in_order[0] != math.fsum(left)
+
+
+def _depth(forest) -> int:
+    depth = [0] * len(forest.feature)
+    for i, (f, left, right) in enumerate(
+        zip(forest.feature.tolist(), forest.left.tolist(), forest.right.tolist())
+    ):
+        if f >= 0:  # pre-order: a split comes before its children
+            depth[left] = depth[right] = depth[i] + 1
+    return max(depth)
+
+
+@pytest.fixture
+def deep_recursion():
+    """The oracle grower and scorer recurse once per tree level."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+class TestDeepTrees:
+    """Ordered rows with alternating labels grow one split per row: a tree far
+    deeper than the recursion limit, which the stack-based grower grows."""
+
+    @pytest.mark.parametrize("n", [600, 2400])
+    def test_ordered_rows_grow_and_score_like_the_oracle(self, n, deep_recursion):
+        rows = [_row(f"d{i}", (0.0, float(i)), i % 2 == 1) for i in range(n)]
+        params = ForestParams(num_trees=1, bootstrap=False)
+        forest = train_forest(rows, params)
+        assert _depth(forest) == n - 1
+        X = np.array([r.features for r in rows] + [(0.0, i + 0.5) for i in range(-1, n)])
+        trees = naive_trees(rows, params)
+        assert forest_scores(forest, X).tolist() == [naive_forest_score(trees, x) for x in X.tolist()]
+        assert ((forest_scores(forest, X[:n]) >= 0.5) == [r.label for r in rows]).all()
 
 
 class TestPredictOracle:
     def test_two_tree_manual_walk(self):
-        tree1 = Split(0, 0.5, Leaf(0.2, 1.0), Leaf(0.9, 1.0))
-        tree2 = Split(
-            1, 10.0, Leaf(0.0, 1.0), Split(0, 0.5, Leaf(0.4, 1.0), Leaf(1.0, 1.0))
-        )
-        forest = Forest((tree1, tree2), 2, ForestParams(num_trees=2))
+        def leaf(p):
+            return {"p": p, "w": 1.0}
+
+        tree1 = {"f": 0, "t": 0.5, "l": leaf(0.2), "r": leaf(0.9)}
+        tree2 = {
+            "f": 1, "t": 10.0, "l": leaf(0.0), "r": {"f": 0, "t": 0.5, "l": leaf(0.4), "r": leaf(1.0)}
+        }
+        forest = _forest_from_objs([tree1, tree2], 2, ForestParams(num_trees=2))
         # features (0.7, 20): tree1 -> right leaf 0.9; tree2 -> right, then right leaf 1.0
         assert forest_score(forest, (0.7, 20.0)) == pytest.approx((0.9 + 1.0) / 2)
         # features (0.1, 5): tree1 -> 0.2; tree2 -> 0.0
@@ -502,6 +601,18 @@ class TestPermutationImportance:
         # feature 1 is never split on (feature 0 separates perfectly)
         assert imps[1] == 0.0
 
+    def test_matches_oracle(self):
+        """Each permutation scores a fresh copy of the rows in the oracle, and
+        every accuracy and mean drop is a left-to-right float sum."""
+        rng = random.Random(17)
+        for _ in range(8):
+            rows, params = _oracle_case(rng)
+            forest = train_forest(rows, params)
+            seed, threshold = rng.randrange(100), rng.choice([0.5, 0.3])
+            got = permutation_importance(forest, rows, repetitions=3, seed=seed, threshold=threshold)
+            trees = naive_trees(rows, params)
+            assert got == naive_permutation_importance(trees, rows, 3, seed, threshold)
+
     def test_determinism(self):
         rows = _separable_rows(n=30, rng_seed=3)
         forest = train_forest(rows, ForestParams(num_trees=5, seed=0))
@@ -615,20 +726,22 @@ class TestPersistence:
         with pytest.raises(ModelCorruptError, match=message):
             load_model(path)
 
-    def test_tree_too_deep_to_rebuild_is_corrupt(self, tmp_path, monkeypatch):
-        """A tree nested past the stack is corrupt also when the JSON decoder
-        accepts its nesting, so that rebuilding the tree is what recurses."""
+    def test_tree_deeper_than_the_recursion_limit_loads(self, tmp_path, monkeypatch):
+        """Reading a tree does not recurse, so a tree nested far past the
+        recursion limit loads whenever the JSON decoder accepts its nesting."""
         model, _ = _full_model()
         path = tmp_path / "model.json"
         save_model(model, path)
         payload = json.loads(path.read_text())
-        tree = {"p": 0.0, "w": 1.0}
-        for _ in range(sys.getrecursionlimit()):
+        depth = 10 * sys.getrecursionlimit()
+        tree = {"p": 1.0, "w": 1.0}
+        for _ in range(depth):
             tree = {"f": 0, "t": 0.5, "l": tree, "r": {"p": 0.0, "w": 1.0}}
-        payload["forests"]["1"]["trees"][0] = tree
+        payload["forests"]["1"]["trees"] = [tree] * 3
         monkeypatch.setattr(json, "loads", lambda text: payload)
-        with pytest.raises(ModelCorruptError, match="malformed model file: maximum recursion"):
-            load_model(path)
+        forest = load_model(path).forests[1]
+        assert forest.trees == (0, 2 * depth + 1, 4 * depth + 2)
+        assert forest_scores(forest, np.array([[0.0, 50.0], [1.0, 50.0]])).tolist() == [1.0, 0.0]
 
     def test_wrong_version(self, tmp_path):
         model, _ = _full_model()
