@@ -497,7 +497,8 @@ def naive_permutation_importance(trees, rows, repetitions, seed, threshold=0.5) 
 
     def accuracy(Xm):
         scores = [naive_forest_score(trees, x) for x in Xm.tolist()]
-        correct = [wt for s, label, wt in zip(scores, labels, w.tolist()) if (s >= threshold) == label]
+        hits = zip(scores, labels, w.tolist())
+        correct = [weight for s, label, weight in hits if (s >= threshold) == label]
         return functools.reduce(operator.add, correct, 0.0) / w.sum()
 
     baseline = accuracy(X)

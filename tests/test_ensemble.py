@@ -428,7 +428,8 @@ class TestDeepTrees:
         assert _depth(forest) == n - 1
         X = np.array([r.features for r in rows] + [(0.0, i + 0.5) for i in range(-1, n)])
         trees = naive_trees(rows, params)
-        assert forest_scores(forest, X).tolist() == [naive_forest_score(trees, x) for x in X.tolist()]
+        expected = [naive_forest_score(trees, x) for x in X.tolist()]
+        assert forest_scores(forest, X).tolist() == expected
         assert ((forest_scores(forest, X[:n]) >= 0.5) == [r.label for r in rows]).all()
 
 
@@ -439,7 +440,10 @@ class TestPredictOracle:
 
         tree1 = {"f": 0, "t": 0.5, "l": leaf(0.2), "r": leaf(0.9)}
         tree2 = {
-            "f": 1, "t": 10.0, "l": leaf(0.0), "r": {"f": 0, "t": 0.5, "l": leaf(0.4), "r": leaf(1.0)}
+            "f": 1,
+            "t": 10.0,
+            "l": leaf(0.0),
+            "r": {"f": 0, "t": 0.5, "l": leaf(0.4), "r": leaf(1.0)},
         }
         forest = _forest_from_objs([tree1, tree2], 2, ForestParams(num_trees=2))
         # features (0.7, 20): tree1 -> right leaf 0.9; tree2 -> right, then right leaf 1.0
@@ -609,9 +613,10 @@ class TestPermutationImportance:
             rows, params = _oracle_case(rng)
             forest = train_forest(rows, params)
             seed, threshold = rng.randrange(100), rng.choice([0.5, 0.3])
-            got = permutation_importance(forest, rows, repetitions=3, seed=seed, threshold=threshold)
+            got = permutation_importance(forest, rows, 3, seed, threshold)
             trees = naive_trees(rows, params)
-            assert got == naive_permutation_importance(trees, rows, 3, seed, threshold)
+            expected = naive_permutation_importance(trees, rows, 3, seed, threshold)
+            assert got == expected
 
     def test_determinism(self):
         rows = _separable_rows(n=30, rng_seed=3)
