@@ -5,11 +5,16 @@ frequencies of assigned labels; undefined (None) where observed_g = 0.
 Profile bias correlates a system's bias vectors across dataset pairs
 (Pearson, over SDGs defined in both); profile fidelity is the Spearman
 rank correlation between expert and system profiles.
+
+Float sums run left to right (`sum_in_order`): from Python 3.12 on, the
+builtin `sum` compensates them and would round differently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -25,11 +30,17 @@ __all__ = [
     "spearman",
     "profile_bias",
     "profile_fidelity",
+    "sum_in_order",
 ]
 
 N_SDGS = 17
 
 BiasVector = tuple  # 17 entries, float or None
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """The float sum of ``values`` taken strictly left to right from 0.0."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -73,13 +84,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 3:
         raise DegenerateInputError(f"correlation needs at least 3 points, got {n}")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    mx = sum_in_order(x) / n
+    my = sum_in_order(y) / n
+    sxx = sum_in_order((a - mx) ** 2 for a in x)
+    syy = sum_in_order((b - my) ** 2 for b in y)
     if sxx == 0 or syy == 0:
         raise DegenerateInputError("correlation undefined for a constant vector")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxy = sum_in_order((a - mx) * (b - my) for a, b in zip(x, y))
     return sxy / math.sqrt(sxx * syy)
 
 
@@ -123,7 +134,7 @@ def profile_bias(
                 f"pair ({a}, {b}) has only {len(common)} commonly defined SDG biases"
             )
         rs.append(pearson([c[0] for c in common], [c[1] for c in common]))
-    return sum(rs) / len(rs)
+    return sum_in_order(rs) / len(rs)
 
 
 def profile_fidelity(expert: SdgProfile, system: SdgProfile) -> float:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .bias import bias as bias_vector
-from .bias import profile, profile_bias, profile_fidelity
+from .bias import profile, profile_bias, profile_fidelity, sum_in_order
 from .corpus import (
     Dataset,
     LabeledDocument,
@@ -481,7 +481,7 @@ def cmd_bias(args, ctx) -> tuple[dict, dict, list]:
                 fidelities.append(profile_fidelity(expert, predicted))
             except DegenerateInputError as exc:
                 warn(f"fidelity for {system}/{ds.name}: {exc}")
-        fidelity = sum(fidelities) / len(fidelities) if fidelities else None
+        fidelity = sum_in_order(fidelities) / len(fidelities) if fidelities else None
         corr_rows.append((system, "profile_fidelity_mean_rho", fidelity))
         try:
             mean_r = profile_bias(biases, pairs) if pairs else None

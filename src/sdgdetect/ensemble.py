@@ -6,16 +6,16 @@ labeled dataset (N = documents) and k/N for length-matched synthetic
 datasets; k = 0 drops synthetic rows entirely.
 
 Trees are grown on weighted bootstraps (rows resampled with replacement,
-probability proportional to weight, sample size = row count; resampled
-rows then carry unit weight), with the best split chosen by weighted
+probability proportional to weight, sample size = row count; each drawn
+row then weighs its draw count), with the best split chosen by weighted
 Gini impurity decrease among `mtry` features sampled per node. Forest
 scores are the mean leaf positive-fraction across trees; an SDG is
-assigned at score >= threshold (default 0.5).
+assigned at score >= threshold (default 0.5). Row weights must be finite
+and non-negative.
 
 A forest is one flat node table. Trees are grown into it from a stack,
 and `forest_scores` walks a whole matrix of rows through all trees at
-once. Float sums run strictly left to right: from Python 3.12 on, the
-builtin `sum` compensates float sums and would round differently.
+once. Float sums run left to right (`bias.sum_in_order`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import Container, Mapping, Sequence
 
 import numpy as np
 
+from .bias import sum_in_order
 from .corpus import ALL_SDGS, Dataset, LabeledDocument, atomic_write_text, read_input
 from .errors import (
     DegenerateInputError,
@@ -200,14 +201,6 @@ def build_features(
 # ---------------------------------------------------------------------------
 
 
-def _sum_in_order(values: Sequence[float]) -> float:
-    """The float sum of ``values`` taken strictly left to right from 0.0."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
@@ -274,6 +267,7 @@ def _best_split(
 def _grow(
     cols: np.ndarray,
     weights: np.ndarray,
+    rows: np.ndarray,
     flags: np.ndarray,
     rng: np.random.Generator,
     mtry: int,
@@ -281,14 +275,14 @@ def _grow(
     max_depth: int | None,
     nodes: list[list],
 ) -> None:
-    """Append one tree's nodes to ``nodes`` in pre-order, left subtree first.
+    """Append the tree grown on ascending ``rows`` to ``nodes``, pre-order, left subtree first.
 
     A stack stands in for recursion, so a tree may be as deep as its data
     makes it, and pops nodes in the recursion's order, so every
-    ``rng.choice`` draw is too. Each child gets its own ascending sample
-    rows, so no node copies the sample.
+    ``rng.choice`` draw is too. Each child gets its own ascending rows, so
+    no node copies the columns.
     """
-    stack = [(np.arange(cols.shape[1]), 0, -1)]  # (rows, depth, split it is the right child of)
+    stack = [(rows, 0, -1)]  # (rows, depth, split it is the right child of)
     while stack:
         rows, depth, parent = stack.pop()
         if parent >= 0:
@@ -317,29 +311,43 @@ def _rows_to_arrays(rows: Sequence[FeatureRow]) -> tuple[np.ndarray, np.ndarray,
     return X, y, w
 
 
-def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
-    if not rows:
+def _grow_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, params: ForestParams) -> Forest:
+    """The forest of rows ``X`` with 0/1 labels ``y`` and weights ``w``.
+
+    A bootstrap tree grows on the rows it drew, weighted by their integer
+    draw counts, so its weight sums are exact in any order. The draws are
+    those of ``rng.choice(n, size=n, replace=True, p=w / w.sum())``, from
+    its CDF built once per forest.
+    """
+    if not len(y):
         raise OneClassError("no training rows")
-    X, y, w = _rows_to_arrays(rows)
+    if not (w >= 0).all() or not math.isfinite(w.sum()):  # a NaN fails w >= 0
+        raise ParamError("row weights must be finite and non-negative")
     if (w[y > 0].sum() <= 0) or (w[y == 0].sum() <= 0):
         raise OneClassError("training rows contain only one class")
     n, n_features = X.shape
     mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(n_features))
-    p = w / w.sum()
-    flags = ((X == 0.0) | (X == 1.0)).all(axis=0)
+    cols = X.T.copy()
+    flags = ((cols == 0.0) | (cols == 1.0)).all(axis=1)
+    unit = np.stack((np.ones(n), y))  # (weight, positive weight) of a row of weight 1
+    rows, weights = np.arange(n), unit * w
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
     nodes: list[list] = []
     roots = []
     for t in range(params.num_trees):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
-        if params.bootstrap:  # unit weights, so a row's positive weight is its label
-            idx = rng.choice(n, size=n, replace=True, p=p)
-            cols, weights = X[idx].T.copy(), np.stack((np.ones(n), y[idx]))
-        else:
-            cols, weights = X.T.copy(), np.stack((w, w * y))
+        if params.bootstrap:
+            m = np.bincount(cdf.searchsorted(rng.random(n), side="right"), minlength=n)
+            rows, weights = np.flatnonzero(m), unit * m
         min_leaf_weight = params.min_leaf_frac * float(weights[0].sum())
         roots.append(len(nodes))
-        _grow(cols, weights, flags, rng, mtry, min_leaf_weight, params.max_depth, nodes)
+        _grow(cols, weights, rows, flags, rng, mtry, min_leaf_weight, params.max_depth, nodes)
     return _forest(nodes, roots, n_features, params)
+
+
+def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
+    return _grow_forest(*_rows_to_arrays(rows), params)
 
 
 def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -518,28 +526,30 @@ def cross_validate(
     assignments: list[dict[tuple[str, str], int]] = []
     scored: list[tuple[FeatureRow, bool]] = []  # (test row, predicted) of every record
 
+    sdgs = sorted(rows_by_sdg)
+    arrays = {sdg: _rows_to_arrays(rows_by_sdg[sdg]) for sdg in sdgs}
     for rep in range(config.repeats):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((config.seed, rep)))
-        )
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, rep))))
         assignment = _assign_folds(doc_info, config.folds, rng)
         assignments.append(assignment)
+        fold_of = {
+            sdg: np.array([assignment[(r.origin, r.doc_id)] for r in rows_by_sdg[sdg]], dtype=int)
+            for sdg in sdgs
+        }
         for fold in range(config.folds):
-            for sdg in sorted(rows_by_sdg):
-                rows = rows_by_sdg[sdg]
-                train = [r for r in rows if assignment[(r.origin, r.doc_id)] != fold]
-                test = [r for r in rows if assignment[(r.origin, r.doc_id)] == fold]
-                if not test:
+            for sdg in sdgs:
+                in_test = fold_of[sdg] == fold
+                if not in_test.any():
                     continue
-                fold_params = replace(
-                    params, seed=_child_seed(config.seed, rep, fold, sdg)
-                )
+                X, y, w = arrays[sdg]
+                fold_params = replace(params, seed=_child_seed(config.seed, rep, fold, sdg))
                 try:
-                    forest = train_forest(train, fold_params)
+                    forest = _grow_forest(X[~in_test], y[~in_test], w[~in_test], fold_params)
                 except OneClassError as exc:
                     skipped.append((sdg, rep, fold, str(exc)))
                     continue
-                scores = forest_scores(forest, np.array([r.features for r in test])).tolist()
+                test = [rows_by_sdg[sdg][i] for i in np.flatnonzero(in_test)]
+                scores = forest_scores(forest, X[in_test]).tolist()
                 outcomes = [(r, score >= config.threshold) for r, score in zip(test, scores)]
                 tally = Counter((predicted, r.label) for r, predicted in outcomes)
                 counts = ConfusionCounts(
@@ -560,7 +570,7 @@ def cross_validate(
         pooled,
         metrics(pooled),
         per_origin,
-        _sum_in_order(labeled) / len(labeled) if labeled else None,
+        sum_in_order(labeled) / len(labeled) if labeled else None,
         sum(synthetic) / len(synthetic) if synthetic else None,
         tuple(skipped),
         tuple(assignments),
@@ -590,7 +600,7 @@ def permutation_importance(
 
     def weighted_accuracy(Xm: np.ndarray) -> float:
         hits = (forest_scores(forest, Xm) >= threshold) == labels
-        return _sum_in_order(w[hits].tolist()) / total_w
+        return sum_in_order(w[hits].tolist()) / total_w
 
     baseline = weighted_accuracy(X)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
@@ -602,7 +612,7 @@ def permutation_importance(
             Xp[:, f] = X[rng.permutation(X.shape[0]), f]
             drops.append(baseline - weighted_accuracy(Xp))
         Xp[:, f] = X[:, f]
-        importances.append(_sum_in_order(drops) / repetitions)
+        importances.append(sum_in_order(drops) / repetitions)
     return importances
 
 

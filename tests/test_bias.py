@@ -13,6 +13,7 @@ from sdgdetect.bias import (
     profile_bias,
     profile_fidelity,
     spearman,
+    sum_in_order,
 )
 from sdgdetect.errors import DegenerateInputError
 
@@ -187,3 +188,31 @@ class TestProfileFidelity:
         varied = _profile(g1=0.5, g2=0.5)
         with pytest.raises(DegenerateInputError):
             profile_fidelity(uniform, varied)
+
+
+class TestSumsInOrder:
+    """Float sums run left to right from 0.0, as the builtin ``sum`` adds
+    them up to Python 3.11; from 3.12 on it compensates, and the inputs
+    here are ones where that rounds differently."""
+
+    def test_sum_in_order(self):
+        assert sum_in_order([0.1] * 10) == 0.9999999999999999
+        assert math.fsum([0.1] * 10) == 1.0
+        assert sum_in_order([1e16, 1.0, -1e16]) == 0.0
+        assert sum_in_order(iter([0.5, 0.25])) == 0.75
+        assert sum_in_order([]) == 0.0
+
+    def test_pearson(self):
+        x, y = [0.74, -0.42, 0.92, 0.08], [0.36, -0.59, 0.88, 0.38]
+        assert pearson(x, y) == 0.8926916018753116  # compensated sums: ...118
+        x, y = [-0.4, -0.28, -0.67, -0.71, -0.87, -0.4], [0.21, -0.99, 0.36, -0.32, -0.38, 0.64]
+        assert pearson(x, y) == -0.018558859388014496  # compensated sums: ...4597
+
+    def test_profile_bias(self):
+        biases = {
+            "a": (-0.6, 0.0, -0.3, -0.7),
+            "b": (-0.4, 0.4, -0.8, 0.4),
+            "c": (-0.4, 0.6, 0.3, 0.4),
+        }
+        pairs = [("a", "b"), ("a", "c"), ("b", "c")]
+        assert profile_bias(biases, pairs) == 0.38380095345145504  # compensated: ...455

@@ -5,7 +5,7 @@ import operator
 import os
 import random
 import sys
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +138,14 @@ class TestTrainForest:
         rows = [_row(f"d{i}", (float(i),), True) for i in range(5)]
         with pytest.raises(OneClassError):
             train_forest(rows, ForestParams(num_trees=1))
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("weight", [-0.5, -math.inf, math.nan, math.inf])
+    def test_invalid_weight_rejected(self, weight, bootstrap):
+        rows = _separable_rows()
+        rows[3] = _row("d3", rows[3].features, rows[3].label, weight=weight)
+        with pytest.raises(ParamError, match="weights must be finite and non-negative"):
+            train_forest(rows, ForestParams(num_trees=2, bootstrap=bootstrap))
 
     def test_identical_features_single_leaf(self):
         rows = [_row(f"d{i}", (1.0, 2.0), i % 2 == 0) for i in range(10)]
@@ -272,6 +280,23 @@ class TestGrowOracle:
         rng = random.Random(2024)
         for _ in range(200):
             rows, params = _oracle_case(rng)
+            got = _tree_objs(train_forest(rows, params))
+            assert got == naive_trees(rows, params), params
+
+    def test_zero_weights_and_heavy_duplicates(self):
+        """Rows of weight 0.0, which a plain tree keeps (they still move
+        thresholds and the flag test) and a bootstrap tree never draws, and
+        bootstraps of a few rows, where most rows are drawn many times."""
+        rng = random.Random(515)
+        for _ in range(150):
+            rows, params = _oracle_case(rng)
+            if rng.random() < 0.5:
+                rows, params = rows[: rng.randint(2, 6)], replace(params, bootstrap=True)
+            zero_frac = rng.choice([0.0, 0.3, 0.7])
+            rows[2:] = [  # rows 0 and 1 keep each class's weight positive
+                _row(r.doc_id, r.features, r.label, 0.0 if rng.random() < zero_frac else r.weight)
+                for r in rows[2:]
+            ]
             got = _tree_objs(train_forest(rows, params))
             assert got == naive_trees(rows, params), params
 
@@ -575,6 +600,12 @@ class TestCrossValidate:
         )
         assert result.skipped
         assert all(s[0] == 1 for s in result.skipped)
+
+    def test_invalid_weight_raises_instead_of_skipping(self):
+        rows = self._rows_by_sdg()
+        rows[4][7] = _row("d7", rows[4][7].features, rows[4][7].label, weight=math.nan, sdg=4)
+        with pytest.raises(ParamError, match="weights must be finite and non-negative"):
+            cross_validate(rows, CvConfig(folds=3, repeats=1), ForestParams(num_trees=2))
 
     def test_synthetic_fp_rate_tracked(self):
         rows = {1: []}
