@@ -64,6 +64,10 @@ from .systems import (
 
 CONFIG_ENV_VAR = "SDGDETECT_CONFIG"
 _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# Parsed arguments that are not a command's manifest params, and the names
+# under which two flags are recorded there.
+_NOT_PARAMS = {"command", "func", "seed", "out_dir", "json", "config"}
+_PARAM_NAMES = {"dataset": "datasets", "exclude_pair": "exclude_pairs"}
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +299,8 @@ def _forest_params(args, seed: int) -> ForestParams:
 # Commands
 #
 # Each cmd_* computes and returns (tables, params, inputs): its rows keyed by
-# table name, its manifest parameters and its input files. main writes every
+# table name, the manifest params it computes and its input files. main
+# records every parsed flag of the command as a manifest param, writes every
 # table and then, last, manifest.json; a command writes only its own files
 # (matrix.json, synthetic.jsonl, model.json).
 # ---------------------------------------------------------------------------
@@ -333,11 +338,9 @@ TABLES = {
 
 def cmd_detect(args, ctx) -> tuple[dict, dict, list]:
     systems = _load_named(load_system, args.systems, "system")
-    externals = []
-    for item in args.external or []:
-        if "=" not in item:
-            raise ParamError("--external expects NAME=PATH")
-        externals.append(item.split("=", 1))
+    externals = [item.split("=", 1) for item in args.external]
+    if any(len(pair) != 2 or not pair[0].strip() for pair in externals):
+        raise ParamError("--external expects NAME=PATH")
     system_names = [s.name for s in systems] + [name for name, _ in externals]
     _distinct_names(system_names, "system")
     datasets = _load_named(load_documents, args.dataset, "dataset")
@@ -379,7 +382,7 @@ def cmd_detect(args, ctx) -> tuple[dict, dict, list]:
     atomic_write_text(ctx["out_dir"] / "matrix.json", _matrix_json(system_names, matrices))
     return (
         {"hits": hit_rows, "keyword_frequencies": freq_rows},
-        {"datasets": args.dataset, "systems": args.systems, "external": args.external or []},
+        {},
         args.dataset + args.systems + [path for _, path in externals],
     )
 
@@ -419,7 +422,7 @@ def cmd_evaluate(args, ctx) -> tuple[dict, dict, list]:
 
     return (
         {"metrics": metric_rows, "roc": roc_rows, "sdgs_per_doc": spd_rows},
-        {"datasets": args.dataset, "matrix": args.matrix},
+        {},
         args.dataset + [args.matrix],
     )
 
@@ -437,7 +440,7 @@ def cmd_bias(args, ctx) -> tuple[dict, dict, list]:
     datasets, systems, matrices = _load_scored(args)
 
     excluded = set()
-    for item in args.exclude_pair or []:
+    for item in args.exclude_pair:
         if ":" not in item:
             raise ParamError("--exclude-pair expects NAME:NAME")
         a, b = item.split(":", 1)
@@ -499,12 +502,7 @@ def cmd_bias(args, ctx) -> tuple[dict, dict, list]:
 
     return (
         {"bias": bias_rows, "profiles": profile_rows, "correlations": corr_rows},
-        {
-            "datasets": args.dataset,
-            "matrix": args.matrix,
-            "exclude_pairs": args.exclude_pair or [],
-            "pairs": [list(p) for p in pairs],
-        },
+        {"pairs": [list(p) for p in pairs]},
         args.dataset + [args.matrix],
     )
 
@@ -526,16 +524,7 @@ def cmd_synth(args, ctx) -> tuple[dict, dict, list]:
         dataset = generate_documents(table, spec)
         inputs = [args.freq_table]
     save_documents(dataset, ctx["out_dir"] / "synthetic.jsonl")
-    return (
-        {},
-        {
-            "freq_table": args.freq_table,
-            "match": args.match,
-            "lengths": args.lengths,
-            "docs_per_length": args.docs_per_length,
-        },
-        inputs,
-    )
+    return {}, {}, inputs
 
 
 def cmd_train(args, ctx) -> tuple[dict, dict, list]:
@@ -588,20 +577,7 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
     save_model(model, ctx["out_dir"] / "model.json")
     return (
         {"cv_report": cv_rows, "curve": curve_rows, "skipped": final_cv.skipped},
-        {
-            "datasets": args.dataset,
-            "systems": args.systems,
-            "freq_table": args.freq_table,
-            "k": args.k,
-            "k_grid": grid,
-            "folds": args.folds,
-            "repeats": args.repeats,
-            "trees": args.trees,
-            "mtry": args.mtry,
-            "max_depth": args.max_depth,
-            "min_leaf_frac": args.min_leaf_frac,
-            "threshold": args.threshold,
-        },
+        {"k_grid": grid},
         args.dataset + args.systems + [args.freq_table],
     )
 
@@ -623,7 +599,7 @@ def cmd_predict(args, ctx) -> tuple[dict, dict, list]:
                 rows.append((ds.name, doc.id, sdg, score, score >= model.threshold))
     return (
         {"predictions": rows},
-        {"model": args.model, "datasets": args.dataset, "systems": args.systems},
+        {},
         [args.model] + args.dataset + args.systems,
     )
 
@@ -641,13 +617,7 @@ def cmd_importance(args, ctx) -> tuple[dict, dict, list]:
             out_rows.append((sdg, feature, importances[sdg][feature]))
     return (
         {"importance": out_rows},
-        {
-            "model": args.model,
-            "datasets": args.dataset,
-            "systems": args.systems,
-            "freq_table": args.freq_table,
-            "repetitions": args.repetitions,
-        },
+        {},
         [args.model] + args.dataset + args.systems + [args.freq_table],
     )
 
@@ -693,7 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", parents=[common], help="run labeling systems over datasets")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--systems", action="append", required=True)
-    p.add_argument("--external", action="append", help="NAME=PATH external predictions CSV")
+    p.add_argument(
+        "--external", action="append", default=[], help="NAME=PATH external predictions CSV"
+    )
     p.add_argument("--lenient-external", action="store_true", help="skip unknown doc ids")
     p.set_defaults(func=cmd_detect)
 
@@ -705,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bias", parents=[common], help="per-SDG bias and profile correlations")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--matrix", required=True)
-    p.add_argument("--exclude-pair", action="append", help="NAME:NAME pair to skip")
+    p.add_argument("--exclude-pair", action="append", default=[], help="NAME:NAME pair to skip")
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("synth", parents=[common], help="generate synthetic documents")
@@ -779,10 +751,11 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's manifest must not outlive a rerun that fails part-way
         (out_dir / "manifest.json").unlink(missing_ok=True)
-        tables, params, inputs = args.func(args, ctx)
+        tables, computed, inputs = args.func(args, ctx)
+        params = {_PARAM_NAMES.get(k, k): v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, rows in tables.items():
             _write_table(out_dir, name, TABLES[name], rows, ctx["json"])
-        _write_manifest(out_dir, args.command, params, inputs, ctx["seed"])
+        _write_manifest(out_dir, args.command, params | computed, inputs, ctx["seed"])
         return 0
     except SdgToolError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

@@ -108,7 +108,6 @@ class LabeledDocument(Document):
 class Dataset:
     name: str
     documents: tuple[Document, ...]
-    kind: str = "unlabeled"  # labeled | unlabeled | synthetic
 
     def __post_init__(self):
         if not self.documents:
@@ -210,11 +209,7 @@ def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[
     return rows
 
 
-def load_documents(
-    path: str | Path,
-    name: str | None = None,
-    kind: str | None = None,
-) -> Dataset:
+def load_documents(path: str | Path, name: str | None = None) -> Dataset:
     """Load a dataset from CSV (a ``.csv`` suffix) or else JSONL. JSONL lines
     end at LF (a CR before it is ignored), so a text may hold U+2028 or
     U+0085 unescaped."""
@@ -252,9 +247,7 @@ def load_documents(
                 )
             )
 
-    if kind is None:
-        kind = "labeled" if any(isinstance(d, LabeledDocument) for d in documents) else "unlabeled"
-    return Dataset(name or path.stem, tuple(documents), kind)
+    return Dataset(name or path.stem, tuple(documents))
 
 
 def save_documents(dataset: Dataset, path: str | Path) -> None:

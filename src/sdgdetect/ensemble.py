@@ -39,6 +39,7 @@ from .errors import (
     NoLabelsError,
     OneClassError,
     ParamError,
+    SchemaError,
     SchemaMismatchError,
 )
 from .evaluation import ConfusionCounts, MetricReport, metrics
@@ -73,6 +74,8 @@ WORD_COUNT_FEATURE = "word_count"
 
 
 def feature_names_for(system_names: Sequence[str]) -> list[str]:
+    if WORD_COUNT_FEATURE in system_names:
+        raise SchemaError(f"system name {WORD_COUNT_FEATURE!r} is the word-count feature's name")
     return list(system_names) + [WORD_COUNT_FEATURE]
 
 
@@ -166,6 +169,7 @@ def build_features(
     """
     if k < 0:
         raise ParamError("synthetic weight factor k must be non-negative")
+    feature_names_for(system_names)  # a system may not share the word count's feature name
     sources = [(ds, 1.0 / len(ds.documents), False) for ds in labeled_datasets]
     if k > 0:
         sources += [(ds, k / len(ds.documents), True) for ds in synthetic_datasets]
@@ -770,5 +774,5 @@ def load_model(path: str | Path) -> EnsembleModel:
         if not 0.0 <= k <= 10.0:
             raise ModelCorruptError(f"k {k} outside [0, 10]")
         return EnsembleModel(forests, feature_names, system_names, k, seed, threshold)
-    except (KeyError, TypeError, ValueError, ParamError) as exc:
+    except (KeyError, TypeError, ValueError, ParamError, SchemaError) as exc:
         raise ModelCorruptError(f"malformed model file: {exc}") from exc

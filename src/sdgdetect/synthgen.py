@@ -104,7 +104,7 @@ def _generate(
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, counter))))
         tokens = tuple(rng.choice(words, size=length, p=probs).tolist())
         documents.append(Document(doc_id, " ".join(tokens), tokens))
-    return Dataset(name, tuple(documents), kind="synthetic")
+    return Dataset(name, tuple(documents))
 
 
 def generate_documents(

@@ -232,9 +232,8 @@ def test_c09_k_weighting_contract():
                 LabeledDocument.from_text("d1", "x", [1]),
                 LabeledDocument.from_text("d2", "y", []),
             ),
-            kind="labeled",
         )
-        synth = Dataset("syn", (Document.from_text("s1", "z"),), kind="synthetic")
+        synth = Dataset("syn", (Document.from_text("s1", "z"),))
         matrices = {}
         for name, ids in (("lab", ["d1", "d2"]), ("syn", ["s1"])):
             m = PredictionMatrix()

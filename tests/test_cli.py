@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sdgdetect.cli import main
+from sdgdetect.cli import build_parser, main
 from sdgdetect.query import _MAX_NESTING
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -124,15 +125,27 @@ class TestDetect:
         assert "E_SCHEMA" in err and "system names collide" in err
         assert not (out / "matrix.json").exists()
 
+    @pytest.mark.parametrize(
+        "item", ["=ext.csv", " =ext.csv", "ext.csv"], ids=["empty", "blank", "no-sign"]
+    )
+    def test_external_without_name_is_2(self, corpus, system, tmp_path, capsys, item):
+        (tmp_path / "ext.csv").write_text("doc_id,sdg\nd3,15\n")
+        out = tmp_path / "out"
+        assert _detect(corpus, system, out, ["--external", item]) == 2
+        assert capsys.readouterr().err == "error [E_PARAMS]: --external expects NAME=PATH\n"
+        assert not (out / "matrix.json").exists()
+
     def test_second_run_in_process_keeps_no_flag_of_the_first(self, corpus, system, tmp_path):
         ext = tmp_path / "ext.csv"
         ext.write_text("doc_id,sdg\nd3,15\n")
         first, second = tmp_path / "first", tmp_path / "second"
-        assert _detect(corpus, system, first, ["--json", "--external", f"black={ext}"]) == 0
+        extra = ["--json", "--external", f"black={ext}", "--lenient-external"]
+        assert _detect(corpus, system, first, extra) == 0
         assert _detect(corpus, system, second) == 0
         assert (first / "hits.json").exists()
         assert sorted(p.name for p in second.glob("*.json")) == ["manifest.json", "matrix.json"]
-        assert json.loads((second / "manifest.json").read_text())["params"]["external"] == []
+        params = json.loads((second / "manifest.json").read_text())["params"]
+        assert (params["external"], params["lenient_external"]) == ([], False)
         assert json.loads((second / "matrix.json").read_text())["systems"] == ["demo"]
 
     def test_manifest_contents(self, corpus, system, tmp_path):
@@ -221,6 +234,26 @@ class TestFailedRunLeavesNoManifest:
         assert json.loads((out / "matrix.json").read_text())["systems"] == ["demo", "other"]
         assert not (out / "manifest.json").exists()
         assert list(out.glob("*.tmp")) == []
+
+
+class TestManifestParams:
+    """A manifest's params are every flag its command took, defaults included."""
+
+    GLOBAL = {"help", "seed", "out_dir", "json", "config"}
+    RECORDED_AS = {"dataset": "datasets", "exclude_pair": "exclude_pairs"}
+
+    @pytest.mark.parametrize(
+        "command", ["detect", "evaluate", "bias", "synth", "train", "predict", "importance"]
+    )
+    def test_every_flag_is_recorded(self, demo_commands, command, tmp_path):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions} - self.GLOBAL
+        want = {self.RECORDED_AS.get(d, d) for d in dests}
+        if command == "bias":
+            want.add("pairs")
+        out = tmp_path / "out"
+        assert main([*demo_commands[command], "--out-dir", str(out)]) == 0
+        assert sorted(json.loads((out / "manifest.json").read_text())["params"]) == sorted(want)
 
 
 class TestEvaluateAndBias:
@@ -524,6 +557,10 @@ class TestPredictRejectsCorruptModel:
             (lambda m: _first_split(m).update(t=float("nan")), "split threshold nan"),
             (lambda m: m.update(k=-1), "k -1.0 outside [0, 10]"),
             (lambda m: m.update(k=float("nan")), "k nan outside"),
+            (
+                lambda m: m.update(system_names=["word_count"], feature_names=["word_count"] * 2),
+                "system name 'word_count' is the word-count feature's name",
+            ),
         ],
         ids=[
             "num-trees-zero",
@@ -538,6 +575,7 @@ class TestPredictRejectsCorruptModel:
             "split-threshold-nan",
             "k-negative",
             "k-nan",
+            "system-named-word-count",
         ],
     )
     def test_predict_exits_3(self, trained_model, tmp_path, capsys, edit, message):
@@ -661,6 +699,26 @@ class TestExitCodes:
         assert rc == 4
         assert "E_ONE_CLASS" in capsys.readouterr().err
 
+
+    def test_system_named_word_count_is_3_before_cross_validation(
+        self, corpus, tmp_path, monkeypatch, capsys
+    ):
+        import sdgdetect.cli as cli
+
+        def cross_validate(*args, **kwargs):
+            raise AssertionError("cross-validation started")
+
+        monkeypatch.setattr(cli, "cross_validate", cross_validate)
+        sysfile = tmp_path / "wc.csv"
+        sysfile.write_text("system,sdg,query_id,query\nword_count,1,q1,poverty\n")
+        out = tmp_path / "o"
+        rc = main(["train", "--dataset", corpus, "--systems", str(sysfile),
+                   "--freq-table", str(DEMO / "wordfreq.tsv"), "--out-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error [E_SCHEMA]: system name 'word_count' is the word-count feature's name\n"
+        )
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag,value",

@@ -78,7 +78,7 @@ class TestLoad:
         assert isinstance(doc, LabeledDocument)
         assert doc.labels == frozenset({1})
         assert doc.evaluated == frozenset({1})
-        assert ds.kind == "labeled"
+        assert ds.labeled
 
     def test_labels_default_evaluated_all_17(self, tmp_path):
         p = tmp_path / "ds.jsonl"
@@ -91,7 +91,7 @@ class TestLoad:
         p.write_text('{"id":"d1","text":"plain"}\n')
         ds = load_documents(p)
         assert not isinstance(ds.documents[0], LabeledDocument)
-        assert ds.kind == "unlabeled"
+        assert not ds.labeled
 
     def test_sdg_out_of_range(self, tmp_path):
         p = tmp_path / "ds.jsonl"
@@ -222,10 +222,10 @@ class TestLoad:
             LabeledDocument.from_text("d2", "safe water"),
             Document.from_text("d3", "no labels here"),
         )
-        ds = Dataset("mix", docs, kind="labeled")
+        ds = Dataset("mix", docs)
         out = tmp_path / "mix.jsonl"
         save_documents(ds, out)
-        loaded = load_documents(out, name="mix", kind="labeled")
+        loaded = load_documents(out, name="mix")
         assert loaded == ds
 
     def test_roundtrip_unicode_line_separators(self, tmp_path):

@@ -68,12 +68,10 @@ class TestBuildFeatures:
                 LabeledDocument.from_text("d1", "alpha beta", [1]),
                 LabeledDocument.from_text("d2", "gamma", []),
             ),
-            kind="labeled",
         )
         synth = Dataset(
             "syn",
             (Document.from_text("s1", "x y z"), Document.from_text("s2", "q")),
-            kind="synthetic",
         )
         matrices = {}
         for name, docs in (("lab", ["d1", "d2"]), ("syn", ["s1", "s2"])):
@@ -118,7 +116,6 @@ class TestBuildFeatures:
         labeled = Dataset(
             "lab",
             (LabeledDocument.from_text("d1", "t", [2], [2, 5]),),
-            kind="labeled",
         )
         m = PredictionMatrix()
         m.cover("d1", "sysA")

@@ -32,12 +32,12 @@ def _matrix(predictions, doc_ids, system="sys"):
 
 class TestConfusion:
     def test_restricted_to_evaluated(self):
-        ds = Dataset("t", (_labeled("d1", [3], [3]),), kind="labeled")
+        ds = Dataset("t", (_labeled("d1", [3], [3]),))
         matrix = _matrix([("d1", 3)], ["d1"])
         assert confusion(matrix, ds, "sys") == ConfusionCounts(tp=1)
 
     def test_all_seventeen(self):
-        ds = Dataset("t", (_labeled("d1", [3]),), kind="labeled")
+        ds = Dataset("t", (_labeled("d1", [3]),))
         matrix = _matrix([("d1", 3), ("d1", 5)], ["d1"])
         assert confusion(matrix, ds, "sys") == ConfusionCounts(tp=1, fp=1, tn=15, fn=0)
 
@@ -57,7 +57,7 @@ class TestConfusion:
             for g in range(1, 18):
                 if rng.random() < 0.25:
                     predictions.append((f"d{i}", g))
-        ds = Dataset("t", tuple(docs), kind="labeled")
+        ds = Dataset("t", tuple(docs))
         matrix = _matrix(predictions, [d.id for d in docs])
 
         # independent double loop over all evaluated pairs
@@ -74,7 +74,7 @@ class TestConfusion:
         assert confusion(matrix, ds, "sys") == ConfusionCounts(tp, fp, tn, fn)
 
     def test_predictions_outside_evaluated_never_count(self):
-        ds = Dataset("t", (_labeled("d1", [2], [2, 3]),), kind="labeled")
+        ds = Dataset("t", (_labeled("d1", [2], [2, 3]),))
         base = confusion(_matrix([("d1", 2)], ["d1"]), ds, "sys")
         mutated = confusion(_matrix([("d1", 2), ("d1", 9)], ["d1"]), ds, "sys")
         assert base == mutated

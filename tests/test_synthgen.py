@@ -85,7 +85,7 @@ class TestGenerate:
             "syn-5-00001",
         ]
         assert [d.word_count for d in ds.documents] == [3, 3, 5, 5]
-        assert ds.kind == "synthetic"
+        assert not ds.labeled
 
     def test_seed_determinism(self):
         table = WordFrequencyTable(("a", "b", "c"), (3, 2, 1))
@@ -139,7 +139,7 @@ class TestGenerate:
         """Length-matched documents over the demo corpus, byte for byte."""
         reference = load_documents(DEMO / "corpus.jsonl")
         ds = generate_matched(load_frequency_table(DEMO / "wordfreq.tsv"), reference, seed=31)
-        assert (ds.name, ds.kind) == (f"synthetic_{reference.name}", "synthetic")
+        assert (ds.name, ds.labeled) == (f"synthetic_{reference.name}", False)
         out = tmp_path / "matched.jsonl"
         save_documents(ds, out)
         assert out.read_text() == (DATA_DIR / "golden_matched.jsonl").read_text()
