@@ -339,7 +339,7 @@ TABLES = {
 def cmd_detect(args, ctx) -> tuple[dict, dict, list]:
     systems = _load_named(load_system, args.systems, "system")
     externals = [item.split("=", 1) for item in args.external]
-    if any(len(pair) != 2 or not pair[0].strip() for pair in externals):
+    if any(len(pair) != 2 or not pair[0].strip() or not pair[1].strip() for pair in externals):
         raise ParamError("--external expects NAME=PATH")
     system_names = [s.name for s in systems] + [name for name, _ in externals]
     _distinct_names(system_names, "system")
@@ -439,13 +439,16 @@ def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, system: str):
 def cmd_bias(args, ctx) -> tuple[dict, dict, list]:
     datasets, systems, matrices = _load_scored(args)
 
+    names = sorted(d.name for d in datasets)
     excluded = set()
     for item in args.exclude_pair:
         if ":" not in item:
             raise ParamError("--exclude-pair expects NAME:NAME")
         a, b = item.split(":", 1)
+        for name in (a, b):
+            if name not in names:
+                raise ParamError(f"--exclude-pair: no dataset named {name!r} in this run")
         excluded.add(frozenset((a, b)))
-    names = sorted(d.name for d in datasets)
     pairs = [
         (a, b)
         for i, a in enumerate(names)
@@ -544,9 +547,9 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
 
     curve_rows = []
     for kg in grid:
-        rows = build_features(matrices, system_names, labeled, synthetic, kg)
+        features = build_features(matrices, system_names, labeled, synthetic, kg)
         cv = cross_validate(
-            rows,
+            features,
             CvConfig(folds=args.folds, repeats=args.repeats, seed=seed, threshold=args.threshold),
             _forest_params(args, seed),
         )
@@ -554,7 +557,7 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
             (kg, cv.pooled_report.accuracy, cv.mean_origin_accuracy, cv.synthetic_fp_rate)
         )
         if kg == args.k:
-            final_cv, final_rows = cv, rows
+            final_cv, final_features = cv, features
 
     cv_rows = [
         (
@@ -572,7 +575,7 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
     ]
 
     model = train_model(
-        final_rows, system_names, args.k, _forest_params(args, seed), args.threshold
+        final_features, system_names, args.k, _forest_params(args, seed), args.threshold
     )
     save_model(model, ctx["out_dir"] / "model.json")
     return (
@@ -608,8 +611,8 @@ def cmd_importance(args, ctx) -> tuple[dict, dict, list]:
     seed = ctx["seed"]
     model, systems = _load_model_and_systems(args.model, args.systems)
     labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
-    rows = build_features(matrices, list(model.system_names), labeled, synthetic, model.k)
-    importances = model_importance(model, rows, repetitions=args.repetitions, seed=seed)
+    features = build_features(matrices, list(model.system_names), labeled, synthetic, model.k)
+    importances = model_importance(model, features, repetitions=args.repetitions, seed=seed)
 
     out_rows = []
     for sdg in sorted(importances):

@@ -3,7 +3,9 @@
 Feature layout: one boolean per base system ("system s assigned this
 SDG") followed by the raw document word count. Rows are weighted 1/N per
 labeled dataset (N = documents) and k/N for length-matched synthetic
-datasets; k = 0 drops synthetic rows entirely.
+datasets; k = 0 drops synthetic rows entirely. Each SDG's rows are one
+`FeatureSet` of arrays (`X`, labels `y`, weights `w`, each row's `(origin,
+doc_id)` key and synthetic flag), which every later step reads.
 
 Trees are grown on weighted bootstraps (rows resampled with replacement,
 probability proportional to weight, sample size = row count; each drawn
@@ -22,15 +24,14 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Container, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .bias import sum_in_order
-from .corpus import ALL_SDGS, Dataset, LabeledDocument, atomic_write_text, read_input
+from .corpus import Dataset, LabeledDocument, atomic_write_text, read_input
 from .errors import (
     DegenerateInputError,
     MissingSystemError,
@@ -46,14 +47,13 @@ from .evaluation import ConfusionCounts, MetricReport, metrics
 from .systems import PredictionMatrix
 
 __all__ = [
-    "FeatureRow",
+    "FeatureSet",
     "ForestParams",
     "Forest",
     "EnsembleModel",
     "CvConfig",
     "CvFoldRecord",
     "CvResult",
-    "feature_row",
     "build_features",
     "train_forest",
     "forest_score",
@@ -79,15 +79,18 @@ def feature_names_for(system_names: Sequence[str]) -> list[str]:
     return list(system_names) + [WORD_COUNT_FEATURE]
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    doc_id: str
-    origin: str
-    sdg: int
-    features: tuple[float, ...]
-    label: bool
-    weight: float
-    synthetic: bool = False
+@dataclass(frozen=True, eq=False)
+class FeatureSet:
+    """One SDG's feature rows, one array entry per row, in build order."""
+
+    X: np.ndarray  # float, (rows, systems + 1): a 0/1 flag per system, then the word count
+    y: np.ndarray  # float 0/1 labels
+    w: np.ndarray  # float weights
+    keys: tuple[tuple[str, str], ...]  # (origin, doc_id)
+    synthetic: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return len(self.y)
 
 
 @dataclass(frozen=True)
@@ -147,25 +150,19 @@ def _forest(nodes: list[list], trees: list[int], n_features: int, params: Forest
 # ---------------------------------------------------------------------------
 
 
-def feature_row(
-    predicted: Sequence[Container[int]], sdg: int, word_count: int
-) -> tuple[float, ...]:
-    """One SDG's features: a 0/1 flag per system's predicted SDG set (in
-    system order), then the word count."""
-    return tuple([1.0 if sdg in p else 0.0 for p in predicted] + [float(word_count)])
-
-
 def build_features(
     matrices: Mapping[str, PredictionMatrix],
     system_names: Sequence[str],
     labeled_datasets: Sequence[Dataset],
     synthetic_datasets: Sequence[Dataset],
     k: float,
-) -> dict[int, list[FeatureRow]]:
-    """Per-SDG feature rows with per-dataset 1/N (labeled) or k/N (synthetic) weights.
+) -> dict[int, FeatureSet]:
+    """Each SDG's `FeatureSet`, with per-dataset 1/N (labeled) or k/N (synthetic) weights.
 
-    Rows come from the labeled datasets first, then, when k > 0, from the
-    synthetic ones, which are negative for all 17 SDGs.
+    Rows follow the labeled datasets' documents, then, when k > 0, the
+    synthetic ones', which are negative for all 17 SDGs. A `LabeledDocument`
+    gives a row per SDG it was evaluated for, a plain `Document` none. Every
+    system must cover every synthetic document and every `LabeledDocument`.
     """
     if k < 0:
         raise ParamError("synthetic weight factor k must be non-negative")
@@ -173,31 +170,38 @@ def build_features(
     sources = [(ds, 1.0 / len(ds.documents), False) for ds in labeled_datasets]
     if k > 0:
         sources += [(ds, k / len(ds.documents), True) for ds in synthetic_datasets]
-    rows: dict[int, list[FeatureRow]] = {g: [] for g in range(1, 18)}
+    keys, table, weights = [], [], []  # table: system masks, evaluated, labels, synthetic, words
     for ds, weight, synthetic in sources:
         if not synthetic and not ds.labeled:
             raise NoLabelsError(f"dataset {ds.name!r} has no expert labels")
         matrix = matrices[ds.name]
         for doc in ds.documents:
             if synthetic:
-                sdgs, labels = ALL_SDGS, frozenset()
+                evaluated, labels = (1 << 17) - 1, 0  # every SDG, none of them positive
             elif isinstance(doc, LabeledDocument):
-                sdgs, labels = doc.evaluated, doc.labels
+                evaluated, labels = doc.evaluated_mask, doc.label_mask
             else:
                 continue
-            predicted = []
             for s in system_names:
                 if not matrix.covers(doc.id, s):
                     raise MissingSystemError(
                         f"system {s!r} has no predictions for document {doc.id!r}"
                     )
-                predicted.append(matrix.predicted(doc.id, s))
-            for sdg in sorted(sdgs):
-                features = feature_row(predicted, sdg, doc.word_count)
-                rows[sdg].append(
-                    FeatureRow(doc.id, ds.name, sdg, features, sdg in labels, weight, synthetic)
-                )
-    return rows
+            masks = [matrix.row(doc.id, s) for s in system_names]
+            table.append(masks + [evaluated, labels, synthetic, doc.word_count])
+            keys.append((ds.name, doc.id))
+            weights.append(weight)
+    table = np.array(table, dtype=np.int64).reshape(len(keys), len(system_names) + 4)
+    synthetic, weights = table[:, -2].astype(bool), np.array(weights)
+    features = {}
+    for sdg in range(1, 18):
+        bits = (table >> (sdg - 1)) & 1
+        rows = np.flatnonzero(bits[:, -4])
+        X = np.column_stack((bits[rows, :-4], table[rows, -1])).astype(np.float64)
+        y = bits[rows, -3].astype(np.float64)
+        row_keys = tuple(keys[i] for i in rows.tolist())
+        features[sdg] = FeatureSet(X, y, weights[rows], row_keys, synthetic[rows])
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +312,7 @@ def _grow(
         stack.append((rows[left], depth + 1, -1))
 
 
-def _rows_to_arrays(rows: Sequence[FeatureRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    X = np.asarray([r.features for r in rows], dtype=np.float64)
-    y = np.asarray([r.label for r in rows], dtype=np.float64)
-    w = np.asarray([r.weight for r in rows], dtype=np.float64)
-    return X, y, w
-
-
-def _grow_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, params: ForestParams) -> Forest:
+def train_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, params: ForestParams) -> Forest:
     """The forest of rows ``X`` with 0/1 labels ``y`` and weights ``w``.
 
     A bootstrap tree grows on the rows it drew, weighted by their integer
@@ -348,10 +345,6 @@ def _grow_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, params: ForestPara
         roots.append(len(nodes))
         _grow(cols, weights, rows, flags, rng, mtry, min_leaf_weight, params.max_depth, nodes)
     return _forest(nodes, roots, n_features, params)
-
-
-def train_forest(rows: Sequence[FeatureRow], params: ForestParams) -> Forest:
-    return _grow_forest(*_rows_to_arrays(rows), params)
 
 
 def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -436,7 +429,7 @@ class EnsembleModel:
 
 
 def train_model(
-    rows_by_sdg: Mapping[int, Sequence[FeatureRow]],
+    features: Mapping[int, FeatureSet],
     system_names: Sequence[str],
     k: float,
     params: ForestParams,
@@ -444,8 +437,10 @@ def train_model(
 ) -> EnsembleModel:
     forests = {}
     for sdg in range(1, 18):
-        sdg_params = replace(params, seed=_child_seed(params.seed, sdg))
-        forests[sdg] = train_forest(rows_by_sdg.get(sdg, []), sdg_params)
+        if sdg not in features:
+            raise OneClassError("no training rows")
+        fs, sdg_params = features[sdg], replace(params, seed=_child_seed(params.seed, sdg))
+        forests[sdg] = train_forest(fs.X, fs.y, fs.w, sdg_params)
     return EnsembleModel(
         forests,
         tuple(feature_names_for(system_names)),
@@ -513,31 +508,35 @@ def _assign_folds(
 
 
 def cross_validate(
-    rows_by_sdg: Mapping[int, Sequence[FeatureRow]],
+    features: Mapping[int, FeatureSet],
     config: CvConfig,
     params: ForestParams,
 ) -> CvResult:
     doc_info: dict[tuple[str, str], bool] = {}
-    for rows in rows_by_sdg.values():
-        for r in rows:
-            key = (r.origin, r.doc_id)
-            doc_info[key] = doc_info.get(key, False) or r.label
+    for fs in features.values():
+        for key, label in zip(fs.keys, fs.y.astype(bool).tolist()):
+            doc_info[key] = doc_info.get(key, False) or label
     if not doc_info:
         raise OneClassError("no rows to cross-validate")
 
     records: list[CvFoldRecord] = []
     skipped: list[tuple[int, int, int, str]] = []
     assignments: list[dict[tuple[str, str], int]] = []
-    scored: list[tuple[FeatureRow, bool]] = []  # (test row, predicted) of every record
+    index = {origin: i for i, origin in enumerate(sorted({origin for origin, _ in doc_info}))}
+    group = {  # each row's group: its origin's index, plus len(index) if synthetic
+        sdg: fs.synthetic * len(index) + np.array([index[o] for o, _ in fs.keys], dtype=int)
+        for sdg, fs in features.items()
+    }
+    tally = np.zeros(4 * len(index), dtype=np.int64)  # test rows per (group, predicted right)
+    synthetic_positives = 0
 
-    sdgs = sorted(rows_by_sdg)
-    arrays = {sdg: _rows_to_arrays(rows_by_sdg[sdg]) for sdg in sdgs}
+    sdgs = sorted(features)
     for rep in range(config.repeats):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, rep))))
         assignment = _assign_folds(doc_info, config.folds, rng)
         assignments.append(assignment)
         fold_of = {
-            sdg: np.array([assignment[(r.origin, r.doc_id)] for r in rows_by_sdg[sdg]], dtype=int)
+            sdg: np.array([assignment[key] for key in features[sdg].keys], dtype=int)
             for sdg in sdgs
         }
         for fold in range(config.folds):
@@ -545,37 +544,35 @@ def cross_validate(
                 in_test = fold_of[sdg] == fold
                 if not in_test.any():
                     continue
-                X, y, w = arrays[sdg]
+                fs, train = features[sdg], ~in_test
                 fold_params = replace(params, seed=_child_seed(config.seed, rep, fold, sdg))
                 try:
-                    forest = _grow_forest(X[~in_test], y[~in_test], w[~in_test], fold_params)
+                    forest = train_forest(fs.X[train], fs.y[train], fs.w[train], fold_params)
                 except OneClassError as exc:
                     skipped.append((sdg, rep, fold, str(exc)))
                     continue
-                test = [rows_by_sdg[sdg][i] for i in np.flatnonzero(in_test)]
-                scores = forest_scores(forest, X[in_test]).tolist()
-                outcomes = [(r, score >= config.threshold) for r, score in zip(test, scores)]
-                tally = Counter((predicted, r.label) for r, predicted in outcomes)
-                counts = ConfusionCounts(
-                    tally[True, True], tally[True, False], tally[False, False], tally[False, True]
-                )
-                scored += outcomes
+                predicted = forest_scores(forest, fs.X[in_test]) >= config.threshold
+                actual = fs.y[in_test].astype(bool)
+                tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
+                counts = ConfusionCounts(tp, fp, tn, fn)
                 records.append(CvFoldRecord(sdg, rep, fold, counts, metrics(counts)))
+                outcome = 2 * group[sdg][in_test] + (predicted == actual)
+                tally += np.bincount(outcome, minlength=len(tally))
+                synthetic_positives += int(predicted[fs.synthetic[in_test]].sum())
 
     pooled = sum((rec.counts for rec in records), ConfusionCounts())
-    hits: dict[str, list[bool]] = {}
-    for r, predicted in scored:
-        hits.setdefault(r.origin, []).append(predicted == r.label)
-    per_origin = {origin: sum(h) / len(h) for origin, h in sorted(hits.items())}
-    labeled = [per_origin[o] for o in sorted({r.origin for r, _ in scored if not r.synthetic})]
-    synthetic = [predicted for r, predicted in scored if r.synthetic]
+    tally = tally.reshape(2, len(index), 2)  # [synthetic][origin][wrong, right]
+    seen, right = tally.sum(axis=(0, 2)).tolist(), tally[:, :, 1].sum(axis=0).tolist()
+    per_origin = {o: r / n for o, r, n in zip(index, right, seen) if n}
+    labeled = [per_origin[o] for o, n in zip(index, tally[0].sum(axis=1).tolist()) if n]
+    synthetic_seen = int(tally[1].sum())
     return CvResult(
         tuple(records),
         pooled,
         metrics(pooled),
         per_origin,
         sum_in_order(labeled) / len(labeled) if labeled else None,
-        sum(synthetic) / len(synthetic) if synthetic else None,
+        synthetic_positives / synthetic_seen if synthetic_seen else None,
         tuple(skipped),
         tuple(assignments),
     )
@@ -588,7 +585,7 @@ def cross_validate(
 
 def permutation_importance(
     forest: Forest,
-    rows: Sequence[FeatureRow],
+    features: FeatureSet,
     repetitions: int = 10,
     seed: int = 0,
     threshold: float = 0.5,
@@ -596,11 +593,11 @@ def permutation_importance(
     """Per-feature mean drop in weighted accuracy when that column is permuted."""
     if repetitions < 1:
         raise ParamError("repetitions must be >= 1")
-    if not rows:
+    if not len(features):
         raise ParamError("permutation importance needs evaluation rows")
-    X, y, w = _rows_to_arrays(rows)
+    X, w = features.X, features.w
     total_w = w.sum()
-    labels = y.astype(bool)
+    labels = features.y.astype(bool)
 
     def weighted_accuracy(Xm: np.ndarray) -> float:
         hits = (forest_scores(forest, Xm) >= threshold) == labels
@@ -622,18 +619,17 @@ def permutation_importance(
 
 def model_importance(
     model: EnsembleModel,
-    rows_by_sdg: Mapping[int, Sequence[FeatureRow]],
+    features: Mapping[int, FeatureSet],
     repetitions: int = 10,
     seed: int = 0,
 ) -> dict[int, dict[str, float]]:
     out: dict[int, dict[str, float]] = {}
     for sdg in range(1, 18):
-        rows = rows_by_sdg.get(sdg, [])
-        if not rows:
+        if not len(features.get(sdg, ())):
             continue
         imps = permutation_importance(
             model.forests[sdg],
-            rows,
+            features[sdg],
             repetitions=repetitions,
             seed=_child_seed(seed, sdg),
             threshold=model.threshold,

@@ -19,13 +19,11 @@ from sdgdetect.cli import main
 from sdgdetect.corpus import Dataset
 from sdgdetect.ensemble import (
     CvConfig,
-    FeatureRow,
     ForestParams,
     build_features,
     cross_validate,
     forest_score,
     model_importance,
-    train_forest,
     train_model,
 )
 from sdgdetect.evaluation import ConfusionCounts, metrics, sdgs_per_document
@@ -33,6 +31,7 @@ from sdgdetect.query import match_query
 from sdgdetect.synthgen import SynthSpec, generate_documents, load_frequency_table
 from sdgdetect.systems import detect, to_matrix
 
+from packed_rows import Row, feature_sets, grow
 from oracle import naive_eval, random_query, random_tokens
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -160,10 +159,10 @@ def _rows_for_task(labels, feature_fn, n_sdgs=1, weight=None):
     w = weight if weight is not None else 1.0 / n
     for g in range(1, n_sdgs + 1):
         rows[g] = [
-            FeatureRow(f"d{i}", "task", g, tuple(feature_fn(i)), bool(labels[i]), w)
+            Row(f"d{i}", "task", g, tuple(feature_fn(i)), bool(labels[i]), w)
             for i in range(n)
         ]
-    return rows
+    return feature_sets(rows)
 
 
 def test_c07_ensemble_learnability():
@@ -241,33 +240,33 @@ def test_c09_k_weighting_contract():
                 m.cover(d, "sysA")
             matrices[name] = m
         rows0 = build_features(matrices, ["sysA"], [labeled], [synth], k=0.0)
-        assert all(not r.synthetic for g in rows0 for r in rows0[g])
+        assert all(not s for g in rows0 for s in rows0[g].synthetic)
 
         # FP(10) <= FP(0) on held-out synthetic rows under a label conflict:
         # labeled rows say feature A implies positive; synthetic rows with
         # A drawn at random are always negative.
         rng = random.Random(3)
         labeled_rows = [
-            FeatureRow(f"d{i}", "lab", 1, (float(i % 2), 100.0), i % 2 == 1, 1 / 200)
+            Row(f"d{i}", "lab", 1, (float(i % 2), 100.0), i % 2 == 1, 1 / 200)
             for i in range(200)
         ]
         synth_train = [
-            FeatureRow(f"s{i}", "syn", 1, (float(rng.random() < 0.5), 100.0), False, 1.0, True)
+            Row(f"s{i}", "syn", 1, (float(rng.random() < 0.5), 100.0), False, 1.0, True)
             for i in range(200)
         ]
         held_out = [
-            FeatureRow(f"h{i}", "syn", 1, (float(rng.random() < 0.5), 100.0), False, 1.0, True)
+            Row(f"h{i}", "syn", 1, (float(rng.random() < 0.5), 100.0), False, 1.0, True)
             for i in range(200)
         ]
 
         def fp_rate(k):
             train = labeled_rows + (
-                [FeatureRow(r.doc_id, r.origin, r.sdg, r.features, r.label, k / 200, True)
+                [Row(r.doc_id, r.origin, r.sdg, r.features, r.label, k / 200, True)
                  for r in synth_train]
                 if k > 0
                 else []
             )
-            forest = train_forest(train, ForestParams(num_trees=30, seed=5))
+            forest = grow(train, ForestParams(num_trees=30, seed=5))
             fp = sum(forest_score(forest, r.features) >= 0.5 for r in held_out)
             return fp / len(held_out)
 

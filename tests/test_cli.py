@@ -126,7 +126,9 @@ class TestDetect:
         assert not (out / "matrix.json").exists()
 
     @pytest.mark.parametrize(
-        "item", ["=ext.csv", " =ext.csv", "ext.csv"], ids=["empty", "blank", "no-sign"]
+        "item",
+        ["=ext.csv", " =ext.csv", "ext.csv", "ext=", "ext= "],
+        ids=["empty", "blank", "no-sign", "empty-path", "blank-path"],
     )
     def test_external_without_name_is_2(self, corpus, system, tmp_path, capsys, item):
         (tmp_path / "ext.csv").write_text("doc_id,sdg\nd3,15\n")
@@ -291,6 +293,19 @@ class TestEvaluateAndBias:
         row_sdg5 = next(l for l in bias_lines[1:] if l.startswith("demo,corpus,5,"))
         assert row_sdg5.endswith(",")
         assert (out / "correlations.csv").exists() and (out / "profiles.csv").exists()
+
+    @pytest.mark.parametrize("pair", ["nosuch:other", "corpus:nosuch", "nosuch:corpus"])
+    def test_exclude_pair_naming_no_dataset_is_2(self, corpus, system, tmp_path, capsys, pair):
+        matrix = self._matrix(corpus, system, tmp_path)
+        out = tmp_path / "bias"
+        argv = ["bias", "--dataset", corpus, "--matrix", matrix, "--out-dir", str(out)]
+        capsys.readouterr()
+        assert main([*argv, "--exclude-pair", pair]) == 2
+        assert capsys.readouterr().err == (
+            "error [E_PARAMS]: --exclude-pair: no dataset named 'nosuch' in this run\n"
+        )
+        assert not out.exists() or not any(out.iterdir())
+        assert main([*argv, "--exclude-pair", "corpus:corpus"]) == 0
 
 
 class TestMatrixFileValidation:

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from packed_rows import Row, feature_set, feature_sets, grow
 from oracle import naive_forest_score, naive_permutation_importance, naive_trees
 
+import sdgdetect.ensemble as ensemble
 from sdgdetect.corpus import Dataset, Document, LabeledDocument, load_documents
 from sdgdetect.errors import (
     IoError,
@@ -25,7 +27,6 @@ from sdgdetect.errors import (
 from sdgdetect.ensemble import (
     CvConfig,
     EnsembleModel,
-    FeatureRow,
     ForestParams,
     _forest_from_objs,
     _tree_objs,
@@ -36,7 +37,6 @@ from sdgdetect.ensemble import (
     load_model,
     permutation_importance,
     save_model,
-    train_forest,
     train_model,
 )
 from sdgdetect.synthgen import generate_matched, load_frequency_table
@@ -47,7 +47,7 @@ DEMO = Path(__file__).parent.parent / "demo"
 
 
 def _row(doc_id, features, label, weight=1.0, origin="ds", sdg=1, synthetic=False):
-    return FeatureRow(doc_id, origin, sdg, tuple(features), label, weight, synthetic)
+    return Row(doc_id, origin, sdg, tuple(features), label, weight, synthetic)
 
 
 def _separable_rows(n=40, rng_seed=0):
@@ -87,20 +87,19 @@ class TestBuildFeatures:
         matrices, labeled, synth = self._setup()
         rows = build_features(matrices, ["sysA", "sysB"], [labeled], [synth], k=3.0)
         sdg1 = rows[1]
-        lab_rows = [r for r in sdg1 if not r.synthetic]
-        syn_rows = [r for r in sdg1 if r.synthetic]
-        assert all(r.weight == pytest.approx(1 / 2) for r in lab_rows)
-        assert all(r.weight == pytest.approx(3 / 2) for r in syn_rows)
-        d1 = next(r for r in lab_rows if r.doc_id == "d1")
-        # (sysA predicted, sysB not, word_count 2); label from the expert set
-        assert d1.features == (1.0, 0.0, 2.0)
-        assert d1.label is True
-        assert all(r.label is False for r in syn_rows)
+        assert sdg1.keys == (("lab", "d1"), ("lab", "d2"), ("syn", "s1"), ("syn", "s2"))
+        assert sdg1.synthetic.tolist() == [False, False, True, True]
+        assert all(w == pytest.approx(1 / 2) for w in sdg1.w[~sdg1.synthetic])
+        assert all(w == pytest.approx(3 / 2) for w in sdg1.w[sdg1.synthetic])
+        # d1: (sysA predicted, sysB not, word_count 2); label from the expert set
+        assert sdg1.X[0].tolist() == [1.0, 0.0, 2.0]
+        assert sdg1.y[0] == 1.0
+        assert not sdg1.y[sdg1.synthetic].any()
 
     def test_k_zero_drops_synthetic(self):
         matrices, labeled, synth = self._setup()
         rows = build_features(matrices, ["sysA", "sysB"], [labeled], [synth], k=0.0)
-        assert all(not r.synthetic for g in rows for r in rows[g])
+        assert all(not s for g in rows for s in rows[g].synthetic)
 
     def test_negative_k_rejected(self):
         matrices, labeled, synth = self._setup()
@@ -123,18 +122,66 @@ class TestBuildFeatures:
         present = {g for g in rows if rows[g]}
         assert present == {2, 5}
 
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_demo_rows_match_the_matrix(self, k):
+        """Every row of every SDG on the demo, against ``PredictionMatrix.predicted``,
+        the word count, the labels and the 1/N and k/N weights, with one document
+        judged for two SDGs only and a plain Document that no system covers."""
+        labeled = load_documents(DEMO / "corpus.jsonl")
+        systems = [load_system(DEMO / f"system_{s}.csv") for s in ("alpha", "beta", "gamma")]
+        table = load_frequency_table(DEMO / "wordfreq.tsv")
+        synthetic = generate_matched(table, labeled, seed=17)
+        matrices = {
+            ds.name: to_matrix(detect(ds, systems), ds, systems) for ds in (labeled, synthetic)
+        }
+        names = [s.name for s in systems]
+        docs = list(labeled.documents)
+        docs[0] = replace(docs[0], evaluated=frozenset({1, 5}))
+        docs.append(Document.from_text("plain", "poverty and hunger"))
+        labeled = Dataset(labeled.name, tuple(docs))
+        assert not any(matrices[labeled.name].covers("plain", s) for s in names)
+
+        features = build_features(matrices, names, [labeled], [synthetic], k)
+        assert sorted(features) == list(range(1, 18))
+        sources = [(labeled, 1.0 / len(labeled.documents))]
+        if k > 0:
+            sources.append((synthetic, k / len(synthetic.documents)))
+        for sdg in range(1, 18):
+            expected = []
+            for ds, weight in sources:
+                for doc in ds.documents:
+                    if ds is synthetic:
+                        evaluated, labels = range(1, 18), ()
+                    elif isinstance(doc, LabeledDocument):
+                        evaluated, labels = doc.evaluated, doc.labels
+                    else:
+                        continue
+                    if sdg in evaluated:
+                        matrix = matrices[ds.name]
+                        flags = [float(sdg in matrix.predicted(doc.id, s)) for s in names]
+                        x = flags + [float(doc.word_count)]
+                        key = (ds.name, doc.id)
+                        expected.append((key, x, float(sdg in labels), weight, ds is synthetic))
+            fs = features[sdg]
+            got = zip(fs.keys, fs.X.tolist(), fs.y.tolist(), fs.w.tolist(), fs.synthetic.tolist())
+            assert list(got) == expected
+            judged = sum(sdg in d.evaluated for d in docs if isinstance(d, LabeledDocument))
+            assert len(fs) == judged + (len(synthetic.documents) if k > 0 else 0)
+            assert (labeled.name, "plain") not in fs.keys
+            assert ((labeled.name, docs[0].id) in fs.keys) == (sdg in (1, 5))
+
 
 class TestTrainForest:
     def test_separable_perfect(self):
         rows = _separable_rows()
-        forest = train_forest(rows, ForestParams(num_trees=20, seed=1))
+        forest = grow(rows, ForestParams(num_trees=20, seed=1))
         for r in rows:
             assert (forest_score(forest, r.features) >= 0.5) == r.label
 
     def test_one_class_raises(self):
         rows = [_row(f"d{i}", (float(i),), True) for i in range(5)]
         with pytest.raises(OneClassError):
-            train_forest(rows, ForestParams(num_trees=1))
+            grow(rows, ForestParams(num_trees=1))
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     @pytest.mark.parametrize("weight", [-0.5, -math.inf, math.nan, math.inf])
@@ -142,11 +189,11 @@ class TestTrainForest:
         rows = _separable_rows()
         rows[3] = _row("d3", rows[3].features, rows[3].label, weight=weight)
         with pytest.raises(ParamError, match="weights must be finite and non-negative"):
-            train_forest(rows, ForestParams(num_trees=2, bootstrap=bootstrap))
+            grow(rows, ForestParams(num_trees=2, bootstrap=bootstrap))
 
     def test_identical_features_single_leaf(self):
         rows = [_row(f"d{i}", (1.0, 2.0), i % 2 == 0) for i in range(10)]
-        forest = train_forest(rows, ForestParams(num_trees=3, bootstrap=False, seed=0))
+        forest = grow(rows, ForestParams(num_trees=3, bootstrap=False, seed=0))
         assert len(forest.trees) == 3
         for tree in _tree_objs(forest):
             assert set(tree) == {"p", "w"}
@@ -154,10 +201,10 @@ class TestTrainForest:
 
     def test_determinism(self):
         rows = _separable_rows(rng_seed=4)
-        a = train_forest(rows, ForestParams(num_trees=5, seed=9))
-        b = train_forest(rows, ForestParams(num_trees=5, seed=9))
+        a = grow(rows, ForestParams(num_trees=5, seed=9))
+        b = grow(rows, ForestParams(num_trees=5, seed=9))
         assert a == b
-        c = train_forest(rows, ForestParams(num_trees=5, seed=10))
+        c = grow(rows, ForestParams(num_trees=5, seed=10))
         assert c != a
 
 
@@ -189,7 +236,7 @@ class TestSplitOracle:
         params = ForestParams(
             num_trees=1, mtry=len(rows[0].features), max_depth=1, bootstrap=False, seed=seed
         )
-        root = _tree_objs(train_forest(rows, params))[0]
+        root = _tree_objs(grow(rows, params))[0]
         assert "f" in root
         return root
 
@@ -277,7 +324,7 @@ class TestGrowOracle:
         rng = random.Random(2024)
         for _ in range(200):
             rows, params = _oracle_case(rng)
-            got = _tree_objs(train_forest(rows, params))
+            got = _tree_objs(grow(rows, params))
             assert got == naive_trees(rows, params), params
 
     def test_zero_weights_and_heavy_duplicates(self):
@@ -294,7 +341,7 @@ class TestGrowOracle:
                 _row(r.doc_id, r.features, r.label, 0.0 if rng.random() < zero_frac else r.weight)
                 for r in rows[2:]
             ]
-            got = _tree_objs(train_forest(rows, params))
+            got = _tree_objs(grow(rows, params))
             assert got == naive_trees(rows, params), params
 
     def test_constant_flag_columns(self):
@@ -311,7 +358,7 @@ class TestGrowOracle:
         rows[1] = _row("d1", rows[1].features, False, rows[1].weight)
         for bootstrap in (False, True):
             params = ForestParams(num_trees=4, mtry=4, bootstrap=bootstrap, seed=9)
-            trees = _tree_objs(train_forest(rows, params))
+            trees = _tree_objs(grow(rows, params))
             assert trees == naive_trees(rows, params)
             assert all("f" in t and t["f"] >= 2 for t in trees)
 
@@ -353,7 +400,7 @@ class TestGolden:
 
     def test_weighted_no_bootstrap_forest(self):
         params = ForestParams(num_trees=3, mtry=2, bootstrap=False, seed=8)
-        trees = _tree_objs(train_forest(_golden_forest_rows(), params))
+        trees = _tree_objs(grow(_golden_forest_rows(), params))
         assert json.dumps(trees, sort_keys=True) == (DATA / "golden_forest.json").read_text()
 
 
@@ -366,7 +413,7 @@ class TestForestScores:
         np_rng = np.random.default_rng(404)
         for _ in range(60):
             rows, params = _oracle_case(rng)
-            forest = train_forest(rows, params)
+            forest = grow(rows, params)
             n_features = forest.n_features
             X = np.vstack([
                 np.array([r.features for r in rows]),
@@ -386,7 +433,7 @@ class TestForestScores:
 
     def test_one_row_and_no_rows(self):
         rows = _separable_rows(rng_seed=6)
-        forest = train_forest(rows, ForestParams(num_trees=4, seed=2))
+        forest = grow(rows, ForestParams(num_trees=4, seed=2))
         one = np.array([rows[3].features])
         assert forest_scores(forest, one).tolist() == [
             naive_forest_score(_tree_objs(forest), rows[3].features)
@@ -395,7 +442,7 @@ class TestForestScores:
         assert none.shape == (0,)
 
     def test_width_mismatch(self):
-        forest = train_forest(_separable_rows(), ForestParams(num_trees=2))
+        forest = grow(_separable_rows(), ForestParams(num_trees=2))
         with pytest.raises(SchemaMismatchError, match="expected 2 features, got 3"):
             forest_scores(forest, np.zeros((4, 3)))
         with pytest.raises(SchemaMismatchError, match="expected 2 features, got 1"):
@@ -446,7 +493,7 @@ class TestDeepTrees:
     def test_ordered_rows_grow_and_score_like_the_oracle(self, n, deep_recursion):
         rows = [_row(f"d{i}", (0.0, float(i)), i % 2 == 1) for i in range(n)]
         params = ForestParams(num_trees=1, bootstrap=False)
-        forest = train_forest(rows, params)
+        forest = grow(rows, params)
         assert _depth(forest) == n - 1
         X = np.array([r.features for r in rows] + [(0.0, i + 0.5) for i in range(-1, n)])
         trees = naive_trees(rows, params)
@@ -523,12 +570,12 @@ def golden_cv_text() -> str:
     """
     runs = {
         "a": cross_validate(
-            _golden_cv_rows(5, (1, 2, 9), 12, 8),
+            feature_sets(_golden_cv_rows(5, (1, 2, 9), 12, 8)),
             CvConfig(folds=3, repeats=2, seed=4),
             ForestParams(num_trees=4, seed=2),
         ),
         "b": cross_validate(
-            _golden_cv_rows(23, (3, 17), 15, 10),
+            feature_sets(_golden_cv_rows(23, (3, 17), 15, 10)),
             CvConfig(folds=4, repeats=2, seed=9, threshold=0.4),
             ForestParams(num_trees=3, mtry=2, seed=6),
         ),
@@ -555,7 +602,7 @@ class TestCrossValidate:
                 rows[g].append(
                     _row(f"d{i}", (f0, rng.random()), f0 > 0.5, weight=1 / 60, sdg=g)
                 )
-        return rows
+        return feature_sets(rows)
 
     def test_folds_partition_documents(self):
         rows = self._rows_by_sdg()
@@ -593,16 +640,37 @@ class TestCrossValidate:
         for i in range(10):
             rows[1].append(_row(f"d{i}", (float(i),), i == 0, weight=0.1))
         result = cross_validate(
-            {1: rows[1]}, CvConfig(folds=5, repeats=1, seed=0), ForestParams(num_trees=2)
+            feature_sets({1: rows[1]}),
+            CvConfig(folds=5, repeats=1, seed=0),
+            ForestParams(num_trees=2),
         )
         assert result.skipped
         assert all(s[0] == 1 for s in result.skipped)
 
     def test_invalid_weight_raises_instead_of_skipping(self):
         rows = self._rows_by_sdg()
-        rows[4][7] = _row("d7", rows[4][7].features, rows[4][7].label, weight=math.nan, sdg=4)
+        rows[4].w[7] = math.nan
         with pytest.raises(ParamError, match="weights must be finite and non-negative"):
             cross_validate(rows, CvConfig(folds=3, repeats=1), ForestParams(num_trees=2))
+
+    def test_every_fold_grows_through_train_forest(self, monkeypatch):
+        """A trace counts growing by wrapping ``ensemble.train_forest``: every
+        fold reaches it, and each call ends as a record or a skipped fold."""
+        calls = []
+        grower = ensemble.train_forest
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return grower(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "train_forest", counted)
+        result = cross_validate(
+            feature_sets(_golden_cv_rows(5, (1, 2, 9), 12, 8)),
+            CvConfig(folds=3, repeats=2, seed=4),
+            ForestParams(num_trees=4, seed=2),
+        )
+        assert result.records and result.skipped
+        assert len(calls) == len(result.records) + len(result.skipped)
 
     def test_synthetic_fp_rate_tracked(self):
         rows = {1: []}
@@ -615,7 +683,7 @@ class TestCrossValidate:
                 _row(f"s{i}", (rng.random(),), False, weight=1 / 20, origin="syn", synthetic=True)
             )
         result = cross_validate(
-            rows, CvConfig(folds=4, repeats=1, seed=0), ForestParams(num_trees=5)
+            feature_sets(rows), CvConfig(folds=4, repeats=1, seed=0), ForestParams(num_trees=5)
         )
         assert result.synthetic_fp_rate is not None
         assert 0.0 <= result.synthetic_fp_rate <= 1.0
@@ -625,10 +693,10 @@ class TestCrossValidate:
 class TestPermutationImportance:
     def test_informative_feature_dominates_and_unused_is_zero(self):
         rows = _separable_rows(n=60, rng_seed=12)
-        forest = train_forest(
+        forest = grow(
             rows, ForestParams(num_trees=10, mtry=2, bootstrap=False, seed=0)
         )
-        imps = permutation_importance(forest, rows, repetitions=5, seed=0)
+        imps = permutation_importance(forest, feature_set(rows), repetitions=5, seed=0)
         assert imps[0] > 0.3
         # feature 1 is never split on (feature 0 separates perfectly)
         assert imps[1] == 0.0
@@ -639,18 +707,18 @@ class TestPermutationImportance:
         rng = random.Random(17)
         for _ in range(8):
             rows, params = _oracle_case(rng)
-            forest = train_forest(rows, params)
+            forest = grow(rows, params)
             seed, threshold = rng.randrange(100), rng.choice([0.5, 0.3])
-            got = permutation_importance(forest, rows, 3, seed, threshold)
+            got = permutation_importance(forest, feature_set(rows), 3, seed, threshold)
             trees = naive_trees(rows, params)
             expected = naive_permutation_importance(trees, rows, 3, seed, threshold)
             assert got == expected
 
     def test_determinism(self):
         rows = _separable_rows(n=30, rng_seed=3)
-        forest = train_forest(rows, ForestParams(num_trees=5, seed=0))
-        a = permutation_importance(forest, rows, repetitions=4, seed=11)
-        b = permutation_importance(forest, rows, repetitions=4, seed=11)
+        forest = grow(rows, ForestParams(num_trees=5, seed=0))
+        a = permutation_importance(forest, feature_set(rows), repetitions=4, seed=11)
+        b = permutation_importance(forest, feature_set(rows), repetitions=4, seed=11)
         assert a == b
 
 
@@ -662,7 +730,9 @@ def _full_model(seed=0):
             _row(f"d{i}", (float(i % 2), float(rng.randrange(5, 500))), i % 2 == 1, sdg=g)
             for i in range(20)
         ]
-    model = train_model(rows, ["sysA"], k=1.0, params=ForestParams(num_trees=3, seed=seed))
+    model = train_model(
+        feature_sets(rows), ["sysA"], k=1.0, params=ForestParams(num_trees=3, seed=seed)
+    )
     return model, rows
 
 
