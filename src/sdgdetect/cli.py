@@ -285,23 +285,24 @@ def _parse_k_grid(raw: str) -> list[float]:
     return values
 
 
-def _forest_params(args, seed: int) -> ForestParams:
+def _forest_params(args) -> ForestParams:
     return ForestParams(
         num_trees=args.trees,
         mtry=args.mtry,
         min_leaf_frac=args.min_leaf_frac,
         max_depth=args.max_depth,
-        seed=seed,
+        seed=args.seed,
     )
 
 
 # ---------------------------------------------------------------------------
 # Commands
 #
-# Each cmd_* computes and returns (tables, params, inputs): its rows keyed by
-# table name, the manifest params it computes and its input files. main
-# records every parsed flag of the command as a manifest param, writes every
-# table and then, last, manifest.json; a command writes only its own files
+# Each cmd_* takes the parsed arguments, with seed, out_dir and json already
+# resolved, and returns (tables, params, inputs): its rows keyed by table
+# name, the manifest params it computes and its input files. main records
+# every parsed flag of the command as a manifest param, writes every table
+# and then, last, manifest.json; a command writes only its own files
 # (matrix.json, synthetic.jsonl, model.json).
 # ---------------------------------------------------------------------------
 
@@ -336,7 +337,7 @@ TABLES = {
 }
 
 
-def cmd_detect(args, ctx) -> tuple[dict, dict, list]:
+def cmd_detect(args) -> tuple[dict, dict, list]:
     systems = _load_named(load_system, args.systems, "system")
     externals = [item.split("=", 1) for item in args.external]
     if any(len(pair) != 2 or not pair[0].strip() or not pair[1].strip() for pair in externals):
@@ -379,7 +380,7 @@ def cmd_detect(args, ctx) -> tuple[dict, dict, list]:
         for system, term, count in keyword_frequencies(hits):
             freq_rows.append((ds_name, system, term, count))
 
-    atomic_write_text(ctx["out_dir"] / "matrix.json", _matrix_json(system_names, matrices))
+    atomic_write_text(args.out_dir / "matrix.json", _matrix_json(system_names, matrices))
     return (
         {"hits": hit_rows, "keyword_frequencies": freq_rows},
         {},
@@ -387,7 +388,7 @@ def cmd_detect(args, ctx) -> tuple[dict, dict, list]:
     )
 
 
-def cmd_evaluate(args, ctx) -> tuple[dict, dict, list]:
+def cmd_evaluate(args) -> tuple[dict, dict, list]:
     datasets, systems, matrices = _load_scored(args)
 
     metric_rows = []
@@ -436,7 +437,7 @@ def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, system: str):
     return expert, predicted
 
 
-def cmd_bias(args, ctx) -> tuple[dict, dict, list]:
+def cmd_bias(args) -> tuple[dict, dict, list]:
     datasets, systems, matrices = _load_scored(args)
 
     names = sorted(d.name for d in datasets)
@@ -510,11 +511,13 @@ def cmd_bias(args, ctx) -> tuple[dict, dict, list]:
     )
 
 
-def cmd_synth(args, ctx) -> tuple[dict, dict, list]:
+def cmd_synth(args) -> tuple[dict, dict, list]:
+    if args.match and args.lengths is not None:
+        raise ParamError("synth takes --lengths or --match, not both")
     table = load_frequency_table(args.freq_table)
     if args.match:
         reference = load_documents(args.match)
-        dataset = generate_matched(table, reference, ctx["seed"])
+        dataset = generate_matched(table, reference, args.seed)
         inputs = [args.freq_table, args.match]
     else:
         if not args.lengths:
@@ -523,19 +526,19 @@ def cmd_synth(args, ctx) -> tuple[dict, dict, list]:
             lengths = tuple(int(x) for x in args.lengths.split(","))
         except ValueError:
             raise ParamError(f"invalid --lengths {args.lengths!r}: expected integers") from None
-        spec = SynthSpec(lengths, args.docs_per_length, ctx["seed"])
+        spec = SynthSpec(lengths, args.docs_per_length, args.seed)
         dataset = generate_documents(table, spec)
         inputs = [args.freq_table]
-    save_documents(dataset, ctx["out_dir"] / "synthetic.jsonl")
+    save_documents(dataset, args.out_dir / "synthetic.jsonl")
     return {}, {}, inputs
 
 
-def cmd_train(args, ctx) -> tuple[dict, dict, list]:
+def cmd_train(args) -> tuple[dict, dict, list]:
     if not 0 <= args.k <= 10:
         raise ParamError("--k must lie in [0, 10]")
     if not 0 <= args.threshold <= 1:
         raise ParamError("--threshold must lie in [0, 1]")
-    seed = ctx["seed"]
+    seed, params = args.seed, _forest_params(args)
     systems = _load_named(load_system, args.systems, "system")
     labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
     system_names = [s.name for s in systems]
@@ -551,7 +554,7 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
         cv = cross_validate(
             features,
             CvConfig(folds=args.folds, repeats=args.repeats, seed=seed, threshold=args.threshold),
-            _forest_params(args, seed),
+            params,
         )
         curve_rows.append(
             (kg, cv.pooled_report.accuracy, cv.mean_origin_accuracy, cv.synthetic_fp_rate)
@@ -574,10 +577,8 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
         for rec in final_cv.records
     ]
 
-    model = train_model(
-        final_features, system_names, args.k, _forest_params(args, seed), args.threshold
-    )
-    save_model(model, ctx["out_dir"] / "model.json")
+    model = train_model(final_features, system_names, args.k, params, args.threshold)
+    save_model(model, args.out_dir / "model.json")
     return (
         {"cv_report": cv_rows, "curve": curve_rows, "skipped": final_cv.skipped},
         {"k_grid": grid},
@@ -585,7 +586,7 @@ def cmd_train(args, ctx) -> tuple[dict, dict, list]:
     )
 
 
-def cmd_predict(args, ctx) -> tuple[dict, dict, list]:
+def cmd_predict(args) -> tuple[dict, dict, list]:
     model, systems = _load_model_and_systems(args.model, args.systems)
     datasets = _load_named(load_documents, args.dataset, "dataset")
     _, matrices = _detect_all(datasets, systems)
@@ -607,8 +608,8 @@ def cmd_predict(args, ctx) -> tuple[dict, dict, list]:
     )
 
 
-def cmd_importance(args, ctx) -> tuple[dict, dict, list]:
-    seed = ctx["seed"]
+def cmd_importance(args) -> tuple[dict, dict, list]:
+    seed = args.seed
     model, systems = _load_model_and_systems(args.model, args.systems)
     labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
     features = build_features(matrices, list(model.system_names), labeled, synthetic, model.k)
@@ -722,7 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_context(args) -> dict:
+def _resolve_global_flags(args) -> None:
+    """Set ``args.seed``, ``args.out_dir`` and ``args.json`` in place from the
+    flag, else the config file, else the default."""
     config = _read_config(args.config)
 
     def pick(flag_value, key, fallback, convert):
@@ -735,30 +738,26 @@ def _build_context(args) -> dict:
                 raise ParamError(f"config key {key}: invalid value {config[key]!r}") from None
         return fallback
 
-    seed = pick(args.seed, "seed", 0, int)
-    if seed < 0:
-        raise ParamError(f"seed must be a non-negative integer, got {seed}")
-    return {
-        "seed": seed,
-        "out_dir": Path(pick(args.out_dir, "out_dir", "out", str)),
-        "json": pick(args.json, "json", False, lambda v: _CONFIG_BOOLS[v.lower()]),
-    }
+    args.seed = pick(args.seed, "seed", 0, int)
+    if args.seed < 0:
+        raise ParamError(f"seed must be a non-negative integer, got {args.seed}")
+    args.out_dir = Path(pick(args.out_dir, "out_dir", "out", str))
+    args.json = pick(args.json, "json", False, lambda v: _CONFIG_BOOLS[v.lower()])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        ctx = _build_context(args)
-        out_dir = ctx["out_dir"]
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _resolve_global_flags(args)
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's manifest must not outlive a rerun that fails part-way
-        (out_dir / "manifest.json").unlink(missing_ok=True)
-        tables, computed, inputs = args.func(args, ctx)
+        (args.out_dir / "manifest.json").unlink(missing_ok=True)
+        tables, computed, inputs = args.func(args)
         params = {_PARAM_NAMES.get(k, k): v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, rows in tables.items():
-            _write_table(out_dir, name, TABLES[name], rows, ctx["json"])
-        _write_manifest(out_dir, args.command, params | computed, inputs, ctx["seed"])
+            _write_table(args.out_dir, name, TABLES[name], rows, args.json)
+        _write_manifest(args.out_dir, args.command, params | computed, inputs, args.seed)
         return 0
     except SdgToolError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ assigned at score >= threshold (default 0.5). Row weights must be finite
 and non-negative.
 
 A forest is one flat node table. Trees are grown into it from a stack,
-and `forest_scores` walks a whole matrix of rows through all trees at
+and `forest_score` walks a whole matrix of rows through all trees at
 once. Float sums run left to right (`bias.sum_in_order`).
 """
 
@@ -57,7 +57,6 @@ __all__ = [
     "build_features",
     "train_forest",
     "forest_score",
-    "forest_scores",
     "train_model",
     "cross_validate",
     "permutation_importance",
@@ -117,17 +116,17 @@ class ForestParams:
 class Forest:
     """Every tree of one forest as one flat node table, one array value per node.
 
-    A split has ``feature >= 0`` and sends a row with ``x[feature] <=
-    threshold`` to node ``left``, any other row to node ``right``. A leaf
+    Each tree is stored in pre-order, left subtree first, from its root
+    node in ``trees``, so a split's left child is the node after it. A
+    split has ``feature >= 0`` and sends a row with ``x[feature] <=
+    threshold`` to that next node, any other row to node ``right``. A leaf
     has ``feature == -1``, positive fraction ``p`` and weight ``w``. Unused
-    fields hold 0 (``left`` and ``right``: -1). Each tree is stored in
-    pre-order, left subtree first, from its root node in ``trees``.
+    fields hold 0 (``right``: -1).
     """
 
     trees: tuple[int, ...]  # root node of each tree
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     p: np.ndarray
     w: np.ndarray
@@ -141,7 +140,7 @@ class Forest:
 
 
 def _forest(nodes: list[list], trees: list[int], n_features: int, params: ForestParams) -> Forest:
-    """A Forest from its nodes, each ``[feature, threshold, left, right, p, w]``."""
+    """A Forest from its nodes, each ``[feature, threshold, right, p, w]``."""
     return Forest(tuple(trees), *map(np.array, zip(*nodes)), n_features, params)
 
 
@@ -294,7 +293,7 @@ def _grow(
     while stack:
         rows, depth, parent = stack.pop()
         if parent >= 0:
-            nodes[parent][3] = len(nodes)
+            nodes[parent][2] = len(nodes)
         total = float(weights[0][rows].sum())
         pos = float(weights[1][rows].sum())
         pos_frac = pos / total
@@ -303,10 +302,10 @@ def _grow(
             feature_ids = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
             best = _best_split(cols, weights, rows, flags, feature_ids, min_leaf_weight, total, pos)
         if best is None:
-            nodes.append([-1, 0.0, -1, -1, pos_frac, total])
+            nodes.append([-1, 0.0, -1, pos_frac, total])
             continue
         f, threshold = best
-        nodes.append([f, threshold, len(nodes) + 1, -1, 0.0, 0.0])
+        nodes.append([f, threshold, -1, 0.0, 0.0])
         left = cols[f][rows] <= threshold
         stack.append((rows[~left], depth + 1, len(nodes) - 1))
         stack.append((rows[left], depth + 1, -1))
@@ -347,7 +346,7 @@ def train_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, params: ForestPara
     return _forest(nodes, roots, n_features, params)
 
 
-def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
+def forest_score(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Each row's mean leaf positive-fraction over all trees, in [0, 1].
 
     ``X`` is a 2-D float array, one row per feature row. Every (row, tree)
@@ -357,25 +356,20 @@ def forest_scores(forest: Forest, X: np.ndarray) -> np.ndarray:
     """
     if X.shape[1] != forest.n_features:
         raise SchemaMismatchError(f"expected {forest.n_features} features, got {X.shape[1]}")
-    feature, threshold, left, right = forest.feature, forest.threshold, forest.left, forest.right
+    feature, threshold, right = forest.feature, forest.threshold, forest.right
     n_trees = len(forest.trees)
     node = np.tile(forest.trees, len(X))  # pair i * n_trees + t: row i in tree t
     pairs = np.flatnonzero(feature[node] >= 0)
     while pairs.size:
         at = node[pairs]
         goes_left = X[pairs // n_trees, feature[at]] <= threshold[at]
-        node[pairs] = np.where(goes_left, left[at], right[at])
+        node[pairs] = np.where(goes_left, at + 1, right[at])
         pairs = pairs[feature[node[pairs]] >= 0]
     leaf_p = forest.p[node].reshape(len(X), n_trees)
     total = np.zeros(len(X))
     for t in range(n_trees):
         total += leaf_p[:, t]
     return total / n_trees
-
-
-def forest_score(forest: Forest, features: Sequence[float]) -> float:
-    """Mean leaf positive-fraction over all trees, in [0, 1], of one row."""
-    return float(forest_scores(forest, np.array([features], dtype=np.float64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +380,6 @@ def forest_score(forest: Forest, features: Sequence[float]) -> float:
 @dataclass(frozen=True)
 class EnsembleModel:
     forests: dict[int, Forest]  # one per SDG 1..17
-    feature_names: tuple[str, ...]
     system_names: tuple[str, ...]
     k: float
     seed: int
@@ -395,6 +388,10 @@ class EnsembleModel:
     def __post_init__(self):
         if sorted(self.forests) != list(range(1, 18)):
             raise SchemaMismatchError("model must have exactly 17 forests (SDGs 1..17)")
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(feature_names_for(self.system_names))
 
     def predict_document(
         self, system_predictions: Mapping[str, frozenset[int] | set[int]], word_count: int
@@ -419,12 +416,12 @@ class EnsembleModel:
         """``scores[sdg - 1][i]``: document i's score, where ``masks[i]`` holds its
         SDG mask (bit ``sdg - 1``) from each system in ``system_names`` order."""
         masks = np.array(masks, dtype=np.int64).reshape(len(word_counts), len(self.system_names))
-        X = np.empty((len(word_counts), len(self.feature_names)))
+        X = np.empty((len(word_counts), len(self.system_names) + 1))
         X[:, -1] = word_counts
         scores = []
         for sdg in range(1, 18):
             X[:, :-1] = (masks >> (sdg - 1)) & 1
-            scores.append(forest_scores(self.forests[sdg], X).tolist())
+            scores.append(forest_score(self.forests[sdg], X).tolist())
         return scores
 
 
@@ -441,14 +438,7 @@ def train_model(
             raise OneClassError("no training rows")
         fs, sdg_params = features[sdg], replace(params, seed=_child_seed(params.seed, sdg))
         forests[sdg] = train_forest(fs.X, fs.y, fs.w, sdg_params)
-    return EnsembleModel(
-        forests,
-        tuple(feature_names_for(system_names)),
-        tuple(system_names),
-        k,
-        params.seed,
-        threshold,
-    )
+    return EnsembleModel(forests, tuple(system_names), k, params.seed, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +541,7 @@ def cross_validate(
                 except OneClassError as exc:
                     skipped.append((sdg, rep, fold, str(exc)))
                     continue
-                predicted = forest_scores(forest, fs.X[in_test]) >= config.threshold
+                predicted = forest_score(forest, fs.X[in_test]) >= config.threshold
                 actual = fs.y[in_test].astype(bool)
                 tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
                 counts = ConfusionCounts(tp, fp, tn, fn)
@@ -600,7 +590,7 @@ def permutation_importance(
     labels = features.y.astype(bool)
 
     def weighted_accuracy(Xm: np.ndarray) -> float:
-        hits = (forest_scores(forest, Xm) >= threshold) == labels
+        hits = (forest_score(forest, Xm) >= threshold) == labels
         return sum_in_order(w[hits].tolist()) / total_w
 
     baseline = weighted_accuracy(X)
@@ -645,13 +635,27 @@ def model_importance(
 
 def _tree_objs(forest: Forest) -> list[dict]:
     """Each tree as nested ``{"f", "t", "l", "r"}`` split and ``{"p", "w"}`` leaf objects."""
-    node_arrays = (forest.feature, forest.threshold, forest.left, forest.right, forest.p, forest.w)
-    f, t, left, right, p, w = (a.tolist() for a in node_arrays)
+    node_arrays = (forest.feature, forest.threshold, forest.right, forest.p, forest.w)
+    f, t, right, p, w = (a.tolist() for a in node_arrays)
     objs = [{"p": p[i], "w": w[i]} if f[i] < 0 else {"f": f[i], "t": t[i]} for i in range(len(f))]
     for i, obj in enumerate(objs):
         if f[i] >= 0:
-            obj["l"], obj["r"] = objs[left[i]], objs[right[i]]
+            obj["l"], obj["r"] = objs[i + 1], objs[right[i]]
     return [objs[root] for root in forest.trees]
+
+
+# The types of the values a model.json field may hold, by the field's annotation:
+# a bool is no number, and a float (5.0, or 1e999, which reads as inf) no int.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_JSON_TYPES["int | None"] = (int, type(None))
+
+
+def _json_value(value, name: str, kind: str):
+    """``value``, a float as a float, if it is a value of ``kind``, a key of ``_JSON_TYPES``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        base = kind.removesuffix(" | None")
+        raise ModelCorruptError(f"{name} {value!r} is not {'an' if base == 'int' else 'a'} {base}")
+    return float(value) if kind == "float" else value  # OverflowError past the float range
 
 
 def _forest_from_objs(trees: Sequence, n_features: int, params: ForestParams) -> Forest:
@@ -665,26 +669,29 @@ def _forest_from_objs(trees: Sequence, n_features: int, params: ForestParams) ->
         while stack:
             obj, parent = stack.pop()
             if parent >= 0:
-                nodes[parent][3] = len(nodes)
+                nodes[parent][2] = len(nodes)
             if not isinstance(obj, dict):
                 raise ModelCorruptError("malformed tree node")
             if "p" in obj:
-                p, w = float(obj["p"]), float(obj["w"])
+                p = _json_value(obj["p"], "leaf p", "float")
+                w = _json_value(obj["w"], "leaf w", "float")
                 if not (0.0 <= p <= 1.0 and 0.0 <= w < math.inf):
                     raise ModelCorruptError(
                         f"leaf p={p} w={w}: p must lie in [0, 1] and w be finite and non-negative"
                     )
-                nodes.append([-1, 0.0, -1, -1, p, w])
+                nodes.append([-1, 0.0, -1, p, w])
                 continue
             try:
-                f, t, left, right = int(obj["f"]), float(obj["t"]), obj["l"], obj["r"]
-            except (KeyError, TypeError, ValueError) as exc:
+                f = _json_value(obj["f"], "split feature", "int")
+                t = _json_value(obj["t"], "split threshold", "float")
+                left, right = obj["l"], obj["r"]
+            except KeyError as exc:
                 raise ModelCorruptError(f"malformed tree node: {exc}") from exc
             if not 0 <= f < n_features:
                 raise ModelCorruptError(f"split feature {f} outside 0..{n_features - 1}")
             if not math.isfinite(t):
                 raise ModelCorruptError(f"split threshold {t} is not finite")
-            nodes.append([f, t, len(nodes) + 1, -1, 0.0, 0.0])
+            nodes.append([f, t, -1, 0.0, 0.0])
             stack += [(right, len(nodes) - 1), (left, -1)]
     return _forest(nodes, roots, n_features, params)
 
@@ -724,7 +731,7 @@ def load_model(path: str | Path) -> EnsembleModel:
         raise ModelCorruptError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("magic") != MODEL_MAGIC:
         raise ModelCorruptError("not an ensemble model file (bad magic)")
-    if payload.get("version") != MODEL_VERSION:
+    if payload.get("version") != MODEL_VERSION or type(payload["version"]) is not int:
         raise ModelVersionError(
             f"unsupported model version {payload.get('version')!r} (expected {MODEL_VERSION})"
         )
@@ -739,7 +746,7 @@ def load_model(path: str | Path) -> EnsembleModel:
         forests = {}
         for key, fobj in payload["forests"].items():
             p = fobj["params"]
-            n_features = int(fobj["n_features"])
+            n_features = _json_value(fobj["n_features"], f"forest {key}: n_features", "int")
             if n_features != len(feature_names):
                 raise ModelCorruptError(
                     f"forest {key}: n_features is {n_features}, "
@@ -747,15 +754,9 @@ def load_model(path: str | Path) -> EnsembleModel:
                 )
             if not fobj["trees"]:
                 raise ModelCorruptError(f"forest {key} has no trees")
-            if not isinstance(p["bootstrap"], bool):
-                raise ModelCorruptError(f"forest {key}: bootstrap {p['bootstrap']!r} is not a bool")
-            params = ForestParams(
-                num_trees=int(p["num_trees"]),
-                mtry=p["mtry"],
-                min_leaf_frac=float(p["min_leaf_frac"]),
-                max_depth=p["max_depth"],
-                bootstrap=p["bootstrap"],
-                seed=int(p["seed"]),
+            params = ForestParams(  # f.type: the annotation's text, under the __future__ import
+                **{f.name: _json_value(p[f.name], f"forest {key}: {f.name}", f.type)
+                   for f in fields(ForestParams)}
             )
             if params.num_trees != len(fobj["trees"]):
                 raise ModelCorruptError(
@@ -763,12 +764,13 @@ def load_model(path: str | Path) -> EnsembleModel:
                     f"but {len(fobj['trees'])} trees are stored"
                 )
             forests[int(key)] = _forest_from_objs(fobj["trees"], n_features, params)
-        threshold = float(payload["threshold"])
+        threshold = _json_value(payload["threshold"], "threshold", "float")
         if not 0.0 <= threshold <= 1.0:
             raise ModelCorruptError(f"threshold {threshold} outside [0, 1]")
-        k, seed = float(payload["k"]), int(payload["seed"])
+        k = _json_value(payload["k"], "k", "float")
+        seed = _json_value(payload["seed"], "seed", "int")
         if not 0.0 <= k <= 10.0:
             raise ModelCorruptError(f"k {k} outside [0, 10]")
-        return EnsembleModel(forests, feature_names, system_names, k, seed, threshold)
-    except (KeyError, TypeError, ValueError, ParamError, SchemaError) as exc:
+        return EnsembleModel(forests, system_names, k, seed, threshold)
+    except (KeyError, TypeError, ValueError, OverflowError, ParamError, SchemaError) as exc:
         raise ModelCorruptError(f"malformed model file: {exc}") from exc

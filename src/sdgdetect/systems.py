@@ -36,7 +36,6 @@ __all__ = [
 class SystemEntry:
     sdg: int
     query_id: str
-    query_text: str
     query: Node
 
 
@@ -143,14 +142,13 @@ def load_system(path: str | Path) -> SystemDefinition:
         if query_id in seen_ids:
             raise SchemaError(f"{where}: duplicate query_id {query_id!r}")
         seen_ids.add(query_id)
-        query_text = row.get("query") or ""
         try:
-            ast = parse_query(query_text)
+            ast = parse_query(row.get("query") or "")
         except SdgToolError as exc:
             # keep the error's type, code and position; only say where it is
             exc.args = (f"system {system!r}, query {query_id!r}: {exc}",)
             raise
-        entries.append(SystemEntry(row["sdg"], query_id, query_text, ast))
+        entries.append(SystemEntry(row["sdg"], query_id, ast))
     if name is None:
         raise SchemaError(f"{path.name}: no rows")
     return SystemDefinition(name, tuple(entries))

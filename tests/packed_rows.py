@@ -5,7 +5,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from sdgdetect.ensemble import FeatureSet, train_forest
+from sdgdetect.ensemble import FeatureSet, forest_score, train_forest
 
 Row = namedtuple(
     "Row", "doc_id origin sdg features label weight synthetic", defaults=(False,)
@@ -31,3 +31,8 @@ def grow(rows, params):
     """``train_forest`` on the arrays of ``rows``."""
     fs = feature_set(rows)
     return train_forest(fs.X, fs.y, fs.w, params)
+
+
+def score(forest, features) -> float:
+    """``forest_score`` of the one row ``features``."""
+    return float(forest_score(forest, np.array([features], dtype=np.float64))[0])

@@ -22,7 +22,6 @@ from sdgdetect.ensemble import (
     ForestParams,
     build_features,
     cross_validate,
-    forest_score,
     model_importance,
     train_model,
 )
@@ -31,7 +30,7 @@ from sdgdetect.query import match_query
 from sdgdetect.synthgen import SynthSpec, generate_documents, load_frequency_table
 from sdgdetect.systems import detect, to_matrix
 
-from packed_rows import Row, feature_sets, grow
+from packed_rows import Row, feature_sets, grow, score
 from oracle import naive_eval, random_query, random_tokens
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -267,7 +266,7 @@ def test_c09_k_weighting_contract():
                 else []
             )
             forest = grow(train, ForestParams(num_trees=30, seed=5))
-            fp = sum(forest_score(forest, r.features) >= 0.5 for r in held_out)
+            fp = sum(score(forest, r.features) >= 0.5 for r in held_out)
             return fp / len(held_out)
 
         rates = {k: fp_rate(k) for k in (0, 1, 5, 10)}

@@ -405,6 +405,18 @@ class TestSynth:
         lines = (out / "synthetic.jsonl").read_text().splitlines()
         assert len(json.loads(lines[0])["text"].split()) == 5  # matches d1
 
+    @pytest.mark.parametrize("lengths", ["10", ""])
+    def test_lengths_with_match_is_param_error(self, corpus, tmp_path, capsys, lengths):
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("alpha\t1\n")
+        out = tmp_path / "out"
+        argv = ["synth", "--freq-table", str(freq), "--match", corpus, "--lengths", lengths]
+        rc = main([*argv, "--docs-per-length", "3", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error [E_PARAMS]: synth takes --lengths or --match, not both\n"
+        assert list(out.iterdir()) == []
+
 
 class TestTrainPredictImportance:
     def _train(self, out):
@@ -576,6 +588,27 @@ class TestPredictRejectsCorruptModel:
                 lambda m: m.update(system_names=["word_count"], feature_names=["word_count"] * 2),
                 "system name 'word_count' is the word-count feature's name",
             ),
+            (lambda m: _set_params(m, num_trees="1e999"), "forest 3: num_trees inf is not an int"),
+            (lambda m: _set_params(m, num_trees=5.0), "forest 3: num_trees 5.0 is not an int"),
+            (
+                lambda m: m["forests"]["3"].update(n_features="1e999"),
+                "forest 3: n_features inf is not an int",
+            ),
+            (lambda m: m.update(seed="1e999"), "seed inf is not an int"),
+            (lambda m: _set_params(m, seed="1e999"), "forest 3: seed inf is not an int"),
+            (lambda m: _set_params(m, mtry=1.5), "forest 3: mtry 1.5 is not an int"),
+            (
+                lambda m: _first_split(m).update(f="1e999"),
+                "split feature inf is not an int",
+            ),
+            (lambda m: _first_split(m).update(f=True), "split feature True is not an int"),
+            (lambda m: _first_split(m).update(f=0.9), "split feature 0.9 is not an int"),
+            (
+                lambda m: _first_split(m).update(t="0.5"),
+                "split threshold '0.5' is not a float",
+            ),
+            (lambda m: m.update(threshold=True), "threshold True is not a float"),
+            (lambda m: _first_leaf(m).update(p=10**400), "int too large to convert to float"),
         ],
         ids=[
             "num-trees-zero",
@@ -591,13 +624,26 @@ class TestPredictRejectsCorruptModel:
             "k-negative",
             "k-nan",
             "system-named-word-count",
+            "num-trees-1e999",
+            "num-trees-float",
+            "n-features-1e999",
+            "model-seed-1e999",
+            "forest-seed-1e999",
+            "mtry-float",
+            "split-feature-1e999",
+            "split-feature-bool",
+            "split-feature-float",
+            "split-threshold-string",
+            "threshold-bool",
+            "leaf-p-huge-integer",
         ],
     )
     def test_predict_exits_3(self, trained_model, tmp_path, capsys, edit, message):
         payload = json.loads(trained_model.read_text())
         edit(payload)
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(payload))
+        # "1e999" stands for the JSON number 1e999, which json.dumps cannot write
+        model.write_text(json.dumps(payload).replace('"1e999"', "1e999"))
         capsys.readouterr()
         rc = main(
             [
@@ -977,6 +1023,27 @@ class TestConfig:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 11
+
+    def test_config_seed_reaches_synth(self, tmp_path):
+        """``seed`` from the config file seeds a command as ``--seed`` does, and
+        an explicit ``--seed`` wins over it."""
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("alpha\t3\nbeta\t1\ngamma\t2\n")
+        cfg = tmp_path / "cfg"
+        cfg.write_text("seed=7\n")
+
+        def synth(out, *extra):
+            argv = ["synth", "--freq-table", str(freq), "--lengths", "5,10"]
+            argv += ["--docs-per-length", "3", "--out-dir", str(tmp_path / out), *extra]
+            assert main(argv) == 0
+            return [(tmp_path / out / f).read_bytes() for f in ("synthetic.jsonl", "manifest.json")]
+
+        flag = synth("flag", "--seed", "7")
+        assert json.loads(flag[1])["seed"] == 7
+        assert synth("config", "--config", str(cfg)) == flag
+        override = synth("override", "--config", str(cfg), "--seed", "8")
+        assert override == synth("flag8", "--seed", "8")
+        assert override[0] != flag[0]
 
     def test_env_var_and_flag_override(self, corpus, system, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg"

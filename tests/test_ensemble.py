@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from packed_rows import Row, feature_set, feature_sets, grow
+from packed_rows import Row, feature_set, feature_sets, grow, score
 from oracle import naive_forest_score, naive_permutation_importance, naive_trees
 
 import sdgdetect.ensemble as ensemble
@@ -33,7 +33,6 @@ from sdgdetect.ensemble import (
     build_features,
     cross_validate,
     forest_score,
-    forest_scores,
     load_model,
     permutation_importance,
     save_model,
@@ -176,7 +175,7 @@ class TestTrainForest:
         rows = _separable_rows()
         forest = grow(rows, ForestParams(num_trees=20, seed=1))
         for r in rows:
-            assert (forest_score(forest, r.features) >= 0.5) == r.label
+            assert (score(forest, r.features) >= 0.5) == r.label
 
     def test_one_class_raises(self):
         rows = [_row(f"d{i}", (float(i),), True) for i in range(5)]
@@ -428,25 +427,25 @@ class TestForestScores:
                     X = np.vstack([X, tie])
             trees = naive_trees(rows, params)
             expected = [naive_forest_score(trees, x) for x in X.tolist()]
-            assert forest_scores(forest, X).tolist() == expected
-            assert [forest_score(forest, x) for x in X.tolist()] == expected
+            assert forest_score(forest, X).tolist() == expected
+            assert [score(forest, x) for x in X.tolist()] == expected
 
     def test_one_row_and_no_rows(self):
         rows = _separable_rows(rng_seed=6)
         forest = grow(rows, ForestParams(num_trees=4, seed=2))
         one = np.array([rows[3].features])
-        assert forest_scores(forest, one).tolist() == [
+        assert forest_score(forest, one).tolist() == [
             naive_forest_score(_tree_objs(forest), rows[3].features)
         ]
-        none = forest_scores(forest, np.empty((0, 2)))
+        none = forest_score(forest, np.empty((0, 2)))
         assert none.shape == (0,)
 
     def test_width_mismatch(self):
         forest = grow(_separable_rows(), ForestParams(num_trees=2))
         with pytest.raises(SchemaMismatchError, match="expected 2 features, got 3"):
-            forest_scores(forest, np.zeros((4, 3)))
+            forest_score(forest, np.zeros((4, 3)))
         with pytest.raises(SchemaMismatchError, match="expected 2 features, got 1"):
-            forest_score(forest, (0.5,))
+            score(forest, (0.5,))
 
     def test_leaf_values_add_left_to_right(self):
         """Each score is its leaves' float sum taken in tree order from 0.0. The
@@ -460,7 +459,7 @@ class TestForestScores:
         ]
         forest = _forest_from_objs(trees, 1, ForestParams(num_trees=len(trees)))
         in_order = [functools.reduce(operator.add, leaves, 0.0) for leaves in (left, right)]
-        assert forest_scores(forest, np.array([[0.0], [1.0]])).tolist() == [
+        assert forest_score(forest, np.array([[0.0], [1.0]])).tolist() == [
             total / len(trees) for total in in_order
         ]
         assert in_order[0] != math.fsum(left)
@@ -468,11 +467,9 @@ class TestForestScores:
 
 def _depth(forest) -> int:
     depth = [0] * len(forest.feature)
-    for i, (f, left, right) in enumerate(
-        zip(forest.feature.tolist(), forest.left.tolist(), forest.right.tolist())
-    ):
-        if f >= 0:  # pre-order: a split comes before its children
-            depth[left] = depth[right] = depth[i] + 1
+    for i, (f, right) in enumerate(zip(forest.feature.tolist(), forest.right.tolist())):
+        if f >= 0:  # pre-order: a split comes before its children, its left child next
+            depth[i + 1] = depth[right] = depth[i] + 1
     return max(depth)
 
 
@@ -498,8 +495,8 @@ class TestDeepTrees:
         X = np.array([r.features for r in rows] + [(0.0, i + 0.5) for i in range(-1, n)])
         trees = naive_trees(rows, params)
         expected = [naive_forest_score(trees, x) for x in X.tolist()]
-        assert forest_scores(forest, X).tolist() == expected
-        assert ((forest_scores(forest, X[:n]) >= 0.5) == [r.label for r in rows]).all()
+        assert forest_score(forest, X).tolist() == expected
+        assert ((forest_score(forest, X[:n]) >= 0.5) == [r.label for r in rows]).all()
 
 
 class TestPredictOracle:
@@ -516,9 +513,9 @@ class TestPredictOracle:
         }
         forest = _forest_from_objs([tree1, tree2], 2, ForestParams(num_trees=2))
         # features (0.7, 20): tree1 -> right leaf 0.9; tree2 -> right, then right leaf 1.0
-        assert forest_score(forest, (0.7, 20.0)) == pytest.approx((0.9 + 1.0) / 2)
+        assert score(forest, (0.7, 20.0)) == pytest.approx((0.9 + 1.0) / 2)
         # features (0.1, 5): tree1 -> 0.2; tree2 -> 0.0
-        assert forest_score(forest, (0.1, 5.0)) == pytest.approx(0.1)
+        assert score(forest, (0.1, 5.0)) == pytest.approx(0.1)
 
 
 def _golden_cv_rows(seed, sdgs, n_docs, n_synthetic):
@@ -757,7 +754,50 @@ class TestModel:
         from sdgdetect.errors import SchemaMismatchError
 
         with pytest.raises(SchemaMismatchError):
-            EnsembleModel(partial, model.feature_names, model.system_names, 1.0, 0)
+            EnsembleModel(partial, model.system_names, 1.0, 0)
+
+
+@pytest.fixture
+def forest_score_calls(monkeypatch):
+    """The row count of each call of ``ensemble.forest_score``."""
+    calls = []
+    scorer = ensemble.forest_score
+
+    def counted(forest, X):
+        calls.append(len(X))
+        return scorer(forest, X)
+
+    monkeypatch.setattr(ensemble, "forest_score", counted)
+    return calls
+
+
+class TestEveryScoreGoesThroughForestScore:
+    """A trace counts scoring by wrapping ``ensemble.forest_score``: every
+    step that scores rows reaches it, one call per batch of rows."""
+
+    def test_cross_validate_scores_each_fold_once(self, forest_score_calls):
+        result = cross_validate(
+            feature_sets(_golden_cv_rows(5, (1, 2, 9), 12, 8)),
+            CvConfig(folds=3, repeats=2, seed=4),
+            ForestParams(num_trees=4, seed=2),
+        )
+        assert len(forest_score_calls) == len(result.records)
+        assert forest_score_calls == [rec.counts.total for rec in result.records]
+
+    def test_model_importance_scores_baseline_and_each_permutation(self, forest_score_calls):
+        model, rows = _full_model()
+        features = feature_sets({g: rows[g] for g in (2, 5, 9)})
+        ensemble.model_importance(model, features, repetitions=3, seed=1)
+        n_features = len(model.feature_names)
+        assert forest_score_calls == [20] * 3 * (1 + n_features * 3)
+
+    def test_score_documents_scores_each_sdg_once(self, forest_score_calls):
+        model, _ = _full_model()
+        model.score_documents([[1], [5], [0]], [10, 200, 30])
+        assert forest_score_calls == [3] * 17
+        forest_score_calls.clear()
+        model.predict_document({"sysA": {1, 4}}, word_count=100)
+        assert forest_score_calls == [1] * 17
 
 
 class TestPersistence:
@@ -769,7 +809,7 @@ class TestPersistence:
         assert loaded == model
         for g in range(1, 18):
             for r in rows[g][:3]:
-                assert forest_score(loaded.forests[g], r.features) == forest_score(
+                assert score(loaded.forests[g], r.features) == score(
                     model.forests[g], r.features
                 )
 
@@ -844,7 +884,7 @@ class TestPersistence:
         monkeypatch.setattr(json, "loads", lambda text: payload)
         forest = load_model(path).forests[1]
         assert forest.trees == (0, 2 * depth + 1, 4 * depth + 2)
-        assert forest_scores(forest, np.array([[0.0, 50.0], [1.0, 50.0]])).tolist() == [1.0, 0.0]
+        assert forest_score(forest, np.array([[0.0, 50.0], [1.0, 50.0]])).tolist() == [1.0, 0.0]
 
     def test_wrong_version(self, tmp_path):
         model, _ = _full_model()
@@ -856,4 +896,15 @@ class TestPersistence:
         payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelVersionError):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        model, _ = _full_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ModelVersionError, match=f"unsupported model version {version!r}"):
             load_model(path)

@@ -5,7 +5,7 @@ import pytest
 
 from sdgdetect.corpus import Dataset, Document
 from sdgdetect.errors import NearOperandError, QuerySyntaxError, SchemaError
-from sdgdetect.query import _MAX_NESTING, Or, Term, query_to_string
+from sdgdetect.query import _MAX_NESTING, Or, Term
 from sdgdetect.systems import (
     PredictionMatrix,
     SystemDefinition,
@@ -193,7 +193,7 @@ class TestDetect:
                 for q in range(rng.randrange(1, 12)):
                     ast = random_query(rng, 3, PREFIX_VOCAB)
                     sdg = rng.randrange(1, 18)
-                    entries.append(SystemEntry(sdg, f"q{q}", query_to_string(ast), ast))
+                    entries.append(SystemEntry(sdg, f"q{q}", ast))
                 systems.append(SystemDefinition(f"s{s}", tuple(entries)))
             expected = sorted(
                 (
