@@ -287,8 +287,12 @@ def _grow(
     A stack stands in for recursion, so a tree may be as deep as its data
     makes it, and pops nodes in the recursion's order, so every
     ``rng.choice`` draw is too. Each child gets its own ascending rows, so
-    no node copies the columns.
+    no node copies the columns. With ``mtry`` at least the feature count
+    the draw would be a permutation of every feature, sorted by
+    ``_best_split``, and the generator is used for nothing after it, so it
+    is left out.
     """
+    every_feature = np.arange(len(cols)) if mtry >= len(cols) else None
     stack = [(rows, 0, -1)]  # (rows, depth, split it is the right child of)
     while stack:
         rows, depth, parent = stack.pop()
@@ -299,7 +303,9 @@ def _grow(
         pos_frac = pos / total
         best = None
         if 0.0 < pos_frac < 1.0 and (max_depth is None or depth < max_depth):
-            feature_ids = rng.choice(len(cols), size=min(mtry, len(cols)), replace=False)
+            feature_ids = every_feature
+            if feature_ids is None:
+                feature_ids = rng.choice(len(cols), size=mtry, replace=False)
             best = _best_split(cols, weights, rows, flags, feature_ids, min_leaf_weight, total, pos)
         if best is None:
             nodes.append([-1, 0.0, -1, pos_frac, total])
