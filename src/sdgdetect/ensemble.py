@@ -15,18 +15,27 @@ scores are the mean leaf positive-fraction across trees; an SDG is
 assigned at score >= threshold (default 0.5). Row weights must be finite
 and non-negative.
 
-A forest is one flat node table. Trees are grown into it from a stack,
-and `forest_score` walks a whole matrix of rows through all trees at
-once. Float sums run left to right (`bias.sum_in_order`).
+A forest is one flat node table. `train_forest` grows the trees of many
+forests in lockstep, each from its own stack: per step every live tree
+stops at its next node to search, and all those nodes are scanned
+together in padded blocks; a node of more than `SCAN_OWN_ROWS` rows is
+scanned alone as soon as its tree reaches it. Two budgets bound the
+memory (`GROW_ROWS` training rows in the live trees, `SCAN_CELLS` cells
+per block). Each scan's prefix sums are `cumsum`s, left to right, and
+each node's weight totals are numpy's `.sum()` over its rows, exact for
+bootstrap draw counts, so a tree is the one it would be grown alone.
+`forest_score` walks a whole matrix of rows through all trees at once.
+Other float sums run left to right (`bias.sum_in_order`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -212,144 +221,320 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _best_split(
-    cols: np.ndarray,
-    weights: np.ndarray,
-    rows: np.ndarray,
-    flags: np.ndarray,
-    feature_ids: np.ndarray,
-    min_leaf_weight: float,
-    total: float,
-    pos: float,
-) -> tuple[int, float] | None:
-    """Exhaustive weighted-Gini scan over candidate features and thresholds.
+# Lockstep growth holds the trees live at once to GROW_ROWS training rows in all
+# (each live tree keeps a weight and a positive weight per row), and each scan
+# block to SCAN_CELLS (segment, row) cells. A node of more than SCAN_OWN_ROWS rows
+# is scanned alone, from its own arrays, as soon as its tree reaches it.
+GROW_ROWS = 1 << 16
+SCAN_CELLS = 1 << 13
+SCAN_OWN_ROWS = 256
 
-    A 0/1 flag column (``flags[f]``) has one cut, after its 0 rows, at
-    0.5, and ``np.cumsum`` over those rows in row order gives the floats
-    the scan would reach there. Any other column is scanned over the
-    node's ascending ``rows`` stably sorted by it. Returns (feature, threshold)
-    with the largest impurity decrease, or None if no split improves on
-    the parent. Ties break toward the lower feature index, then the lower
-    threshold, so results are deterministic.
-    """
-    p1 = pos / total
-    parent = 2.0 * p1 * (1.0 - p1) * total  # total-weighted Gini
-    best_gain = 1e-12
-    best: tuple[int, float] | None = None
-    for f in sorted(feature_ids.tolist()):
-        if flags[f]:
-            zeros = rows[cols[f][rows] == 0.0]
-            if not 0 < len(zeros) < len(rows):
-                continue
-            wl, cl = np.cumsum(weights[:, zeros], axis=1)[:, -1].tolist()
-            wr = total - wl
-            if wl < min_leaf_weight or wr < min_leaf_weight:
-                continue
-            pl = cl / wl if wl > 0 else 0.0
-            pr = (pos - cl) / wr if wr > 0 else 0.0
-            gain = parent - (2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr)
-            threshold = 0.5
-        else:
-            order = rows[np.argsort(cols[f][rows], kind="stable")]
-            xs = cols[f][order]
-            cw, cp = np.cumsum(weights[:, order], axis=1)
-            wl = cw[:-1]
-            wr = total - wl
-            valid = (xs[:-1] < xs[1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
-            if not valid.any():
-                continue
-            pl = np.divide(cp[:-1], wl, out=np.zeros_like(wl), where=wl > 0)
-            pr = np.divide(pos - cp[:-1], wr, out=np.zeros_like(wr), where=wr > 0)
-            children = 2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr
-            gains = np.where(valid, parent - children, -np.inf)
-            i = int(np.argmax(gains))
-            gain = gains[i]
-            threshold = float((xs[i] + xs[i + 1]) / 2.0)
-        if gain > best_gain:
-            best_gain = float(gain)
-            best = (f, threshold)
-    return best
+Job = tuple[np.ndarray, np.ndarray, np.ndarray, ForestParams]  # X, y, w, params
 
 
-def _grow(
-    cols: np.ndarray,
-    weights: np.ndarray,
-    rows: np.ndarray,
-    flags: np.ndarray,
-    rng: np.random.Generator,
-    mtry: int,
-    min_leaf_weight: float,
-    max_depth: int | None,
-    nodes: list[list],
-) -> None:
-    """Append the tree grown on ascending ``rows`` to ``nodes``, pre-order, left subtree first.
-
-    A stack stands in for recursion, so a tree may be as deep as its data
-    makes it, and pops nodes in the recursion's order, so every
-    ``rng.choice`` draw is too. Each child gets its own ascending rows, so
-    no node copies the columns. With ``mtry`` at least the feature count
-    the draw would be a permutation of every feature, sorted by
-    ``_best_split``, and the generator is used for nothing after it, so it
-    is left out.
-    """
-    every_feature = np.arange(len(cols)) if mtry >= len(cols) else None
-    stack = [(rows, 0, -1)]  # (rows, depth, split it is the right child of)
-    while stack:
-        rows, depth, parent = stack.pop()
-        if parent >= 0:
-            nodes[parent][2] = len(nodes)
-        total = float(weights[0][rows].sum())
-        pos = float(weights[1][rows].sum())
-        pos_frac = pos / total
-        best = None
-        if 0.0 < pos_frac < 1.0 and (max_depth is None or depth < max_depth):
-            feature_ids = every_feature
-            if feature_ids is None:
-                feature_ids = rng.choice(len(cols), size=mtry, replace=False)
-            best = _best_split(cols, weights, rows, flags, feature_ids, min_leaf_weight, total, pos)
-        if best is None:
-            nodes.append([-1, 0.0, -1, pos_frac, total])
-            continue
-        f, threshold = best
-        nodes.append([f, threshold, -1, 0.0, 0.0])
-        left = cols[f][rows] <= threshold
-        stack.append((rows[~left], depth + 1, len(nodes) - 1))
-        stack.append((rows[left], depth + 1, -1))
-
-
-def train_forest(X: np.ndarray, y: np.ndarray, w: np.ndarray, params: ForestParams) -> Forest:
-    """The forest of rows ``X`` with 0/1 labels ``y`` and weights ``w``.
-
-    A bootstrap tree grows on the rows it drew, weighted by their integer
-    draw counts, so its weight sums are exact in any order. The draws are
-    those of ``rng.choice(n, size=n, replace=True, p=w / w.sum())``, from
-    its CDF built once per forest.
-    """
+def _check_training_rows(y: np.ndarray, w: np.ndarray) -> None:
+    """Raise the error that growing a forest on labels ``y`` and weights ``w`` raises."""
     if not len(y):
         raise OneClassError("no training rows")
     if not (w >= 0).all() or not math.isfinite(w.sum()):  # a NaN fails w >= 0
         raise ParamError("row weights must be finite and non-negative")
     if (w[y > 0].sum() <= 0) or (w[y == 0].sum() <= 0):
         raise OneClassError("training rows contain only one class")
-    n, n_features = X.shape
-    mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(n_features))
-    cols = X.T.copy()
-    flags = ((cols == 0.0) | (cols == 1.0)).all(axis=1)
-    unit = np.stack((np.ones(n), y))  # (weight, positive weight) of a row of weight 1
-    rows, weights = np.arange(n), unit * w
-    cdf = np.cumsum(w / w.sum())
-    cdf /= cdf[-1]
-    nodes: list[list] = []
-    roots = []
-    for t in range(params.num_trees):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
-        if params.bootstrap:
-            m = np.bincount(cdf.searchsorted(rng.random(n), side="right"), minlength=n)
-            rows, weights = np.flatnonzero(m), unit * m
-        min_leaf_weight = params.min_leaf_frac * float(weights[0].sum())
-        roots.append(len(nodes))
-        _grow(cols, weights, rows, flags, rng, mtry, min_leaf_weight, params.max_depth, nodes)
-    return _forest(nodes, roots, n_features, params)
+
+
+class _Job:
+    """One forest while its trees grow: its columns (one row per feature), which
+    columns hold only 0/1, its draw settings, and each tree's nodes."""
+
+    def __init__(self, index: int, X: np.ndarray, params: ForestParams):
+        self.index, self.n, self.params = index, len(X), params  # index: the job's, in order
+        self.cols = X.T.copy()
+        self.flags = ((self.cols == 0.0) | (self.cols == 1.0)).all(axis=1)
+        width = len(self.cols)
+        self.mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(width))
+        # With mtry >= width the draw is a permutation of every feature, which sorting
+        # undoes, and the generator is used for nothing after it: it is left out.
+        self.every = np.arange(width) if self.mtry >= width else None
+        self.trees: list[list[list]] = [[] for _ in range(params.num_trees)]
+        self.growing = params.num_trees
+
+    def forest(self) -> Forest:
+        """The grown trees as one Forest, each split's ``right`` offset by its tree's root."""
+        sizes = [len(nodes) for nodes in self.trees]
+        roots = [0, *itertools.accumulate(sizes[:-1])]
+        feature, threshold, right, p, w = map(np.array, zip(*itertools.chain(*self.trees)))
+        right = np.where(right >= 0, right + np.repeat(roots, sizes), -1)
+        return Forest(tuple(roots), feature, threshold, right, p, w, len(self.cols), self.params)
+
+
+class _Search(NamedTuple):
+    """A node to search: its ascending rows, their (weight, positive weight)
+    columns and sums, its drawn features ascending, and ``values[j]``, the
+    column of ``features[j]`` over its rows."""
+
+    tree: _Tree
+    rows: np.ndarray
+    depth: int
+    weights: np.ndarray
+    total: float
+    pos: float
+    features: np.ndarray
+    values: np.ndarray
+    flags: np.ndarray
+
+
+class _Tree:
+    """One tree while it grows: its job, its generator, a (weight, positive
+    weight) column per training row, and its stack of nodes to grow."""
+
+    def __init__(self, job: _Job, t: int, rng, weights: np.ndarray, rows: np.ndarray):
+        self.job, self.nodes, self.rng, self.weights = job, job.trees[t], rng, weights
+        self.min_leaf_weight = job.params.min_leaf_frac * float(weights[0].sum())
+        self.stack = [(rows, 0, -1)]  # (rows, depth, split it is the right child of)
+
+    def next_search(self) -> _Search | None:
+        """Pop nodes in pre-order, writing each leaf and scanning and splitting
+        each node of more than ``SCAN_OWN_ROWS`` rows at once, up to the first
+        other node to search; None once the tree is grown."""
+        job, stack = self.job, self.stack
+        max_depth = job.params.max_depth
+        while stack:
+            rows, depth, parent = stack.pop()
+            if parent >= 0:
+                self.nodes[parent][2] = len(self.nodes)
+            w = self.weights.take(rows, axis=1)  # take: much faster than fancy indexing
+            total, pos = float(w[0].sum()), float(w[1].sum())
+            if not (0.0 < pos / total < 1.0 and (max_depth is None or depth < max_depth)):
+                self.nodes.append([-1, 0.0, -1, pos / total, total])
+                continue
+            if job.every is not None:
+                drawn, values, flags = job.every, job.cols.take(rows, axis=1), job.flags
+            else:
+                drawn = np.sort(self.rng.choice(len(job.cols), size=job.mtry, replace=False))
+                values, flags = job.cols[drawn].take(rows, axis=1), job.flags[drawn]
+            node = _Search(self, rows, depth, w, total, pos, drawn, values, flags)
+            if len(rows) <= SCAN_OWN_ROWS:
+                return node
+            self.split(node, _split_of(_scan_alone(node)))
+        return None
+
+    def split(self, node: _Search, split: tuple[int, float] | None) -> None:
+        """Write ``node`` as a leaf, or as ``split`` (position in its drawn
+        features, threshold) with its children pushed; a split's right child
+        is an index into the tree's own nodes."""
+        if split is None:
+            self.nodes.append([-1, 0.0, -1, node.pos / node.total, node.total])
+            return
+        j, threshold = split
+        self.nodes.append([int(node.features[j]), threshold, -1, 0.0, 0.0])
+        left = node.values[j] <= threshold
+        self.stack.append((node.rows[~left], node.depth + 1, len(self.nodes) - 1))
+        self.stack.append((node.rows[left], node.depth + 1, -1))
+
+
+def _started_trees(jobs: Iterable[Job]):
+    """Each job's trees in order, each started (generator made, bootstrap drawn)
+    when asked for."""
+    width = None
+    for index, (X, y, w, params) in enumerate(jobs):
+        _check_training_rows(y, w)
+        if width is not None and X.shape[1] != width:
+            raise ParamError(f"every job must have {width} feature columns, got {X.shape[1]}")
+        n, width = X.shape
+        job = _Job(index, X, params)
+        rows, unit = np.arange(n), np.stack((np.ones(n), y))  # a row of weight 1
+        weights = unit * w
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        for t in range(params.num_trees):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
+            if params.bootstrap:
+                m = np.bincount(cdf.searchsorted(rng.random(n), side="right"), minlength=n)
+                rows, weights = np.flatnonzero(m), unit * m
+            yield _Tree(job, t, rng, weights, rows)
+
+
+def _flag_gain(wl: float, cl: float, zeros: int, stats: tuple) -> float:
+    """Gain of a 0/1 flag column's one cut, after its ``zeros`` 0 rows, which
+    weigh ``wl`` and hold positive weight ``cl``; -inf if the cut is not valid."""
+    total, pos, parent, min_leaf_weight, n = stats
+    wr = total - wl
+    if not (0 < zeros < n and wl >= min_leaf_weight and wr >= min_leaf_weight):
+        return -math.inf
+    pl = cl / wl if wl > 0 else 0.0
+    pr = (pos - cl) / wr if wr > 0 else 0.0
+    return parent - (2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr)
+
+
+def _sorted_gains(xs, cw, cp, total, pos, parent, min_leaf_weight) -> np.ndarray:
+    """Gain of each cut between neighbours of sorted values ``xs`` (last axis),
+    from the running weights ``cw`` and positive weights ``cp``; -inf where the
+    cut is not valid."""
+    wl, cl = cw[..., :-1], cp[..., :-1]
+    wr = total - wl
+    pl = np.divide(cl, wl, out=np.zeros(wl.shape), where=wl > 0)
+    pr = np.divide(pos - cl, wr, out=np.zeros(wr.shape), where=wr > 0)
+    children = 2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr
+    valid = (xs[..., :-1] < xs[..., 1:]) & (wl >= min_leaf_weight) & (wr >= min_leaf_weight)
+    return np.where(valid, parent - children, -np.inf)
+
+
+def _stats(node: _Search) -> tuple[float, float, float, float, int]:
+    """A searched node's total and positive weight, weighted Gini, minimum leaf weight and rows."""
+    p1 = node.pos / node.total
+    parent = 2.0 * p1 * (1.0 - p1) * node.total
+    return node.total, node.pos, parent, node.tree.min_leaf_weight, len(node.rows)
+
+
+def _scan_alone(node: _Search) -> list[tuple[float, float]]:
+    """``_scan`` of one node, one drawn feature at a time, from its own arrays."""
+    stats, w, found = _stats(node), node.weights, []
+    for v, is_flag in zip(node.values, node.flags.tolist()):
+        if is_flag:
+            at = np.flatnonzero(v == 0.0)
+            wl, cl = w.take(at, axis=1).cumsum(axis=1)[:, -1].tolist() if len(at) else (0, 0)
+            found.append((_flag_gain(wl, cl, len(at), stats), 0.5))
+            continue
+        order = v.argsort(kind="stable")
+        xs = v.take(order)
+        cw, cp = w.take(order, axis=1).cumsum(axis=1)
+        gains = _sorted_gains(xs, cw, cp, *stats[:4])
+        i = int(gains.argmax())
+        found.append((float(gains[i]), float((xs[i] + xs[i + 1]) / 2.0)))
+    return found
+
+
+def _scan(block: list[_Search]) -> list[list[tuple[float, float]]]:
+    """Per node of ``block``, per drawn feature: the best cut's gain (-inf if
+    no cut is valid) and threshold.
+
+    Every (node, drawn feature) segment is a row of one ``(segments x
+    rows)`` block of values, each node's rows ascending and padded with NaN
+    values of zero weight past its last row. A 0/1 flag column has one cut,
+    after its 0 rows, at 0.5, and a ``cumsum`` over the weights of those
+    rows in row order gives the floats the scan would reach there. Any
+    other column is stably sorted, NaN last, and scanned by ``cumsum``.
+    Each ``cumsum`` runs left to right, so padding changes no prefix, and
+    no cut before a NaN is valid.
+    """
+    stats, flag_segs, sorted_segs = [], [], []
+    for b, node in enumerate(block):
+        stats.append(_stats(node))
+        for j, is_flag in enumerate(node.flags.tolist()):
+            (flag_segs if is_flag else sorted_segs).append((b, j))
+    weights = np.concatenate([nd.weights for nd in block] + [np.zeros((2, 1))], axis=1)
+    value_cat = np.concatenate([nd.values.ravel() for nd in block] + [np.full(1, np.nan)])
+    starts, v, o = [], 0, 0  # each node's first value and first weight column
+    for node in block:
+        starts.append((v, o))
+        v, o = v + node.values.size, o + len(node.rows)
+    first = np.array([  # each segment's first value, first weight column and rows
+        (starts[b][0] + j * stats[b][4], starts[b][1], stats[b][4])
+        for b, j in flag_segs + sorted_segs
+    ]).T[:, :, None]
+    col = np.arange(max(n for *_, n in stats))
+    real = col < first[2]
+    values = value_cat.take(np.where(real, first[0] + col, v))
+    at = np.where(real, first[1] + col, o)  # each cell's weight column
+    found = [[None] * len(node.features) for node in block]
+    if flag_segs:
+        zero = values[: len(flag_segs)] == 0.0
+        flag_weights = weights.take(at[: len(flag_segs)], axis=1)
+        left = np.where(zero, flag_weights, 0.0).cumsum(axis=2)[:, :, -1].T.tolist()
+        zeros = zero.sum(axis=1).tolist()
+        for (b, j), (wl, cl), nz in zip(flag_segs, left, zeros):
+            found[b][j] = (_flag_gain(wl, cl, nz, stats[b]), 0.5)
+    if sorted_segs:
+        sorted_values = values[len(flag_segs):]
+        order = sorted_values.argsort(axis=1, kind="stable")
+        r = np.arange(len(sorted_segs))
+        cells = order + (r * order.shape[1])[:, None]  # each sorted value's flat cell
+        xs = sorted_values.take(cells)
+        cw, cp = weights.take(at[len(flag_segs):].take(cells), axis=1).cumsum(axis=2)
+        seg_stats = np.array([stats[b][:4] for b, _ in sorted_segs]).T[:, :, None]
+        gains = _sorted_gains(xs, cw, cp, *seg_stats)
+        i = gains.argmax(axis=1)
+        best = zip(gains[r, i].tolist(), ((xs[r, i] + xs[r, i + 1]) / 2.0).tolist())
+        for (b, j), gain_threshold in zip(sorted_segs, best):
+            found[b][j] = gain_threshold
+    return found
+
+
+def _split_of(found: list[tuple[float, float]]) -> tuple[int, float] | None:
+    """The split ``(position in the drawn features, threshold)`` of the first
+    drawn feature, ascending, whose gain is the largest and above 1e-12."""
+    best, best_gain = None, 1e-12
+    for j, (gain, threshold) in enumerate(found):
+        if gain > best_gain:
+            best, best_gain = (j, threshold), gain
+    return best
+
+
+def _best_splits(searched: list[_Search]) -> list[tuple[int, float] | None]:
+    """Each searched node's split, scanned in blocks of similar row counts."""
+    blocks: list[list[int]] = []
+    segments = 0
+    for i in sorted(range(len(searched)), key=lambda i: len(searched[i].rows)):
+        n, k = len(searched[i].rows), len(searched[i].features)
+        if n < 2:  # no cut
+            continue
+        if not blocks or (segments + k) * n > SCAN_CELLS:
+            blocks.append([])
+            segments = 0
+        blocks[-1].append(i)
+        segments += k
+    splits: list[tuple[int, float] | None] = [None] * len(searched)
+    for block in blocks:
+        nodes = [searched[i] for i in block]
+        for i, found in zip(block, _scan(nodes) if len(nodes) > 1 else [_scan_alone(nodes[0])]):
+            splits[i] = _split_of(found)
+    return splits
+
+
+def train_forest(jobs: Iterable[Job]) -> list[Forest]:
+    """The forest of each job ``(X, y, w, params)``, in order: rows ``X`` with
+    0/1 labels ``y`` and weights ``w``, every job with the same columns.
+
+    A bootstrap tree grows on the rows it drew, weighted by their integer
+    draw counts, so its weight sums are exact in any order. The draws are
+    those of ``rng.choice(n, size=n, replace=True, p=w / w.sum())``, from
+    its CDF built once per forest.
+
+    The trees of all jobs grow in lockstep. At each step every live tree
+    pops nodes from its own stack, in pre-order, writing leaves, up to the
+    first node it has to search, and draws that node's features from its
+    own generator; the searched nodes of the step are then scanned
+    together (``_scan``) and split. A node of more than ``SCAN_OWN_ROWS``
+    rows is scanned and split alone as soon as it is popped. So each tree
+    is the one it would be grown alone. Jobs are read one at a time, when their first tree
+    starts, and trees start while the live trees hold at most
+    ``GROW_ROWS`` rows, so a generator of jobs keeps only the growing
+    jobs' arrays.
+    """
+    forests: dict[int, Forest] = {}  # by job index
+    pending = _started_trees(jobs)
+    live: list[_Tree] = []
+    live_rows = 0
+    tree = next(pending, None)
+    while live or tree is not None:
+        while tree is not None and (not live or live_rows + tree.job.n <= GROW_ROWS):
+            live.append(tree)
+            live_rows += tree.job.n
+            tree = next(pending, None)
+        searched = []
+        for t in live:
+            node = t.next_search()
+            if node is not None:
+                searched.append(node)
+                continue
+            live_rows -= t.job.n
+            t.job.growing -= 1
+            if not t.job.growing:  # its node lists become arrays
+                forests[t.job.index] = t.job.forest()
+        for node, split in zip(searched, _best_splits(searched)):
+            node.tree.split(node, split)
+        live = [node.tree for node in searched]
+    return [forests[i] for i in range(len(forests))]
 
 
 def forest_score(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -438,12 +623,13 @@ def train_model(
     params: ForestParams,
     threshold: float = 0.5,
 ) -> EnsembleModel:
-    forests = {}
+    if any(sdg not in features for sdg in range(1, 18)):
+        raise OneClassError("no training rows")
+    jobs = []
     for sdg in range(1, 18):
-        if sdg not in features:
-            raise OneClassError("no training rows")
         fs, sdg_params = features[sdg], replace(params, seed=_child_seed(params.seed, sdg))
-        forests[sdg] = train_forest(fs.X, fs.y, fs.w, sdg_params)
+        jobs.append((fs.X, fs.y, fs.w, sdg_params))
+    forests = dict(zip(range(1, 18), train_forest(jobs)))
     return EnsembleModel(forests, tuple(system_names), k, params.seed, threshold)
 
 
@@ -527,6 +713,7 @@ def cross_validate(
     synthetic_positives = 0
 
     sdgs = sorted(features)
+    grown: list[tuple[int, int, int, np.ndarray]] = []  # (sdg, repeat, fold, test rows)
     for rep in range(config.repeats):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, rep))))
         assignment = _assign_folds(doc_info, config.folds, rng)
@@ -541,20 +728,29 @@ def cross_validate(
                 if not in_test.any():
                     continue
                 fs, train = features[sdg], ~in_test
-                fold_params = replace(params, seed=_child_seed(config.seed, rep, fold, sdg))
                 try:
-                    forest = train_forest(fs.X[train], fs.y[train], fs.w[train], fold_params)
+                    _check_training_rows(fs.y[train], fs.w[train])
                 except OneClassError as exc:
                     skipped.append((sdg, rep, fold, str(exc)))
                     continue
-                predicted = forest_score(forest, fs.X[in_test]) >= config.threshold
-                actual = fs.y[in_test].astype(bool)
-                tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
-                counts = ConfusionCounts(tp, fp, tn, fn)
-                records.append(CvFoldRecord(sdg, rep, fold, counts, metrics(counts)))
-                outcome = 2 * group[sdg][in_test] + (predicted == actual)
-                tally += np.bincount(outcome, minlength=len(tally))
-                synthetic_positives += int(predicted[fs.synthetic[in_test]].sum())
+                grown.append((sdg, rep, fold, in_test))
+
+    jobs = (  # each fold's training arrays are made when its first tree starts
+        (fs.X[~in_test], fs.y[~in_test], fs.w[~in_test],
+         replace(params, seed=_child_seed(config.seed, rep, fold, sdg)))
+        for sdg, rep, fold, in_test in grown
+        for fs in (features[sdg],)
+    )
+    for (sdg, rep, fold, in_test), forest in zip(grown, train_forest(jobs)):
+        fs = features[sdg]
+        predicted = forest_score(forest, fs.X[in_test]) >= config.threshold
+        actual = fs.y[in_test].astype(bool)
+        tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
+        counts = ConfusionCounts(tp, fp, tn, fn)
+        records.append(CvFoldRecord(sdg, rep, fold, counts, metrics(counts)))
+        outcome = 2 * group[sdg][in_test] + (predicted == actual)
+        tally += np.bincount(outcome, minlength=len(tally))
+        synthetic_positives += int(predicted[fs.synthetic[in_test]].sum())
 
     pooled = sum((rec.counts for rec in records), ConfusionCounts())
     tally = tally.reshape(2, len(index), 2)  # [synthetic][origin][wrong, right]

@@ -39,6 +39,13 @@ class WordFrequencyTable:
             raise SchemaError("frequency table has duplicate words")
         if any(c <= 0 for c in self.counts):
             raise SchemaError("frequency table counts must be positive")
+        try:  # the sum that `probabilities` divides by
+            with np.errstate(over="ignore"):
+                total = np.asarray(self.counts, dtype=np.float64).sum()
+        except OverflowError:  # a count past the float range
+            total = np.inf
+        if not np.isfinite(total):
+            raise SchemaError("frequency table counts sum past the float range")
 
     @property
     def probabilities(self) -> np.ndarray:

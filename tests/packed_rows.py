@@ -28,9 +28,9 @@ def feature_sets(rows_by_sdg) -> dict:
 
 
 def grow(rows, params):
-    """``train_forest`` on the arrays of ``rows``."""
+    """The forest ``train_forest`` grows on the arrays of ``rows``, as its one job."""
     fs = feature_set(rows)
-    return train_forest(fs.X, fs.y, fs.w, params)
+    return train_forest([(fs.X, fs.y, fs.w, params)])[0]
 
 
 def score(forest, features) -> float:

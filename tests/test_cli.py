@@ -384,6 +384,19 @@ class TestSynth:
         assert rc == 2
         assert "E_PARAMS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body", [f"alpha\t{10**400}\n", f"alpha\t{10**308}\nbeta\t{10**308}\n"]
+    )
+    def test_counts_past_the_float_range_are_schema_errors(self, body, tmp_path, capsys):
+        freq = tmp_path / "freq.tsv"
+        freq.write_text(body)
+        out = tmp_path / "o"
+        rc = main(["synth", "--freq-table", str(freq), "--lengths", "5", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "error [E_SCHEMA]: frequency table counts sum past the float range" in err
+        assert "Traceback" not in err
+
     def test_failed_write_leaves_no_temp(self, tmp_path, monkeypatch, capsys):
         freq = tmp_path / "freq.tsv"
         freq.write_text("alpha\t1\n")

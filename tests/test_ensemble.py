@@ -36,6 +36,7 @@ from sdgdetect.ensemble import (
     load_model,
     permutation_importance,
     save_model,
+    train_forest,
     train_model,
 )
 from sdgdetect.synthgen import generate_matched, load_frequency_table
@@ -280,12 +281,13 @@ class TestSplitOracle:
         assert a["r"]["p"] == pytest.approx(b["r"]["p"])
 
 
-def _oracle_case(rng: random.Random):
+def _oracle_case(rng: random.Random, width=None):
     """Random rows and params over the cases the grower treats differently:
     0/1 flag columns (some constant), tied and Gaussian numeric columns,
-    non-unit weights, bootstrap on and off, depth and leaf-weight limits."""
+    non-unit weights, bootstrap on and off, depth and leaf-weight limits.
+    ``width``: the feature count, else 2 to 5."""
     choices = ["flag", "flag", "zeros", "ones", "tied", "gauss"]
-    kinds = [rng.choice(choices) for _ in range(rng.randint(1, 4))]
+    kinds = [rng.choice(choices) for _ in range(width - 1 if width else rng.randint(1, 4))]
     kinds.append(rng.choice(["tied", "gauss", "flag"]))
     n = rng.randint(8, 90)
     weights = [rng.choice([0.1, 1 / 3, 7 / 13, 2.0, 1.0]) for _ in range(n)]
@@ -371,6 +373,47 @@ def _demo_model_rows():
     }
     names = [s.name for s in systems]
     return build_features(matrices, names, [labeled], [synthetic], k=1.0), names
+
+
+class TestLockstepGrowth:
+    """``train_forest`` grows all its jobs' trees together: each forest is the
+    one its job grows alone, and the reference grower's."""
+
+    @pytest.mark.parametrize("budgets", [None, (1, 1, 1), (150, 60, 12)])
+    def test_each_forest_is_the_one_its_job_grows_alone(self, monkeypatch, budgets):
+        """Budgets of 1 start one tree at a time and scan each node alone; the
+        third set crosses every group, block and lone-node boundary."""
+        if budgets is not None:
+            for name, value in zip(("GROW_ROWS", "SCAN_CELLS", "SCAN_OWN_ROWS"), budgets):
+                monkeypatch.setattr(ensemble, name, value)
+        rng = random.Random(18 if budgets is None else budgets[1])
+        for _ in range(25):
+            width = rng.randint(1, 5)
+            cases = []
+            for _ in range(rng.randint(2, 6)):
+                rows, params = _oracle_case(rng, width)
+                if rng.random() < 0.2:
+                    rows = rows[:2]  # one positive and one negative row
+                elif rng.random() < 0.3:
+                    rows[2:] = [_row(r.doc_id, r.features, r.label, 0.0) for r in rows[2:]]
+                cases.append((rows, params))
+            sets = [feature_set(rows) for rows, _ in cases]
+            jobs = [(fs.X, fs.y, fs.w, params) for fs, (_, params) in zip(sets, cases)]
+            forests = train_forest(jobs)
+            assert len(forests) == len(cases)
+            for (rows, params), forest in zip(cases, forests):
+                assert forest == grow(rows, params)
+                assert _tree_objs(forest) == naive_trees(rows, params), params
+
+    def test_no_jobs(self):
+        assert train_forest([]) == []
+
+    def test_jobs_must_share_their_columns(self):
+        fs = feature_set(_separable_rows())
+        wider = np.column_stack((fs.X, fs.X[:, :1]))
+        params = ForestParams(num_trees=1)
+        with pytest.raises(ParamError, match=f"every job must have {fs.X.shape[1]} feature"):
+            train_forest([(fs.X, fs.y, fs.w, params), (wider, fs.y, fs.w, params)])
 
 
 def _golden_forest_rows():
@@ -651,23 +694,34 @@ class TestCrossValidate:
             cross_validate(rows, CvConfig(folds=3, repeats=1), ForestParams(num_trees=2))
 
     def test_every_fold_grows_through_train_forest(self, monkeypatch):
-        """A trace counts growing by wrapping ``ensemble.train_forest``: every
-        fold reaches it, and each call ends as a record or a skipped fold."""
-        calls = []
+        """A trace counts growing by wrapping ``ensemble.train_forest``: the
+        jobs of its calls are the recorded folds, one each, in order, and a
+        fold skipped as one-class never reaches it."""
+        seeds = []
         grower = ensemble.train_forest
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return grower(*args, **kwargs)
+        def counted(jobs):
+            jobs = list(jobs)
+            seeds.extend(params.seed for *_, params in jobs)
+            return grower(jobs)
 
         monkeypatch.setattr(ensemble, "train_forest", counted)
+        config = CvConfig(folds=3, repeats=2, seed=4)
         result = cross_validate(
             feature_sets(_golden_cv_rows(5, (1, 2, 9), 12, 8)),
-            CvConfig(folds=3, repeats=2, seed=4),
+            config,
             ForestParams(num_trees=4, seed=2),
         )
         assert result.records and result.skipped
-        assert len(calls) == len(result.records) + len(result.skipped)
+        assert {message for *_, message in result.skipped} == {
+            "training rows contain only one class"
+        }
+
+        def fold_seed(sdg, rep, fold):
+            return ensemble._child_seed(config.seed, rep, fold, sdg)
+
+        assert seeds == [fold_seed(r.sdg, r.repeat, r.fold) for r in result.records]
+        assert not set(seeds) & {fold_seed(*skip[:3]) for skip in result.skipped}
 
     def test_synthetic_fp_rate_tracked(self):
         rows = {1: []}

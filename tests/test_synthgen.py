@@ -47,6 +47,14 @@ class TestLoadTable:
         with pytest.raises(SchemaError):
             load_frequency_table(p)
 
+    @pytest.mark.parametrize("counts", [[10**400], [10**308, 10**308]])
+    def test_counts_past_the_float_range(self, counts, tmp_path):
+        # a count float() cannot hold, or a sum of counts that overflows to inf
+        p = tmp_path / "f.tsv"
+        p.write_text("".join(f"w{i}\t{c}\n" for i, c in enumerate(counts)))
+        with pytest.raises(SchemaError, match="counts sum past the float range"):
+            load_frequency_table(p)
+
     @pytest.mark.parametrize("word", ["non-profit", "it's", "a_b", "two words"])
     def test_word_must_be_one_token(self, word, tmp_path):
         # saved synthetic documents are read back by tokenizing their text
