@@ -15,11 +15,11 @@ scores are the mean leaf positive-fraction across trees; an SDG is
 assigned at score >= threshold (default 0.5). Row weights must be finite
 and non-negative.
 
-A forest is one flat node table. `train_forest` grows the trees of many
-forests in lockstep, each from its own stack: per step every live tree
-stops at its next node to search, and all those nodes are scanned
-together in padded blocks; a node of more than `SCAN_OWN_ROWS` rows is
-scanned alone as soon as its tree reaches it. Two budgets bound the
+A forest is one flat node table. Each tree grows in one generator
+(`_grow`) from its own stack: it scans a node of more than
+`SCAN_OWN_ROWS` rows itself and yields any other node it searches.
+`train_forest` runs the trees of many forests in lockstep and scans each
+step's yielded nodes together in padded blocks. Two budgets bound the
 memory (`GROW_ROWS` training rows in the live trees, `SCAN_CELLS` cells
 per block). Each scan's prefix sums are `cumsum`s, left to right, and
 each node's weight totals are numpy's `.sum()` over its rows, exact for
@@ -148,9 +148,14 @@ class Forest:
         )
 
 
-def _forest(nodes: list[list], trees: list[int], n_features: int, params: ForestParams) -> Forest:
-    """A Forest from its nodes, each ``[feature, threshold, right, p, w]``."""
-    return Forest(tuple(trees), *map(np.array, zip(*nodes)), n_features, params)
+def _forest(trees: list[list[list]], n_features: int, params: ForestParams) -> Forest:
+    """A Forest from each tree's nodes, pre-order, each ``[feature, threshold,
+    right, p, w]`` with a split's ``right`` an index into its own tree's nodes."""
+    sizes = [len(nodes) for nodes in trees]
+    roots = [0, *itertools.accumulate(sizes[:-1])]
+    feature, threshold, right, p, w = map(np.array, zip(*itertools.chain(*trees)))
+    right = np.where(right >= 0, right + np.repeat(roots, sizes), -1)
+    return Forest(tuple(roots), feature, threshold, right, p, w, n_features, params)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +228,8 @@ def _child_seed(*parts: int) -> int:
 
 # Lockstep growth holds the trees live at once to GROW_ROWS training rows in all
 # (each live tree keeps a weight and a positive weight per row), and each scan
-# block to SCAN_CELLS (segment, row) cells. A node of more than SCAN_OWN_ROWS rows
-# is scanned alone, from its own arrays, as soon as its tree reaches it.
+# block to SCAN_CELLS (segment, row) cells. A tree scans a node of more than
+# SCAN_OWN_ROWS rows itself, from the node's own arrays, and yields any other.
 GROW_ROWS = 1 << 16
 SCAN_CELLS = 1 << 13
 SCAN_OWN_ROWS = 256
@@ -258,83 +263,63 @@ class _Job:
         self.trees: list[list[list]] = [[] for _ in range(params.num_trees)]
         self.growing = params.num_trees
 
-    def forest(self) -> Forest:
-        """The grown trees as one Forest, each split's ``right`` offset by its tree's root."""
-        sizes = [len(nodes) for nodes in self.trees]
-        roots = [0, *itertools.accumulate(sizes[:-1])]
-        feature, threshold, right, p, w = map(np.array, zip(*itertools.chain(*self.trees)))
-        right = np.where(right >= 0, right + np.repeat(roots, sizes), -1)
-        return Forest(tuple(roots), feature, threshold, right, p, w, len(self.cols), self.params)
-
 
 class _Search(NamedTuple):
     """A node to search: its ascending rows, their (weight, positive weight)
-    columns and sums, its drawn features ascending, and ``values[j]``, the
-    column of ``features[j]`` over its rows."""
+    columns and sums, its tree's minimum leaf weight, its drawn features
+    ascending, and ``values[j]``, the column of ``features[j]`` over its rows."""
 
-    tree: _Tree
     rows: np.ndarray
-    depth: int
     weights: np.ndarray
     total: float
     pos: float
+    min_leaf_weight: float
     features: np.ndarray
     values: np.ndarray
     flags: np.ndarray
 
 
-class _Tree:
-    """One tree while it grows: its job, its generator, a (weight, positive
-    weight) column per training row, and its stack of nodes to grow."""
+def _grow(job: _Job, nodes: list[list], rng, weights: np.ndarray, rows: np.ndarray):
+    """Grow one tree on ascending ``rows`` into ``nodes``, pre-order, left subtree first.
 
-    def __init__(self, job: _Job, t: int, rng, weights: np.ndarray, rows: np.ndarray):
-        self.job, self.nodes, self.rng, self.weights = job, job.trees[t], rng, weights
-        self.min_leaf_weight = job.params.min_leaf_frac * float(weights[0].sum())
-        self.stack = [(rows, 0, -1)]  # (rows, depth, split it is the right child of)
-
-    def next_search(self) -> _Search | None:
-        """Pop nodes in pre-order, writing each leaf and scanning and splitting
-        each node of more than ``SCAN_OWN_ROWS`` rows at once, up to the first
-        other node to search; None once the tree is grown."""
-        job, stack = self.job, self.stack
-        max_depth = job.params.max_depth
-        while stack:
-            rows, depth, parent = stack.pop()
-            if parent >= 0:
-                self.nodes[parent][2] = len(self.nodes)
-            w = self.weights.take(rows, axis=1)  # take: much faster than fancy indexing
-            total, pos = float(w[0].sum()), float(w[1].sum())
-            if not (0.0 < pos / total < 1.0 and (max_depth is None or depth < max_depth)):
-                self.nodes.append([-1, 0.0, -1, pos / total, total])
-                continue
+    A stack stands in for recursion, so a tree may be as deep as its data
+    makes it, and pops nodes in the recursion's order, so every draw from
+    ``rng`` is too. A node of more than ``SCAN_OWN_ROWS`` rows is scanned
+    here; any other node to search is yielded, and the split sent back
+    (position in its drawn features, threshold, or None for a leaf) is
+    written. A split's right child is an index into ``nodes``.
+    """
+    max_depth = job.params.max_depth
+    min_leaf_weight = job.params.min_leaf_frac * float(weights[0].sum())
+    stack = [(rows, 0, -1)]  # (rows, depth, split it is the right child of)
+    while stack:
+        rows, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][2] = len(nodes)
+        w = weights.take(rows, axis=1)  # take: much faster than fancy indexing
+        total, pos = float(w[0].sum()), float(w[1].sum())
+        split = None
+        if 0.0 < pos / total < 1.0 and (max_depth is None or depth < max_depth):
             if job.every is not None:
                 drawn, values, flags = job.every, job.cols.take(rows, axis=1), job.flags
             else:
-                drawn = np.sort(self.rng.choice(len(job.cols), size=job.mtry, replace=False))
+                drawn = np.sort(rng.choice(len(job.cols), size=job.mtry, replace=False))
                 values, flags = job.cols[drawn].take(rows, axis=1), job.flags[drawn]
-            node = _Search(self, rows, depth, w, total, pos, drawn, values, flags)
-            if len(rows) <= SCAN_OWN_ROWS:
-                return node
-            self.split(node, _split_of(_scan_alone(node)))
-        return None
-
-    def split(self, node: _Search, split: tuple[int, float] | None) -> None:
-        """Write ``node`` as a leaf, or as ``split`` (position in its drawn
-        features, threshold) with its children pushed; a split's right child
-        is an index into the tree's own nodes."""
+            node = _Search(rows, w, total, pos, min_leaf_weight, drawn, values, flags)
+            split = _split_of(_scan_alone(node)) if len(rows) > SCAN_OWN_ROWS else (yield node)
         if split is None:
-            self.nodes.append([-1, 0.0, -1, node.pos / node.total, node.total])
-            return
+            nodes.append([-1, 0.0, -1, pos / total, total])
+            continue
         j, threshold = split
-        self.nodes.append([int(node.features[j]), threshold, -1, 0.0, 0.0])
-        left = node.values[j] <= threshold
-        self.stack.append((node.rows[~left], node.depth + 1, len(self.nodes) - 1))
-        self.stack.append((node.rows[left], node.depth + 1, -1))
+        nodes.append([int(drawn[j]), threshold, -1, 0.0, 0.0])
+        left = values[j] <= threshold
+        stack.append((rows[~left], depth + 1, len(nodes) - 1))
+        stack.append((rows[left], depth + 1, -1))
 
 
 def _started_trees(jobs: Iterable[Job]):
-    """Each job's trees in order, each started (generator made, bootstrap drawn)
-    when asked for."""
+    """Each job's trees in order, as ``(job, tree)`` with ``tree`` a `_grow`
+    generator, each started (generator made, bootstrap drawn) when asked for."""
     width = None
     for index, (X, y, w, params) in enumerate(jobs):
         _check_training_rows(y, w)
@@ -351,7 +336,7 @@ def _started_trees(jobs: Iterable[Job]):
             if params.bootstrap:
                 m = np.bincount(cdf.searchsorted(rng.random(n), side="right"), minlength=n)
                 rows, weights = np.flatnonzero(m), unit * m
-            yield _Tree(job, t, rng, weights, rows)
+            yield job, _grow(job, job.trees[t], rng, weights, rows)
 
 
 def _flag_gain(wl: float, cl: float, zeros: int, stats: tuple) -> float:
@@ -383,7 +368,7 @@ def _stats(node: _Search) -> tuple[float, float, float, float, int]:
     """A searched node's total and positive weight, weighted Gini, minimum leaf weight and rows."""
     p1 = node.pos / node.total
     parent = 2.0 * p1 * (1.0 - p1) * node.total
-    return node.total, node.pos, parent, node.tree.min_leaf_weight, len(node.rows)
+    return node.total, node.pos, parent, node.min_leaf_weight, len(node.rows)
 
 
 def _scan_alone(node: _Search) -> list[tuple[float, float]]:
@@ -485,8 +470,7 @@ def _best_splits(searched: list[_Search]) -> list[tuple[int, float] | None]:
         segments += k
     splits: list[tuple[int, float] | None] = [None] * len(searched)
     for block in blocks:
-        nodes = [searched[i] for i in block]
-        for i, found in zip(block, _scan(nodes) if len(nodes) > 1 else [_scan_alone(nodes[0])]):
+        for i, found in zip(block, _scan([searched[i] for i in block])):
             splits[i] = _split_of(found)
     return splits
 
@@ -500,40 +484,37 @@ def train_forest(jobs: Iterable[Job]) -> list[Forest]:
     those of ``rng.choice(n, size=n, replace=True, p=w / w.sum())``, from
     its CDF built once per forest.
 
-    The trees of all jobs grow in lockstep. At each step every live tree
-    pops nodes from its own stack, in pre-order, writing leaves, up to the
-    first node it has to search, and draws that node's features from its
-    own generator; the searched nodes of the step are then scanned
-    together (``_scan``) and split. A node of more than ``SCAN_OWN_ROWS``
-    rows is scanned and split alone as soon as it is popped. So each tree
-    is the one it would be grown alone. Jobs are read one at a time, when their first tree
-    starts, and trees start while the live trees hold at most
-    ``GROW_ROWS`` rows, so a generator of jobs keeps only the growing
-    jobs' arrays.
+    Each tree grows in its own `_grow` generator, and the trees of all jobs
+    grow in lockstep: at each step every live tree is sent its last split
+    and runs to its next node to search, and the searched nodes of the step
+    are scanned together (``_best_splits``). So each tree is the one it
+    would be grown alone. Jobs are read one at a time, when their first
+    tree starts, and trees start while the live trees hold at most
+    ``GROW_ROWS`` rows, so a generator of jobs keeps only the growing jobs'
+    arrays.
     """
     forests: dict[int, Forest] = {}  # by job index
     pending = _started_trees(jobs)
-    live: list[_Tree] = []
+    live, splits = [], []  # each live (job, tree), and the split to send it
     live_rows = 0
-    tree = next(pending, None)
-    while live or tree is not None:
-        while tree is not None and (not live or live_rows + tree.job.n <= GROW_ROWS):
-            live.append(tree)
-            live_rows += tree.job.n
-            tree = next(pending, None)
-        searched = []
-        for t in live:
-            node = t.next_search()
-            if node is not None:
-                searched.append(node)
-                continue
-            live_rows -= t.job.n
-            t.job.growing -= 1
-            if not t.job.growing:  # its node lists become arrays
-                forests[t.job.index] = t.job.forest()
-        for node, split in zip(searched, _best_splits(searched)):
-            node.tree.split(node, split)
-        live = [node.tree for node in searched]
+    started = next(pending, None)
+    while live or started is not None:
+        while started is not None and (not live or live_rows + started[0].n <= GROW_ROWS):
+            live.append(started)
+            splits.append(None)  # a generator starts on None
+            live_rows += started[0].n
+            started = next(pending, None)
+        growing, searched = [], []
+        for (job, tree), split in zip(live, splits):
+            try:
+                searched.append(tree.send(split))
+                growing.append((job, tree))
+            except StopIteration:
+                live_rows -= job.n
+                job.growing -= 1
+                if not job.growing:  # its node lists become arrays
+                    forests[job.index] = _forest(job.trees, len(job.cols), job.params)
+        live, splits = growing, _best_splits(searched)
     return [forests[i] for i in range(len(forests))]
 
 
@@ -863,10 +844,10 @@ def _json_value(value, name: str, kind: str):
 def _forest_from_objs(trees: Sequence, n_features: int, params: ForestParams) -> Forest:
     """The Forest of nested tree objects, each node checked; a stack stands in
     for recursion, so any depth the JSON decoder accepts can be read."""
-    nodes: list[list] = []
-    roots = []
+    tree_nodes: list[list[list]] = []
     for tree in trees:
-        roots.append(len(nodes))
+        nodes: list[list] = []
+        tree_nodes.append(nodes)
         stack = [(tree, -1)]  # (node object, the split it is the right child of, or -1)
         while stack:
             obj, parent = stack.pop()
@@ -895,7 +876,7 @@ def _forest_from_objs(trees: Sequence, n_features: int, params: ForestParams) ->
                 raise ModelCorruptError(f"split threshold {t} is not finite")
             nodes.append([f, t, -1, 0.0, 0.0])
             stack += [(right, len(nodes) - 1), (left, -1)]
-    return _forest(nodes, roots, n_features, params)
+    return _forest(tree_nodes, n_features, params)
 
 
 def save_model(model: EnsembleModel, path: str | Path) -> None:
