@@ -29,8 +29,8 @@ distinct term or phrase becomes one literal shared by all queries.
 ``CorpusIndex.search`` finds the documents holding each literal, derives
 from them the documents each query can possibly match, and visits each
 document once: it computes each literal's positions there at most once
-(``TokenIndex``) and evaluates each candidate query in a single
-traversal that yields both the match and its positive-literal hits.
+(``TokenIndex``), evaluates each candidate query, and reads a matching
+query's hits from the positive literals fixed when it was compiled.
 ``match_query`` and ``match_positions`` run the same code on a
 one-document corpus.
 """
@@ -333,30 +333,27 @@ class TokenIndex:
 
 
 class CompiledQuery:
-    """A query compiled by ``CorpusIndex.compile``; ``ast`` is its source."""
+    """A query compiled by ``CorpusIndex.compile``; ``ast`` is its source and
+    ``positive`` its literals under an even number of NOTs, in surface order."""
 
-    __slots__ = ("_run", "ast")
+    __slots__ = ("_run", "ast", "positive")
 
-    def __init__(self, run: Callable[[TokenIndex, list], bool], ast: Node):
+    def __init__(self, run: Callable[[TokenIndex], bool], ast: Node, positive: list[_Literal]):
         self._run = run
         self.ast = ast
+        self.positive = positive
 
     def match(self, index: TokenIndex) -> MatchResult:
         """Match against one document of the corpus the query was compiled for.
 
         ``matched_terms`` is populated only for matching queries and reports
-        the hit positions of positive literals (literals under an even
-        number of NOTs), whether or not they decided the match.
+        the hit positions of positive literals, whether or not they decided
+        the match.
         """
-        found: list[tuple[str, list[int]]] = []
-        if not self._run(index, found):
+        if not self._run(index):
             return _NO_MATCH
-        hits: dict[str, set[int]] = {}
-        for surface, positions in found:
-            hits.setdefault(surface, set()).update(positions)
-        return MatchResult(
-            True, tuple((surface, tuple(sorted(p))) for surface, p in sorted(hits.items()))
-        )
+        hits = ((lit.surface, index.literal_positions(lit)) for lit in self.positive)
+        return MatchResult(True, tuple((surface, tuple(p)) for surface, p in hits if p))
 
 
 _NO_MATCH = MatchResult(False, ())
@@ -384,7 +381,21 @@ class CorpusIndex:
         return sorted(set().union(*self.documents))
 
     def compile(self, ast: Node) -> CompiledQuery:
-        return CompiledQuery(self._compile(ast, False), ast)
+        positive: dict[str, _Literal] = {}  # by surface: a literal has one surface
+        stack = [(ast, False)]  # (node, under an odd number of NOTs)
+        while stack:
+            node, negated = stack.pop()
+            if isinstance(node, (Term, Phrase)):
+                if not negated:
+                    literal = self._literal(node)
+                    positive[literal.surface] = literal
+            elif isinstance(node, Not):
+                stack.append((node.child, not negated))
+            elif isinstance(node, Near):
+                stack += [(node.left, negated), (node.right, negated)]
+            elif isinstance(node, (Or, And)):
+                stack += [(c, negated) for c in node.children]
+        return CompiledQuery(self._compile(ast), ast, [positive[s] for s in sorted(positive)])
 
     def search(
         self, queries: Sequence[CompiledQuery]
@@ -473,48 +484,31 @@ class CorpusIndex:
             return min(sets, key=len) if sets else None
         return None
 
-    def _compile(self, node: Node, negated: bool) -> Callable[[TokenIndex, list], bool]:
-        """``run(index, found) -> matched``; ``run`` appends each positive
-        literal's ``(surface, positions)`` to ``found``."""
-        if isinstance(node, (Term, Phrase)):
-            positions = self._compile_positions(node, negated)
-            return lambda index, found: bool(positions(index, found))
-        if isinstance(node, (Or, And)):
-            parts = [self._compile(c, negated) for c in node.children]
-            # every child runs, so that each positive literal reports its hits
-            if isinstance(node, Or):
-                return lambda index, found: any([part(index, found) for part in parts])
-            return lambda index, found: all([part(index, found) for part in parts])
-        if isinstance(node, Not):
-            child = self._compile(node.child, not negated)
-            return lambda index, found: not child(index, found)
-        if isinstance(node, Near):
-            left = self._compile_positions(node.left, negated)
-            right = self._compile_positions(node.right, negated)
-            n = node.n
-            return lambda index, found: _near_pair_exists(
-                left(index, found), right(index, found), n
-            )
-        raise TypeError(f"not a query node: {node!r}")
-
-    def _compile_positions(
-        self, node: Node, negated: bool
-    ) -> Callable[[TokenIndex, list], list[int]]:
+    def _compile(self, node: Node) -> Callable[[TokenIndex], bool]:
         if isinstance(node, (Term, Phrase)):
             literal = self._literal(node)
-            if negated:
-                return lambda index, found: index.literal_positions(literal)
+            return lambda index: bool(index.literal_positions(literal))
+        if isinstance(node, (Or, And)):
+            parts = [self._compile(c) for c in node.children]
+            if isinstance(node, Or):
+                return lambda index: any(part(index) for part in parts)
+            return lambda index: all(part(index) for part in parts)
+        if isinstance(node, Not):
+            child = self._compile(node.child)
+            return lambda index: not child(index)
+        if isinstance(node, Near):
+            left, right = self._compile_positions(node.left), self._compile_positions(node.right)
+            n = node.n
+            return lambda index: _near_pair_exists(left(index), right(index), n)
+        raise TypeError(f"not a query node: {node!r}")
 
-            def positive(index: TokenIndex, found: list) -> list[int]:
-                positions = index.literal_positions(literal)
-                if positions:
-                    found.append((literal.surface, positions))
-                return positions
-
-            return positive
+    def _compile_positions(self, node: Node) -> Callable[[TokenIndex], list[int]]:
+        if isinstance(node, (Term, Phrase)):
+            literal = self._literal(node)
+            return lambda index: index.literal_positions(literal)
         if isinstance(node, Or):
-            parts = [self._compile_positions(c, negated) for c in node.children]
-            return lambda index, found: sorted(set().union(*[part(index, found) for part in parts]))
+            parts = [self._compile_positions(c) for c in node.children]
+            return lambda index: sorted(set().union(*[part(index) for part in parts]))
         raise NearOperandError(
             f"positions are only defined for terms, phrases, and OR over those, "
             f"not {type(node).__name__}"
@@ -547,6 +541,5 @@ def match_query(ast: Node, tokens: Sequence[str]) -> MatchResult:
 def match_positions(ast: Node, tokens: Sequence[str]) -> list[int]:
     """Sorted match positions for a position-bearing query node."""
     corpus = CorpusIndex([tokens])
-    # compiled as if negated, so that no hits are collected
-    positions = corpus._compile_positions(ast, True)
-    return list(positions(TokenIndex(tokens, corpus._locate_literals()), []))
+    positions = corpus._compile_positions(ast)
+    return list(positions(TokenIndex(tokens, corpus._locate_literals())))
