@@ -514,11 +514,13 @@ def cmd_bias(args) -> tuple[dict, dict, list]:
 def cmd_synth(args) -> tuple[dict, dict, list]:
     if args.match and args.lengths is not None:
         raise ParamError("synth takes --lengths or --match, not both")
+    if args.match and args.docs_per_length is not None:
+        raise ParamError("synth takes --docs-per-length with --lengths only")
     table = load_frequency_table(args.freq_table)
     if args.match:
         reference = load_documents(args.match)
         dataset = generate_matched(table, reference, args.seed)
-        inputs = [args.freq_table, args.match]
+        params, inputs = {}, [args.freq_table, args.match]
     else:
         if not args.lengths:
             raise ParamError("synth requires --lengths or --match")
@@ -526,11 +528,11 @@ def cmd_synth(args) -> tuple[dict, dict, list]:
             lengths = tuple(int(x) for x in args.lengths.split(","))
         except ValueError:
             raise ParamError(f"invalid --lengths {args.lengths!r}: expected integers") from None
-        spec = SynthSpec(lengths, args.docs_per_length, args.seed)
-        dataset = generate_documents(table, spec)
-        inputs = [args.freq_table]
+        docs_per_length = 1000 if args.docs_per_length is None else args.docs_per_length
+        dataset = generate_documents(table, SynthSpec(lengths, docs_per_length, args.seed))
+        params, inputs = {"docs_per_length": docs_per_length}, [args.freq_table]
     save_documents(dataset, args.out_dir / "synthetic.jsonl")
-    return {}, {}, inputs
+    return {}, params, inputs
 
 
 def cmd_train(args) -> tuple[dict, dict, list]:
@@ -687,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", parents=[common], help="generate synthetic documents")
     p.add_argument("--freq-table", required=True)
     p.add_argument("--lengths", help="comma-separated document lengths")
-    p.add_argument("--docs-per-length", type=int, default=1000)
+    p.add_argument("--docs-per-length", type=int, help="with --lengths (default 1000)")
     p.add_argument("--match", help="dataset to length-match instead of --lengths")
     p.set_defaults(func=cmd_synth)
 

@@ -430,6 +430,31 @@ class TestSynth:
         assert err == "error [E_PARAMS]: synth takes --lengths or --match, not both\n"
         assert list(out.iterdir()) == []
 
+    def test_docs_per_length_with_match_is_param_error(self, corpus, tmp_path, capsys):
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("alpha\t1\n")
+        out = tmp_path / "out"
+        argv = ["synth", "--freq-table", str(freq), "--match", corpus, "--docs-per-length", "7"]
+        rc = main([*argv, "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error [E_PARAMS]: synth takes --docs-per-length with --lengths only\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "mode, recorded",
+        [(["--match", None], None), (["--lengths", "5"], 1000),
+         (["--lengths", "5", "--docs-per-length", "7"], 7)],
+    )
+    def test_manifest_records_the_docs_per_length_used(self, corpus, tmp_path, mode, recorded):
+        freq = tmp_path / "freq.tsv"
+        freq.write_text("alpha\t1\n")
+        out = tmp_path / "out"
+        mode = [corpus if arg is None else arg for arg in mode]
+        assert main(["synth", "--freq-table", str(freq), *mode, "--out-dir", str(out)]) == 0
+        params = json.loads((out / "manifest.json").read_text())["params"]
+        assert "docs_per_length" in params and params["docs_per_length"] == recorded
+
 
 class TestTrainPredictImportance:
     def _train(self, out):
