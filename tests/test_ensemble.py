@@ -405,6 +405,36 @@ class TestLockstepGrowth:
                 assert forest == grow(rows, params)
                 assert _tree_objs(forest) == naive_trees(rows, params), params
 
+    def test_a_generator_of_jobs_is_read_lazily(self, monkeypatch):
+        """With one tree live at a time, job i + 2 is read only after job i's
+        forest is assembled, which bounds cross-validation's memory."""
+        monkeypatch.setattr(ensemble, "GROW_ROWS", 1)
+        rng = random.Random(19)
+        jobs = []
+        for _ in range(6):
+            rows, params = _oracle_case(rng, 3)
+            fs = feature_set(rows)
+            jobs.append((fs.X, fs.y, fs.w, replace(params, num_trees=1)))
+        events = []  # each job's index when it is read, "assembled" per forest
+        assemble = ensemble._forest
+
+        def recorded(*args):
+            events.append("assembled")
+            return assemble(*args)
+
+        def read():
+            for i, job in enumerate(jobs):
+                events.append(i)
+                yield job
+
+        monkeypatch.setattr(ensemble, "_forest", recorded)
+        forests = train_forest(read())
+        assembled = [at for at, event in enumerate(events) if event == "assembled"]
+        assert len(assembled) == len(jobs)
+        for i in range(len(jobs) - 2):
+            assert events.index(i + 2) > assembled[i], events
+        assert forests == train_forest(jobs)
+
     def test_no_jobs(self):
         assert train_forest([]) == []
 

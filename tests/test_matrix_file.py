@@ -1,4 +1,5 @@
-"""matrix.json: its exact bytes, and how evaluate and bias take a broken one."""
+"""matrix.json: its exact bytes, and how evaluate and bias take a broken one;
+how predict takes a broken model.json."""
 
 import csv
 import json
@@ -229,27 +230,164 @@ MUTATIONS = {
 }
 
 
-def test_mutated_matrix_files_fail_cleanly(demo_matrix, tmp_path, capsys):
-    """Every mutation exits 0, 2, 3 or 4, names its error, and leaves no temporary file."""
-    rng = random.Random(4)
-    corpus = str(DEMO / "corpus.jsonl")
+def _sweep(raw: bytes, mutations: dict, seed: int, path: Path, commands: dict, capsys) -> dict:
+    """Write each mutation of ``raw`` to ``path`` and run each of ``commands``
+    (name -> argv, given an output directory) on it; return the exit codes by
+    (mutation, command).
+
+    Every run exits 0, 2, 3 or 4, a failed one prints one ``error [E_*]``
+    line and no traceback, and no run leaves a temporary file.
+    """
+    rng = random.Random(seed)
     outcomes = {}
-    for name, mutate in MUTATIONS.items():
-        path = tmp_path / "matrix.json"
-        path.write_bytes(mutate(demo_matrix, rng))
-        for command in ("evaluate", "bias"):
-            out = tmp_path / "out" / command
-            rc = main([command, "--dataset", corpus, "--matrix", str(path), "--out-dir", str(out)])
+    for name, mutate in mutations.items():
+        path.write_bytes(mutate(raw, rng))
+        for command, argv in commands.items():
+            rc = main(argv(path.parent / "out" / command))
             err = capsys.readouterr().err
             assert rc in (0, 2, 3, 4), (name, command, rc)
             assert "Traceback" not in err, (name, command)
             if rc:
                 assert err.startswith("error [E_") and err.count("\n") == 1, (name, command, err)
-            assert not list((tmp_path / "out").rglob("*.tmp")), (name, command)
+            assert not list((path.parent / "out").rglob("*.tmp")), (name, command)
             outcomes[name, command] = rc
+    return outcomes
+
+
+def test_mutated_matrix_files_fail_cleanly(demo_matrix, tmp_path, capsys):
+    """Every mutation exits 0, 2, 3 or 4, names its error, and leaves no temporary file."""
+    corpus, path = str(DEMO / "corpus.jsonl"), tmp_path / "matrix.json"
+    commands = {
+        command: lambda out, command=command: [
+            command, "--dataset", corpus, "--matrix", str(path), "--out-dir", str(out)
+        ]
+        for command in ("evaluate", "bias")
+    }
+    outcomes = _sweep(demo_matrix, MUTATIONS, 4, path, commands, capsys)
     # what a reader may rely on: harmless layouts load, broken content does not
     for name in ("bom", "crlf", "duplicate assignment"):
         assert outcomes[name, "evaluate"] == outcomes[name, "bias"] == 0, name
     for name in set(MUTATIONS) - {"bom", "crlf", "duplicate assignment"}:
         assert outcomes[name, "evaluate"] == outcomes[name, "bias"] == 3, name
 
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of a demo model.json, run through predict
+# ---------------------------------------------------------------------------
+
+DEMO_SYSTEMS = [a for name in ("alpha", "beta", "gamma")
+                for a in ("--systems", str(DEMO / f"system_{name}.csv"))]  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def demo_model(tmp_path_factory):
+    out = tmp_path_factory.mktemp("train")
+    argv = ["train", "--dataset", str(DEMO / "corpus.jsonl"), *DEMO_SYSTEMS, "--freq-table",
+            str(DEMO / "wordfreq.tsv"), "--trees", "6", "--folds", "2", "--repeats", "1"]  # fmt: skip
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    return (out / "model.json").read_bytes()
+
+
+def _slots(payload) -> list:
+    """Every tree node of the model as ``(container, key)``: a tree in its
+    forest's list, or a split's ``"l"`` or ``"r"`` child."""
+    slots = []
+    for _, forest in sorted(payload["forests"].items()):
+        stack = [(forest["trees"], i) for i in range(len(forest["trees"]))]
+        while stack:
+            slots.append(stack.pop())
+            node = slots[-1][0][slots[-1][1]]
+            if "f" in node:
+                stack += [(node, "l"), (node, "r")]
+    return slots
+
+
+def _model_edit(edit, kind=None):
+    """A mutation that edits one random node (a split if ``kind`` is "f", a leaf
+    if "p") as ``edit(payload, container, key, rng)``, then writes the JSON back."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        payload = json.loads(raw)
+        slots = [s for s in _slots(payload) if kind is None or kind in s[0][s[1]]]
+        edit(payload, *rng.choice(slots), rng)
+        return json.dumps(payload).encode()
+
+    return mutate
+
+
+def _node_field(kind, field, value):
+    """Set ``field`` of a random node of ``kind`` to ``value``, or drop it if ``value`` is None."""
+
+    def edit(payload, container, key, rng):
+        if value is None:
+            del container[key][field]
+        else:
+            container[key][field] = value
+
+    return _model_edit(edit, kind)
+
+
+def _copy_subtree(payload, container, key, rng):
+    # a split's child replaced by a copy of a random subtree: still a tree, only another one
+    source, at = rng.choice(_slots(payload))
+    container[key][rng.choice("lr")] = json.loads(json.dumps(source[at]))
+
+
+def _huge_threshold(raw: bytes, rng: random.Random) -> bytes:
+    # json.dumps cannot write 1e400, so a marker value is replaced in the text
+    marked = _node_field("f", "t", 123456.789)(raw, rng)
+    return marked.replace(b"123456.789", b"1e400")
+
+
+MODEL_MUTATIONS = {
+    "truncated": lambda raw, rng: raw[: rng.randrange(len(raw) - 1)],  # cuts the last "}"
+    "empty": lambda raw, rng: b"",
+    "non-utf8": lambda raw, rng: raw[:40] + b"\xff\xfe" + raw[40:],
+    "bom": lambda raw, rng: b"\xef\xbb\xbf" + raw,
+    "crlf": lambda raw, rng: json.dumps(json.loads(raw), indent=1).encode().replace(b"\n", b"\r\n"),
+    "dropped forests": _drop(["forests"]),
+    "dropped trees": _edit(lambda p, rng: p["forests"][rng.choice(sorted(p["forests"]))].pop("trees")),
+    "dropped l": _node_field("f", "l", None),
+    "dropped r": _node_field("f", "r", None),
+    "dropped p": _node_field("p", "p", None),
+    "node as list": _model_edit(lambda p, container, key, rng: container.__setitem__(key, [1, 2])),
+    "bool f": _node_field("f", "f", True),
+    "nan t": _node_field("f", "t", math.nan),
+    "t of 1e400": _huge_threshold,
+    "p of 2": _node_field("p", "p", 2),
+    "w of -1": _node_field("p", "w", -1),
+    "f past n_features": _node_field("f", "f", 4),
+    "subtree copied under a split": _model_edit(_copy_subtree, "f"),
+}
+
+# values a random edit sets a node field to
+_ODD_VALUES = [None, True, False, -1, 0, 1, 2, 3, 4, 0.5, -0.0, 1e308, math.nan, math.inf, "1",
+               [], {}, {"p": 0.5, "w": 1.0}, {"f": 0, "t": 0.5}]  # fmt: skip
+
+
+def _random_edit(payload, container, key, rng):
+    node = container[key]
+    roll = rng.random()
+    if roll < 0.1 or not isinstance(node, dict):
+        container[key] = rng.choice(_ODD_VALUES)
+    elif roll < 0.4 and node:
+        del node[rng.choice(sorted(node))]
+    else:
+        node[rng.choice(["f", "t", "l", "r", "p", "w"])] = rng.choice(_ODD_VALUES)
+
+
+def test_mutated_model_files_fail_cleanly(demo_model, tmp_path, capsys):
+    """Every named mutation and 200 seeded random node edits exit 0, 2, 3 or 4
+    through predict, name their error, and leave no temporary file."""
+    path = tmp_path / "model.json"
+    argv = ["predict", "--model", str(path), "--dataset", str(DEMO / "corpus.jsonl"), *DEMO_SYSTEMS]
+    commands = {"predict": lambda out: [*argv, "--out-dir", str(out)]}
+    mutations = dict(MODEL_MUTATIONS)
+    mutations.update((f"random edit {i}", _model_edit(_random_edit)) for i in range(200))
+    outcomes = _sweep(demo_model, mutations, 19, path, commands, capsys)
+    # what a reader may rely on: harmless layouts and a reshaped tree load, broken content does not
+    loads = {"bom", "crlf", "subtree copied under a split"}
+    for name in loads:
+        assert outcomes[name, "predict"] == 0, name
+    for name in set(MODEL_MUTATIONS) - loads:
+        assert outcomes[name, "predict"] == 3, name
