@@ -16,13 +16,13 @@ assigned at score >= threshold (default 0.5). Row weights must be finite
 and non-negative.
 
 A forest is one flat node table. Each tree grows in one generator
-(`_grow`) from its own stack: it scans a node of more than
-`SCAN_OWN_ROWS` rows itself and yields any other node it searches.
+(`_grow`) from its own stack and yields every node it searches.
 `train_forest` runs the trees of many forests in lockstep and scans each
-step's yielded nodes together in padded blocks. Two budgets bound the
-memory (`GROW_ROWS` training rows in the live trees, `SCAN_CELLS` cells
-per block). Each scan's prefix sums are `cumsum`s, left to right, and
-each node's weight totals are numpy's `.sum()` over its rows, exact for
+step's yielded nodes together in padded blocks, every drawn column (0/1
+flag or word count) stably sorted. Two budgets bound the memory
+(`GROW_ROWS` training rows in the live trees, `SCAN_CELLS` cells per
+block). Each scan's prefix sums are `cumsum`s, left to right, and each
+node's weight totals are numpy's `.sum()` over its rows, exact for
 bootstrap draw counts, so a tree is the one it would be grown alone.
 `forest_score` walks a whole matrix of rows through all trees at once.
 Other float sums run left to right (`bias.sum_in_order`).
@@ -228,11 +228,9 @@ def _child_seed(*parts: int) -> int:
 
 # Lockstep growth holds the trees live at once to GROW_ROWS training rows in all
 # (each live tree keeps a weight and a positive weight per row), and each scan
-# block to SCAN_CELLS (segment, row) cells. A tree scans a node of more than
-# SCAN_OWN_ROWS rows itself, from the node's own arrays, and yields any other.
+# block to SCAN_CELLS (segment, row) cells.
 GROW_ROWS = 1 << 16
 SCAN_CELLS = 1 << 13
-SCAN_OWN_ROWS = 256
 
 Job = tuple[np.ndarray, np.ndarray, np.ndarray, ForestParams]  # X, y, w, params
 
@@ -248,13 +246,12 @@ def _check_training_rows(y: np.ndarray, w: np.ndarray) -> None:
 
 
 class _Job:
-    """One forest while its trees grow: its columns (one row per feature), which
-    columns hold only 0/1, its draw settings, and each tree's nodes."""
+    """One forest while its trees grow: its columns (one row per feature), its
+    draw settings, and each tree's nodes."""
 
     def __init__(self, index: int, X: np.ndarray, params: ForestParams):
         self.index, self.n, self.params = index, len(X), params  # index: the job's, in order
         self.cols = X.T.copy()
-        self.flags = ((self.cols == 0.0) | (self.cols == 1.0)).all(axis=1)
         width = len(self.cols)
         self.mtry = params.mtry if params.mtry is not None else math.ceil(math.sqrt(width))
         # With mtry >= width the draw is a permutation of every feature, which sorting
@@ -276,7 +273,6 @@ class _Search(NamedTuple):
     min_leaf_weight: float
     features: np.ndarray
     values: np.ndarray
-    flags: np.ndarray
 
 
 def _grow(job: _Job, nodes: list[list], rng, weights: np.ndarray, rows: np.ndarray):
@@ -284,8 +280,7 @@ def _grow(job: _Job, nodes: list[list], rng, weights: np.ndarray, rows: np.ndarr
 
     A stack stands in for recursion, so a tree may be as deep as its data
     makes it, and pops nodes in the recursion's order, so every draw from
-    ``rng`` is too. A node of more than ``SCAN_OWN_ROWS`` rows is scanned
-    here; any other node to search is yielded, and the split sent back
+    ``rng`` is too. Each node to search is yielded, and the split sent back
     (position in its drawn features, threshold, or None for a leaf) is
     written. A split's right child is an index into ``nodes``.
     """
@@ -301,12 +296,11 @@ def _grow(job: _Job, nodes: list[list], rng, weights: np.ndarray, rows: np.ndarr
         split = None
         if 0.0 < pos / total < 1.0 and (max_depth is None or depth < max_depth):
             if job.every is not None:
-                drawn, values, flags = job.every, job.cols.take(rows, axis=1), job.flags
+                drawn, values = job.every, job.cols.take(rows, axis=1)
             else:
                 drawn = np.sort(rng.choice(len(job.cols), size=job.mtry, replace=False))
-                values, flags = job.cols[drawn].take(rows, axis=1), job.flags[drawn]
-            node = _Search(rows, w, total, pos, min_leaf_weight, drawn, values, flags)
-            split = _split_of(_scan_alone(node)) if len(rows) > SCAN_OWN_ROWS else (yield node)
+                values = job.cols[drawn].take(rows, axis=1)
+            split = yield _Search(rows, w, total, pos, min_leaf_weight, drawn, values)
         if split is None:
             nodes.append([-1, 0.0, -1, pos / total, total])
             continue
@@ -334,21 +328,9 @@ def _started_trees(jobs: Iterable[Job]):
         for t in range(params.num_trees):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((params.seed, t))))
             if params.bootstrap:
-                m = np.bincount(cdf.searchsorted(rng.random(n), side="right"), minlength=n)
+                m = np.bincount(cdf.searchsorted(np.sort(rng.random(n)), side="right"), minlength=n)
                 rows, weights = np.flatnonzero(m), unit * m
             yield job, _grow(job, job.trees[t], rng, weights, rows)
-
-
-def _flag_gain(wl: float, cl: float, zeros: int, stats: tuple) -> float:
-    """Gain of a 0/1 flag column's one cut, after its ``zeros`` 0 rows, which
-    weigh ``wl`` and hold positive weight ``cl``; -inf if the cut is not valid."""
-    total, pos, parent, min_leaf_weight, n = stats
-    wr = total - wl
-    if not (0 < zeros < n and wl >= min_leaf_weight and wr >= min_leaf_weight):
-        return -math.inf
-    pl = cl / wl if wl > 0 else 0.0
-    pr = (pos - cl) / wr if wr > 0 else 0.0
-    return parent - (2.0 * pl * (1.0 - pl) * wl + 2.0 * pr * (1.0 - pr) * wr)
 
 
 def _sorted_gains(xs, cw, cp, total, pos, parent, min_leaf_weight) -> np.ndarray:
@@ -364,85 +346,41 @@ def _sorted_gains(xs, cw, cp, total, pos, parent, min_leaf_weight) -> np.ndarray
     return np.where(valid, parent - children, -np.inf)
 
 
-def _stats(node: _Search) -> tuple[float, float, float, float, int]:
-    """A searched node's total and positive weight, weighted Gini, minimum leaf weight and rows."""
-    p1 = node.pos / node.total
-    parent = 2.0 * p1 * (1.0 - p1) * node.total
-    return node.total, node.pos, parent, node.min_leaf_weight, len(node.rows)
-
-
-def _scan_alone(node: _Search) -> list[tuple[float, float]]:
-    """``_scan`` of one node, one drawn feature at a time, from its own arrays."""
-    stats, w, found = _stats(node), node.weights, []
-    for v, is_flag in zip(node.values, node.flags.tolist()):
-        if is_flag:
-            at = np.flatnonzero(v == 0.0)
-            wl, cl = w.take(at, axis=1).cumsum(axis=1)[:, -1].tolist() if len(at) else (0, 0)
-            found.append((_flag_gain(wl, cl, len(at), stats), 0.5))
-            continue
-        order = v.argsort(kind="stable")
-        xs = v.take(order)
-        cw, cp = w.take(order, axis=1).cumsum(axis=1)
-        gains = _sorted_gains(xs, cw, cp, *stats[:4])
-        i = int(gains.argmax())
-        found.append((float(gains[i]), float((xs[i] + xs[i + 1]) / 2.0)))
-    return found
-
-
 def _scan(block: list[_Search]) -> list[list[tuple[float, float]]]:
     """Per node of ``block``, per drawn feature: the best cut's gain (-inf if
     no cut is valid) and threshold.
 
     Every (node, drawn feature) segment is a row of one ``(segments x
     rows)`` block of values, each node's rows ascending and padded with NaN
-    values of zero weight past its last row. A 0/1 flag column has one cut,
-    after its 0 rows, at 0.5, and a ``cumsum`` over the weights of those
-    rows in row order gives the floats the scan would reach there. Any
-    other column is stably sorted, NaN last, and scanned by ``cumsum``.
-    Each ``cumsum`` runs left to right, so padding changes no prefix, and
-    no cut before a NaN is valid.
+    values of zero weight past its last row. Each row is stably sorted, NaN
+    last, and scanned by ``cumsum``, left to right, so padding changes no
+    prefix, and no cut before a NaN is valid. A 0/1 flag column's one cut
+    thus sums its 0 rows' weights in row order, at threshold 0.5.
     """
-    stats, flag_segs, sorted_segs = [], [], []
-    for b, node in enumerate(block):
-        stats.append(_stats(node))
-        for j, is_flag in enumerate(node.flags.tolist()):
-            (flag_segs if is_flag else sorted_segs).append((b, j))
+    stats, firsts, v, o = [], [], 0, 0  # firsts: each segment's first value, weight column, rows
+    for node in block:
+        n, p1 = len(node.rows), node.pos / node.total
+        parent = 2.0 * p1 * (1.0 - p1) * node.total  # weighted Gini
+        for j in range(len(node.features)):
+            stats.append((node.total, node.pos, parent, node.min_leaf_weight))
+            firsts.append((v + j * n, o, n))
+        v, o = v + node.values.size, o + n
     weights = np.concatenate([nd.weights for nd in block] + [np.zeros((2, 1))], axis=1)
     value_cat = np.concatenate([nd.values.ravel() for nd in block] + [np.full(1, np.nan)])
-    starts, v, o = [], 0, 0  # each node's first value and first weight column
-    for node in block:
-        starts.append((v, o))
-        v, o = v + node.values.size, o + len(node.rows)
-    first = np.array([  # each segment's first value, first weight column and rows
-        (starts[b][0] + j * stats[b][4], starts[b][1], stats[b][4])
-        for b, j in flag_segs + sorted_segs
-    ]).T[:, :, None]
-    col = np.arange(max(n for *_, n in stats))
+    first = np.array(firsts).T[:, :, None]
+    col = np.arange(max(n for *_, n in firsts))
     real = col < first[2]
     values = value_cat.take(np.where(real, first[0] + col, v))
     at = np.where(real, first[1] + col, o)  # each cell's weight column
-    found = [[None] * len(node.features) for node in block]
-    if flag_segs:
-        zero = values[: len(flag_segs)] == 0.0
-        flag_weights = weights.take(at[: len(flag_segs)], axis=1)
-        left = np.where(zero, flag_weights, 0.0).cumsum(axis=2)[:, :, -1].T.tolist()
-        zeros = zero.sum(axis=1).tolist()
-        for (b, j), (wl, cl), nz in zip(flag_segs, left, zeros):
-            found[b][j] = (_flag_gain(wl, cl, nz, stats[b]), 0.5)
-    if sorted_segs:
-        sorted_values = values[len(flag_segs):]
-        order = sorted_values.argsort(axis=1, kind="stable")
-        r = np.arange(len(sorted_segs))
-        cells = order + (r * order.shape[1])[:, None]  # each sorted value's flat cell
-        xs = sorted_values.take(cells)
-        cw, cp = weights.take(at[len(flag_segs):].take(cells), axis=1).cumsum(axis=2)
-        seg_stats = np.array([stats[b][:4] for b, _ in sorted_segs]).T[:, :, None]
-        gains = _sorted_gains(xs, cw, cp, *seg_stats)
-        i = gains.argmax(axis=1)
-        best = zip(gains[r, i].tolist(), ((xs[r, i] + xs[r, i + 1]) / 2.0).tolist())
-        for (b, j), gain_threshold in zip(sorted_segs, best):
-            found[b][j] = gain_threshold
-    return found
+    order = values.argsort(axis=1, kind="stable")
+    r = np.arange(len(firsts))
+    cells = order + (r * order.shape[1])[:, None]  # each sorted value's flat cell
+    xs = values.take(cells)
+    cw, cp = weights.take(at.take(cells), axis=1).cumsum(axis=2)
+    gains = _sorted_gains(xs, cw, cp, *np.array(stats).T[:, :, None])
+    i = gains.argmax(axis=1)
+    best = iter(zip(gains[r, i].tolist(), ((xs[r, i] + xs[r, i + 1]) / 2.0).tolist()))
+    return [list(itertools.islice(best, len(node.features))) for node in block]
 
 
 def _split_of(found: list[tuple[float, float]]) -> tuple[int, float] | None:
@@ -482,7 +420,8 @@ def train_forest(jobs: Iterable[Job]) -> list[Forest]:
     A bootstrap tree grows on the rows it drew, weighted by their integer
     draw counts, so its weight sums are exact in any order. The draws are
     those of ``rng.choice(n, size=n, replace=True, p=w / w.sum())``, from
-    its CDF built once per forest.
+    its CDF built once per forest and searched with the random keys sorted,
+    which is faster and gives the same counts.
 
     Each tree grows in its own `_grow` generator, and the trees of all jobs
     grow in lockstep: at each step every live tree is sent its last split
@@ -926,8 +865,13 @@ def load_model(path: str | Path) -> EnsembleModel:
                 f"feature_names {list(feature_names)} are not the system names plus "
                 f"{WORD_COUNT_FEATURE!r}"
             )
+        # keyed exactly "1".."17": int() also reads "01", " 1" and "+1", and a
+        # second spelling of one SDG would replace its forest
+        forest_objs = payload["forests"]
+        if not isinstance(forest_objs, dict) or set(forest_objs) != set(map(str, range(1, 18))):
+            raise ModelCorruptError('forests must be keyed "1" to "17", one per SDG')
         forests = {}
-        for key, fobj in payload["forests"].items():
+        for key, fobj in forest_objs.items():
             p = fobj["params"]
             n_features = _json_value(fobj["n_features"], f"forest {key}: n_features", "int")
             if n_features != len(feature_names):

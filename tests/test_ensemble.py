@@ -282,10 +282,11 @@ class TestSplitOracle:
 
 
 def _oracle_case(rng: random.Random, width=None):
-    """Random rows and params over the cases the grower treats differently:
-    0/1 flag columns (some constant), tied and Gaussian numeric columns,
-    non-unit weights, bootstrap on and off, depth and leaf-weight limits.
-    ``width``: the feature count, else 2 to 5."""
+    """Random rows and params over the cases a tree meets: 0/1 flag columns
+    (some constant), tied and Gaussian numeric columns, non-unit weights,
+    bootstrap on and off, depth and leaf-weight limits. At most 90 rows, so
+    every node is small; ``test_large_nodes_at_the_default_budgets`` grows
+    large ones. ``width``: the feature count, else 2 to 5."""
     choices = ["flag", "flag", "zeros", "ones", "tied", "gauss"]
     kinds = [rng.choice(choices) for _ in range(width - 1 if width else rng.randint(1, 4))]
     kinds.append(rng.choice(["tied", "gauss", "flag"]))
@@ -379,12 +380,12 @@ class TestLockstepGrowth:
     """``train_forest`` grows all its jobs' trees together: each forest is the
     one its job grows alone, and the reference grower's."""
 
-    @pytest.mark.parametrize("budgets", [None, (1, 1, 1), (150, 60, 12)])
+    @pytest.mark.parametrize("budgets", [None, (1, 1), (150, 60)])
     def test_each_forest_is_the_one_its_job_grows_alone(self, monkeypatch, budgets):
         """Budgets of 1 start one tree at a time and scan each node alone; the
-        third set crosses every group, block and lone-node boundary."""
+        third set crosses every group and block boundary."""
         if budgets is not None:
-            for name, value in zip(("GROW_ROWS", "SCAN_CELLS", "SCAN_OWN_ROWS"), budgets):
+            for name, value in zip(("GROW_ROWS", "SCAN_CELLS"), budgets):
                 monkeypatch.setattr(ensemble, name, value)
         rng = random.Random(18 if budgets is None else budgets[1])
         for _ in range(25):
@@ -404,6 +405,40 @@ class TestLockstepGrowth:
             for (rows, params), forest in zip(cases, forests):
                 assert forest == grow(rows, params)
                 assert _tree_objs(forest) == naive_trees(rows, params), params
+
+    def test_large_nodes_at_the_default_budgets(self, monkeypatch):
+        """Jobs of 300 to 1 200 rows, bootstrap on and off, whose root and
+        first nodes hold hundreds of rows: 0/1 flag columns constant over
+        every row or within each word-count half, and tied word counts."""
+        rng = random.Random(20)
+        cases = []
+        for bootstrap, mtry in ((True, None), (False, None), (True, 5), (False, 5)):
+            n = rng.randint(300, 1200)
+            rows = []
+            for i in range(n):
+                wc = float(rng.randint(10, 400))
+                flags = [0.0, 1.0, float(rng.random() < 0.3), float(wc > 200)]
+                label = rng.random() < 0.1 + 0.4 * flags[2] + 0.3 * flags[3]
+                weight = rng.choice([1 / 3, 2.0, 1.0])
+                rows.append(_row(f"d{i}", flags + [wc], label, weight=weight))
+            seed = rng.randrange(99)
+            params = ForestParams(num_trees=2, mtry=mtry, bootstrap=bootstrap, seed=seed)
+            cases.append((rows, params))
+        searched = []
+        scan = ensemble._scan
+
+        def recorded(block):
+            searched.extend(len(node.rows) for node in block)
+            return scan(block)
+
+        monkeypatch.setattr(ensemble, "_scan", recorded)
+        sets = [feature_set(rows) for rows, _ in cases]
+        jobs = [(fs.X, fs.y, fs.w, params) for fs, (_, params) in zip(sets, cases)]
+        forests = train_forest(jobs)
+        assert max(searched) >= 300
+        for (rows, params), forest in zip(cases, forests):
+            assert forest == grow(rows, params)
+            assert _tree_objs(forest) == naive_trees(rows, params), params
 
     def test_a_generator_of_jobs_is_read_lazily(self, monkeypatch):
         """With one tree live at a time, job i + 2 is read only after job i's

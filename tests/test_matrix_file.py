@@ -1,5 +1,5 @@
 """matrix.json: its exact bytes, and how evaluate and bias take a broken one;
-how predict takes a broken model.json."""
+how predict takes a broken model.json, and synth and train a broken wordfreq.tsv."""
 
 import csv
 import json
@@ -339,6 +339,16 @@ def _huge_threshold(raw: bytes, rng: random.Random) -> bytes:
     return marked.replace(b"123456.789", b"1e400")
 
 
+def _forest_key(old, new):
+    """Store forest ``old`` under the key ``new`` in its place."""
+
+    def edit(payload, rng):
+        forests = payload["forests"].items()
+        payload["forests"] = {new if key == old else key: forest for key, forest in forests}
+
+    return _edit(edit)
+
+
 MODEL_MUTATIONS = {
     "truncated": lambda raw, rng: raw[: rng.randrange(len(raw) - 1)],  # cuts the last "}"
     "empty": lambda raw, rng: b"",
@@ -358,6 +368,11 @@ MODEL_MUTATIONS = {
     "w of -1": _node_field("p", "w", -1),
     "f past n_features": _node_field("f", "f", 4),
     "subtree copied under a split": _model_edit(_copy_subtree, "f"),
+    # a second spelling of SDG 1, after "1": int() reads both, and the last forest would win
+    "forest 2 also keyed 01": _edit(lambda p, rng: p["forests"].update({"01": p["forests"]["2"]})),
+    "forest key ' 1'": _forest_key("1", " 1"),
+    "forest key '+3'": _forest_key("3", "+3"),
+    "forests as list": _edit(lambda p, rng: p.update(forests=list(p["forests"].values()))),
 }
 
 # values a random edit sets a node field to
@@ -391,3 +406,60 @@ def test_mutated_model_files_fail_cleanly(demo_model, tmp_path, capsys):
         assert outcomes[name, "predict"] == 0, name
     for name in set(MODEL_MUTATIONS) - loads:
         assert outcomes[name, "predict"] == 3, name
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of the demo wordfreq.tsv, run through synth and train
+# ---------------------------------------------------------------------------
+
+
+def _freq_line(edit):
+    """A mutation that rewrites the first ``word<TAB>count`` line as ``edit(word, count)``."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        lines = raw.split(b"\n")
+        at = next(i for i, line in enumerate(lines) if b"\t" in line)
+        lines[at] = edit(*lines[at].split(b"\t"))
+        return b"\n".join(lines)
+
+    return mutate
+
+
+FREQ_MUTATIONS = {
+    "truncated": lambda raw, rng: raw[: rng.randrange(len(raw))],
+    "empty": lambda raw, rng: b"",
+    "bom": lambda raw, rng: b"\xef\xbb\xbf" + raw,
+    "crlf": lambda raw, rng: raw.replace(b"\n", b"\r\n"),
+    "non-utf8": _freq_line(lambda word, count: word + b"\xff\t" + count),
+    "no tab": _freq_line(lambda word, count: word + b" " + count),
+    "3 columns": _freq_line(lambda word, count: word + b"\t" + count + b"\t7"),
+    "nan count": _freq_line(lambda word, count: word + b"\tnan"),
+    "1e400 count": _freq_line(lambda word, count: word + b"\t1e400"),
+    "5000-digit count": _freq_line(lambda word, count: word + b"\t" + b"9" * 5000),
+    "zero count": _freq_line(lambda word, count: word + b"\t0"),
+    "negative count": _freq_line(lambda word, count: word + b"\t-3"),
+    "multi-token word": _freq_line(lambda word, count: word + b"-" + word + b"\t" + count),
+    "duplicate words": lambda raw, rng: raw + raw.split(b"\n", 2)[1] + b"\n",
+    "two counts of 1e308": lambda raw, rng: raw + b"".join(
+        word + b"\t1" + b"0" * 308 + b"\n" for word in (b"huge", b"huger")
+    ),
+}
+
+
+def test_mutated_frequency_tables_fail_cleanly(tmp_path, capsys):
+    """Every mutation exits 0 or 3 through synth and train, names its error,
+    and leaves no temporary file; harmless layouts and repeated words load."""
+    path = tmp_path / "wordfreq.tsv"
+    synth = ["synth", "--freq-table", str(path), "--lengths", "5,20", "--docs-per-length", "3"]
+    train = ["train", "--dataset", str(DEMO / "corpus.jsonl"), *DEMO_SYSTEMS, "--freq-table",
+             str(path), "--trees", "2", "--folds", "2", "--repeats", "1"]  # fmt: skip
+    commands = {
+        "synth": lambda out: [*synth, "--out-dir", str(out)],
+        "train": lambda out: [*train, "--out-dir", str(out)],
+    }
+    raw = (DEMO / "wordfreq.tsv").read_bytes()
+    outcomes = _sweep(raw, FREQ_MUTATIONS, 20, path, commands, capsys)
+    loads = {"bom", "crlf", "duplicate words"}
+    for name in FREQ_MUTATIONS:
+        expected = {0, 3} if name == "truncated" else {0} if name in loads else {3}
+        assert {outcomes[name, "synth"], outcomes[name, "train"]} <= expected, name
