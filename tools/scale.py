@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""The ensemble at scale: cross-validation and the final model on thousands
+of documents, where a tree's first nodes hold thousands of rows.
+
+Run from the repository root:
+
+    python3 tools/scale.py --docs 1500 --trees 50 --folds 5
+
+The labeled documents come from the benchmark's generator
+(``perfbench/workloads.py``, read only): the ``ensemble`` spec resized to
+two datasets of ``--docs`` documents each, seed 11. Each dataset gets a
+length-matched synthetic one (seeds 0 and 1), and all are detected with
+the three demo systems. Features use k = 1. ``cross_validate`` runs
+``--folds`` folds of one repeat and ``train_model`` grows the 17 final
+forests, each forest with ``--trees`` trees and every other setting at the
+CLI's default.
+
+The last line of standard output is one JSON object: the distinct feature
+rows of SDG 1, the wall and CPU seconds of ``cross_validate`` and
+``train_model``, the SHA-256 of ``repr`` of the ``CvResult`` and of the
+saved ``model.json``, and the process's peak RSS. The digests depend only
+on the flags, so two runs of one tree must print the same ones.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+
+from sdgdetect.corpus import load_documents  # noqa: E402
+from sdgdetect.ensemble import (  # noqa: E402
+    CvConfig,
+    ForestParams,
+    build_features,
+    cross_validate,
+    save_model,
+    train_model,
+)
+from sdgdetect.synthgen import generate_matched, load_frequency_table  # noqa: E402
+from sdgdetect.systems import detect, load_system, to_matrix  # noqa: E402
+
+DEMO = ROOT / "demo"
+SEED = 11
+
+
+def _features(docs: int, work: Path):
+    """Each SDG's FeatureSet at k = 1, and the system names."""
+    spec = workloads.SPECS["ensemble"]
+    spec = dataclasses.replace(spec, labeled=(("ens_a", docs), ("ens_b", docs)))
+    workloads.write_inputs(workloads.generate(spec, SEED, DEMO), work, DEMO)
+    labeled = [load_documents(work / "in" / f"{name}.jsonl") for name, _ in spec.labeled]
+    table = load_frequency_table(DEMO / "wordfreq.tsv")
+    synthetic = [generate_matched(table, ds, seed) for seed, ds in enumerate(labeled)]
+    systems = [load_system(DEMO / name) for name in workloads.DEMO_SYSTEMS]
+    matrices = {ds.name: to_matrix(detect(ds, systems), ds, systems)
+                for ds in labeled + synthetic}  # fmt: skip
+    names = [s.name for s in systems]
+    return build_features(matrices, names, labeled, synthetic, k=1.0), names
+
+
+def _timed(call):
+    """``call()``'s result, wall seconds and CPU seconds."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    result = call()
+    return result, time.perf_counter() - wall, time.process_time() - cpu
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--docs", type=int, default=1500, help="documents per labeled dataset")
+    parser.add_argument("--trees", type=int, default=300, help="trees per forest")
+    parser.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    args = parser.parse_args(argv)
+    if args.docs < workloads.N_SDGS:
+        parser.error(f"--docs must be at least {workloads.N_SDGS}, one document per SDG")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        features, names = _features(args.docs, work)
+        params = ForestParams(num_trees=args.trees)
+        cv, cv_wall, cv_cpu = _timed(
+            lambda: cross_validate(features, CvConfig(folds=args.folds, repeats=1), params)
+        )
+        model, train_wall, train_cpu = _timed(lambda: train_model(features, names, 1.0, params))
+        save_model(model, work / "model.json")
+        model_bytes = (work / "model.json").read_bytes()
+    result = {
+        "docs": 2 * args.docs,
+        "trees": args.trees,
+        "folds": args.folds,
+        "sdg1_rows": len(features[1]),
+        "sdg1_distinct_rows": len(np.unique(features[1].X, axis=0)),
+        "cross_validate_wall_s": round(cv_wall, 3),
+        "cross_validate_cpu_s": round(cv_cpu, 3),
+        "train_model_wall_s": round(train_wall, 3),
+        "train_model_cpu_s": round(train_cpu, 3),
+        "cv_result_sha256": hashlib.sha256(repr(cv).encode()).hexdigest(),
+        "model_json_sha256": hashlib.sha256(model_bytes).hexdigest(),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
