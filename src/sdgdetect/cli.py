@@ -11,6 +11,11 @@ Exit codes: 0 success, 2 usage/parameter error, 3 data/schema error,
 A key=value config file (via --config or the SDGDETECT_CONFIG env var)
 may supply defaults for the global flags seed, out_dir, json; any other
 key is a parameter error. Command-line flags always win.
+
+Only synth, train, predict and importance load numpy: they import ensemble
+and synthgen when they are dispatched (NUMPY_COMMANDS), and so does looking
+up one of those modules' names on this module (NUMPY_NAMES). detect,
+evaluate, bias, --help, --version and every usage error run without it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -37,21 +43,8 @@ from .corpus import (
     save_documents,
     warn,
 )
-from .ensemble import (
-    CvConfig,
-    ForestParams,
-    _child_seed,
-    build_features,
-    cross_validate,
-    feature_names_for,
-    load_model,
-    model_importance,
-    save_model,
-    train_model,
-)
 from .errors import DegenerateInputError, ParamError, SchemaError, SdgToolError
 from .evaluation import confusion, metrics, roc_point, sdgs_per_document
-from .synthgen import SynthSpec, generate_documents, generate_matched, load_frequency_table
 from .systems import (
     PredictionMatrix,
     detect,
@@ -61,6 +54,42 @@ from .systems import (
     mask_sdgs,
     to_matrix,
 )
+
+# The names taken from ensemble and synthgen, the modules that import numpy.
+NUMPY_NAMES = {
+    "ensemble": (
+        "CvConfig",
+        "ForestParams",
+        "_child_seed",
+        "build_features",
+        "cross_validate",
+        "feature_names_for",
+        "load_model",
+        "model_importance",
+        "save_model",
+        "train_model",
+    ),
+    "synthgen": ("SynthSpec", "generate_documents", "generate_matched", "load_frequency_table"),
+}
+NUMPY_COMMANDS = {"synth", "train", "predict", "importance"}
+
+
+def _import_numpy_names() -> None:
+    """Bind every name of NUMPY_NAMES here. A name already bound is kept: it is
+    a wrapper that a caller set on this module before the first import."""
+    for module_name, names in NUMPY_NAMES.items():
+        module = importlib.import_module(f".{module_name}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    """``cli.<name>`` for a name of NUMPY_NAMES imports it (PEP 562)."""
+    if any(name in names for names in NUMPY_NAMES.values()):
+        _import_numpy_names()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 CONFIG_ENV_VAR = "SDGDETECT_CONFIG"
 _CONFIG_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -662,7 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=None, help="mirror CSVs as JSON")
     common.add_argument("--config", default=None, help=f"key=value config (or ${CONFIG_ENV_VAR})")
 
-    parser = argparse.ArgumentParser(prog="sdgdetect", description=__doc__)
+    # the docstring's last paragraph is for readers of the code, not of --help
+    parser = argparse.ArgumentParser(prog="sdgdetect", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"sdgdetect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -743,7 +773,10 @@ def _resolve_global_flags(args) -> None:
     args.seed = pick(args.seed, "seed", 0, int)
     if args.seed < 0:
         raise ParamError(f"seed must be a non-negative integer, got {args.seed}")
-    args.out_dir = Path(pick(args.out_dir, "out_dir", "out", str))
+    out_dir = pick(args.out_dir, "out_dir", "out", str)
+    if "\0" in out_dir:  # no file system takes it; os.mkdir would raise ValueError
+        raise ParamError(f"out_dir must not hold a NUL byte: {out_dir!r}")
+    args.out_dir = Path(out_dir)
     args.json = pick(args.json, "json", False, lambda v: _CONFIG_BOOLS[v.lower()])
 
 
@@ -755,6 +788,8 @@ def main(argv: list[str] | None = None) -> int:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's manifest must not outlive a rerun that fails part-way
         (args.out_dir / "manifest.json").unlink(missing_ok=True)
+        if args.command in NUMPY_COMMANDS:
+            _import_numpy_names()
         tables, computed, inputs = args.func(args)
         params = {_PARAM_NAMES.get(k, k): v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, rows in tables.items():

@@ -1132,6 +1132,18 @@ class TestConfig:
         assert _detect(corpus, system, tmp_path / "o", ["--config", str(cfg)]) == 2
         assert f"config {cfg}:2: unknown key 'out_dirr'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_nul_byte_in_out_dir_is_param_error(self, corpus, system, tmp_path, capsys, source):
+        """An out_dir holding a NUL byte, which no path may hold, is E_PARAMS, not a traceback."""
+        out_dir, cfg = f"{tmp_path}/a\0b", tmp_path / "cfg"
+        cfg.write_text(f"out_dir={out_dir}\n")
+        argv = ["detect", "--dataset", corpus, "--systems", system]
+        argv += ["--config", str(cfg)] if source == "config" else ["--out-dir", out_dir]
+        assert main(argv) == 2
+        message = f"error [E_PARAMS]: out_dir must not hold a NUL byte: {out_dir!r}\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "a").exists()
+
     def test_missing_explicit_config_is_param_error(self, corpus, system, tmp_path, capsys):
         rc = _detect(corpus, system, tmp_path / "o", ["--config", str(tmp_path / "no_such.cfg")])
         assert rc == 2

@@ -1,5 +1,6 @@
 """matrix.json: its exact bytes, and how evaluate and bias take a broken one;
-how predict takes a broken model.json, and synth and train a broken wordfreq.tsv."""
+how predict takes a broken model.json, synth and train a broken wordfreq.tsv,
+and evaluate a broken config file."""
 
 import csv
 import json
@@ -463,3 +464,68 @@ def test_mutated_frequency_tables_fail_cleanly(tmp_path, capsys):
     for name in FREQ_MUTATIONS:
         expected = {0, 3} if name == "truncated" else {0} if name in loads else {3}
         assert {outcomes[name, "synth"], outcomes[name, "train"]} <= expected, name
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of a config file, run through evaluate
+# ---------------------------------------------------------------------------
+
+
+def _config_value(key: bytes, value):
+    """A mutation that sets ``key``'s value to ``value(old, rng)``."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        lines = raw.split(b"\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + b"="))
+        lines[at] = key + b"=" + value(lines[at].split(b"=", 1)[1], rng)
+        return b"\n".join(lines)
+
+    return mutate
+
+
+def _insert(byte: bytes):
+    """A value edit that inserts ``byte`` at a random position of the old value."""
+
+    def insert(old: bytes, rng: random.Random) -> bytes:
+        at = rng.randrange(len(old) + 1)
+        return old[:at] + byte + old[at:]
+
+    return insert
+
+
+CONFIG = b"seed=3\nout_dir=out/evaluate\njson=yes\n"
+CONFIG_MUTATIONS = {
+    "truncated": lambda raw, rng: raw[: rng.randrange(len(raw))],
+    "empty": lambda raw, rng: b"",
+    "bom": lambda raw, rng: b"\xef\xbb\xbf" + raw,
+    "crlf": lambda raw, rng: raw.replace(b"\n", b"\r\n"),
+    "non-utf8": _config_value(b"out_dir", _insert(b"\xff")),
+    "nul in out_dir": _config_value(b"out_dir", _insert(b"\x00")),
+    "duplicate keys": lambda raw, rng: raw + b"seed=4\njson=no\n",
+    "5000-digit seed": _config_value(b"seed", lambda old, rng: b"9" * 5000),
+    "nan seed": _config_value(b"seed", lambda old, rng: b"nan"),
+    "fractional seed": _config_value(b"seed", lambda old, rng: b"1.5"),
+    "underscored seed": _config_value(b"seed", lambda old, rng: b"1_000"),
+}
+
+
+def test_mutated_config_files_fail_cleanly(demo_matrix, tmp_path, capsys, monkeypatch):
+    """Every mutation exits 0 or 2 through evaluate, names its error, and leaves
+    no temporary file. The run takes no --out-dir and starts in ``tmp_path``,
+    so the config's relative out_dir is the directory it writes."""
+    monkeypatch.chdir(tmp_path)
+    matrix, path = tmp_path / "matrix.json", tmp_path / "sdgdetect.cfg"
+    matrix.write_bytes(demo_matrix)
+    argv = ["evaluate", "--dataset", str(DEMO / "corpus.jsonl"), "--matrix", str(matrix)]
+    commands = {"evaluate": lambda out: [*argv, "--config", str(path)]}
+    outcomes = _sweep(CONFIG, CONFIG_MUTATIONS, 21, path, commands, capsys)
+    # harmless layouts and values that int() reads load, an undecodable file is
+    # an input error, and every other broken value a parameter error
+    loads = ("empty", "bom", "crlf", "duplicate keys", "underscored seed")
+    exits = {"truncated": {0, 2}, "non-utf8": {3}} | dict.fromkeys(loads, {0})
+    for name in CONFIG_MUTATIONS:
+        assert outcomes[name, "evaluate"] in exits.get(name, {2}), name
+    # the last line of a key wins, and int() reads "1_000" as --seed does
+    path.write_bytes(CONFIG_MUTATIONS["underscored seed"](CONFIG, random.Random(0)))
+    assert main(commands["evaluate"](None)) == 0
+    assert json.loads((tmp_path / "out" / "evaluate" / "manifest.json").read_text())["seed"] == 1000

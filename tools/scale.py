@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
-"""The ensemble at scale: cross-validation and the final model on thousands
-of documents, where a tree's first nodes hold thousands of rows.
+"""The ensemble at scale: features, cross-validation, the final model and its
+permutation importance on thousands of documents, where a tree's first nodes
+hold thousands of rows.
 
 Run from the repository root:
 
-    python3 tools/scale.py --docs 1500 --trees 50 --folds 5
+    python3 tools/scale.py --docs 1500 --trees 50 --folds 5 --repetitions 10
 
 The labeled documents come from the benchmark's generator
 (``perfbench/workloads.py``, read only): the ``ensemble`` spec resized to
 two datasets of ``--docs`` documents each, seed 11. Each dataset gets a
 length-matched synthetic one (seeds 0 and 1), and all are detected with
-the three demo systems. Features use k = 1. ``cross_validate`` runs
-``--folds`` folds of one repeat and ``train_model`` grows the 17 final
+the three demo systems. ``build_features`` uses k = 1. ``cross_validate``
+runs ``--folds`` folds of one repeat and ``train_model`` grows the 17 final
 forests, each forest with ``--trees`` trees and every other setting at the
-CLI's default.
+CLI's default. ``model_importance`` permutes each feature of the trained
+model ``--repetitions`` times (the CLI's default is 10) with seed 0, as
+``sdgdetect importance`` does.
 
-The last line of standard output is one JSON object: the distinct feature
-rows of SDG 1, the wall and CPU seconds of ``cross_validate`` and
-``train_model``, the SHA-256 of ``repr`` of the ``CvResult`` and of the
-saved ``model.json``, and the process's peak RSS. The digests depend only
-on the flags, so two runs of one tree must print the same ones.
+The last line of standard output is one JSON object: each SDG's feature rows
+and distinct ``(x, y)`` rows, the wall and CPU seconds of ``build_features``,
+``cross_validate``, ``train_model`` and ``model_importance``, the SHA-256
+of ``repr`` of the ``CvResult``, of the saved ``model.json`` and of
+``repr`` of the importances, and the process's peak RSS. The digests depend
+only on the flags, so two runs of one tree must print the same ones.
 """
 
 import argparse
@@ -44,6 +48,7 @@ from sdgdetect.ensemble import (  # noqa: E402
     ForestParams,
     build_features,
     cross_validate,
+    model_importance,
     save_model,
     train_model,
 )
@@ -54,8 +59,9 @@ DEMO = ROOT / "demo"
 SEED = 11
 
 
-def _features(docs: int, work: Path):
-    """Each SDG's FeatureSet at k = 1, and the system names."""
+def _inputs(docs: int, work: Path):
+    """The matrices, system names, labeled and synthetic datasets that
+    ``build_features`` takes."""
     spec = workloads.SPECS["ensemble"]
     spec = dataclasses.replace(spec, labeled=(("ens_a", docs), ("ens_b", docs)))
     workloads.write_inputs(workloads.generate(spec, SEED, DEMO), work, DEMO)
@@ -65,8 +71,7 @@ def _features(docs: int, work: Path):
     systems = [load_system(DEMO / name) for name in workloads.DEMO_SYSTEMS]
     matrices = {ds.name: to_matrix(detect(ds, systems), ds, systems)
                 for ds in labeled + synthetic}  # fmt: skip
-    names = [s.name for s in systems]
-    return build_features(matrices, names, labeled, synthetic, k=1.0), names
+    return matrices, [s.name for s in systems], labeled, synthetic
 
 
 def _timed(call):
@@ -81,12 +86,18 @@ def main(argv=None) -> int:
     parser.add_argument("--docs", type=int, default=1500, help="documents per labeled dataset")
     parser.add_argument("--trees", type=int, default=300, help="trees per forest")
     parser.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    parser.add_argument("--repetitions", type=int, default=10, help="permutations per feature")
     args = parser.parse_args(argv)
     if args.docs < workloads.N_SDGS:
         parser.error(f"--docs must be at least {workloads.N_SDGS}, one document per SDG")
+    if args.repetitions < 1:
+        parser.error("--repetitions must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        features, names = _features(args.docs, work)
+        matrices, names, labeled, synthetic = _inputs(args.docs, work)
+        features, features_wall, features_cpu = _timed(
+            lambda: build_features(matrices, names, labeled, synthetic, k=1.0)
+        )
         params = ForestParams(num_trees=args.trees)
         cv, cv_wall, cv_cpu = _timed(
             lambda: cross_validate(features, CvConfig(folds=args.folds, repeats=1), params)
@@ -94,18 +105,29 @@ def main(argv=None) -> int:
         model, train_wall, train_cpu = _timed(lambda: train_model(features, names, 1.0, params))
         save_model(model, work / "model.json")
         model_bytes = (work / "model.json").read_bytes()
+        importances, importance_wall, importance_cpu = _timed(
+            lambda: model_importance(model, features, repetitions=args.repetitions)
+        )
     result = {
         "docs": 2 * args.docs,
         "trees": args.trees,
         "folds": args.folds,
-        "sdg1_rows": len(features[1]),
-        "sdg1_distinct_rows": len(np.unique(features[1].X, axis=0)),
+        "repetitions": args.repetitions,
+        "rows": {sdg: len(f) for sdg, f in features.items()},
+        "distinct_rows": {
+            sdg: len(np.unique(np.column_stack((f.X, f.y)), axis=0)) for sdg, f in features.items()
+        },
+        "build_features_wall_s": round(features_wall, 3),
+        "build_features_cpu_s": round(features_cpu, 3),
         "cross_validate_wall_s": round(cv_wall, 3),
         "cross_validate_cpu_s": round(cv_cpu, 3),
         "train_model_wall_s": round(train_wall, 3),
         "train_model_cpu_s": round(train_cpu, 3),
+        "model_importance_wall_s": round(importance_wall, 3),
+        "model_importance_cpu_s": round(importance_cpu, 3),
         "cv_result_sha256": hashlib.sha256(repr(cv).encode()).hexdigest(),
         "model_json_sha256": hashlib.sha256(model_bytes).hexdigest(),
+        "importance_sha256": hashlib.sha256(repr(importances).encode()).hexdigest(),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     print(json.dumps(result))
