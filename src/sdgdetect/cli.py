@@ -21,6 +21,7 @@ evaluate, bias, --help, --version and every usage error run without it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -29,6 +30,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -44,7 +46,9 @@ from .corpus import (
     warn,
 )
 from .errors import DegenerateInputError, ParamError, SchemaError, SdgToolError
-from .evaluation import confusion, metrics, roc_point, sdgs_per_document
+from .errors import UndefinedMetricError
+from .evaluation import ConfusionCounts, MetricReport, confusion, metrics
+from .evaluation import roc_point, sdgs_per_document
 from .systems import (
     PredictionMatrix,
     detect,
@@ -293,12 +297,13 @@ def _detect_all(datasets, systems) -> tuple[list, dict[str, PredictionMatrix]]:
     return all_hits, matrices
 
 
-def _ensemble_inputs(dataset_paths: list[str], freq_table: str, systems, seed: int):
-    """Labeled datasets, a length-matched synthetic one for each, and all their matrices."""
-    labeled = _load_named(load_documents, dataset_paths, "dataset")
-    table = load_frequency_table(freq_table)
+def _ensemble_inputs(args, systems):
+    """The labeled datasets that train and importance read, a length-matched
+    synthetic one for each, and all their matrices."""
+    labeled = _load_named(load_documents, args.dataset, "dataset")
+    table = load_frequency_table(args.freq_table)
     synthetic = [
-        generate_matched(table, ds, _child_seed(seed, i)) for i, ds in enumerate(labeled)
+        generate_matched(table, ds, _child_seed(args.seed, i)) for i, ds in enumerate(labeled)
     ]
     _, matrices = _detect_all(labeled + synthetic, systems)
     return labeled, synthetic, matrices
@@ -314,16 +319,6 @@ def _parse_k_grid(raw: str) -> list[float]:
     return values
 
 
-def _forest_params(args) -> ForestParams:
-    return ForestParams(
-        num_trees=args.trees,
-        mtry=args.mtry,
-        min_leaf_frac=args.min_leaf_frac,
-        max_depth=args.max_depth,
-        seed=args.seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 #
@@ -335,30 +330,21 @@ def _forest_params(args) -> ForestParams:
 # (matrix.json, synthetic.jsonl, model.json).
 # ---------------------------------------------------------------------------
 
-# The columns of each table a command returns, by table name.
+# The columns of each table a command returns, by table name. The count and
+# metric columns are derived: they are the fields of ConfusionCounts and
+# MetricReport, and a row takes those cells from the records' attributes in
+# field order (vars, which unlike astuple copies nothing).
+_COUNTS = [f.name for f in fields(ConfusionCounts)]
 TABLES = {
     "hits": ["dataset", "doc_id", "system", "sdg", "query_id", "term", "positions"],
     "keyword_frequencies": ["dataset", "system", "term", "count"],
-    "metrics": [
-        "dataset",
-        "system",
-        "tp",
-        "fp",
-        "tn",
-        "fn",
-        "sensitivity",
-        "specificity",
-        "accuracy",
-        "balanced_accuracy",
-        "precision",
-        "f1",
-    ],
+    "metrics": ["dataset", "system", *_COUNTS, *(f.name for f in fields(MetricReport))],
     "roc": ["dataset", "system", "fpr", "tpr"],
     "sdgs_per_doc": ["dataset", "system", "mean_words", "mean_sdgs_per_doc"],
     "bias": ["system", "dataset", "sdg", "observed", "predicted", "bias"],
     "profiles": ["source", "dataset", "sdg", "proportion"],
     "correlations": ["system", "metric", "value"],
-    "cv_report": ["sdg", "fold", "repeat", "tp", "fp", "tn", "fn", "accuracy", "f1"],
+    "cv_report": ["sdg", "fold", "repeat", *_COUNTS, "accuracy", "f1"],
     "curve": ["k", "pooled_accuracy", "mean_dataset_accuracy", "synthetic_fp_rate"],
     "skipped": ["sdg", "repeat", "fold", "reason"],
     "predictions": ["dataset", "doc_id", "sdg", "score", "assigned"],
@@ -376,38 +362,25 @@ def cmd_detect(args) -> tuple[dict, dict, list]:
     datasets = _load_named(load_documents, args.dataset, "dataset")
     hits_by_ds, matrices = _detect_all(datasets, systems)
 
-    if externals:
-        all_ids = {doc.id for ds in datasets for doc in ds.documents}
-        for name, path in externals:
-            fragment = import_external_predictions(
-                path, name, known_doc_ids=all_ids, strict=not args.lenient_external
-            )
-            row = fragment.row
-            for ds in datasets:
-                rows = {(doc.id, name): row(doc.id, name) for doc in ds.documents}
-                matrices[ds.name].merge(PredictionMatrix(rows))
+    all_ids = {doc.id for ds in datasets for doc in ds.documents}
+    for name, path in externals:
+        fragment = import_external_predictions(
+            path, name, known_doc_ids=all_ids, strict=not args.lenient_external
+        )
+        row = fragment.row
+        for ds in datasets:
+            rows = {(doc.id, name): row(doc.id, name) for doc in ds.documents}
+            matrices[ds.name].merge(PredictionMatrix(rows))
 
     hit_rows = []
     freq_rows = []
     for ds_name, hits in hits_by_ds:
         for hit in hits:
-            if hit.matched_terms:
-                for term, positions in hit.matched_terms:
-                    hit_rows.append(
-                        (
-                            ds_name,
-                            hit.doc_id,
-                            hit.system,
-                            hit.sdg,
-                            hit.query_id,
-                            term,
-                            "|".join(str(p) for p in positions),
-                        )
-                    )
-            else:
-                hit_rows.append((ds_name, hit.doc_id, hit.system, hit.sdg, hit.query_id, "", ""))
-        for system, term, count in keyword_frequencies(hits):
-            freq_rows.append((ds_name, system, term, count))
+            # a hit with no positive literal (a pure NOT query) is one row with no term
+            for term, positions in hit.matched_terms or (("", ()),):
+                at = "|".join(str(p) for p in positions)
+                hit_rows.append((ds_name, hit.doc_id, hit.system, hit.sdg, hit.query_id, term, at))
+        freq_rows += [(ds_name, *row) for row in keyword_frequencies(hits)]
 
     atomic_write_text(args.out_dir / "matrix.json", _matrix_json(system_names, matrices))
     return (
@@ -428,25 +401,9 @@ def cmd_evaluate(args) -> tuple[dict, dict, list]:
         for system in systems:
             counts = confusion(matrix, ds, system)
             report = metrics(counts)
-            metric_rows.append(
-                (
-                    ds.name,
-                    system,
-                    counts.tp,
-                    counts.fp,
-                    counts.tn,
-                    counts.fn,
-                    report.sensitivity,
-                    report.specificity,
-                    report.accuracy,
-                    report.balanced_accuracy,
-                    report.precision,
-                    report.f1,
-                )
-            )
-            if report.sensitivity is not None and report.specificity is not None:
-                x, y = roc_point(report)
-                roc_rows.append((ds.name, system, x, y))
+            metric_rows.append((ds.name, system, *vars(counts).values(), *vars(report).values()))
+            with contextlib.suppress(UndefinedMetricError):  # a rate is undefined: no point
+                roc_rows.append((ds.name, system, *roc_point(report)))
             mean_sdgs, mean_words = sdgs_per_document(matrix, ds, system)
             spd_rows.append((ds.name, system, mean_words, mean_sdgs))
 
@@ -457,12 +414,16 @@ def cmd_evaluate(args) -> tuple[dict, dict, list]:
     )
 
 
-def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, system: str):
-    """Expert and system SDG profiles; the system's counts only evaluated SDGs."""
+def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, systems: list[str]):
+    """The expert SDG profile of a dataset and each system's, by system name;
+    a system's counts only the SDGs evaluated on each document."""
     labeled = [doc for doc in ds.documents if isinstance(doc, LabeledDocument)]
     row = matrix.row
     expert = profile([doc.labels for doc in labeled])
-    predicted = profile([mask_sdgs(row(doc.id, system) & doc.evaluated_mask) for doc in labeled])
+    predicted = {
+        s: profile([mask_sdgs(row(doc.id, s) & doc.evaluated_mask) for doc in labeled])
+        for s in systems
+    }
     return expert, predicted
 
 
@@ -489,30 +450,22 @@ def cmd_bias(args) -> tuple[dict, dict, list]:
     bias_rows = []
     profile_rows = []
     corr_rows = []
-    expert_profiles = {}
     for ds in datasets:
         if not ds.labeled:
             raise SchemaError(f"dataset {ds.name!r} has no expert labels")
+    profiles = {ds.name: _dataset_profiles(ds, matrices[ds.name], systems) for ds in datasets}
     for system in systems:
         biases = {}
         fidelities = []
         for ds in datasets:
-            expert, predicted = _dataset_profiles(ds, matrices[ds.name], system)
-            expert_profiles[ds.name] = expert
+            expert, by_system = profiles[ds.name]
+            predicted = by_system[system]
             vec = bias_vector(predicted, expert)
             biases[ds.name] = vec
-            for sdg in range(1, 18):
-                bias_rows.append(
-                    (
-                        system,
-                        ds.name,
-                        sdg,
-                        expert.proportions[sdg - 1],
-                        predicted.proportions[sdg - 1],
-                        vec[sdg - 1],
-                    )
-                )
-                profile_rows.append((system, ds.name, sdg, predicted.proportions[sdg - 1]))
+            shares = zip(expert.proportions, predicted.proportions, vec)
+            for sdg, (observed, share, sdg_bias) in enumerate(shares, 1):
+                bias_rows.append((system, ds.name, sdg, observed, share, sdg_bias))
+                profile_rows.append((system, ds.name, sdg, share))
             try:
                 fidelities.append(profile_fidelity(expert, predicted))
             except DegenerateInputError as exc:
@@ -526,11 +479,9 @@ def cmd_bias(args) -> tuple[dict, dict, list]:
             mean_r = None
         corr_rows.append((system, "profile_bias_mean_r", mean_r))
 
-    for name in sorted(expert_profiles):
-        for sdg in range(1, 18):
-            profile_rows.append(
-                ("expert", name, sdg, expert_profiles[name].proportions[sdg - 1])
-            )
+    # with no system, profiles.csv is its header alone, as every other table is
+    for name, (expert, _) in sorted(profiles.items()) if systems else ():
+        profile_rows += [("expert", name, sdg, p) for sdg, p in enumerate(expert.proportions, 1)]
     profile_rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     return (
@@ -569,15 +520,14 @@ def cmd_train(args) -> tuple[dict, dict, list]:
         raise ParamError("--k must lie in [0, 10]")
     if not 0 <= args.threshold <= 1:
         raise ParamError("--threshold must lie in [0, 1]")
-    seed, params = args.seed, _forest_params(args)
+    seed = args.seed
+    params = ForestParams(args.trees, args.mtry, args.min_leaf_frac, args.max_depth, seed=seed)
     systems = _load_named(load_system, args.systems, "system")
-    labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
+    labeled, synthetic, matrices = _ensemble_inputs(args, systems)
     system_names = [s.name for s in systems]
 
-    grid = _parse_k_grid(args.k_grid) if args.k_grid else []
-    if args.k not in grid:
-        grid.append(args.k)
-    grid = sorted(set(grid))
+    # the grid's own values first: of two equal values (0.0 and -0.0) a set keeps the first
+    grid = sorted({*(_parse_k_grid(args.k_grid) if args.k_grid else ()), args.k})
 
     curve_rows = []
     for kg in grid:
@@ -594,18 +544,8 @@ def cmd_train(args) -> tuple[dict, dict, list]:
             final_cv, final_features = cv, features
 
     cv_rows = [
-        (
-            rec.sdg,
-            rec.fold,
-            rec.repeat,
-            rec.counts.tp,
-            rec.counts.fp,
-            rec.counts.tn,
-            rec.counts.fn,
-            rec.report.accuracy,
-            rec.report.f1,
-        )
-        for rec in final_cv.records
+        (r.sdg, r.fold, r.repeat, *vars(r.counts).values(), r.report.accuracy, r.report.f1)
+        for r in final_cv.records
     ]
 
     model = train_model(final_features, system_names, args.k, params, args.threshold)
@@ -640,11 +580,10 @@ def cmd_predict(args) -> tuple[dict, dict, list]:
 
 
 def cmd_importance(args) -> tuple[dict, dict, list]:
-    seed = args.seed
     model, systems = _load_model_and_systems(args.model, args.systems)
-    labeled, synthetic, matrices = _ensemble_inputs(args.dataset, args.freq_table, systems, seed)
+    labeled, synthetic, matrices = _ensemble_inputs(args, systems)
     features = build_features(matrices, list(model.system_names), labeled, synthetic, model.k)
-    importances = model_importance(model, features, repetitions=args.repetitions, seed=seed)
+    importances = model_importance(model, features, repetitions=args.repetitions, seed=args.seed)
 
     out_rows = []
     for sdg in sorted(importances):
@@ -696,34 +635,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sdgdetect {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("detect", parents=[common], help="run labeling systems over datasets")
+    def command(func, summary: str) -> argparse.ArgumentParser:
+        """The subcommand that runs ``func``, named as it is without "cmd_"."""
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(cmd_detect, "run labeling systems over datasets")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--systems", action="append", required=True)
     p.add_argument(
         "--external", action="append", default=[], help="NAME=PATH external predictions CSV"
     )
     p.add_argument("--lenient-external", action="store_true", help="skip unknown doc ids")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score predictions against labels")
+    p = command(cmd_evaluate, "score predictions against labels")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--matrix", required=True, help="matrix.json from detect")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("bias", parents=[common], help="per-SDG bias and profile correlations")
+    p = command(cmd_bias, "per-SDG bias and profile correlations")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--exclude-pair", action="append", default=[], help="NAME:NAME pair to skip")
-    p.set_defaults(func=cmd_bias)
 
-    p = sub.add_parser("synth", parents=[common], help="generate synthetic documents")
+    p = command(cmd_synth, "generate synthetic documents")
     p.add_argument("--freq-table", required=True)
     p.add_argument("--lengths", help="comma-separated document lengths")
     p.add_argument("--docs-per-length", type=int, help="with --lengths (default 1000)")
     p.add_argument("--match", help="dataset to length-match instead of --lengths")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", parents=[common], help="train the per-SDG ensemble")
+    p = command(cmd_train, "train the per-SDG ensemble")
     p.add_argument("--dataset", action="append", required=True, help="labeled dataset")
     p.add_argument("--systems", action="append", required=True)
     p.add_argument("--freq-table", required=True)
@@ -736,21 +677,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-leaf-frac", type=float, default=1e-6)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="apply a saved ensemble model")
+    p = command(cmd_predict, "apply a saved ensemble model")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--systems", action="append", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("importance", parents=[common], help="permutation feature importance")
+    p = command(cmd_importance, "permutation feature importance")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", action="append", required=True, help="labeled dataset")
     p.add_argument("--systems", action="append", required=True)
     p.add_argument("--freq-table", required=True)
     p.add_argument("--repetitions", type=int, default=10)
-    p.set_defaults(func=cmd_importance)
 
     return parser
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import IoError, SchemaError
+from .errors import IoError, ParamError, SchemaError
 
 __all__ = [
     "ALL_SDGS",
@@ -171,8 +171,11 @@ def _parse_int_list(raw: str, where: str) -> list[int] | None:
 
 def read_input(path: str | Path, what: str) -> str:
     """The text of a UTF-8 input file, line ends untranslated and a leading
-    byte-order mark dropped. An ``OSError`` is raised as ``IoError`` and
+    byte-order mark dropped. A path holding a NUL byte, which no file system
+    takes, is a ``ParamError``; an ``OSError`` is raised as ``IoError`` and
     undecodable bytes as ``SchemaError``."""
+    if "\0" in str(path):
+        raise ParamError(f"{what} path must not hold a NUL byte: {str(path)!r}")
     try:
         return Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:

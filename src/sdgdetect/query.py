@@ -42,6 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import methodcaller
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import NearOperandError, QuerySyntaxError
@@ -332,16 +333,14 @@ class TokenIndex:
         ]
 
 
+@dataclass(eq=False, slots=True)
 class CompiledQuery:
     """A query compiled by ``CorpusIndex.compile``; ``ast`` is its source and
     ``positive`` its literals under an even number of NOTs, in surface order."""
 
-    __slots__ = ("_run", "ast", "positive")
-
-    def __init__(self, run: Callable[[TokenIndex], bool], ast: Node, positive: list[_Literal]):
-        self._run = run
-        self.ast = ast
-        self.positive = positive
+    _run: Callable[[TokenIndex], bool]
+    ast: Node
+    positive: list[_Literal]
 
     def match(self, index: TokenIndex) -> MatchResult:
         """Match against one document of the corpus the query was compiled for.
@@ -363,12 +362,14 @@ class CorpusIndex:
     """The documents of a corpus and the literals compiled against it.
 
     ``compile`` turns a query AST into its one compiled form for this
-    corpus: each wildcard is expanded once, by bisecting its prefix range
-    in the sorted vocabulary (code-point order keeps a prefix's words
-    contiguous), and each distinct term or phrase becomes one literal
-    shared by every query compiled here. ``search`` then finds the
-    documents holding each literal, in one pass over the corpus, and
-    matches the compiled queries document by document.
+    corpus in one walk (``_compile``), which builds the match function, the
+    positions of NEAR's operands and the query's positive literals at once.
+    Each wildcard is expanded once, by bisecting its prefix range in the
+    sorted vocabulary (code-point order keeps a prefix's words contiguous),
+    and each distinct term or phrase becomes one literal shared by every
+    query compiled here. ``search`` then finds the documents holding each
+    literal, in one pass over the corpus, and matches the compiled queries
+    document by document.
     """
 
     def __init__(self, documents: Sequence[Sequence[str]]):
@@ -382,20 +383,8 @@ class CorpusIndex:
 
     def compile(self, ast: Node) -> CompiledQuery:
         positive: dict[str, _Literal] = {}  # by surface: a literal has one surface
-        stack = [(ast, False)]  # (node, under an odd number of NOTs)
-        while stack:
-            node, negated = stack.pop()
-            if isinstance(node, (Term, Phrase)):
-                if not negated:
-                    literal = self._literal(node)
-                    positive[literal.surface] = literal
-            elif isinstance(node, Not):
-                stack.append((node.child, not negated))
-            elif isinstance(node, Near):
-                stack += [(node.left, negated), (node.right, negated)]
-            elif isinstance(node, (Or, And)):
-                stack += [(c, negated) for c in node.children]
-        return CompiledQuery(self._compile(ast), ast, [positive[s] for s in sorted(positive)])
+        run, _ = self._compile(ast, False, positive)
+        return CompiledQuery(run, ast, [positive[s] for s in sorted(positive)])
 
     def search(
         self, queries: Sequence[CompiledQuery]
@@ -484,35 +473,44 @@ class CorpusIndex:
             return min(sets, key=len) if sets else None
         return None
 
-    def _compile(self, node: Node) -> Callable[[TokenIndex], bool]:
+    def _compile(self, node: Node, negated: bool, positive: dict[str, _Literal]) -> tuple:
+        """Compile ``node`` in one walk: its match function, its positions
+        function (None unless it is a term, a phrase or an OR over those), and
+        each literal under an even number of NOTs added to ``positive``."""
         if isinstance(node, (Term, Phrase)):
             literal = self._literal(node)
-            return lambda index: bool(index.literal_positions(literal))
-        if isinstance(node, (Or, And)):
-            parts = [self._compile(c) for c in node.children]
-            if isinstance(node, Or):
-                return lambda index: any(part(index) for part in parts)
-            return lambda index: all(part(index) for part in parts)
+            if not negated:
+                positive[literal.surface] = literal
+            positions = methodcaller("literal_positions", literal)
+            return (lambda index: bool(index.literal_positions(literal))), positions
         if isinstance(node, Not):
-            child = self._compile(node.child)
-            return lambda index: not child(index)
+            child, _ = self._compile(node.child, not negated, positive)
+            return (lambda index: not child(index)), None
         if isinstance(node, Near):
-            left, right = self._compile_positions(node.left), self._compile_positions(node.right)
+            left, right = (self._positions(c, negated, positive) for c in (node.left, node.right))
             n = node.n
-            return lambda index: _near_pair_exists(left(index), right(index), n)
+            return (lambda index: _near_pair_exists(left(index), right(index), n)), None
+        if isinstance(node, (Or, And)):
+            runs, parts = zip(*(self._compile(c, negated, positive) for c in node.children))
+            if isinstance(node, And):
+                return (lambda index: all(run(index) for run in runs)), None
+
+            def union(index: TokenIndex) -> list[int]:
+                return sorted(set().union(*[part(index) for part in parts]))
+
+            positions = None if None in parts else union
+            return (lambda index: any(run(index) for run in runs)), positions
         raise TypeError(f"not a query node: {node!r}")
 
-    def _compile_positions(self, node: Node) -> Callable[[TokenIndex], list[int]]:
-        if isinstance(node, (Term, Phrase)):
-            literal = self._literal(node)
-            return lambda index: index.literal_positions(literal)
-        if isinstance(node, Or):
-            parts = [self._compile_positions(c) for c in node.children]
-            return lambda index: sorted(set().union(*[part(index) for part in parts]))
-        raise NearOperandError(
-            f"positions are only defined for terms, phrases, and OR over those, "
-            f"not {type(node).__name__}"
-        )
+    def _positions(self, node: Node, negated: bool, positive: dict[str, _Literal]) -> Callable:
+        """``_compile``'s positions function for ``node``, which must have one."""
+        positions = self._compile(node, negated, positive)[1]
+        if positions is None:
+            raise NearOperandError(
+                f"positions are only defined for terms, phrases, and OR over those, "
+                f"not {type(node).__name__}"
+            )
+        return positions
 
 
 def _near_pair_exists(left: list[int], right: list[int], n: int) -> bool:
@@ -541,5 +539,5 @@ def match_query(ast: Node, tokens: Sequence[str]) -> MatchResult:
 def match_positions(ast: Node, tokens: Sequence[str]) -> list[int]:
     """Sorted match positions for a position-bearing query node."""
     corpus = CorpusIndex([tokens])
-    positions = corpus._compile_positions(ast)
+    positions = corpus._positions(ast, False, {})
     return list(positions(TokenIndex(tokens, corpus._locate_literals())))

@@ -2,12 +2,11 @@ import argparse
 import csv
 import json
 import os
-import random
 from pathlib import Path
 
 import pytest
 
-from sdgdetect.cli import build_parser, main
+from sdgdetect.cli import TABLES, build_parser, main
 from sdgdetect.query import _MAX_NESTING
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -68,6 +67,28 @@ class TestDetect:
         _detect(corpus, system, out2)
         for name in ("hits.csv", "keyword_frequencies.csv", "matrix.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_hit_with_no_positive_literal(self, tmp_path):
+        """A pure NOT query's hit is one hits.csv row with no term and no
+        positions; keyword_frequencies.csv counts only positive literals."""
+        system = tmp_path / "not.csv"
+        system.write_text(
+            "system,sdg,query_id,query\nnot,3,n1,NOT zzzqq\nnot,3,n2,health AND NOT zzzqq\n"
+        )
+        out = tmp_path / "out"
+        assert _detect(str(DEMO / "corpus.jsonl"), str(system), out) == 0
+        with open(out / "hits.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        pure = [row for row in rows if row["query_id"] == "n1"]
+        assert len(pure) == 30
+        assert len({row["doc_id"] for row in pure}) == 30
+        assert all(row["term"] == row["positions"] == "" for row in pure)
+        health = [row for row in rows if row["query_id"] == "n2"]
+        assert health and all(row["term"] == "health" and row["positions"] for row in health)
+        assert len(rows) == len(pure) + len(health)
+        count = sum(len(row["positions"].split("|")) for row in health)
+        freq = (out / "keyword_frequencies.csv").read_text().splitlines()
+        assert freq == ["dataset,system,term,count", f"corpus,not,health,{count}"]
 
     def test_carriage_return_cell_round_trips(self, system, tmp_path):
         corpus = tmp_path / "cr.jsonl"
@@ -293,6 +314,21 @@ class TestEvaluateAndBias:
         row_sdg5 = next(l for l in bias_lines[1:] if l.startswith("demo,corpus,5,"))
         assert row_sdg5.endswith(",")
         assert (out / "correlations.csv").exists() and (out / "profiles.csv").exists()
+
+    def test_matrix_listing_no_system(self, corpus, tmp_path):
+        """A matrix.json with ``"systems": []`` scores nothing: evaluate and bias
+        exit 0 and every table is its header alone, profiles.csv included."""
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text('{"systems": [], "datasets": {"corpus": {"assignments": []}}}')
+        tables = {"evaluate": ["metrics", "roc", "sdgs_per_doc"],
+                  "bias": ["bias", "correlations", "profiles"]}  # fmt: skip
+        for command, names in tables.items():
+            out = tmp_path / command
+            argv = [command, "--dataset", corpus, "--matrix", str(matrix), "--out-dir", str(out)]
+            assert main(argv) == 0
+            assert sorted(p.stem for p in out.glob("*.csv")) == names
+            for name in names:
+                assert (out / f"{name}.csv").read_text() == ",".join(TABLES[name]) + "\n"
 
     @pytest.mark.parametrize("pair", ["nosuch:other", "corpus:nosuch", "nosuch:corpus"])
     def test_exclude_pair_naming_no_dataset_is_2(self, corpus, system, tmp_path, capsys, pair):
@@ -970,61 +1006,6 @@ class TestWarnings:
         assert capsys.readouterr().err == "warning: ext.csv:3: skipping unknown doc_id 'd9'\n"
 
 
-# Text spliced into the demo systems' query cells by the mutation test.
-_QUERY_MUTATIONS = ['"', "(", ")", "*", "_", "-", "/", "NEAR/", "NEAR/3 ", " OR ", " AND ", "NOT ",
-                    "é", "\u00a0", "\u2028", "\x1c", "\n"]
-
-
-def _mutate_query(rng, query):
-    roll = rng.random()
-    if roll < 0.1:
-        depth = rng.randrange(2 * _MAX_NESTING)
-        return "(" * depth + query + ")" * depth
-    if roll < 0.2:
-        return query[: rng.randrange(len(query) + 1)]
-    cut = rng.randrange(len(query) + 1)
-    return query[:cut] + rng.choice(_QUERY_MUTATIONS) + query[cut + rng.randrange(3) :]
-
-
-class TestQueryCellMutations:
-    def test_detect_exits_0_or_3(self, tmp_path, capsys):
-        """Seeded edits of one query cell in a demo system: detect either runs
-        or names an E_* error, with no traceback and no temporary file."""
-        rng = random.Random(59)
-        systems = {}
-        for name in ("system_alpha.csv", "system_beta.csv", "system_gamma.csv"):
-            with open(DEMO / name, newline="", encoding="utf-8") as f:
-                systems[name] = list(csv.reader(f))
-        exits = set()
-        for trial in range(200):
-            header, *rows = systems[rng.choice(sorted(systems))]
-            rows = [list(row) for row in rows]
-            row = rng.choice(rows)
-            for _ in range(rng.randrange(1, 4)):
-                row[3] = _mutate_query(rng, row[3])
-            path = tmp_path / "system.csv"
-            with open(path, "w", newline="", encoding="utf-8") as f:
-                csv.writer(f).writerows([header, *rows])
-            rc = main(
-                [
-                    "detect",
-                    "--dataset",
-                    str(DEMO / "corpus.jsonl"),
-                    "--systems",
-                    str(path),
-                    "--out-dir",
-                    str(tmp_path / f"out{trial}"),
-                ]
-            )
-            err = capsys.readouterr().err
-            assert rc in (0, 3), row[3]
-            assert (rc != 0) == err.startswith("error [E_"), (row[3], err)
-            assert "Traceback" not in err
-            exits.add(rc)
-        assert exits == {0, 3}
-        assert not list(tmp_path.rglob("*.tmp"))
-
-
 class TestNonUtf8Input:
     """Every input file that is not UTF-8 is a schema error, never a traceback."""
 
@@ -1050,6 +1031,32 @@ class TestNonUtf8Input:
         assert err.startswith("error [E_SCHEMA]: ") and "not valid UTF-8" in err
         assert "Traceback" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+class TestNulByteInputPath:
+    """An input path holding a NUL byte, which no file system takes, is a
+    parameter error (exit 2) that names the input, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "which", ["dataset", "systems", "external", "freq-table", "match", "matrix", "model"]
+    )
+    def test_exit_2(self, corpus, system, tmp_path, capsys, which):
+        bad, freq = f"{tmp_path}/a\0b", str(DEMO / "wordfreq.tsv")
+        detect = ["detect", "--dataset", corpus, "--systems", system]
+        predict = ["predict", "--model", bad, "--dataset", corpus, "--systems", system]
+        argv, what = {
+            "dataset": (["detect", "--dataset", bad, "--systems", system], "dataset"),
+            "systems": (["detect", "--dataset", corpus, "--systems", bad], "system file"),
+            "external": (detect + ["--external", f"black={bad}"], "predictions file"),
+            "freq-table": (["synth", "--freq-table", bad, "--lengths", "5"], "frequency table"),
+            "match": (["synth", "--freq-table", freq, "--match", bad], "dataset"),
+            "matrix": (["evaluate", "--dataset", corpus, "--matrix", bad], "prediction matrix"),
+            "model": (predict, "model"),
+        }[which]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        message = f"error [E_PARAMS]: {what} path must not hold a NUL byte: {bad!r}\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "a").exists()
 
 
 class TestConfig:

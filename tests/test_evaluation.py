@@ -202,9 +202,8 @@ class TestMaskScoringOracle:
                     continue
                 scored += 1
                 assert confusion(matrix, ds, system) == naive_confusion(matrix, ds, system)
-                assert _dataset_profiles(ds, matrix, system) == naive_dataset_profiles(
-                    ds, matrix, system
-                )
+                expert, predicted = naive_dataset_profiles(ds, matrix, system)
+                assert _dataset_profiles(ds, matrix, [system]) == (expert, {system: predicted})
         assert scored > 1000
 
     def test_labels_outside_evaluated_never_count(self):

@@ -1,8 +1,9 @@
 """matrix.json: its exact bytes, and how evaluate and bias take a broken one;
 how predict takes a broken model.json, synth and train a broken wordfreq.tsv,
-and evaluate a broken config file."""
+evaluate a broken config file, and detect a broken query cell."""
 
 import csv
+import io
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sdgdetect.cli import _matrix_json, main
+from sdgdetect.query import _MAX_NESTING
 from sdgdetect.systems import PredictionMatrix
 
 DATA = Path(__file__).parent / "data"
@@ -529,3 +531,48 @@ def test_mutated_config_files_fail_cleanly(demo_matrix, tmp_path, capsys, monkey
     path.write_bytes(CONFIG_MUTATIONS["underscored seed"](CONFIG, random.Random(0)))
     assert main(commands["evaluate"](None)) == 0
     assert json.loads((tmp_path / "out" / "evaluate" / "manifest.json").read_text())["seed"] == 1000
+
+
+# ---------------------------------------------------------------------------
+# Seeded edits of one query cell in a demo system, run through detect
+# ---------------------------------------------------------------------------
+
+# Text spliced into the query cells.
+_QUERY_MUTATIONS = ['"', "(", ")", "*", "_", "-", "/", "NEAR/", "NEAR/3 ", " OR ", " AND ", "NOT ",
+                    "é", "\u00a0", "\u2028", "\x1c", "\n"]  # fmt: skip
+
+
+def _mutate_query(rng: random.Random, query: str) -> str:
+    roll = rng.random()
+    if roll < 0.1:
+        depth = rng.randrange(2 * _MAX_NESTING)
+        return "(" * depth + query + ")" * depth
+    if roll < 0.2:
+        return query[: rng.randrange(len(query) + 1)]
+    cut = rng.randrange(len(query) + 1)
+    return query[:cut] + rng.choice(_QUERY_MUTATIONS) + query[cut + rng.randrange(3) :]
+
+
+def _edit_query_cell(raw: bytes, rng: random.Random) -> bytes:
+    """A demo system picked at random, one query cell of it edited one to three
+    times; ``raw`` is unused, since the system is picked here."""
+    names = ("system_alpha.csv", "system_beta.csv", "system_gamma.csv")
+    with open(DEMO / rng.choice(names), newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    row = rng.choice(rows[1:])
+    for _ in range(rng.randrange(1, 4)):
+        row[3] = _mutate_query(rng, row[3])
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_mutated_query_cells_fail_cleanly(tmp_path, capsys):
+    """200 seeded query-cell edits exit 0 or 3 through detect, name their
+    error, and leave no temporary file; both outcomes occur."""
+    path = tmp_path / "system.csv"
+    argv = ["detect", "--dataset", str(DEMO / "corpus.jsonl"), "--systems", str(path)]
+    commands = {"detect": lambda out: [*argv, "--out-dir", str(out)]}
+    mutations = {f"query edit {i}": _edit_query_cell for i in range(200)}
+    outcomes = _sweep(b"", mutations, 59, path, commands, capsys)
+    assert set(outcomes.values()) == {0, 3}
