@@ -187,22 +187,27 @@ def read_input(path: str | Path, what: str) -> str:
 def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[tuple[str, dict]]:
     """The data rows of a CSV input as (``file:line``, row) pairs, the line
     being the one a row ends on; an empty file has none. Only LF, CR and CRLF
-    end a line, and a quoted cell keeps its line breaks. The header must name
-    every ``required`` column, and a required ``sdg`` cell is parsed to an
-    int in 1..17."""
+    end a line, and a quoted cell keeps its line breaks. The header names each
+    ``required`` column and no column twice, no row is longer than the header,
+    and a required ``sdg`` cell is parsed to an int in 1..17."""
     raw, name = read_input(path, what), Path(path).name
     limit = csv.field_size_limit(len(raw))  # no field is longer than the file
     try:
         reader = csv.DictReader(io.StringIO(raw, newline=""))
-        if raw.strip() and not set(required) <= set(reader.fieldnames or ()):
+        header = reader.fieldnames or ()
+        if raw.strip() and not set(required) <= set(header):
             raise SchemaError(f"{name}: CSV header must include {','.join(required)}")
+        if len(set(header)) < len(header):
+            raise SchemaError(f"{name}:{reader.line_num}: CSV header names a column twice")
         rows = [(f"{name}:{reader.line_num}", row) for row in reader]
     except csv.Error as exc:
         raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
     finally:
         csv.field_size_limit(limit)  # the limit is process-wide
-    if "sdg" in required:
-        for where, row in rows:
+    for where, row in rows:
+        if None in row:  # DictReader files the cells past the header under None
+            raise SchemaError(f"{where}: more cells than the header has columns")
+        if "sdg" in required:
             try:
                 row["sdg"] = int(row["sdg"] or "")
             except ValueError:

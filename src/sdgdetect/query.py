@@ -23,11 +23,12 @@ prefix match. NEAR/n requires both operands to be position-bearing
 (terms, phrases, or ORs over those); |p1 - p2| <= n over token indices,
 with a phrase's position being its start index.
 
-Matching compiles each query once per corpus (``CorpusIndex.compile``):
-wildcards are expanded against the corpus's sorted vocabulary, and every
+Matching compiles each query once per corpus (``CorpusIndex.compile``) in
+one walk that yields its match, positions and required-documents functions.
+Wildcards are expanded against the corpus's sorted vocabulary, and every
 distinct term or phrase becomes one literal shared by all queries.
-``CorpusIndex.search`` finds the documents holding each literal, derives
-from them the documents each query can possibly match, and visits each
+``CorpusIndex.search`` finds the documents holding each literal, then the
+documents each query requires (the only ones it can match), and visits each
 document once: it computes each literal's positions there at most once
 (``TokenIndex``), evaluates each candidate query, and reads a matching
 query's hits from the positive literals fixed when it was compiled.
@@ -42,7 +43,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import methodcaller
 from typing import Callable, Iterator, Sequence, Union
 
 from .errors import NearOperandError, QuerySyntaxError
@@ -284,6 +284,15 @@ class _Literal:
     parts: tuple["_Literal", ...]
     docs: frozenset[int] | None = None
 
+    def matches(self, index: TokenIndex) -> bool:
+        return bool(index.literal_positions(self))
+
+    def positions(self, index: TokenIndex) -> list[int]:
+        return index.literal_positions(self)
+
+    def required(self) -> frozenset[int] | None:
+        return self.docs
+
 
 class TokenIndex:
     """One document's word -> sorted positions map, plus the positions of
@@ -335,11 +344,11 @@ class TokenIndex:
 
 @dataclass(eq=False, slots=True)
 class CompiledQuery:
-    """A query compiled by ``CorpusIndex.compile``; ``ast`` is its source and
-    ``positive`` its literals under an even number of NOTs, in surface order."""
+    """A query compiled by ``CorpusIndex.compile``; ``required`` gives the documents it
+    can match (None: any), ``positive`` its literals under an even number of NOTs."""
 
     _run: Callable[[TokenIndex], bool]
-    ast: Node
+    required: Callable[[], frozenset[int] | None]
     positive: list[_Literal]
 
     def match(self, index: TokenIndex) -> MatchResult:
@@ -362,8 +371,8 @@ class CorpusIndex:
     """The documents of a corpus and the literals compiled against it.
 
     ``compile`` turns a query AST into its one compiled form for this
-    corpus in one walk (``_compile``), which builds the match function, the
-    positions of NEAR's operands and the query's positive literals at once.
+    corpus in one walk (``_compile``), which yields the match, positions and
+    required-documents functions and collects the positive literals at once.
     Each wildcard is expanded once, by bisecting its prefix range in the
     sorted vocabulary (code-point order keeps a prefix's words contiguous),
     and each distinct term or phrase becomes one literal shared by every
@@ -383,8 +392,8 @@ class CorpusIndex:
 
     def compile(self, ast: Node) -> CompiledQuery:
         positive: dict[str, _Literal] = {}  # by surface: a literal has one surface
-        run, _ = self._compile(ast, False, positive)
-        return CompiledQuery(run, ast, [positive[s] for s in sorted(positive)])
+        run, _, required = self._compile(ast, False, positive)
+        return CompiledQuery(run, required, [positive[s] for s in sorted(positive)])
 
     def search(
         self, queries: Sequence[CompiledQuery]
@@ -396,20 +405,16 @@ class CorpusIndex:
         through one TokenIndex that is dropped when the document is done.
         """
         words = self._locate_literals()
-        anywhere: list[int] = []
-        by_doc: list[list[int]] = [[] for _ in self.documents]
+        by_doc: list[list[int]] = [[] for _ in self.documents]  # query indices, ascending
         for q, query in enumerate(queries):
-            docs = self._required_docs(query.ast)
-            if docs is None:
-                anywhere.append(q)
-            else:
-                for d in docs:
-                    by_doc[d].append(q)
+            docs = query.required()
+            for d in range(len(by_doc)) if docs is None else docs:
+                by_doc[d].append(q)
         for d, candidates in enumerate(by_doc):
-            if not candidates and not anywhere:
+            if not candidates:
                 continue
             index = TokenIndex(self.documents[d], words)
-            for q in sorted(candidates + anywhere):
+            for q in candidates:
                 result = queries[q].match(index)
                 if result.matched:
                     yield d, q, result
@@ -455,62 +460,51 @@ class CorpusIndex:
                 lit.docs = min((part.docs for part in lit.parts), key=len)
         return words
 
-    def _required_docs(self, node: Node) -> frozenset[int] | None:
-        """Documents holding a literal that every match needs, or None.
-
-        A literal requires itself; OR requires the union of its children's
-        sets when each child has one; AND and NEAR require the smallest of
-        their operands' sets; NOT requires nothing.
-        """
-        if isinstance(node, (Term, Phrase)):
-            return self._literal(node).docs
-        if isinstance(node, Or):
-            sets = [self._required_docs(c) for c in node.children]
-            return None if any(s is None for s in sets) else frozenset().union(*sets)
-        if isinstance(node, (And, Near)):
-            operands = node.children if isinstance(node, And) else (node.left, node.right)
-            sets = [s for s in map(self._required_docs, operands) if s is not None]
-            return min(sets, key=len) if sets else None
-        return None
-
     def _compile(self, node: Node, negated: bool, positive: dict[str, _Literal]) -> tuple:
-        """Compile ``node`` in one walk: its match function, its positions
-        function (None unless it is a term, a phrase or an OR over those), and
-        each literal under an even number of NOTs added to ``positive``."""
+        """Compile ``node`` in one walk: its match, positions and required-documents
+        functions, with each literal under an even number of NOTs added to
+        ``positive``. Only a node ``is_position_bearing`` accepts has positions."""
         if isinstance(node, (Term, Phrase)):
             literal = self._literal(node)
             if not negated:
                 positive[literal.surface] = literal
-            positions = methodcaller("literal_positions", literal)
-            return (lambda index: bool(index.literal_positions(literal))), positions
+            return literal.matches, literal.positions, literal.required
         if isinstance(node, Not):
-            child, _ = self._compile(node.child, not negated, positive)
-            return (lambda index: not child(index)), None
-        if isinstance(node, Near):
-            left, right = (self._positions(c, negated, positive) for c in (node.left, node.right))
-            n = node.n
-            return (lambda index: _near_pair_exists(left(index), right(index), n)), None
-        if isinstance(node, (Or, And)):
-            runs, parts = zip(*(self._compile(c, negated, positive) for c in node.children))
-            if isinstance(node, And):
-                return (lambda index: all(run(index) for run in runs)), None
+            child = self._compile(node.child, not negated, positive)[0]
+            return (lambda index: not child(index)), None, lambda: None
+        if not isinstance(node, (Or, And, Near)):
+            raise TypeError(f"not a query node: {node!r}")
+        operands = (node.left, node.right) if isinstance(node, Near) else node.children
+        runs, parts, needs = zip(*(self._compile(c, negated, positive) for c in operands))
+
+        def required() -> frozenset[int] | None:
+            sets = [need() for need in needs]
+            if isinstance(node, Or):
+                return None if None in sets else frozenset().union(*sets)
+            sets = [s for s in sets if s is not None]
+            return min(sets, key=len) if sets else None
+
+        if isinstance(node, Or):
 
             def union(index: TokenIndex) -> list[int]:
                 return sorted(set().union(*[part(index) for part in parts]))
 
-            positions = None if None in parts else union
-            return (lambda index: any(run(index) for run in runs)), positions
-        raise TypeError(f"not a query node: {node!r}")
+            return (lambda index: any(run(index) for run in runs)), union, required
+        if isinstance(node, And):
+            return (lambda index: all(run(index) for run in runs)), None, required
+        _require_positions(*operands)
+        left, right = parts
+        n = node.n
+        return (lambda index: _near_pair_exists(left(index), right(index), n)), None, required
 
-    def _positions(self, node: Node, negated: bool, positive: dict[str, _Literal]) -> Callable:
-        """``_compile``'s positions function for ``node``, which must have one."""
-        positions = self._compile(node, negated, positive)[1]
-        if positions is None:
+
+def _require_positions(*nodes: Node) -> None:
+    for node in nodes:
+        if not is_position_bearing(node):
             raise NearOperandError(
                 f"positions are only defined for terms, phrases, and OR over those, "
                 f"not {type(node).__name__}"
             )
-        return positions
 
 
 def _near_pair_exists(left: list[int], right: list[int], n: int) -> bool:
@@ -538,6 +532,7 @@ def match_query(ast: Node, tokens: Sequence[str]) -> MatchResult:
 
 def match_positions(ast: Node, tokens: Sequence[str]) -> list[int]:
     """Sorted match positions for a position-bearing query node."""
+    _require_positions(ast)
     corpus = CorpusIndex([tokens])
-    positions = corpus._positions(ast, False, {})
+    positions = corpus._compile(ast, False, {})[1]
     return list(positions(TokenIndex(tokens, corpus._locate_literals())))

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import json
 import os
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from sdgdetect.cli import TABLES, build_parser, main
+from sdgdetect.ensemble import CvConfig, ForestParams, model_importance, train_model
 from sdgdetect.query import _MAX_NESTING
 
 DEMO = Path(__file__).parent.parent / "demo"
@@ -257,6 +259,22 @@ class TestFailedRunLeavesNoManifest:
         assert json.loads((out / "matrix.json").read_text())["systems"] == ["demo", "other"]
         assert not (out / "manifest.json").exists()
         assert list(out.glob("*.tmp")) == []
+
+
+def test_parser_defaults_match_the_library():
+    """build_parser restates ensemble.py's defaults, since importing them would
+    load numpy for every command; a default changed on one side fails here."""
+    inputs = ["--dataset", "d", "--systems", "s", "--freq-table", "f"]
+    train = build_parser().parse_args(["train", *inputs])
+    forest, cv = ForestParams(), CvConfig()
+    assert (train.trees, train.mtry, train.max_depth, train.min_leaf_frac) == (
+        forest.num_trees, forest.mtry, forest.max_depth, forest.min_leaf_frac
+    )  # fmt: skip
+    assert (train.folds, train.repeats, train.threshold) == (cv.folds, cv.repeats, cv.threshold)
+    assert train.threshold == inspect.signature(train_model).parameters["threshold"].default
+    importance = build_parser().parse_args(["importance", "--model", "m", *inputs])
+    repetitions = inspect.signature(model_importance).parameters["repetitions"].default
+    assert importance.repetitions == repetitions
 
 
 class TestManifestParams:

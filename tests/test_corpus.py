@@ -216,6 +216,21 @@ class TestLoad:
         with pytest.raises(SchemaError):
             load_documents(p)
 
+    @pytest.mark.parametrize(
+        "body,error",
+        [
+            ("id,text,text\nd1,end,poverty\n", r"ds\.csv:1: .* twice"),
+            ("id,text\nd1,end poverty,1\n", r"ds\.csv:2: more cells"),
+            ("id,text,labels\nd1,end poverty,1,\n", r"ds\.csv:2: more cells"),
+        ],
+        ids=["repeated column", "extra cell", "trailing empty cell"],
+    )
+    def test_csv_extra_cells_or_repeated_column_refused(self, tmp_path, body, error):
+        p = tmp_path / "ds.csv"
+        p.write_text(body)
+        with pytest.raises(SchemaError, match=error):
+            load_documents(p)
+
     def test_roundtrip(self, tmp_path):
         docs = (
             LabeledDocument.from_text("d1", "End Poverty now", [1], [1, 2]),

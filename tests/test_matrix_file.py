@@ -1,6 +1,7 @@
 """matrix.json: its exact bytes, and how evaluate and bias take a broken one;
 how predict takes a broken model.json, synth and train a broken wordfreq.tsv,
-evaluate a broken config file, and detect a broken query cell."""
+evaluate a broken config file, and detect a broken query cell, system CSV or
+--external CSV."""
 
 import csv
 import io
@@ -576,3 +577,120 @@ def test_mutated_query_cells_fail_cleanly(tmp_path, capsys):
     mutations = {f"query edit {i}": _edit_query_cell for i in range(200)}
     outcomes = _sweep(b"", mutations, 59, path, commands, capsys)
     assert set(outcomes.values()) == {0, 3}
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of an --external CSV and of a whole system CSV, run through
+# detect with and without --lenient-external
+# ---------------------------------------------------------------------------
+
+
+def _csv_edit(edit):
+    """A mutation that applies ``edit(rows, rng)`` to the parsed CSV rows, the
+    header first, and writes them back with LF line ends."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+        edit(rows, rng)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue().encode("utf-8")
+
+    return mutate
+
+
+def _each_row(edit):
+    """A CSV edit that rewrites every row, header included, as ``edit(row, column)``
+    for one column picked at random."""
+
+    def rows_edit(rows, rng):
+        column = rng.randrange(len(rows[0]))
+        rows[:] = [edit(row, column) for row in rows]
+
+    return _csv_edit(rows_edit)
+
+
+def _sdg_cell(value: str):
+    def edit(rows, rng):
+        rng.choice(rows[1:])[rows[0].index("sdg")] = value
+
+    return _csv_edit(edit)
+
+
+def _last_cell_of_a_row(suffix: bytes):
+    """A mutation that appends ``suffix`` to the last cell of a random data row
+    (``sdg`` in an --external CSV, ``query`` in a system CSV)."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        lines = raw.split(b"\n")
+        at = rng.randrange(1, len(lines) - 1)  # the last line is empty
+        lines[at] += suffix
+        return b"\n".join(lines)
+
+    return mutate
+
+
+CSV_MUTATIONS = {
+    "truncated": lambda raw, rng: raw[: rng.randrange(len(raw))],
+    "empty": lambda raw, rng: b"",
+    "bom": lambda raw, rng: b"\xef\xbb\xbf" + raw,
+    "crlf": lambda raw, rng: raw.replace(b"\n", b"\r\n"),
+    "non-utf8": _last_cell_of_a_row(b"\xff"),
+    "dropped column": _each_row(lambda row, column: row[:column] + row[column + 1 :]),
+    "duplicated column": _each_row(lambda row, column: row + [row[column]]),
+    "extra cell": _last_cell_of_a_row(b",7"),
+    "trailing empty cell": _last_cell_of_a_row(b","),
+    "nan sdg": _sdg_cell("nan"),
+    "inf sdg": _sdg_cell("inf"),
+    "5000-digit sdg": _sdg_cell("9" * 5000),
+    "sdg 0": _sdg_cell("0"),
+    "sdg 18": _sdg_cell("18"),
+    "duplicate rows": _csv_edit(lambda rows, rng: rows.append(list(rng.choice(rows[1:])))),
+    "nul in a cell": _last_cell_of_a_row(b"\0"),
+}
+
+
+def _external_csv() -> bytes:
+    """A valid --external CSV: one prediction for every demo document."""
+    with open(DEMO / "corpus.jsonl", encoding="utf-8") as fh:
+        ids = [json.loads(line)["id"] for line in fh if line.strip()]
+    rows = [f"{doc_id},{i % 17 + 1}\n" for i, doc_id in enumerate(ids)]
+    return "".join(["doc_id,sdg\n", *rows]).encode()
+
+
+def _detect_commands(system: Path, external: Path) -> dict:
+    argv = ["detect", "--dataset", str(DEMO / "corpus.jsonl"), "--systems", str(system),
+            "--external", f"ext={external}"]  # fmt: skip
+    return {
+        "strict": lambda out: [*argv, "--out-dir", str(out)],
+        "lenient": lambda out: [*argv, "--lenient-external", "--out-dir", str(out)],
+    }
+
+
+def _assert_csv_outcomes(outcomes: dict, loads: set) -> None:
+    """Harmless layouts and the ``loads`` mutations exit 0 with and without
+    --lenient-external, a truncation 0 or 3, and every other mutation 3."""
+    for name in CSV_MUTATIONS:
+        expected = {0, 3} if name == "truncated" else {0} if name in loads else {3}
+        assert {outcomes[name, "strict"], outcomes[name, "lenient"]} <= expected, name
+
+
+def test_mutated_external_csvs_fail_cleanly(tmp_path, capsys):
+    """Every mutation of an --external CSV exits 0 or 3, names its error, and
+    leaves no temporary file. A repeated row merges into the same prediction and
+    an empty file predicts nothing, so both load."""
+    path = tmp_path / "external.csv"
+    commands = _detect_commands(DEMO / "system_alpha.csv", path)
+    outcomes = _sweep(_external_csv(), CSV_MUTATIONS, 60, path, commands, capsys)
+    _assert_csv_outcomes(outcomes, {"bom", "crlf", "duplicate rows", "empty"})
+
+
+def test_mutated_system_csvs_fail_cleanly(tmp_path, capsys):
+    """Every mutation of a whole system CSV exits 0 or 3, names its error, and
+    leaves no temporary file. A repeated row repeats its query_id and an empty
+    file holds no rows, so both fail."""
+    path, external = tmp_path / "system.csv", tmp_path / "external.csv"
+    external.write_bytes(_external_csv())
+    raw = (DEMO / "system_alpha.csv").read_bytes()
+    outcomes = _sweep(raw, CSV_MUTATIONS, 61, path, _detect_commands(path, external), capsys)
+    _assert_csv_outcomes(outcomes, {"bom", "crlf"})

@@ -5,6 +5,8 @@ import pytest
 from sdgdetect.errors import NearOperandError, QuerySyntaxError, SdgToolError
 from sdgdetect.query import (
     And,
+    CompiledQuery,
+    CorpusIndex,
     Near,
     Not,
     Or,
@@ -242,6 +244,43 @@ class TestMatchPositions:
     def test_rejects_non_positional(self, node):
         with pytest.raises(NearOperandError):
             match_positions(node, ["a", "b"])
+
+    def test_hand_built_near_rejects_non_positional_operand(self):
+        # the parser refuses this operand; a hand-built AST meets the compiler's check
+        with pytest.raises(NearOperandError, match="not And$"):
+            match_query(Near(And((Term("a"), Term("b"))), Term("c"), 1), ["a", "b", "c"])
+
+
+class TestPruning:
+    """``CorpusIndex.search`` runs a query only on the documents holding a
+    literal that every match needs; each ``CompiledQuery.match`` call is counted."""
+
+    # a occurs in documents 0-2, b in 2-3 and c in 1-2
+    DOCS = [["a", "x"], ["a", "c"], ["a", "b", "c"], ["b"], ["x"]]
+
+    @pytest.mark.parametrize(
+        "text,visited",
+        [
+            ("a AND b", [2, 3]),  # the smaller operand's documents
+            ("a OR b", [0, 1, 2, 3]),  # the union
+            ("a OR NOT b", [0, 1, 2, 3, 4]),  # NOT requires nothing, so neither does the OR
+            ("NOT a", [0, 1, 2, 3, 4]),
+            ("a AND NOT b", [0, 1, 2]),
+            ("(a OR b) NEAR/2 c", [1, 2]),
+            ('"a b"', [2, 3]),  # the rarest word's documents
+        ],
+    )
+    def test_visits_only_required_documents(self, monkeypatch, text, visited):
+        corpus = CorpusIndex(self.DOCS)
+        seen, match = [], CompiledQuery.match
+
+        def counting_match(query, index):
+            seen.append(self.DOCS.index(index.tokens))
+            return match(query, index)
+
+        monkeypatch.setattr(CompiledQuery, "match", counting_match)
+        list(corpus.search([corpus.compile(parse_query(text))]))
+        assert seen == visited
 
 
 class TestProperties:

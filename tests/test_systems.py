@@ -107,6 +107,22 @@ class TestLoadSystem:
             f"system 'demo', query 'q1': query nested too deeply (at position {_MAX_NESTING})"
         )
 
+    @pytest.mark.parametrize(
+        "body,error",
+        [
+            ("system,sdg,query_id,query\nalpha,1,q1,poverty OR hunger, famine\n", r"s\.csv:2: more"),
+            ("system,sdg,query_id,query\nalpha,1,q1,poverty,\n", r"s\.csv:2: more"),
+            ("system,sdg,query_id,query,query\nalpha,1,q1,poverty,hunger\n", r"s\.csv:1: .* twice"),
+        ],
+        ids=["extra cell", "trailing empty cell", "repeated column"],
+    )
+    def test_extra_cells_or_repeated_column_refused(self, tmp_path, body, error):
+        # csv.DictReader would drop the extra cells and keep the last "query"
+        p = tmp_path / "s.csv"
+        p.write_text(body)
+        with pytest.raises(SchemaError, match=error):
+            load_system(p)
+
     def test_mixed_system_names(self, tmp_path):
         p = _system(tmp_path / "s.csv", ["a,1,q1,poverty", "b,2,q2,hunger"])
         with pytest.raises(SchemaError):
@@ -344,6 +360,22 @@ class TestExternalPredictions:
         p.write_text("doc_id,sdg\nd9,21\n")
         with pytest.raises(SchemaError):
             import_external_predictions(p, "ext", known_doc_ids=["d9"])
+
+    @pytest.mark.parametrize(
+        "body,error",
+        [
+            ("doc_id,sdg,sdg\nd1,1,5,6\n", r"ext\.csv:1: .* twice"),
+            ("doc_id,sdg\nd1,1,5\n", r"ext\.csv:2: more cells"),
+            ("doc_id,sdg\nd1,1\nd1,2,\n", r"ext\.csv:3: more cells"),
+        ],
+        ids=["repeated column", "extra cell", "trailing empty cell"],
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_extra_cells_or_repeated_column_refused(self, tmp_path, body, error, strict):
+        p = tmp_path / "ext.csv"
+        p.write_text(body)
+        with pytest.raises(SchemaError, match=error):
+            import_external_predictions(p, "ext", known_doc_ids=["d1"], strict=strict)
 
     def test_unknown_doc_strict_vs_lenient(self, tmp_path, capsys):
         p = tmp_path / "ext.csv"
