@@ -38,14 +38,13 @@ from .bias import bias as bias_vector
 from .bias import profile, profile_bias, profile_fidelity, sum_in_order
 from .corpus import (
     Dataset,
-    LabeledDocument,
     atomic_write_text,
     load_documents,
     read_input,
     save_documents,
     warn,
 )
-from .errors import DegenerateInputError, ParamError, SchemaError, SdgToolError
+from .errors import DegenerateInputError, NoLabelsError, ParamError, SchemaError, SdgToolError
 from .errors import UndefinedMetricError
 from .evaluation import ConfusionCounts, MetricReport, confusion, metrics
 from .evaluation import roc_point, sdgs_per_document
@@ -417,11 +416,10 @@ def cmd_evaluate(args) -> tuple[dict, dict, list]:
 def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, systems: list[str]):
     """The expert SDG profile of a dataset and each system's, by system name;
     a system's counts only the SDGs evaluated on each document."""
-    labeled = [doc for doc in ds.documents if isinstance(doc, LabeledDocument)]
-    row = matrix.row
-    expert = profile([doc.labels for doc in labeled])
+    row, docs = matrix.row, ds.documents
+    expert = profile([doc.labels for doc in docs])
     predicted = {
-        s: profile([mask_sdgs(row(doc.id, s) & doc.evaluated_mask) for doc in labeled])
+        s: profile([mask_sdgs(row(doc.id, s) & doc.evaluated_mask) for doc in docs])
         for s in systems
     }
     return expert, predicted
@@ -452,7 +450,7 @@ def cmd_bias(args) -> tuple[dict, dict, list]:
     corr_rows = []
     for ds in datasets:
         if not ds.labeled:
-            raise SchemaError(f"dataset {ds.name!r} has no expert labels")
+            raise NoLabelsError(f"dataset {ds.name!r} has no expert labels")
     profiles = {ds.name: _dataset_profiles(ds, matrices[ds.name], systems) for ds in datasets}
     for system in systems:
         biases = {}

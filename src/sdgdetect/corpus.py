@@ -7,8 +7,10 @@ else a space) and a whitespace split; other text lowers each regex match
 on its own, as lowering the whole text differs (``İ``, Greek final sigma).
 Documents come from JSONL (one object per line: id, text, optional
 labels / evaluated int arrays) or CSV (header ``id,text,labels,evaluated``,
-labels/evaluated ``|``-separated). A labeled document also holds its
-labels and evaluated set as 17-bit masks, the form of a prediction row.
+labels/evaluated ``|``-separated). A document is labeled exactly when its
+evaluated set, the SDGs experts judged it for, is not empty; a record with
+labels but no evaluated set was judged for all 17. A document also holds
+its labels and evaluated set as 17-bit masks, the form of a prediction row.
 ``read_input``, ``atomic_write_text`` and ``warn`` are the package's one
 reader, writer and warning line.
 """
@@ -21,7 +23,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -31,7 +33,6 @@ from .errors import IoError, ParamError, SchemaError
 __all__ = [
     "ALL_SDGS",
     "Document",
-    "LabeledDocument",
     "Dataset",
     "tokenize",
     "read_input",
@@ -58,29 +59,26 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Document:
+    """A document's text and tokens, the SDGs experts judged it for
+    (``evaluated``; scoring is restricted to these) and those they assigned
+    it (``labels``). It is labeled exactly when ``evaluated`` is not empty,
+    so labels need an evaluated set."""
+
     id: str
     text: str
     tokens: tuple[str, ...]
-
-    @property
-    def word_count(self) -> int:
-        return len(self.tokens)
-
-    @classmethod
-    def from_text(cls, doc_id: str, text: str) -> "Document":
-        return cls(doc_id, text, tuple(tokenize(text)))
-
-
-@dataclass(frozen=True)
-class LabeledDocument(Document):
-    labels: frozenset[int] = field(default_factory=frozenset)
-    # the SDGs this document was actually judged for; scoring is
-    # restricted to this set
-    evaluated: frozenset[int] = ALL_SDGS
+    labels: frozenset[int] = frozenset()
+    evaluated: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if not ALL_SDGS.issuperset(self.labels) or not ALL_SDGS.issuperset(self.evaluated):
             raise SchemaError(f"document {self.id!r}: SDG ids must lie in 1..17")
+        if self.labels and not self.evaluated:
+            raise SchemaError(f"document {self.id!r}: labels without an evaluated set")
+
+    @property
+    def word_count(self) -> int:
+        return len(self.tokens)
 
     # Bit ``sdg - 1`` of a mask stands for the SDG, as in a prediction matrix row.
     @cached_property
@@ -96,12 +94,14 @@ class LabeledDocument(Document):
         cls,
         doc_id: str,
         text: str,
-        labels: Iterable[int] = (),
+        labels: Iterable[int] | None = None,
         evaluated: Iterable[int] | None = None,
-    ) -> "LabeledDocument":
-        lab = frozenset(labels)
-        ev = ALL_SDGS if evaluated is None else frozenset(evaluated)
-        return cls(doc_id, text, tuple(tokenize(text)), lab, ev)
+    ) -> "Document":
+        """No sets give an unlabeled document; labels alone are judged on all 17 SDGs."""
+        if evaluated is None:
+            evaluated = () if labels is None else ALL_SDGS
+        labels = frozenset(labels or ())
+        return cls(doc_id, text, tuple(tokenize(text)), labels, frozenset(evaluated))
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class Dataset:
 
     @property
     def labeled(self) -> bool:
-        return any(isinstance(d, LabeledDocument) for d in self.documents)
+        return any(d.evaluated for d in self.documents)
 
 
 def _check_sdg_list(values, where: str) -> frozenset[int]:
@@ -132,9 +132,7 @@ def _check_sdg_list(values, where: str) -> frozenset[int]:
     return frozenset(out)
 
 
-def _build_document(
-    doc_id, text, labels, evaluated, where: str
-) -> Document:
+def _build_document(doc_id, text, labels, evaluated, where: str) -> Document:
     if not isinstance(doc_id, str) or not doc_id:
         raise SchemaError(f"{where}: missing or invalid 'id'")
     try:
@@ -143,15 +141,16 @@ def _build_document(
         raise SchemaError(f"{where}: 'id' {doc_id!r} cannot be written as UTF-8") from None
     if not isinstance(text, str):
         raise SchemaError(f"{where}: missing or invalid 'text'")
-    if labels is None and evaluated is None:
-        return Document.from_text(doc_id, text)
-    lab = frozenset() if labels is None else _check_sdg_list(labels, where)
-    ev = ALL_SDGS if evaluated is None else _check_sdg_list(evaluated, where)
-    if not lab <= ev:
-        raise SchemaError(f"{where}: labels {sorted(lab - ev)} outside the evaluated set")
-    if not ev:
-        raise SchemaError(f"{where}: empty 'evaluated' set on a labeled record")
-    return LabeledDocument(doc_id, text, tuple(tokenize(text)), lab, ev)
+    if labels is not None:
+        labels = _check_sdg_list(labels, where)
+    if evaluated is not None:
+        evaluated = _check_sdg_list(evaluated, where)
+        if not evaluated.issuperset(labels or ()):
+            outside = sorted(labels - evaluated)
+            raise SchemaError(f"{where}: labels {outside} outside the evaluated set")
+        if not evaluated:
+            raise SchemaError(f"{where}: empty 'evaluated' set on a labeled record")
+    return Document.from_text(doc_id, text, labels, evaluated)
 
 
 def _parse_int_list(raw: str, where: str) -> list[int] | None:
@@ -188,8 +187,9 @@ def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[
     """The data rows of a CSV input as (``file:line``, row) pairs, the line
     being the one a row ends on; an empty file has none. Only LF, CR and CRLF
     end a line, and a quoted cell keeps its line breaks. The header names each
-    ``required`` column and no column twice, no row is longer than the header,
-    and a required ``sdg`` cell is parsed to an int in 1..17."""
+    ``required`` column, no column twice and no column empty (as a trailing
+    comma would), no row is longer than the header, and a required ``sdg``
+    cell is parsed to an int in 1..17."""
     raw, name = read_input(path, what), Path(path).name
     limit = csv.field_size_limit(len(raw))  # no field is longer than the file
     try:
@@ -199,6 +199,8 @@ def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[
             raise SchemaError(f"{name}: CSV header must include {','.join(required)}")
         if len(set(header)) < len(header):
             raise SchemaError(f"{name}:{reader.line_num}: CSV header names a column twice")
+        if "" in header:
+            raise SchemaError(f"{name}:{reader.line_num}: CSV header has an empty column name")
         rows = [(f"{name}:{reader.line_num}", row) for row in reader]
     except csv.Error as exc:
         raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
@@ -263,7 +265,7 @@ def save_documents(dataset: Dataset, path: str | Path) -> None:
     lines = []
     for doc in dataset.documents:
         record: dict = {"id": doc.id, "text": doc.text}
-        if isinstance(doc, LabeledDocument):
+        if doc.evaluated:
             record["labels"] = sorted(doc.labels)
             record["evaluated"] = sorted(doc.evaluated)
         lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bias import sum_in_order
-from .corpus import Dataset, LabeledDocument, atomic_write_text, read_input
+from .corpus import Dataset, atomic_write_text, read_input
 from .errors import (
     DegenerateInputError,
     MissingSystemError,
@@ -173,9 +173,9 @@ def build_features(
     """Each SDG's `FeatureSet`, with per-dataset 1/N (labeled) or k/N (synthetic) weights.
 
     Rows follow the labeled datasets' documents, then, when k > 0, the
-    synthetic ones', which are negative for all 17 SDGs. A `LabeledDocument`
-    gives a row per SDG it was evaluated for, a plain `Document` none. Every
-    system must cover every synthetic document and every `LabeledDocument`.
+    synthetic ones', which are negative for all 17 SDGs. A labeled document
+    gives a row per SDG in its evaluated set, an unlabeled one (evaluated set
+    empty) none. Every system must cover every synthetic and labeled document.
     """
     if k < 0:
         raise ParamError("synthetic weight factor k must be non-negative")
@@ -191,7 +191,7 @@ def build_features(
         for doc in ds.documents:
             if synthetic:
                 evaluated, labels = (1 << 17) - 1, 0  # every SDG, none of them positive
-            elif isinstance(doc, LabeledDocument):
+            elif doc.evaluated:
                 evaluated, labels = doc.evaluated_mask, doc.label_mask
             else:
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Dataset, LabeledDocument
+from .corpus import Dataset
 from .errors import NoLabelsError, UndefinedMetricError
 from .systems import PredictionMatrix
 
@@ -57,18 +57,16 @@ class MetricReport:
 def confusion(matrix: PredictionMatrix, dataset: Dataset, system: str) -> ConfusionCounts:
     """Tally TP/FP/TN/FN over every evaluated (document, SDG) pair.
 
-    Each labeled document is one step of mask arithmetic: its prediction
-    row and its labels are each ANDed with its evaluated mask, so SDGs
-    outside the evaluated set never count, and each tally adds the
-    ``bit_count`` of one AND.
+    Each document is one step of mask arithmetic: its prediction row and
+    its labels are each ANDed with its evaluated mask, so SDGs outside the
+    evaluated set never count (none of an unlabeled document's), and each
+    tally adds the ``bit_count`` of one AND.
     """
     if not dataset.labeled:
         raise NoLabelsError(f"dataset {dataset.name!r} has no expert labels")
     tp = fp = tn = fn = 0
     row = matrix.row
     for doc in dataset.documents:
-        if not isinstance(doc, LabeledDocument):
-            continue
         evaluated = doc.evaluated_mask
         predicted = row(doc.id, system) & evaluated
         labeled = doc.label_mask & evaluated

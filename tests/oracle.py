@@ -18,7 +18,6 @@ import re
 import numpy as np
 
 from sdgdetect.bias import profile
-from sdgdetect.corpus import LabeledDocument
 from sdgdetect.errors import NearOperandError, NoLabelsError, QuerySyntaxError, SchemaError
 from sdgdetect.evaluation import ConfusionCounts
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term, is_position_bearing
@@ -363,7 +362,7 @@ def naive_confusion(matrix, dataset, system: str) -> ConfusionCounts:
         raise NoLabelsError(f"dataset {dataset.name!r} has no expert labels")
     tp = fp = tn = fn = 0
     for doc in dataset.documents:
-        if not isinstance(doc, LabeledDocument):
+        if not doc.evaluated:
             continue
         for sdg in doc.evaluated:
             predicted = sdg in matrix.predicted(doc.id, system)
@@ -390,7 +389,7 @@ def naive_dataset_profiles(ds, matrix, system: str):
     expert_sets = []
     system_sets = []
     for doc in ds.documents:
-        if not isinstance(doc, LabeledDocument):
+        if not doc.evaluated:
             continue
         expert_sets.append(doc.labels)
         system_sets.append(matrix.predicted(doc.id, system) & doc.evaluated)

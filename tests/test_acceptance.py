@@ -221,14 +221,14 @@ def test_c08_ensemble_beats_individual_systems():
 def test_c09_k_weighting_contract():
     with criterion("9 k-weighting contract"):
         # k = 0 drops synthetic rows entirely (checked via build_features)
-        from sdgdetect.corpus import Document, LabeledDocument
+        from sdgdetect.corpus import Document
         from sdgdetect.systems import PredictionMatrix
 
         labeled = Dataset(
             "lab",
             (
-                LabeledDocument.from_text("d1", "x", [1]),
-                LabeledDocument.from_text("d2", "y", []),
+                Document.from_text("d1", "x", [1]),
+                Document.from_text("d2", "y", []),
             ),
         )
         synth = Dataset("syn", (Document.from_text("s1", "z"),))

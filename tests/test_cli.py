@@ -758,6 +758,25 @@ class TestPredictRejectsCorruptModel:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["evaluate", "bias", "train", "importance"])
+    def test_dataset_without_labels_is_e_no_labels(
+        self, demo_commands, tmp_path, capsys, command
+    ):
+        """Every command that scores against expert labels refuses the demo
+        corpus stripped of them with one code and message."""
+        unlabeled = tmp_path / "corpus.jsonl"  # the name the demo matrix's dataset has
+        with open(DEMO / "corpus.jsonl", encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        unlabeled.write_text("".join(json.dumps({"id": r["id"], "text": r["text"]}) + "\n"
+                                     for r in records))  # fmt: skip
+        demo = str(DEMO / "corpus.jsonl")
+        argv = [str(unlabeled) if arg == demo else arg for arg in demo_commands[command]]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error [E_NO_LABELS]: dataset 'corpus' has no expert labels\n"
+        )
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["detect"])  # missing required arguments

@@ -9,7 +9,6 @@ from sdgdetect.corpus import (
     ALL_SDGS,
     Dataset,
     Document,
-    LabeledDocument,
     atomic_write_text,
     load_documents,
     save_documents,
@@ -69,13 +68,26 @@ class TestTokenize:
             assert tokenize(text) == naive_tokenize(text), repr(text)
 
 
+class TestDocument:
+    def test_labels_need_an_evaluated_set(self):
+        with pytest.raises(SchemaError, match="labels without an evaluated set"):
+            Document("d1", "t", ("t",), labels=frozenset({1}))
+
+    def test_from_text_defaults(self):
+        assert Document.from_text("d1", "End now") == Document("d1", "End now", ("end", "now"))
+        assert not Document.from_text("d1", "t").evaluated
+        assert Document.from_text("d1", "t", [1]).evaluated == ALL_SDGS
+        assert Document.from_text("d1", "t", []).evaluated == ALL_SDGS
+        assert Document.from_text("d1", "t", evaluated=[3]).evaluated == {3}
+
+
 class TestLoad:
     def test_jsonl_labeled(self, tmp_path):
         p = tmp_path / "ds.jsonl"
         p.write_text('{"id":"d1","text":"end poverty","labels":[1],"evaluated":[1]}\n')
         ds = load_documents(p)
         doc = ds.documents[0]
-        assert isinstance(doc, LabeledDocument)
+        assert doc.evaluated
         assert doc.labels == frozenset({1})
         assert doc.evaluated == frozenset({1})
         assert ds.labeled
@@ -90,8 +102,29 @@ class TestLoad:
         p = tmp_path / "ds.jsonl"
         p.write_text('{"id":"d1","text":"plain"}\n')
         ds = load_documents(p)
-        assert not isinstance(ds.documents[0], LabeledDocument)
+        assert not ds.documents[0].evaluated
         assert not ds.labeled
+
+    def test_jsonl_and_csv_load_equal_documents(self, tmp_path):
+        """A labeled record, an evaluated-only one and an unlabeled one load alike
+        from JSONL and CSV; the unlabeled one alone has an empty evaluated set."""
+        jsonl, as_csv = tmp_path / "ds.jsonl", tmp_path / "ds.csv"
+        jsonl.write_text(
+            '{"id":"d1","text":"end poverty","labels":[1,2]}\n'
+            '{"id":"d2","text":"clean water","evaluated":[6]}\n'
+            '{"id":"d3","text":"plain"}\n'
+        )
+        as_csv.write_text(
+            "id,text,labels,evaluated\nd1,end poverty,1|2,\nd2,clean water,,6\nd3,plain,,\n"
+        )
+        ds = load_documents(jsonl)
+        assert ds == load_documents(as_csv)
+        assert [(doc.labels, doc.evaluated) for doc in ds.documents] == [
+            ({1, 2}, ALL_SDGS),
+            (set(), {6}),
+            (set(), set()),
+        ]
+        assert [doc.evaluated_mask for doc in ds.documents] == [(1 << 17) - 1, 1 << 5, 0]
 
     def test_sdg_out_of_range(self, tmp_path):
         p = tmp_path / "ds.jsonl"
@@ -135,7 +168,7 @@ class TestLoad:
         assert ds.documents[0].labels == frozenset({1, 2})
         assert ds.documents[0].evaluated == frozenset({1, 2, 3})
         assert ds.documents[0].text == "end poverty, now"
-        assert not isinstance(ds.documents[1], LabeledDocument)
+        assert not ds.documents[1].evaluated
 
     @pytest.mark.parametrize("key,value", [("labels", 5), ("evaluated", True), ("labels", 0)])
     def test_jsonl_sdg_ids_not_a_list(self, tmp_path, key, value):
@@ -233,8 +266,8 @@ class TestLoad:
 
     def test_roundtrip(self, tmp_path):
         docs = (
-            LabeledDocument.from_text("d1", "End Poverty now", [1], [1, 2]),
-            LabeledDocument.from_text("d2", "safe water"),
+            Document.from_text("d1", "End Poverty now", [1], [1, 2]),
+            Document.from_text("d2", "safe water", []),
             Document.from_text("d3", "no labels here"),
         )
         ds = Dataset("mix", docs)

@@ -14,7 +14,7 @@ from packed_rows import Row, feature_set, feature_sets, grow, score
 from oracle import naive_forest_score, naive_permutation_importance, naive_trees
 
 import sdgdetect.ensemble as ensemble
-from sdgdetect.corpus import Dataset, Document, LabeledDocument, load_documents
+from sdgdetect.corpus import Dataset, Document, load_documents
 from sdgdetect.errors import (
     IoError,
     MissingSystemError,
@@ -65,8 +65,8 @@ class TestBuildFeatures:
         labeled = Dataset(
             "lab",
             (
-                LabeledDocument.from_text("d1", "alpha beta", [1]),
-                LabeledDocument.from_text("d2", "gamma", []),
+                Document.from_text("d1", "alpha beta", [1]),
+                Document.from_text("d2", "gamma", []),
             ),
         )
         synth = Dataset(
@@ -114,7 +114,7 @@ class TestBuildFeatures:
     def test_evaluated_restriction(self):
         labeled = Dataset(
             "lab",
-            (LabeledDocument.from_text("d1", "t", [2], [2, 5]),),
+            (Document.from_text("d1", "t", [2], [2, 5]),),
         )
         m = PredictionMatrix()
         m.cover("d1", "sysA")
@@ -152,7 +152,7 @@ class TestBuildFeatures:
                 for doc in ds.documents:
                     if ds is synthetic:
                         evaluated, labels = range(1, 18), ()
-                    elif isinstance(doc, LabeledDocument):
+                    elif doc.evaluated:
                         evaluated, labels = doc.evaluated, doc.labels
                     else:
                         continue
@@ -165,7 +165,7 @@ class TestBuildFeatures:
             fs = features[sdg]
             got = zip(fs.keys, fs.X.tolist(), fs.y.tolist(), fs.w.tolist(), fs.synthetic.tolist())
             assert list(got) == expected
-            judged = sum(sdg in d.evaluated for d in docs if isinstance(d, LabeledDocument))
+            judged = sum(sdg in d.evaluated for d in docs)
             assert len(fs) == judged + (len(synthetic.documents) if k > 0 else 0)
             assert (labeled.name, "plain") not in fs.keys
             assert ((labeled.name, docs[0].id) in fs.keys) == (sdg in (1, 5))

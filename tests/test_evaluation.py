@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdgdetect.cli import _dataset_profiles
-from sdgdetect.corpus import ALL_SDGS, Dataset, Document, LabeledDocument
+from sdgdetect.corpus import ALL_SDGS, Dataset, Document
 from sdgdetect.errors import NoLabelsError, SchemaError, UndefinedMetricError
 from sdgdetect.evaluation import (
     ConfusionCounts,
@@ -18,7 +18,7 @@ from oracle import naive_confusion, naive_dataset_profiles, naive_sdgs_per_docum
 
 
 def _labeled(doc_id, labels, evaluated=None):
-    return LabeledDocument.from_text(doc_id, "text", labels, evaluated)
+    return Document.from_text(doc_id, "text", labels, evaluated)
 
 
 def _matrix(predictions, doc_ids, system="sys"):
@@ -169,11 +169,11 @@ class TestMaskScoringOracle:
             elif kind < 0.4:  # a loaded document: labels within a partial evaluated set
                 evaluated = self._sdg_set(rng, 0.5) or frozenset({1})
                 labels = frozenset(g for g in evaluated if rng.random() < 0.4)
-                docs.append(LabeledDocument.from_text(f"d{i}", text, labels, evaluated))
+                docs.append(Document.from_text(f"d{i}", text, labels, evaluated))
             else:  # built directly: labels may lie outside the evaluated set
                 evaluated = ALL_SDGS if rng.random() < 0.3 else self._sdg_set(rng, 0.5)
                 docs.append(
-                    LabeledDocument(
+                    Document(
                         f"d{i}", text, tuple(text.split()), self._sdg_set(rng, 0.3), evaluated
                     )
                 )
@@ -207,7 +207,7 @@ class TestMaskScoringOracle:
         assert scored > 1000
 
     def test_labels_outside_evaluated_never_count(self):
-        doc = LabeledDocument("d1", "t", ("t",), frozenset({2, 9}), frozenset({2, 3}))
+        doc = Document("d1", "t", ("t",), frozenset({2, 9}), frozenset({2, 3}))
         matrix = _matrix([("d1", 9), ("d1", 3)], ["d1"])
         counts = confusion(matrix, Dataset("t", (doc,)), "sys")
         assert counts == ConfusionCounts(tp=0, fp=1, tn=0, fn=1)
@@ -215,4 +215,4 @@ class TestMaskScoringOracle:
     @pytest.mark.parametrize("labels, evaluated", [({0}, ALL_SDGS), ((), {18}), ((), {-1, 1})])
     def test_sdg_ids_outside_range_are_rejected(self, labels, evaluated):
         with pytest.raises(SchemaError, match="SDG ids must lie in 1..17"):
-            LabeledDocument("d1", "t", ("t",), frozenset(labels), frozenset(evaluated))
+            Document("d1", "t", ("t",), frozenset(labels), frozenset(evaluated))

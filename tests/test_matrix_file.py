@@ -1,7 +1,7 @@
 """matrix.json: its exact bytes, and how evaluate and bias take a broken one;
 how predict takes a broken model.json, synth and train a broken wordfreq.tsv,
-evaluate a broken config file, and detect a broken query cell, system CSV or
---external CSV."""
+evaluate a broken config file, detect a broken query cell, system CSV or
+--external CSV, and detect and evaluate a broken JSONL or CSV corpus."""
 
 import csv
 import io
@@ -610,9 +610,11 @@ def _each_row(edit):
     return _csv_edit(rows_edit)
 
 
-def _sdg_cell(value: str):
+def _cell(column: str, value: str):
+    """A CSV edit that sets ``column`` of a random data row to ``value``."""
+
     def edit(rows, rng):
-        rng.choice(rows[1:])[rows[0].index("sdg")] = value
+        rng.choice(rows[1:])[rows[0].index(column)] = value
 
     return _csv_edit(edit)
 
@@ -640,11 +642,12 @@ CSV_MUTATIONS = {
     "duplicated column": _each_row(lambda row, column: row + [row[column]]),
     "extra cell": _last_cell_of_a_row(b",7"),
     "trailing empty cell": _last_cell_of_a_row(b","),
-    "nan sdg": _sdg_cell("nan"),
-    "inf sdg": _sdg_cell("inf"),
-    "5000-digit sdg": _sdg_cell("9" * 5000),
-    "sdg 0": _sdg_cell("0"),
-    "sdg 18": _sdg_cell("18"),
+    "trailing comma in header": lambda raw, rng: raw.replace(b"\n", b",\n", 1),
+    "nan sdg": _cell("sdg", "nan"),
+    "inf sdg": _cell("sdg", "inf"),
+    "5000-digit sdg": _cell("sdg", "9" * 5000),
+    "sdg 0": _cell("sdg", "0"),
+    "sdg 18": _cell("sdg", "18"),
     "duplicate rows": _csv_edit(lambda rows, rng: rows.append(list(rng.choice(rows[1:])))),
     "nul in a cell": _last_cell_of_a_row(b"\0"),
 }
@@ -694,3 +697,147 @@ def test_mutated_system_csvs_fail_cleanly(tmp_path, capsys):
     raw = (DEMO / "system_alpha.csv").read_bytes()
     outcomes = _sweep(raw, CSV_MUTATIONS, 61, path, _detect_commands(path, external), capsys)
     _assert_csv_outcomes(outcomes, {"bom", "crlf"})
+
+
+# ---------------------------------------------------------------------------
+# Seeded mutations of the demo corpus, as JSONL and as CSV, run through detect
+# and evaluate
+# ---------------------------------------------------------------------------
+
+
+def _record(edit):
+    """A mutation that rewrites one random JSONL record as ``edit(record)``: a
+    dict to write back as JSON, or the bytes of the new line."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        lines = raw.split(b"\n")
+        at = rng.randrange(len(lines) - 1)  # the last line is empty
+        new = edit(json.loads(lines[at]))
+        lines[at] = new if isinstance(new, bytes) else json.dumps(new).encode()
+        return b"\n".join(lines)
+
+    return mutate
+
+
+def _without(key: str):
+    return _record(lambda r: {k: v for k, v in r.items() if k != key})
+
+
+def _with(**values):
+    return _record(lambda r: {**r, **values})
+
+
+def _drop_column(name: str):
+    def edit(rows, rng):
+        at = rows[0].index(name)
+        rows[:] = [row[:at] + row[at + 1 :] for row in rows]
+
+    return _csv_edit(edit)
+
+
+def _duplicate_line(raw: bytes, rng: random.Random) -> bytes:
+    lines = raw.split(b"\n")
+    lines.insert(rng.randrange(len(lines)), rng.choice(lines[:-1]))
+    return b"\n".join(lines)
+
+
+def _set_sets(labels: str, evaluated: str):
+    """A CSV edit that sets the labels and evaluated cells of a random data row."""
+
+    def edit(rows, rng):
+        rng.choice(rows[1:])[2:] = [labels, evaluated]
+
+    return edit
+
+
+def _repeat_id(record) -> bytes:
+    """The record with its "id" key written twice; json.loads keeps the last."""
+    return f'{json.dumps(record)[:-1]}, "id": {json.dumps(record["id"])}}}'.encode()
+
+
+_HUGE = "9" * 5000  # more digits than int() takes
+
+
+def _huge_label(record) -> bytes:
+    return json.dumps({**record, "labels": [0]}).replace("[0]", f"[{_HUGE}]").encode()
+
+
+# the byte-level mutations, shared with the CSV sweeps: truncation may load
+_LAYOUTS = {"truncated": {0, 3}, "empty": {3}, "bom": {0}, "crlf": {0}, "non-utf8": {3}}
+
+# mutation -> (mutate, the exit codes that detect and evaluate may give)
+JSONL_MUTATIONS = {
+    **{name: (CSV_MUTATIONS[name], codes) for name, codes in _LAYOUTS.items()},
+    "blank lines": (lambda raw, rng: raw.replace(b"\n", b"\n\n\r\n"), {0}),
+    "duplicate ids": (_duplicate_line, {3}),
+    "dropped id": (_without("id"), {3}),
+    "dropped text": (_without("text"), {3}),
+    "dropped labels": (_without("labels"), {0}),  # the record is unlabeled
+    "duplicated key": (_record(_repeat_id), {0}),
+    "not an object": (_record(lambda r: [r["id"], r["text"]]), {3}),
+    "id a number": (_with(id=7), {3}),
+    "text null": (_with(text=None), {3}),
+    "lone surrogate in text": (_with(text="poverty \ud800"), {0}),  # no token holds it
+    "labels a string": (_with(labels="1"), {3}),
+    "bool label": (_with(labels=[True]), {3}),
+    "float label": (_with(labels=[1.0]), {3}),
+    "nan label": (_with(labels=[math.nan]), {3}),
+    "inf label": (_with(labels=[math.inf]), {3}),
+    "5000-digit label": (_record(_huge_label), {3}),
+    "label 18": (_with(labels=[18]), {3}),
+    "evaluated only": (_record(lambda r: {"id": r["id"], "text": r["text"], "evaluated": [1]}),
+                       {0}),  # labeled, no positive label
+    "empty evaluated": (_with(labels=[], evaluated=[]), {3}),
+    "label outside evaluated": (_with(labels=[1], evaluated=[2]), {3}),
+}
+
+CORPUS_CSV_MUTATIONS = {
+    **{name: (CSV_MUTATIONS[name], codes) for name, codes in _LAYOUTS.items()},
+    **{name: (CSV_MUTATIONS[name], {3}) for name in
+       ("duplicated column", "extra cell", "trailing comma in header", "nul in a cell")},
+    "duplicate ids": (CSV_MUTATIONS["duplicate rows"], {3}),
+    "dropped id column": (_drop_column("id"), {3}),
+    "dropped labels column": (_drop_column("labels"), {0}),  # evaluated, no positive
+    "dropped evaluated column": (_drop_column("evaluated"), {0}),  # judged on all 17
+    "nan label": (_cell("labels", "nan"), {3}),
+    "inf label": (_cell("labels", "inf"), {3}),
+    "5000-digit label": (_cell("labels", _HUGE), {3}),
+    "label 18": (_cell("labels", "18"), {3}),
+    "label outside evaluated": (_cell("evaluated", "17"), {3}),
+    "empty evaluated": (_csv_edit(_set_sets("", "|")), {3}),
+    "unlabeled row": (_csv_edit(_set_sets("", "")), {0}),
+}
+
+
+def _demo_corpus_csv() -> bytes:
+    """The demo corpus as CSV, every labeled record judged on all 17 SDGs."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["id", "text", "labels", "evaluated"])
+    every_sdg = "|".join(map(str, range(1, 18)))
+    for line in (DEMO / "corpus.jsonl").read_text(encoding="utf-8").splitlines():
+        r = json.loads(line)
+        out.writerow([r["id"], r["text"], "|".join(map(str, r["labels"])), every_sdg])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "suffix,mutations,seed",
+    [(".jsonl", JSONL_MUTATIONS, 62), (".csv", CORPUS_CSV_MUTATIONS, 63)],
+    ids=["jsonl", "csv"],
+)
+def test_mutated_corpora_fail_cleanly(demo_matrix, tmp_path, capsys, suffix, mutations, seed):
+    """Every mutation of the demo corpus exits 0 or 3 through detect and
+    evaluate, names its error, and leaves no temporary file."""
+    path, matrix = tmp_path / f"corpus{suffix}", tmp_path / "matrix.json"
+    matrix.write_bytes(demo_matrix)
+    raw = _demo_corpus_csv() if suffix == ".csv" else (DEMO / "corpus.jsonl").read_bytes()
+    commands = {
+        "detect": lambda out: ["detect", "--dataset", str(path), *DEMO_SYSTEMS,
+                               "--out-dir", str(out)],
+        "evaluate": lambda out: ["evaluate", "--dataset", str(path), "--matrix", str(matrix),
+                                 "--out-dir", str(out)],
+    }  # fmt: skip
+    outcomes = _sweep(raw, {n: m for n, (m, _) in mutations.items()}, seed, path, commands, capsys)
+    for name, (_, codes) in mutations.items():
+        assert {outcomes[name, "detect"], outcomes[name, "evaluate"]} <= codes, name

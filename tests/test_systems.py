@@ -377,6 +377,14 @@ class TestExternalPredictions:
         with pytest.raises(SchemaError, match=error):
             import_external_predictions(p, "ext", known_doc_ids=["d1"], strict=strict)
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_empty_column_name_refused(self, tmp_path, strict):
+        # a trailing comma in the header named a column "", which took the extra "7"
+        p = tmp_path / "ext.csv"
+        p.write_text("doc_id,sdg,\nd01,1,7\n")
+        with pytest.raises(SchemaError, match=r"ext\.csv:1: CSV header has an empty column name"):
+            import_external_predictions(p, "ext", known_doc_ids=["d01"], strict=strict)
+
     def test_unknown_doc_strict_vs_lenient(self, tmp_path, capsys):
         p = tmp_path / "ext.csv"
         p.write_text("doc_id,sdg\nd9,2\n")
