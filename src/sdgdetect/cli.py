@@ -51,6 +51,7 @@ from .evaluation import roc_point, sdgs_per_document
 from .systems import (
     PredictionMatrix,
     detect,
+    detect_matrix,
     import_external_predictions,
     keyword_frequencies,
     load_system,
@@ -286,16 +287,6 @@ def _load_model_and_systems(model_path: str, system_paths: list[str]):
     return model, systems
 
 
-def _detect_all(datasets, systems) -> tuple[list, dict[str, PredictionMatrix]]:
-    all_hits = []
-    matrices = {}
-    for ds in datasets:
-        hits = detect(ds, systems)
-        matrices[ds.name] = to_matrix(hits, ds, systems)
-        all_hits.append((ds.name, hits))
-    return all_hits, matrices
-
-
 def _ensemble_inputs(args, systems):
     """The labeled datasets that train and importance read, a length-matched
     synthetic one for each, and all their matrices."""
@@ -304,7 +295,8 @@ def _ensemble_inputs(args, systems):
     synthetic = [
         generate_matched(table, ds, _child_seed(args.seed, i)) for i, ds in enumerate(labeled)
     ]
-    _, matrices = _detect_all(labeled + synthetic, systems)
+    _distinct_names([ds.name for ds in labeled + synthetic], "dataset")
+    matrices = {ds.name: detect_matrix(ds, systems) for ds in labeled + synthetic}
     return labeled, synthetic, matrices
 
 
@@ -359,7 +351,18 @@ def cmd_detect(args) -> tuple[dict, dict, list]:
     system_names = [s.name for s in systems] + [name for name, _ in externals]
     _distinct_names(system_names, "system")
     datasets = _load_named(load_documents, args.dataset, "dataset")
-    hits_by_ds, matrices = _detect_all(datasets, systems)
+    matrices = {}
+    hit_rows = []
+    freq_rows = []
+    for ds in datasets:
+        hits = detect(ds, systems)
+        matrices[ds.name] = to_matrix(hits, ds, systems)
+        for hit in hits:
+            # a hit with no positive literal (a pure NOT query) is one row with no term
+            for term, positions in hit.matched_terms or (("", ()),):
+                at = "|".join(str(p) for p in positions)
+                hit_rows.append((ds.name, hit.doc_id, hit.system, hit.sdg, hit.query_id, term, at))
+        freq_rows += [(ds.name, *row) for row in keyword_frequencies(hits)]
 
     all_ids = {doc.id for ds in datasets for doc in ds.documents}
     for name, path in externals:
@@ -370,16 +373,6 @@ def cmd_detect(args) -> tuple[dict, dict, list]:
         for ds in datasets:
             rows = {(doc.id, name): row(doc.id, name) for doc in ds.documents}
             matrices[ds.name].merge(PredictionMatrix(rows))
-
-    hit_rows = []
-    freq_rows = []
-    for ds_name, hits in hits_by_ds:
-        for hit in hits:
-            # a hit with no positive literal (a pure NOT query) is one row with no term
-            for term, positions in hit.matched_terms or (("", ()),):
-                at = "|".join(str(p) for p in positions)
-                hit_rows.append((ds_name, hit.doc_id, hit.system, hit.sdg, hit.query_id, term, at))
-        freq_rows += [(ds_name, *row) for row in keyword_frequencies(hits)]
 
     atomic_write_text(args.out_dir / "matrix.json", _matrix_json(system_names, matrices))
     return (
@@ -558,11 +551,10 @@ def cmd_train(args) -> tuple[dict, dict, list]:
 def cmd_predict(args) -> tuple[dict, dict, list]:
     model, systems = _load_model_and_systems(args.model, args.systems)
     datasets = _load_named(load_documents, args.dataset, "dataset")
-    _, matrices = _detect_all(datasets, systems)
 
     rows = []
     for ds in datasets:
-        row = matrices[ds.name].row
+        row = detect_matrix(ds, systems).row
         scores = model.score_documents(
             [[row(doc.id, s) for s in model.system_names] for doc in ds.documents],
             [doc.word_count for doc in ds.documents],

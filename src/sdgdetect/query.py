@@ -23,17 +23,20 @@ prefix match. NEAR/n requires both operands to be position-bearing
 (terms, phrases, or ORs over those); |p1 - p2| <= n over token indices,
 with a phrase's position being its start index.
 
-Matching compiles each query once per corpus (``CorpusIndex.compile``) in
-one walk that yields its match, positions and required-documents functions.
+Matching compiles each query once per corpus (``CorpusIndex.compile``).
 Wildcards are expanded against the corpus's sorted vocabulary, and every
 distinct term or phrase becomes one literal shared by all queries.
-``CorpusIndex.search`` finds the documents holding each literal, then the
-documents each query requires (the only ones it can match), and visits each
-document once: it computes each literal's positions there at most once
-(``TokenIndex``), evaluates each candidate query, and reads a matching
-query's hits from the positive literals fixed when it was compiled.
-``match_query`` and ``match_positions`` run the same code on a
-one-document corpus.
+``CorpusIndex.search`` finds the documents holding each literal in one
+pass over the corpus, then evaluates each query once as the exact set of
+documents it matches: ``OR`` is the union of its operands' sets, ``AND``
+their intersection and ``NOT`` the complement; a phrase keeps its rarest
+word's documents where its positions are not empty, and ``NEAR`` keeps
+its operands' common documents where a pair of positions lies within the
+window. A document's token positions (``TokenIndex``) are built only for
+those phrase and ``NEAR`` candidates and for hits, whose positive
+literals' positions ``CorpusIndex.matched_terms`` reads; ``release`` drops
+a document's index once its hits are built. ``match_query`` and
+``match_positions`` run the same code on a one-document corpus.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import NearOperandError, QuerySyntaxError
 
@@ -274,34 +277,31 @@ class _Literal:
 
     A term's ``words`` are the corpus words it matches: the word itself,
     or a wildcard's expansion. A phrase has ``words = None`` and one term
-    literal per word in ``parts``. ``docs`` holds the indices of the
-    documents that can contain the literal, once ``CorpusIndex.search``
-    has located it.
+    literal per word in ``parts``. ``docs`` is the set of indices of the
+    documents holding the literal, once ``CorpusIndex`` has located it.
     """
 
     surface: str
     words: frozenset[str] | None
     parts: tuple["_Literal", ...]
-    docs: frozenset[int] | None = None
+    docs: frozenset[int] = frozenset()
 
-    def matches(self, index: TokenIndex) -> bool:
-        return bool(index.literal_positions(self))
+    def located(self) -> frozenset[int]:
+        return self.docs
 
     def positions(self, index: TokenIndex) -> list[int]:
         return index.literal_positions(self)
 
-    def required(self) -> frozenset[int] | None:
-        return self.docs
-
 
 class TokenIndex:
     """One document's word -> sorted positions map, plus the positions of
-    every literal matched on it so far.
+    every literal looked up on it so far.
 
     Only ``words``, the words of the corpus's literals, are mapped. Each
     literal's positions are computed at most once per document and shared
-    by all queries and systems run on it. An index lives only while its
-    document is being matched, so the cache never spans a corpus.
+    by all queries and systems run on it. ``CorpusIndex`` builds a
+    document's index on first use, where a phrase or a ``NEAR`` candidate
+    or a hit needs positions, and keeps it until it is released.
     """
 
     __slots__ = ("tokens", "positions", "_literals")
@@ -344,46 +344,46 @@ class TokenIndex:
 
 @dataclass(eq=False, slots=True)
 class CompiledQuery:
-    """A query compiled by ``CorpusIndex.compile``; ``required`` gives the documents it
-    can match (None: any), ``positive`` its literals under an even number of NOTs."""
+    """A query compiled by ``CorpusIndex.compile``; ``docs`` gives the set of
+    documents it matches once the literals are located, ``positive`` its
+    literals under an even number of NOTs."""
 
-    _run: Callable[[TokenIndex], bool]
-    required: Callable[[], frozenset[int] | None]
+    docs: Callable[[], frozenset[int]]
     positive: list[_Literal]
-
-    def match(self, index: TokenIndex) -> MatchResult:
-        """Match against one document of the corpus the query was compiled for.
-
-        ``matched_terms`` is populated only for matching queries and reports
-        the hit positions of positive literals, whether or not they decided
-        the match.
-        """
-        if not self._run(index):
-            return _NO_MATCH
-        hits = ((lit.surface, index.literal_positions(lit)) for lit in self.positive)
-        return MatchResult(True, tuple((surface, tuple(p)) for surface, p in hits if p))
-
-
-_NO_MATCH = MatchResult(False, ())
 
 
 class CorpusIndex:
-    """The documents of a corpus and the literals compiled against it.
+    """The documents of a corpus, the literals compiled against it and the
+    token indexes built so far.
 
     ``compile`` turns a query AST into its one compiled form for this
-    corpus in one walk (``_compile``), which yields the match, positions and
-    required-documents functions and collects the positive literals at once.
-    Each wildcard is expanded once, by bisecting its prefix range in the
-    sorted vocabulary (code-point order keeps a prefix's words contiguous),
-    and each distinct term or phrase becomes one literal shared by every
-    query compiled here. ``search`` then finds the documents holding each
-    literal, in one pass over the corpus, and matches the compiled queries
-    document by document.
+    corpus in one walk (``_compile``), which yields the node's documents and
+    positions functions and collects the positive literals at once. Each
+    wildcard is expanded once, by bisecting its prefix range in the sorted
+    vocabulary (code-point order keeps a prefix's words contiguous), and
+    each distinct term or phrase becomes one literal shared by every query
+    compiled here. ``search`` finds the documents holding each literal in
+    one pass over the corpus, then evaluates each query once, as the exact
+    set of documents it matches:
+
+    - a term gives the documents holding one of its words;
+    - a phrase gives its rarest word's documents, kept where its positions
+      are not empty;
+    - ``OR`` gives the union of its operands' sets, ``AND`` their
+      intersection and ``NOT`` the complement of its operand's set;
+    - ``NEAR`` gives the intersection of its operands' sets, kept where a
+      pair of their positions lies within the window.
+
+    So a document's positions (its ``TokenIndex``) are built only for a
+    phrase or ``NEAR`` candidate, and for a hit whose terms
+    ``matched_terms`` reports; ``release`` drops them.
     """
 
     def __init__(self, documents: Sequence[Sequence[str]]):
         self.documents = documents
         self._literals: dict[Term | Phrase, _Literal] = {}
+        self._words: frozenset[str] = frozenset()
+        self._indexes: dict[int, TokenIndex] = {}
 
     @cached_property
     def vocabulary(self) -> list[str]:
@@ -392,32 +392,34 @@ class CorpusIndex:
 
     def compile(self, ast: Node) -> CompiledQuery:
         positive: dict[str, _Literal] = {}  # by surface: a literal has one surface
-        run, _, required = self._compile(ast, False, positive)
-        return CompiledQuery(run, required, [positive[s] for s in sorted(positive)])
+        docs, _ = self._compile(ast, False, positive)
+        return CompiledQuery(docs, [positive[s] for s in sorted(positive)])
 
-    def search(
-        self, queries: Sequence[CompiledQuery]
-    ) -> Iterator[tuple[int, int, MatchResult]]:
-        """Yield ``(document index, query index, result)`` for every match.
+    def search(self, queries: Sequence[CompiledQuery]) -> list[tuple[int, int]]:
+        """Every matching ``(document index, query index)`` pair, sorted."""
+        self._locate_literals()
+        return sorted((d, q) for q, query in enumerate(queries) for d in query.docs())
 
-        Documents come in corpus order and queries in list order. Each
-        document is matched only against the queries that can match it,
-        through one TokenIndex that is dropped when the document is done.
-        """
-        words = self._locate_literals()
-        by_doc: list[list[int]] = [[] for _ in self.documents]  # query indices, ascending
-        for q, query in enumerate(queries):
-            docs = query.required()
-            for d in range(len(by_doc)) if docs is None else docs:
-                by_doc[d].append(q)
-        for d, candidates in enumerate(by_doc):
-            if not candidates:
-                continue
-            index = TokenIndex(self.documents[d], words)
-            for q in candidates:
-                result = queries[q].match(index)
-                if result.matched:
-                    yield d, q, result
+    def matched_terms(
+        self, d: int, query: CompiledQuery
+    ) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """``(surface, positions)`` of each positive literal of a query that
+        document ``d`` holds, whether or not it decided the match."""
+        held = [lit for lit in query.positive if d in lit.docs]
+        if not held:
+            return ()
+        index = self._index(d)
+        return tuple((lit.surface, tuple(index.literal_positions(lit))) for lit in held)
+
+    def release(self, d: int) -> None:
+        """Drop document ``d``'s token index, if it has one."""
+        self._indexes.pop(d, None)
+
+    def _index(self, d: int) -> TokenIndex:
+        index = self._indexes.get(d)
+        if index is None:
+            index = self._indexes[d] = TokenIndex(self.documents[d], self._words)
+        return index
 
     def _expand(self, term: Term) -> frozenset[str]:
         if not term.wildcard:
@@ -439,16 +441,18 @@ class CorpusIndex:
             self._literals[node] = literal
         return literal
 
-    def _locate_literals(self) -> frozenset[str]:
-        """Set ``docs`` on every literal compiled so far; return their words.
+    def _locate_literals(self) -> None:
+        """Set ``docs`` on every literal compiled so far.
 
         Only the literals' words are looked up in each document, so the
         pass costs one set intersection per document rather than a full
-        word -> documents index of the corpus.
+        word -> documents index of the corpus. A phrase's literal follows
+        its words' literals, so their sets are known when it is located.
         """
         literals = list(self._literals.values())
         terms = [lit for lit in literals if lit.words is not None]
-        words = frozenset().union(*(lit.words for lit in terms))
+        self._words = words = frozenset().union(*(lit.words for lit in terms))
+        self._indexes = {}
         postings: dict[str, list[int]] = {w: [] for w in words}
         for d, tokens in enumerate(self.documents):
             for word in words.intersection(tokens):
@@ -457,45 +461,48 @@ class CorpusIndex:
             lit.docs = frozenset().union(*(postings[w] for w in lit.words))
         for lit in literals:
             if lit.words is None:
-                lit.docs = min((part.docs for part in lit.parts), key=len)
-        return words
+                rarest = min((part.docs for part in lit.parts), key=len)
+                lit.docs = frozenset(d for d in rarest if self._index(d).literal_positions(lit))
 
     def _compile(self, node: Node, negated: bool, positive: dict[str, _Literal]) -> tuple:
-        """Compile ``node`` in one walk: its match, positions and required-documents
-        functions, with each literal under an even number of NOTs added to
-        ``positive``. Only a node ``is_position_bearing`` accepts has positions."""
+        """Compile ``node`` in one walk: its documents function, which gives
+        the set of documents it matches once the literals are located, and
+        its positions function (a document's TokenIndex -> sorted positions),
+        with each literal under an even number of NOTs added to ``positive``.
+        Only a node ``is_position_bearing`` accepts has positions."""
         if isinstance(node, (Term, Phrase)):
             literal = self._literal(node)
             if not negated:
                 positive[literal.surface] = literal
-            return literal.matches, literal.positions, literal.required
+            return literal.located, literal.positions
         if isinstance(node, Not):
             child = self._compile(node.child, not negated, positive)[0]
-            return (lambda index: not child(index)), None, lambda: None
+            return (lambda: frozenset(range(len(self.documents))) - child()), None
         if not isinstance(node, (Or, And, Near)):
             raise TypeError(f"not a query node: {node!r}")
         operands = (node.left, node.right) if isinstance(node, Near) else node.children
-        runs, parts, needs = zip(*(self._compile(c, negated, positive) for c in operands))
-
-        def required() -> frozenset[int] | None:
-            sets = [need() for need in needs]
-            if isinstance(node, Or):
-                return None if None in sets else frozenset().union(*sets)
-            sets = [s for s in sets if s is not None]
-            return min(sets, key=len) if sets else None
-
+        docs, parts = zip(*(self._compile(c, negated, positive) for c in operands))
         if isinstance(node, Or):
 
             def union(index: TokenIndex) -> list[int]:
                 return sorted(set().union(*[part(index) for part in parts]))
 
-            return (lambda index: any(run(index) for run in runs)), union, required
+            return (lambda: frozenset().union(*[found() for found in docs])), union
         if isinstance(node, And):
-            return (lambda index: all(run(index) for run in runs)), None, required
+            return (lambda: frozenset.intersection(*[found() for found in docs])), None
         _require_positions(*operands)
         left, right = parts
         n = node.n
-        return (lambda index: _near_pair_exists(left(index), right(index), n)), None, required
+
+        def near() -> frozenset[int]:
+            found = []
+            for d in docs[0]() & docs[1]():
+                index = self._index(d)
+                if _near_pair_exists(left(index), right(index), n):
+                    found.append(d)
+            return frozenset(found)
+
+        return near, None
 
 
 def _require_positions(*nodes: Node) -> None:
@@ -523,11 +530,12 @@ def _near_pair_exists(left: list[int], right: list[int], n: int) -> bool:
 
 def match_query(ast: Node, tokens: Sequence[str]) -> MatchResult:
     """Match a parsed query against one token list, searched as a
-    one-document corpus; see ``CompiledQuery.match``."""
+    one-document corpus; ``matched_terms`` is empty unless it matches."""
     corpus = CorpusIndex([tokens])
-    for _, _, result in corpus.search([corpus.compile(ast)]):
-        return result
-    return _NO_MATCH
+    query = corpus.compile(ast)
+    if not corpus.search([query]):
+        return MatchResult(False, ())
+    return MatchResult(True, corpus.matched_terms(0, query))
 
 
 def match_positions(ast: Node, tokens: Sequence[str]) -> list[int]:
@@ -535,4 +543,5 @@ def match_positions(ast: Node, tokens: Sequence[str]) -> list[int]:
     _require_positions(ast)
     corpus = CorpusIndex([tokens])
     positions = corpus._compile(ast, False, {})[1]
-    return list(positions(TokenIndex(tokens, corpus._locate_literals())))
+    corpus._locate_literals()
+    return list(positions(corpus._index(0)))

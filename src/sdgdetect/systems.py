@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,6 +28,7 @@ __all__ = [
     "mask_sdgs",
     "load_system",
     "detect",
+    "detect_matrix",
     "to_matrix",
     "import_external_predictions",
     "keyword_frequencies",
@@ -154,37 +157,59 @@ def load_system(path: str | Path) -> SystemDefinition:
     return SystemDefinition(name, tuple(entries))
 
 
-def detect(dataset: Dataset, systems: Sequence[SystemDefinition]) -> list[Hit]:
-    """Run every system entry over every document; deterministic order.
-
-    All queries are compiled once against the dataset, so each wildcard is
-    expanded once and each document is matched only by the queries that
-    can match it.
-    """
+def _compile_entries(dataset: Dataset, systems: Sequence[SystemDefinition]):
+    """Every system entry with its system's name, the dataset's corpus and
+    each entry's query compiled against it, in entry order."""
     if not systems:
         raise SchemaError("detect requires at least one system")
     entries = [(system.name, entry) for system in systems for entry in system.entries]
     corpus = CorpusIndex([doc.tokens for doc in dataset.documents])
-    queries = [corpus.compile(entry.query) for _, entry in entries]
+    return entries, corpus, [corpus.compile(entry.query) for _, entry in entries]
+
+
+def detect(dataset: Dataset, systems: Sequence[SystemDefinition]) -> list[Hit]:
+    """Run every system entry over every document; deterministic order.
+
+    All queries are compiled once against the dataset and each is matched
+    as one set of documents (``CorpusIndex.search``). A document's token
+    index is released once its hits are built.
+    """
+    entries, corpus, queries = _compile_entries(dataset, systems)
+    docs = dataset.documents
     hits: list[Hit] = []
-    for d, q, result in corpus.search(queries):
-        name, entry = entries[q]
-        hits.append(
-            Hit(dataset.documents[d].id, name, entry.sdg, entry.query_id, result.matched_terms)
-        )
+    for d, pairs in groupby(corpus.search(queries), itemgetter(0)):
+        for _, q in pairs:
+            name, entry = entries[q]
+            terms = corpus.matched_terms(d, queries[q])
+            hits.append(Hit(docs[d].id, name, entry.sdg, entry.query_id, terms))
+        corpus.release(d)
     hits.sort(key=lambda h: (h.doc_id, h.system, h.sdg, h.query_id))
     return hits
+
+
+def detect_matrix(dataset: Dataset, systems: Sequence[SystemDefinition]) -> PredictionMatrix:
+    """``to_matrix(detect(dataset, systems), dataset, systems)``, set straight
+    from the matching (document, query) pairs: no positions, hits or sort."""
+    entries, corpus, queries = _compile_entries(dataset, systems)
+    matrix = _covered(dataset, systems)
+    docs = dataset.documents
+    for d, q in corpus.search(queries):
+        name, entry = entries[q]
+        matrix.add(docs[d].id, name, entry.sdg)
+    return matrix
+
+
+def _covered(dataset: Dataset, systems: Sequence[SystemDefinition | str]) -> PredictionMatrix:
+    """An all-false row for every (document, system) of the dataset."""
+    names = [s if isinstance(s, str) else s.name for s in systems]
+    return PredictionMatrix({(doc.id, name): 0 for doc in dataset.documents for name in names})
 
 
 def to_matrix(
     hits: Iterable[Hit], dataset: Dataset, systems: Sequence[SystemDefinition | str]
 ) -> PredictionMatrix:
     """Collapse hits to booleans; zero-hit documents appear as all-false rows."""
-    matrix = PredictionMatrix()
-    names = [s if isinstance(s, str) else s.name for s in systems]
-    for doc in dataset.documents:
-        for name in names:
-            matrix.cover(doc.id, name)
+    matrix = _covered(dataset, systems)
     for hit in hits:
         matrix.add(hit.doc_id, hit.system, hit.sdg)
     return matrix

@@ -777,6 +777,26 @@ class TestExitCodes:
             "error [E_NO_LABELS]: dataset 'corpus' has no expert labels\n"
         )
 
+    @pytest.mark.parametrize("command", ["train", "importance"])
+    def test_dataset_named_like_a_synthetic_one_is_e_schema(
+        self, demo_commands, tmp_path, capsys, command
+    ):
+        """The synthetic set generated for dataset 'a' is named 'synthetic_a', so
+        a labeled dataset of that name collides with it instead of losing its
+        matrix to it."""
+        paths = [tmp_path / f"{name}.jsonl" for name in ("a", "synthetic_a")]
+        for path in paths:
+            path.write_bytes((DEMO / "corpus.jsonl").read_bytes())
+        argv = list(demo_commands[command])
+        at = argv.index(str(DEMO / "corpus.jsonl"))
+        argv[at : at + 1] = [str(paths[0]), "--dataset", str(paths[1])]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error [E_SCHEMA]: dataset names collide: "
+            "['a', 'synthetic_a', 'synthetic_a', 'synthetic_synthetic_a']\n"
+        )
+
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["detect"])  # missing required arguments

@@ -2,21 +2,22 @@ import random
 
 import pytest
 
+from sdgdetect.corpus import Dataset, Document
 from sdgdetect.errors import NearOperandError, QuerySyntaxError, SdgToolError
 from sdgdetect.query import (
     And,
-    CompiledQuery,
-    CorpusIndex,
     Near,
     Not,
     Or,
     Phrase,
     Term,
+    TokenIndex,
     match_positions,
     match_query,
     parse_query,
     query_to_string,
 )
+from sdgdetect.systems import SystemDefinition, SystemEntry, detect, detect_matrix
 
 from oracle import (
     PREFIX_VOCAB,
@@ -252,35 +253,41 @@ class TestMatchPositions:
 
 
 class TestPruning:
-    """``CorpusIndex.search`` runs a query only on the documents holding a
-    literal that every match needs; each ``CompiledQuery.match`` call is counted."""
+    """Each query is matched as a set of documents, so a document gets a
+    TokenIndex (its token positions) only where a phrase or a NEAR candidate
+    needs positions; under ``detect`` also where a hit holds one of the
+    query's positive literals. Every TokenIndex built is recorded."""
 
     # a occurs in documents 0-2, b in 2-3 and c in 1-2
     DOCS = [["a", "x"], ["a", "c"], ["a", "b", "c"], ["b"], ["x"]]
 
     @pytest.mark.parametrize(
         "text,visited",
-        [
-            ("a AND b", [2, 3]),  # the smaller operand's documents
-            ("a OR b", [0, 1, 2, 3]),  # the union
-            ("a OR NOT b", [0, 1, 2, 3, 4]),  # NOT requires nothing, so neither does the OR
-            ("NOT a", [0, 1, 2, 3, 4]),
-            ("a AND NOT b", [0, 1, 2]),
-            ("(a OR b) NEAR/2 c", [1, 2]),
-            ('"a b"', [2, 3]),  # the rarest word's documents
+        [  # (indexed under detect_matrix, indexed under detect)
+            ("a AND b", ([], [2])),  # set operations only; the hit in 2 holds a and b
+            ("a OR b", ([], [0, 1, 2, 3])),
+            ("a OR NOT b", ([], [0, 1, 2])),  # the hit in 4 holds no positive literal
+            ("NOT a", ([], [])),  # the hits in 3 and 4 have no positive literal
+            ("a AND NOT b", ([], [0, 1])),
+            ("(a OR b) NEAR/2 c", ([1, 2], [1, 2])),  # both operands' documents
+            ('"a b"', ([2, 3], [2, 3])),  # the rarest word's documents
         ],
     )
     def test_visits_only_required_documents(self, monkeypatch, text, visited):
-        corpus = CorpusIndex(self.DOCS)
-        seen, match = [], CompiledQuery.match
+        dataset = Dataset("t", tuple(Document.from_text(f"d{i}", " ".join(words))
+                                     for i, words in enumerate(self.DOCS)))  # fmt: skip
+        system = SystemDefinition("s", (SystemEntry(1, "q", parse_query(text)),))
+        seen, init = [], TokenIndex.__init__
 
-        def counting_match(query, index):
-            seen.append(self.DOCS.index(index.tokens))
-            return match(query, index)
+        def counting_init(index, tokens, words):
+            seen.append(self.DOCS.index(list(tokens)))
+            init(index, tokens, words)
 
-        monkeypatch.setattr(CompiledQuery, "match", counting_match)
-        list(corpus.search([corpus.compile(parse_query(text))]))
-        assert seen == visited
+        monkeypatch.setattr(TokenIndex, "__init__", counting_init)
+        for run, expected in zip((detect_matrix, detect), visited):
+            seen.clear()
+            run(dataset, [system])
+            assert sorted(seen) == expected  # and no document indexed twice
 
 
 class TestProperties:

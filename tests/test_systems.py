@@ -1,16 +1,18 @@
 import csv
 import random
+from collections import Counter
 
 import pytest
 
 from sdgdetect.corpus import Dataset, Document
 from sdgdetect.errors import NearOperandError, QuerySyntaxError, SchemaError
-from sdgdetect.query import _MAX_NESTING, Or, Term
+from sdgdetect.query import _MAX_NESTING, Not, Or, Term, query_to_string
 from sdgdetect.systems import (
     PredictionMatrix,
     SystemDefinition,
     SystemEntry,
     detect,
+    detect_matrix,
     import_external_predictions,
     keyword_frequencies,
     load_system,
@@ -193,24 +195,8 @@ class TestDetect:
         assert self._hits(tmp_path, "NOT (a NEAR/3 zz*)", "a b", "") == [("d1", ()), ("d2", ())]
 
     def test_matches_oracle_on_random_corpora(self):
-        # compiled corpus path vs the naive per-document scan, over words that
-        # share prefixes (app/apple/apply/applied, über/überall) so that one
-        # wildcard expands to several corpus words
-        rng = random.Random(404)
-        for trial in range(120):
-            vocab = rng.sample(PREFIX_VOCAB, rng.randrange(1, len(PREFIX_VOCAB) + 1))
-            docs = tuple(
-                Document.from_text(f"d{i}", " ".join(random_tokens(rng, 20, vocab)))
-                for i in range(rng.randrange(1, 8))
-            )
-            systems = []
-            for s in range(rng.randrange(1, 3)):
-                entries = []
-                for q in range(rng.randrange(1, 12)):
-                    ast = random_query(rng, 3, PREFIX_VOCAB)
-                    sdg = rng.randrange(1, 18)
-                    entries.append(SystemEntry(sdg, f"q{q}", ast))
-                systems.append(SystemDefinition(f"s{s}", tuple(entries)))
+        # compiled corpus path vs the naive per-document scan
+        for ds, systems in _random_corpora():
             expected = sorted(
                 (
                     doc.id,
@@ -219,19 +205,57 @@ class TestDetect:
                     entry.query_id,
                     naive_positive_hits(entry.query, doc.tokens),
                 )
-                for doc in docs
+                for doc in ds.documents
                 for system in systems
                 for entry in system.entries
                 if naive_eval(entry.query, doc.tokens)
             )
             got = [
                 (h.doc_id, h.system, h.sdg, h.query_id, h.matched_terms)
-                for h in detect(Dataset(f"t{trial}", docs), systems)
+                for h in detect(ds, systems)
             ]
             assert got == expected
 
 
+def _random_corpora():
+    """120 seeded datasets, each with one or two systems of random queries, over
+    words that share prefixes (app/apple/apply/applied, über/überall) so that
+    one wildcard expands to several corpus words. Some documents are empty."""
+    rng = random.Random(404)
+    for trial in range(120):
+        vocab = rng.sample(PREFIX_VOCAB, rng.randrange(1, len(PREFIX_VOCAB) + 1))
+        docs = tuple(
+            Document.from_text(f"d{i}", " ".join(random_tokens(rng, 20, vocab)))
+            for i in range(rng.randrange(1, 8))
+        )
+        systems = []
+        for s in range(rng.randrange(1, 3)):
+            entries = []
+            for q in range(rng.randrange(1, 12)):
+                ast = random_query(rng, 3, PREFIX_VOCAB)
+                sdg = rng.randrange(1, 18)
+                entries.append(SystemEntry(sdg, f"q{q}", ast))
+            systems.append(SystemDefinition(f"s{s}", tuple(entries)))
+        yield Dataset(f"t{trial}", docs), systems
+
+
 class TestMatrix:
+    def test_detect_matrix_equals_the_matrix_of_hits(self):
+        """The matrix set straight from the matching pairs has the rows the
+        hits give, on the oracle's random corpora: prefix vocabularies,
+        pure NOT queries, phrases, NEAR and empty documents."""
+        seen = Counter()
+        for ds, systems in _random_corpora():
+            rows = list(detect_matrix(ds, systems)._rows.items())
+            assert rows == list(to_matrix(detect(ds, systems), ds, systems)._rows.items())
+            seen["empty documents"] += sum(not doc.tokens for doc in ds.documents)
+            for entry in (entry for system in systems for entry in system.entries):
+                text = query_to_string(entry.query)
+                seen["pure NOT"] += isinstance(entry.query, Not)
+                seen["phrase"] += '"' in text
+                seen["NEAR"] += "NEAR/" in text
+        assert all(seen[kind] for kind in ("empty documents", "pure NOT", "phrase", "NEAR"))
+
     def test_to_matrix(self, tmp_path):
         system = load_system(_system(tmp_path / "s.csv", ["demo,1,q1,poverty"]))
         ds = _dataset("poverty here", "nothing to see")

@@ -10,8 +10,9 @@ Run from the repository root:
 The labeled documents come from the benchmark's generator
 (``perfbench/workloads.py``, read only): the ``ensemble`` spec resized to
 two datasets of ``--docs`` documents each, seed 11. Each dataset gets a
-length-matched synthetic one (seeds 0 and 1), and all are detected with
-the three demo systems. ``build_features`` uses k = 1. ``cross_validate``
+length-matched synthetic one (seeds 0 and 1), and ``detect_matrix`` builds
+each one's prediction matrix with the three demo systems, as ``sdgdetect
+train`` does. ``build_features`` uses k = 1. ``cross_validate``
 runs ``--folds`` folds of one repeat and ``train_model`` grows the 17 final
 forests, each forest with ``--trees`` trees and every other setting at the
 CLI's default. ``model_importance`` permutes each feature of the trained
@@ -19,8 +20,9 @@ model ``--repetitions`` times (the CLI's default is 10) with seed 0, as
 ``sdgdetect importance`` does.
 
 The last line of standard output is one JSON object: each SDG's feature rows
-and distinct ``(x, y)`` rows, the wall and CPU seconds of ``build_features``,
-``cross_validate``, ``train_model`` and ``model_importance``, the SHA-256
+and distinct ``(x, y)`` rows, the wall and CPU seconds of ``detect_matrix``
+(over the four datasets), ``build_features``, ``cross_validate``,
+``train_model`` and ``model_importance``, the SHA-256
 of ``repr`` of the ``CvResult``, of the saved ``model.json`` and of
 ``repr`` of the importances, and the process's peak RSS. The digests depend
 only on the flags, so two runs of one tree must print the same ones.
@@ -53,15 +55,15 @@ from sdgdetect.ensemble import (  # noqa: E402
     train_model,
 )
 from sdgdetect.synthgen import generate_matched, load_frequency_table  # noqa: E402
-from sdgdetect.systems import detect, load_system, to_matrix  # noqa: E402
+from sdgdetect.systems import detect_matrix, load_system  # noqa: E402
 
 DEMO = ROOT / "demo"
 SEED = 11
 
 
 def _inputs(docs: int, work: Path):
-    """The matrices, system names, labeled and synthetic datasets that
-    ``build_features`` takes."""
+    """The systems, the labeled datasets and a length-matched synthetic one
+    for each."""
     spec = workloads.SPECS["ensemble"]
     spec = dataclasses.replace(spec, labeled=(("ens_a", docs), ("ens_b", docs)))
     workloads.write_inputs(workloads.generate(spec, SEED, DEMO), work, DEMO)
@@ -69,9 +71,7 @@ def _inputs(docs: int, work: Path):
     table = load_frequency_table(DEMO / "wordfreq.tsv")
     synthetic = [generate_matched(table, ds, seed) for seed, ds in enumerate(labeled)]
     systems = [load_system(DEMO / name) for name in workloads.DEMO_SYSTEMS]
-    matrices = {ds.name: to_matrix(detect(ds, systems), ds, systems)
-                for ds in labeled + synthetic}  # fmt: skip
-    return matrices, [s.name for s in systems], labeled, synthetic
+    return systems, labeled, synthetic
 
 
 def _timed(call):
@@ -94,7 +94,11 @@ def main(argv=None) -> int:
         parser.error("--repetitions must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        matrices, names, labeled, synthetic = _inputs(args.docs, work)
+        systems, labeled, synthetic = _inputs(args.docs, work)
+        names = [s.name for s in systems]
+        matrices, detect_wall, detect_cpu = _timed(
+            lambda: {ds.name: detect_matrix(ds, systems) for ds in labeled + synthetic}
+        )
         features, features_wall, features_cpu = _timed(
             lambda: build_features(matrices, names, labeled, synthetic, k=1.0)
         )
@@ -117,6 +121,8 @@ def main(argv=None) -> int:
         "distinct_rows": {
             sdg: len(np.unique(np.column_stack((f.X, f.y)), axis=0)) for sdg, f in features.items()
         },
+        "detect_matrix_wall_s": round(detect_wall, 3),
+        "detect_matrix_cpu_s": round(detect_cpu, 3),
         "build_features_wall_s": round(features_wall, 3),
         "build_features_cpu_s": round(features_cpu, 3),
         "cross_validate_wall_s": round(cv_wall, 3),
