@@ -280,7 +280,9 @@ def warn(message: str) -> None:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path`` through a temporary file renamed into
     place, so readers see the old file or the whole new one. On any error the
-    temporary file is removed; an ``OSError`` is raised as ``IoError``."""
+    temporary file is removed; an ``OSError`` is raised as ``IoError``, and
+    text that UTF-8 cannot encode (a name holding a lone surrogate, as one
+    read from undecodable bytes does) as ``SchemaError``."""
     path = Path(path)
     tmp = None
     try:
@@ -292,6 +294,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         tmp = None
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise SchemaError(f"cannot write {path}: {bad!r} cannot be written as UTF-8") from exc
     finally:
         if tmp is not None:
             os.unlink(tmp)

@@ -8,7 +8,7 @@ to tightest: OR, AND, NOT, NEAR; parentheses override and nest at most
     or     = and { "OR" and } ;
     and    = not { "AND" not } ;
     not    = [ "NOT" ] near ;
-    near   = prim { "NEAR/" INT prim } ;
+    near   = prim { "NEAR/" INT prim } ;   (INT of at most 4300 digits)
     prim   = TERM | PHRASE | "(" query ")" ;
     TERM   = word [ "*" ] ;
     PHRASE = '"' word { " " word } '"'   (trailing "*" allowed per word)
@@ -23,11 +23,11 @@ prefix match. NEAR/n requires both operands to be position-bearing
 (terms, phrases, or ORs over those); |p1 - p2| <= n over token indices,
 with a phrase's position being its start index.
 
-Matching compiles each query once per corpus (``CorpusIndex.compile``).
-Wildcards are expanded against the corpus's sorted vocabulary, and every
-distinct term or phrase becomes one literal shared by all queries.
-``CorpusIndex.search`` finds the documents holding each literal in one
-pass over the corpus, then evaluates each query once as the exact set of
+Matching evaluates each parsed query on its AST (``CorpusIndex.search``).
+One walk of the ASTs expands the wildcards against the corpus's sorted
+vocabulary and makes every distinct term or phrase one literal shared by
+all queries. One pass over the corpus finds the documents holding each
+literal, and each query is then evaluated once as the exact set of
 documents it matches: ``OR`` is the union of its operands' sets, ``AND``
 their intersection and ``NOT`` the complement; a phrase keeps its rarest
 word's documents where its positions are not empty, and ``NEAR`` keeps
@@ -35,8 +35,8 @@ its operands' common documents where a pair of positions lies within the
 window. A document's token positions (``TokenIndex``) are built only for
 those phrase and ``NEAR`` candidates and for hits, whose positive
 literals' positions ``CorpusIndex.matched_terms`` reads; ``release`` drops
-a document's index once its hits are built. ``match_query`` and
-``match_positions`` run the same code on a one-document corpus.
+a document's index once its hits are built. ``match_query`` runs the same
+code on a one-document corpus.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Callable, Sequence, Union
 
@@ -60,11 +60,9 @@ __all__ = [
     "Node",
     "MatchResult",
     "TokenIndex",
-    "CompiledQuery",
     "CorpusIndex",
     "parse_query",
     "match_query",
-    "match_positions",
     "query_to_string",
     "is_position_bearing",
 ]
@@ -134,6 +132,8 @@ _TOKEN_RE = re.compile(r'\s+|(?:NEAR/(\d+)|([^\W_]+)(\*?)|([()])|"([^"]*)"|(")|(
 _WORD_RE = re.compile(r"([^\W_]+)(\*?)")
 # Deepest parenthesis nesting parsed; deeper queries would exhaust the stack.
 _MAX_NESTING = 100
+# Longest NEAR window, in digits: the most Python's int() reads by default.
+_MAX_WINDOW_DIGITS = 4300
 _Token = tuple[str, Union[Node, int, None], int]
 
 
@@ -155,7 +155,13 @@ def _lex(text: str) -> list[_Token]:
                 raise QuerySyntaxError("wildcard '*' must be trailing", m.end(3))
             tokens.append(("ATOM", Term(word.lower(), bool(star)), i))
         elif near:
-            tokens.append(("NEAR", int(near), i))
+            if len(near) > _MAX_WINDOW_DIGITS:
+                raise QuerySyntaxError(
+                    f"NEAR window longer than {_MAX_WINDOW_DIGITS} digits", m.start(1)
+                )
+            # digit by digit, as int() refuses fewer digits under a lowered
+            # sys.set_int_max_str_digits
+            tokens.append(("NEAR", reduce(lambda n, digit: 10 * n + int(digit), near, 0), i))
         elif paren:
             tokens.append((paren, None, i))
         elif phrase is not None:
@@ -273,7 +279,7 @@ def query_to_string(node: Node) -> str:
 
 @dataclass(eq=False, slots=True)
 class _Literal:
-    """A term or phrase compiled against one corpus.
+    """A term or phrase made against one corpus.
 
     A term's ``words`` are the corpus words it matches: the word itself,
     or a wildcard's expansion. A phrase has ``words = None`` and one term
@@ -285,12 +291,6 @@ class _Literal:
     words: frozenset[str] | None
     parts: tuple["_Literal", ...]
     docs: frozenset[int] = frozenset()
-
-    def located(self) -> frozenset[int]:
-        return self.docs
-
-    def positions(self, index: TokenIndex) -> list[int]:
-        return index.literal_positions(self)
 
 
 class TokenIndex:
@@ -317,7 +317,7 @@ class TokenIndex:
         self._literals: dict[_Literal, list[int]] = {}
 
     def literal_positions(self, literal: _Literal) -> list[int]:
-        """Sorted positions of a literal compiled against this document's corpus."""
+        """Sorted positions of a literal made against this document's corpus."""
         found = self._literals.get(literal)
         if found is None:
             found = self._literals[literal] = self._find(literal)
@@ -342,29 +342,17 @@ class TokenIndex:
         ]
 
 
-@dataclass(eq=False, slots=True)
-class CompiledQuery:
-    """A query compiled by ``CorpusIndex.compile``; ``docs`` gives the set of
-    documents it matches once the literals are located, ``positive`` its
-    literals under an even number of NOTs."""
-
-    docs: Callable[[], frozenset[int]]
-    positive: list[_Literal]
-
-
 class CorpusIndex:
-    """The documents of a corpus, the literals compiled against it and the
-    token indexes built so far.
+    """The documents of a corpus, the literals of the queries last searched
+    and the token indexes built so far.
 
-    ``compile`` turns a query AST into its one compiled form for this
-    corpus in one walk (``_compile``), which yields the node's documents and
-    positions functions and collects the positive literals at once. Each
-    wildcard is expanded once, by bisecting its prefix range in the sorted
-    vocabulary (code-point order keeps a prefix's words contiguous), and
-    each distinct term or phrase becomes one literal shared by every query
-    compiled here. ``search`` finds the documents holding each literal in
-    one pass over the corpus, then evaluates each query once, as the exact
-    set of documents it matches:
+    ``search`` walks each query's AST once (``_walk``): each wildcard is
+    expanded once, by bisecting its prefix range in the sorted vocabulary
+    (code-point order keeps a prefix's words contiguous), each distinct term
+    or phrase becomes one literal shared by every query, and each query's
+    positive literals are kept for ``matched_terms``. It finds the documents
+    holding each literal in one pass over the corpus, then evaluates each
+    AST once (``_docs``), as the exact set of documents it matches:
 
     - a term gives the documents holding one of its words;
     - a phrase gives its rarest word's documents, kept where its positions
@@ -372,7 +360,7 @@ class CorpusIndex:
     - ``OR`` gives the union of its operands' sets, ``AND`` their
       intersection and ``NOT`` the complement of its operand's set;
     - ``NEAR`` gives the intersection of its operands' sets, kept where a
-      pair of their positions lies within the window.
+      pair of their positions (``_positions``) lies within the window.
 
     So a document's positions (its ``TokenIndex``) are built only for a
     phrase or ``NEAR`` candidate, and for a hit whose terms
@@ -382,6 +370,7 @@ class CorpusIndex:
     def __init__(self, documents: Sequence[Sequence[str]]):
         self.documents = documents
         self._literals: dict[Term | Phrase, _Literal] = {}
+        self._positive: list[list[_Literal]] = []
         self._words: frozenset[str] = frozenset()
         self._indexes: dict[int, TokenIndex] = {}
 
@@ -390,22 +379,21 @@ class CorpusIndex:
         """The corpus's distinct words in code-point order; sorted on first use."""
         return sorted(set().union(*self.documents))
 
-    def compile(self, ast: Node) -> CompiledQuery:
-        positive: dict[str, _Literal] = {}  # by surface: a literal has one surface
-        docs, _ = self._compile(ast, False, positive)
-        return CompiledQuery(docs, [positive[s] for s in sorted(positive)])
-
-    def search(self, queries: Sequence[CompiledQuery]) -> list[tuple[int, int]]:
+    def search(self, asts: Sequence[Node]) -> list[tuple[int, int]]:
         """Every matching ``(document index, query index)`` pair, sorted."""
+        self._literals, self._positive = {}, []
+        for ast in asts:
+            positive: dict[str, _Literal] = {}  # by surface: a literal has one surface
+            self._walk(ast, False, positive)
+            self._positive.append([positive[s] for s in sorted(positive)])
         self._locate_literals()
-        return sorted((d, q) for q, query in enumerate(queries) for d in query.docs())
+        return sorted((d, q) for q, ast in enumerate(asts) for d in self._docs(ast))
 
-    def matched_terms(
-        self, d: int, query: CompiledQuery
-    ) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """``(surface, positions)`` of each positive literal of a query that
-        document ``d`` holds, whether or not it decided the match."""
-        held = [lit for lit in query.positive if d in lit.docs]
+    def matched_terms(self, d: int, q: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """``(surface, positions)`` of each positive literal of query ``q`` of
+        the last search that document ``d`` holds, whether or not it decided
+        the match."""
+        held = [lit for lit in self._positive[q] if d in lit.docs]
         if not held:
             return ()
         index = self._index(d)
@@ -441,8 +429,27 @@ class CorpusIndex:
             self._literals[node] = literal
         return literal
 
+    def _walk(self, node: Node, negated: bool, positive: dict[str, _Literal]) -> None:
+        """Make the literals of ``node``, adding each under an even number of
+        NOTs to ``positive``, and check that every ``NEAR`` operand has
+        positions (``is_position_bearing``)."""
+        if isinstance(node, (Term, Phrase)):
+            literal = self._literal(node)
+            if not negated:
+                positive[literal.surface] = literal
+        elif isinstance(node, Not):
+            self._walk(node.child, not negated, positive)
+        elif isinstance(node, (Or, And, Near)):
+            operands = (node.left, node.right) if isinstance(node, Near) else node.children
+            for operand in operands:
+                self._walk(operand, negated, positive)
+            if isinstance(node, Near):
+                _require_positions(*operands)
+        else:
+            raise TypeError(f"not a query node: {node!r}")
+
     def _locate_literals(self) -> None:
-        """Set ``docs`` on every literal compiled so far.
+        """Set ``docs`` on every literal of the last search.
 
         Only the literals' words are looked up in each document, so the
         pass costs one set intersection per document rather than a full
@@ -464,45 +471,36 @@ class CorpusIndex:
                 rarest = min((part.docs for part in lit.parts), key=len)
                 lit.docs = frozenset(d for d in rarest if self._index(d).literal_positions(lit))
 
-    def _compile(self, node: Node, negated: bool, positive: dict[str, _Literal]) -> tuple:
-        """Compile ``node`` in one walk: its documents function, which gives
-        the set of documents it matches once the literals are located, and
-        its positions function (a document's TokenIndex -> sorted positions),
-        with each literal under an even number of NOTs added to ``positive``.
-        Only a node ``is_position_bearing`` accepts has positions."""
+    def _docs(self, node: Node) -> frozenset[int]:
+        """The documents ``node`` matches, once its literals are located."""
         if isinstance(node, (Term, Phrase)):
-            literal = self._literal(node)
-            if not negated:
-                positive[literal.surface] = literal
-            return literal.located, literal.positions
-        if isinstance(node, Not):
-            child = self._compile(node.child, not negated, positive)[0]
-            return (lambda: frozenset(range(len(self.documents))) - child()), None
-        if not isinstance(node, (Or, And, Near)):
-            raise TypeError(f"not a query node: {node!r}")
-        operands = (node.left, node.right) if isinstance(node, Near) else node.children
-        docs, parts = zip(*(self._compile(c, negated, positive) for c in operands))
+            return self._literals[node].docs
         if isinstance(node, Or):
-
-            def union(index: TokenIndex) -> list[int]:
-                return sorted(set().union(*[part(index) for part in parts]))
-
-            return (lambda: frozenset().union(*[found() for found in docs])), union
+            return frozenset().union(*map(self._docs, node.children))
         if isinstance(node, And):
-            return (lambda: frozenset.intersection(*[found() for found in docs])), None
-        _require_positions(*operands)
-        left, right = parts
-        n = node.n
+            return frozenset.intersection(*map(self._docs, node.children))
+        if isinstance(node, Not):
+            return frozenset(range(len(self.documents))) - self._docs(node.child)
+        # a Near, as _walk checked; its operands' literals are looked up once
+        operands = self._leaves(node.left), self._leaves(node.right)
+        return frozenset(
+            d
+            for d in self._docs(node.left) & self._docs(node.right)
+            if _near_pair_exists(*[_positions(lits, self._index(d)) for lits in operands], node.n)
+        )
 
-        def near() -> frozenset[int]:
-            found = []
-            for d in docs[0]() & docs[1]():
-                index = self._index(d)
-                if _near_pair_exists(left(index), right(index), n):
-                    found.append(d)
-            return frozenset(found)
+    def _leaves(self, node: Term | Phrase | Or) -> list[_Literal]:
+        """The literals of a position-bearing node, whose positions are theirs."""
+        if isinstance(node, Or):
+            return [lit for c in node.children for lit in self._leaves(c)]
+        return [self._literals[node]]
 
-        return near, None
+
+def _positions(literals: list[_Literal], index: TokenIndex) -> list[int]:
+    """A literal's sorted positions in a document, or the sorted union of an OR's."""
+    if len(literals) == 1:
+        return index.literal_positions(literals[0])
+    return sorted(set().union(*[index.literal_positions(lit) for lit in literals]))
 
 
 def _require_positions(*nodes: Node) -> None:
@@ -532,16 +530,6 @@ def match_query(ast: Node, tokens: Sequence[str]) -> MatchResult:
     """Match a parsed query against one token list, searched as a
     one-document corpus; ``matched_terms`` is empty unless it matches."""
     corpus = CorpusIndex([tokens])
-    query = corpus.compile(ast)
-    if not corpus.search([query]):
+    if not corpus.search([ast]):
         return MatchResult(False, ())
-    return MatchResult(True, corpus.matched_terms(0, query))
-
-
-def match_positions(ast: Node, tokens: Sequence[str]) -> list[int]:
-    """Sorted match positions for a position-bearing query node."""
-    _require_positions(ast)
-    corpus = CorpusIndex([tokens])
-    positions = corpus._compile(ast, False, {})[1]
-    corpus._locate_literals()
-    return list(positions(corpus._index(0)))
+    return MatchResult(True, corpus.matched_terms(0, 0))

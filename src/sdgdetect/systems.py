@@ -157,30 +157,30 @@ def load_system(path: str | Path) -> SystemDefinition:
     return SystemDefinition(name, tuple(entries))
 
 
-def _compile_entries(dataset: Dataset, systems: Sequence[SystemDefinition]):
+def _search(dataset: Dataset, systems: Sequence[SystemDefinition]):
     """Every system entry with its system's name, the dataset's corpus and
-    each entry's query compiled against it, in entry order."""
+    every matching (document index, entry index) pair, sorted."""
     if not systems:
         raise SchemaError("detect requires at least one system")
     entries = [(system.name, entry) for system in systems for entry in system.entries]
     corpus = CorpusIndex([doc.tokens for doc in dataset.documents])
-    return entries, corpus, [corpus.compile(entry.query) for _, entry in entries]
+    return entries, corpus, corpus.search([entry.query for _, entry in entries])
 
 
 def detect(dataset: Dataset, systems: Sequence[SystemDefinition]) -> list[Hit]:
     """Run every system entry over every document; deterministic order.
 
-    All queries are compiled once against the dataset and each is matched
-    as one set of documents (``CorpusIndex.search``). A document's token
-    index is released once its hits are built.
+    All queries are searched at once on the dataset, each matched as one
+    set of documents (``CorpusIndex.search``). A document's token index is
+    released once its hits are built.
     """
-    entries, corpus, queries = _compile_entries(dataset, systems)
+    entries, corpus, found = _search(dataset, systems)
     docs = dataset.documents
     hits: list[Hit] = []
-    for d, pairs in groupby(corpus.search(queries), itemgetter(0)):
+    for d, pairs in groupby(found, itemgetter(0)):
         for _, q in pairs:
             name, entry = entries[q]
-            terms = corpus.matched_terms(d, queries[q])
+            terms = corpus.matched_terms(d, q)
             hits.append(Hit(docs[d].id, name, entry.sdg, entry.query_id, terms))
         corpus.release(d)
     hits.sort(key=lambda h: (h.doc_id, h.system, h.sdg, h.query_id))
@@ -190,10 +190,10 @@ def detect(dataset: Dataset, systems: Sequence[SystemDefinition]) -> list[Hit]:
 def detect_matrix(dataset: Dataset, systems: Sequence[SystemDefinition]) -> PredictionMatrix:
     """``to_matrix(detect(dataset, systems), dataset, systems)``, set straight
     from the matching (document, query) pairs: no positions, hits or sort."""
-    entries, corpus, queries = _compile_entries(dataset, systems)
+    entries, _, found = _search(dataset, systems)
     matrix = _covered(dataset, systems)
     docs = dataset.documents
-    for d, q in corpus.search(queries):
+    for d, q in found:
         name, entry = entries[q]
         matrix.add(docs[d].id, name, entry.sdg)
     return matrix

@@ -171,7 +171,12 @@ def _naive_lex(text: str) -> list[tuple[str, object, int]]:
                 if j < n and text[j] == "/":
                     mi = _NAIVE_INT_RE.match(text, j + 1)
                     if mi:
-                        tokens.append(("NEAR", int(mi.group()), i))
+                        digits = mi.group()
+                        if len(digits) > 4300:
+                            raise QuerySyntaxError("NEAR window longer than 4300 digits", j + 1)
+                        # each digit times its power of ten: no int() of a long string
+                        window = sum(int(c) * 10**k for k, c in enumerate(reversed(digits)))
+                        tokens.append(("NEAR", window, i))
                         i = mi.end()
                         continue
                 raise QuerySyntaxError("NEAR requires an integer window (NEAR/<int>)", i)

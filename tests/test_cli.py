@@ -828,6 +828,16 @@ class TestExitCodes:
         )
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_near_window_too_long_is_3(self, corpus, tmp_path, capsys):
+        sysfile = tmp_path / "long.csv"
+        sysfile.write_text(f"system,sdg,query_id,query\nlong,1,q1,a NEAR/{'9' * 5000} b\n")
+        assert _detect(corpus, str(sysfile), tmp_path / "o") == 3
+        assert capsys.readouterr().err == (
+            "error [E_SYNTAX]: system 'long', query 'q1': "
+            "NEAR window longer than 4300 digits (at position 7)\n"
+        )
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_negative_seed_flag_is_param_error(self, corpus, system, tmp_path, capsys):
         rc = main(
             [
@@ -1088,6 +1098,43 @@ class TestNonUtf8Input:
         assert err.startswith("error [E_SCHEMA]: ") and "not valid UTF-8" in err
         assert "Traceback" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+class TestNameNotUtf8:
+    """A dataset or system name holding a lone surrogate, as one read from
+    undecodable bytes does, is a schema error when an output would hold it:
+    one error line, exit 3 and no *.tmp left."""
+
+    NAME = os.fsdecode(b"\xff")  # "\udcff"
+
+    def _check(self, capsys, tmp_path, rc, table):
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error [E_SCHEMA]: cannot write {tmp_path / 'out' / table}: "
+            "'\\udcff' cannot be written as UTF-8\n"
+        )
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_dataset_file_name(self, corpus, system, tmp_path, capsys):
+        dataset = tmp_path / f"{self.NAME}.jsonl"
+        dataset.write_bytes(Path(corpus).read_bytes())
+        rc = _detect(str(dataset), system, tmp_path / "out")
+        self._check(capsys, tmp_path, rc, "hits.csv")
+
+    def test_external_name(self, corpus, system, tmp_path, capsys):
+        ext = tmp_path / "ext.csv"
+        ext.write_text("doc_id,sdg\nd1,3\n")
+        assert _detect(corpus, system, tmp_path / "d", ["--external", f"{self.NAME}={ext}"]) == 0
+        argv = ["evaluate", "--dataset", corpus, "--matrix", str(tmp_path / "d" / "matrix.json")]
+        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+        self._check(capsys, tmp_path, rc, "metrics.csv")
+
+    def test_matrix_system_name(self, corpus, tmp_path, capsys):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text('{"systems": ["\\udcff"], "datasets": {"corpus": {"assignments": []}}}')
+        argv = ["evaluate", "--dataset", corpus, "--matrix", str(matrix)]
+        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+        self._check(capsys, tmp_path, rc, "metrics.csv")
 
 
 class TestNulByteInputPath:

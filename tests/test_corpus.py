@@ -333,7 +333,14 @@ class TestAtomicWrite:
         assert path.read_text() == "old"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_text_utf8_cannot_encode_is_schema_error(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(SchemaError) as err:
+            atomic_write_text(path, "d\ud800")
+        assert str(err.value) == f"cannot write {path}: '\\ud800' cannot be written as UTF-8"
+        assert os.listdir(tmp_path) == []
+
     def test_other_errors_reraised_unchanged(self, tmp_path):
-        with pytest.raises(UnicodeEncodeError):
-            atomic_write_text(tmp_path / "out.txt", "d\ud800")
+        with pytest.raises(TypeError):
+            atomic_write_text(tmp_path / "out.txt", b"not text")
         assert os.listdir(tmp_path) == []

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,6 @@ from sdgdetect.query import (
     Phrase,
     Term,
     TokenIndex,
-    match_positions,
     match_query,
     parse_query,
     query_to_string,
@@ -122,6 +122,26 @@ class TestLex:
         assert parse_query("a NEAR/5x") == Near(Term("a"), Term("x"), 5)
         assert parse_query("a NEAR/05 b") == Near(Term("a"), Term("b"), 5)
 
+    def test_near_window_of_at_most_4300_digits(self):
+        nines = parse_query("a NEAR/" + "9" * 4300 + " b")
+        assert nines == Near(Term("a"), Term("b"), 10**4300 - 1)
+        assert parse_query("a NEAR/" + "0" * 4299 + "5 b") == Near(Term("a"), Term("b"), 5)
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query("a NEAR/" + "0" * 4300 + "5 b")
+        assert str(err.value) == "NEAR window longer than 4300 digits (at position 7)"
+        assert err.value.position == 7
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit here"
+    )
+    def test_near_window_does_not_depend_on_int_max_str_digits(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least Python allows
+        try:
+            assert parse_query("a NEAR/" + "0" * 4299 + "5 b") == Near(Term("a"), Term("b"), 5)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_operator_prefixed_words_are_terms(self):
         assert parse_query("NEARLY") == Term("nearly")
         assert parse_query("ORx AND NOTe") == And((Term("orx"), Term("note")))
@@ -162,6 +182,11 @@ class TestParseOracle:
             else:
                 text = "".join(rng.choice(_QUERY_PIECES) for _ in range(rng.randrange(0, 12)))
             assert _parse_outcome(parse_query, text) == _parse_outcome(naive_parse_query, text), text
+
+    def test_long_near_windows_match_naive_parser(self):
+        for digits in ("9" * 4300, "0" * 4299 + "\u0663", "9" * 4301, "0" * 5000):
+            for text in (f"a NEAR/{digits} b", f"a NEAR/{digits}"):
+                assert _parse_outcome(parse_query, text) == _parse_outcome(naive_parse_query, text)
 
 
 class TestMatch:
@@ -210,29 +235,47 @@ class TestMatch:
 
 
 class TestMatchPositions:
+    """A term's, phrase's or wildcard's positions, as ``match_query``'s
+    matched terms report them, and an OR's, as the NEAR windows they
+    satisfy; a NEAR operand without positions is refused."""
+
     def test_term(self):
-        assert match_positions(Term("a"), ["a", "b", "a"]) == [0, 2]
+        assert match_query(Term("a"), ["a", "b", "a"]).matched_terms == (("a", (0, 2)),)
 
     def test_phrase(self):
-        assert match_positions(Phrase((Term("a"), Term("b"))), ["a", "b", "a", "b"]) == [0, 2]
+        result = match_query(Phrase((Term("a"), Term("b"))), ["a", "b", "a", "b"])
+        assert result.matched_terms == (('"a b"', (0, 2)),)
 
     def test_or_union(self):
-        assert match_positions(Or((Term("a"), Term("b"))), ["a", "b"]) == [0, 1]
+        ast = Near(Or((Term("b"), Term("a"))), Term("c"), 1)
+        for tokens, matched in [
+            (["a", "x", "b", "c"], True),  # only b is within 1 of c
+            (["b", "c", "x", "x", "a"], True),  # b, the first operand, is within 1 of c
+            (["a", "c", "x", "x", "b"], True),  # only a: found where the union is sorted
+            (["a", "x", "x", "c", "x", "x", "b"], False),  # neither is within 1 of c
+        ]:
+            assert match_query(ast, tokens).matched is matched, tokens
 
     def test_wildcard_prefix(self):
-        assert match_positions(Term("pol", wildcard=True), ["policy", "polish", "nope"]) == [0, 1]
+        result = match_query(Term("pol", wildcard=True), ["policy", "polish", "nope"])
+        assert result.matched_terms == (("pol*", (0, 1)),)
 
     def test_wildcard_prefix_that_is_a_whole_word(self):
-        assert match_positions(Term("app", wildcard=True), ["apple", "ap", "app"]) == [0, 2]
+        result = match_query(Term("app", wildcard=True), ["apple", "ap", "app"])
+        assert result.matched_terms == (("app*", (0, 2)),)
 
     def test_wildcard_prefix_matching_no_word(self):
-        assert match_positions(Term("zz", wildcard=True), ["apple", "zebra"]) == []
-        assert match_positions(Phrase((Term("a"), Term("zz", wildcard=True))), ["a", "z"]) == []
+        # each query matches through a, and the literal without positions is not reported
+        no_word = Term("zz", wildcard=True)
+        result = match_query(Or((Term("a"), no_word)), ["a", "zebra"])
+        assert result.matched_terms == (("a", (0,)),)
+        result = match_query(Or((Term("a"), Phrase((Term("a"), no_word)))), ["a", "z"])
+        assert result.matched_terms == (("a", (0,)),)
 
     def test_non_ascii_wildcard(self):
         tokens = ["über", "ubiquity", "überall", "zed"]
-        assert match_positions(Term("über", wildcard=True), tokens) == [0, 2]
-        assert match_positions(Term("u", wildcard=True), tokens) == [1]
+        assert match_query(Term("über", True), tokens).matched_terms == (("über*", (0, 2)),)
+        assert match_query(Term("u", True), tokens).matched_terms == (("u*", (1,)),)
 
     @pytest.mark.parametrize(
         "node",
@@ -243,13 +286,23 @@ class TestMatchPositions:
         ],
     )
     def test_rejects_non_positional(self, node):
-        with pytest.raises(NearOperandError):
-            match_positions(node, ["a", "b"])
+        # the parser refuses these operands; a hand-built AST meets the matcher's check
+        for ast in (Near(node, Term("c"), 1), Near(Term("c"), node, 1)):
+            with pytest.raises(NearOperandError, match=f"not {type(node).__name__}$"):
+                match_query(ast, ["a", "b", "c"])
 
     def test_hand_built_near_rejects_non_positional_operand(self):
-        # the parser refuses this operand; a hand-built AST meets the compiler's check
-        with pytest.raises(NearOperandError, match="not And$"):
-            match_query(Near(And((Term("a"), Term("b"))), Term("c"), 1), ["a", "b", "c"])
+        # an OR has positions only when every operand has
+        ast = Near(Or((Term("a"), Not(Term("b")))), Term("c"), 1)
+        with pytest.raises(NearOperandError, match="not Or$"):
+            match_query(ast, ["a", "b", "c"])
+
+    @pytest.mark.parametrize(
+        "ast", ["a", And((Term("a"), "b")), Near(Term("a"), "b", 1), Not(None)]
+    )
+    def test_rejects_non_node(self, ast):
+        with pytest.raises(TypeError, match="^not a query node: "):
+            match_query(ast, ["a", "b"])
 
 
 class TestPruning:

@@ -1,11 +1,16 @@
 """What a fresh process imports: detect, evaluate, bias, --help, --version and
 usage errors run without numpy, and the commands that need it load it on
-dispatch, through names that a caller may replace on ``cli`` beforehand."""
+dispatch, through names that a caller may replace on ``cli`` beforehand.
+What a module exports: every name in its ``__all__``."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sdgdetect
 
@@ -88,3 +93,10 @@ assert cli.train_model is wrapper and len(calls) == 1
 """,
         tmp_path,
     )
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(sdgdetect.__path__)])
+def test_every_name_in_all_exists(module):
+    module = importlib.import_module(f"sdgdetect.{module}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

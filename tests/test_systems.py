@@ -195,7 +195,7 @@ class TestDetect:
         assert self._hits(tmp_path, "NOT (a NEAR/3 zz*)", "a b", "") == [("d1", ()), ("d2", ())]
 
     def test_matches_oracle_on_random_corpora(self):
-        # compiled corpus path vs the naive per-document scan
+        # the corpus search vs the naive per-document scan
         for ds, systems in _random_corpora():
             expected = sorted(
                 (
