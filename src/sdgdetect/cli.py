@@ -258,8 +258,16 @@ def _load_matrix_file(
 
 
 def _distinct_names(names: list[str], kind: str) -> None:
+    """Refuse two equal names, or a name that UTF-8 cannot encode (one that
+    holds a lone surrogate, as a name read from undecodable bytes does),
+    before any output is written."""
     if len(set(names)) != len(names):
         raise SchemaError(f"{kind} names collide: {names}")
+    for name in names:
+        try:
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{kind} name {name!r} cannot be written as UTF-8") from None
 
 
 def _load_named(load, paths: list[str], kind: str) -> list:

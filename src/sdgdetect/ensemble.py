@@ -25,7 +25,10 @@ block). Each scan's prefix sums are `cumsum`s, left to right, and each
 node's weight totals are numpy's `.sum()` over its rows, exact for
 bootstrap draw counts, so a tree is the one it would be grown alone.
 `forest_score` walks a whole matrix of rows through all trees at once.
-Other float sums run left to right (`bias.sum_in_order`).
+Permutation importance scores each 0/1 column flipped once instead of
+once per repetition, and stacks one forest's matrices into calls of at
+most `SCORE_PAIRS` (row, tree) pairs. Other float sums run left to right
+(`bias.sum_in_order`).
 """
 
 from __future__ import annotations
@@ -228,9 +231,12 @@ def _child_seed(*parts: int) -> int:
 
 # Lockstep growth holds the trees live at once to GROW_ROWS training rows in all
 # (each live tree keeps a weight and a positive weight per row), and each scan
-# block to SCAN_CELLS (segment, row) cells.
+# block to SCAN_CELLS (segment, row) cells. Permutation importance stacks one
+# forest's matrices to SCORE_PAIRS (row, tree) pairs per forest_score call,
+# and one matrix at least.
 GROW_ROWS = 1 << 16
 SCAN_CELLS = 1 << 13
+SCORE_PAIRS = 1 << 18
 
 Job = tuple[np.ndarray, np.ndarray, np.ndarray, ForestParams]  # X, y, w, params
 
@@ -702,29 +708,58 @@ def permutation_importance(
     seed: int = 0,
     threshold: float = 0.5,
 ) -> list[float]:
-    """Per-feature mean drop in weighted accuracy when that column is permuted."""
+    """Per-feature mean drop in weighted accuracy when that column is permuted.
+
+    Every ``rng.permutation`` is drawn first, feature by feature and then
+    repetition by repetition, the order in which permuting and scoring one
+    copy at a time draws them. A row's score depends only on that row, so a
+    column that holds only 0.0 and 1.0 is scored once, flipped: a
+    repetition gives each row its baseline score where the permuted value
+    equals its own, and its flipped score elsewhere. Any other column (the
+    word count) is permuted and scored once per repetition. The baseline,
+    flipped and permuted matrices are stacked and scored in as few
+    ``forest_score`` calls as ``SCORE_PAIRS`` (row, tree) pairs per call
+    allow. The drops are taken in draw order and summed left to right, so
+    each importance is the one that scoring every permuted copy gives.
+    """
     if repetitions < 1:
         raise ParamError("repetitions must be >= 1")
     if not len(features):
         raise ParamError("permutation importance needs evaluation rows")
     X, w = features.X, features.w
+    n = len(X)
     total_w = w.sum()
     labels = features.y.astype(bool)
 
-    def weighted_accuracy(Xm: np.ndarray) -> float:
-        hits = (forest_score(forest, Xm) >= threshold) == labels
+    def weighted_accuracy(scores: np.ndarray) -> float:
+        hits = (scores >= threshold) == labels
         return sum_in_order(w[hits].tolist()) / total_w
 
-    baseline = weighted_accuracy(X)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+    permuted = [[col[rng.permutation(n)] for _ in range(repetitions)] for col in X.T]
+    flag = [bool(((col == 0.0) | (col == 1.0)).all()) for col in X.T]
+    edits = [(0, X[:, 0])]  # (column, its values): the baseline first, unchanged
+    for f, cols in enumerate(permuted):
+        edits += [(f, 1.0 - X[:, f])] if flag[f] else [(f, col) for col in cols]
+    per_call = max(1, SCORE_PAIRS // (n * len(forest.trees)))
+    scores = []
+    for i in range(0, len(edits), per_call):
+        chunk = edits[i : i + per_call]
+        stacked = np.tile(X, (len(chunk), 1))
+        for j, (f, values) in enumerate(chunk):
+            stacked[j * n : (j + 1) * n, f] = values
+        scores.extend(forest_score(forest, stacked).reshape(len(chunk), n))
+
+    base, scored = scores[0], iter(scores[1:])
+    baseline = weighted_accuracy(base)
     importances = []
-    Xp = X.copy()  # one column at a time is permuted in place, then restored
-    for f in range(X.shape[1]):
-        drops = []
-        for _ in range(repetitions):
-            Xp[:, f] = X[rng.permutation(X.shape[0]), f]
-            drops.append(baseline - weighted_accuracy(Xp))
-        Xp[:, f] = X[:, f]
+    for f, cols in enumerate(permuted):
+        if flag[f]:
+            flipped = next(scored)
+            repeats = [np.where(col == X[:, f], base, flipped) for col in cols]
+        else:
+            repeats = [next(scored) for _ in cols]
+        drops = [baseline - weighted_accuracy(s) for s in repeats]
         importances.append(sum_in_order(drops) / repetitions)
     return importances
 

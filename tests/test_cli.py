@@ -1102,8 +1102,9 @@ class TestNonUtf8Input:
 
 class TestNameNotUtf8:
     """A dataset or system name holding a lone surrogate, as one read from
-    undecodable bytes does, is a schema error when an output would hold it:
-    one error line, exit 3 and no *.tmp left."""
+    undecodable bytes does, is a schema error: one error line, exit 3 and no
+    *.tmp left. A dataset or ``--external`` name is refused before any output
+    is written; a matrix.json system name when an output would hold it."""
 
     NAME = os.fsdecode(b"\xff")  # "\udcff"
 
@@ -1115,19 +1116,25 @@ class TestNameNotUtf8:
         )
         assert list(tmp_path.rglob("*.tmp")) == []
 
+    def _check_refused(self, capsys, tmp_path, rc, kind):
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error [E_SCHEMA]: {kind} name '\\udcff' cannot be written as UTF-8\n"
+        )
+        assert list(tmp_path.rglob("matrix.json")) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
+
     def test_dataset_file_name(self, corpus, system, tmp_path, capsys):
         dataset = tmp_path / f"{self.NAME}.jsonl"
         dataset.write_bytes(Path(corpus).read_bytes())
         rc = _detect(str(dataset), system, tmp_path / "out")
-        self._check(capsys, tmp_path, rc, "hits.csv")
+        self._check_refused(capsys, tmp_path, rc, "dataset")
 
     def test_external_name(self, corpus, system, tmp_path, capsys):
         ext = tmp_path / "ext.csv"
         ext.write_text("doc_id,sdg\nd1,3\n")
-        assert _detect(corpus, system, tmp_path / "d", ["--external", f"{self.NAME}={ext}"]) == 0
-        argv = ["evaluate", "--dataset", corpus, "--matrix", str(tmp_path / "d" / "matrix.json")]
-        rc = main([*argv, "--out-dir", str(tmp_path / "out")])
-        self._check(capsys, tmp_path, rc, "metrics.csv")
+        rc = _detect(corpus, system, tmp_path / "out", ["--external", f"{self.NAME}={ext}"])
+        self._check_refused(capsys, tmp_path, rc, "system")
 
     def test_matrix_system_name(self, corpus, tmp_path, capsys):
         matrix = tmp_path / "matrix.json"

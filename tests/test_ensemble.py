@@ -830,6 +830,68 @@ class TestPermutationImportance:
             expected = naive_permutation_importance(trees, rows, 3, seed, threshold)
             assert got == expected
 
+    @staticmethod
+    def _kind_rows(kinds, n, seed):
+        """``n`` rows whose columns are of ``kinds``: "flag" (0/1), "zeros",
+        "ones", "two" ({0, 2}) or "tied" (integers 0..6); the last column
+        stands where the word count does. Labels follow the column sum."""
+        rng = random.Random(seed)
+        values = {
+            "flag": lambda: float(rng.random() < 0.5),
+            "zeros": lambda: 0.0,
+            "ones": lambda: 1.0,
+            "two": lambda: 2.0 * (rng.random() < 0.5),
+            "tied": lambda: float(rng.randint(0, 6)),
+        }
+        rows = []
+        for i in range(n):
+            features = [values[kind]() for kind in kinds]
+            label = i == 0 or (i != 1 and rng.random() < 0.1 + 0.1 * sum(features))
+            rows.append(_row(f"d{i}", features, label, weight=rng.choice([0.5, 1.0, 1 / 3])))
+        return rows
+
+    @pytest.mark.parametrize("repetitions", [1, 4])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("flag", "tied", "flag"),  # a word count that holds only 0 and 1
+            ("zeros", "zeros", "flag", "tied"),
+            ("ones", "flag", "ones", "tied"),
+            ("flag", "two", "tied"),
+        ],
+        ids=["word-count-0-1", "all-0-flags", "all-1-flags", "column-0-2"],
+    )
+    def test_matches_oracle_on_each_column_kind(self, kinds, repetitions):
+        """A 0/1 column is scored flipped once and every other column per
+        repetition; either way each importance is the oracle's."""
+        for seed in range(3):
+            rows = self._kind_rows(kinds, 40, seed)
+            params = ForestParams(num_trees=4, bootstrap=seed != 0, seed=seed)
+            forest = grow(rows, params)
+            got = permutation_importance(forest, feature_set(rows), repetitions, seed)
+            expected = naive_permutation_importance(naive_trees(rows, params), rows, repetitions, seed)
+            assert got == expected
+            for f, kind in enumerate(kinds):
+                if kind in ("zeros", "ones"):
+                    assert got[f] == 0.0
+
+    @pytest.mark.parametrize("per_call", [1, 2, 3])
+    def test_matrices_split_over_calls(self, monkeypatch, forest_score_calls, per_call):
+        """With room for ``per_call`` matrices per call, the baseline, the
+        flipped and the permuted matrices are scored ``per_call`` at a time
+        in order, and the importances stay the oracle's."""
+        kinds, repetitions, n, trees = ("flag", "two", "flag", "tied"), 4, 30, 3
+        rows = self._kind_rows(kinds, n, 5)
+        params = ForestParams(num_trees=trees, seed=5)
+        forest = grow(rows, params)
+        monkeypatch.setattr(ensemble, "SCORE_PAIRS", per_call * n * trees + trees - 1)
+        got = permutation_importance(forest, feature_set(rows), repetitions, 9)
+        matrices = 1 + 2 + 2 * repetitions
+        whole, rest = divmod(matrices, per_call)
+        assert forest_score_calls == [per_call * n] * whole + [rest * n] * (rest > 0)
+        expected = naive_permutation_importance(naive_trees(rows, params), rows, repetitions, 9)
+        assert got == expected
+
     def test_determinism(self):
         rows = _separable_rows(n=30, rng_seed=3)
         forest = grow(rows, ForestParams(num_trees=5, seed=0))
@@ -904,11 +966,13 @@ class TestEveryScoreGoesThroughForestScore:
         assert forest_score_calls == [rec.counts.total for rec in result.records]
 
     def test_model_importance_scores_baseline_and_each_permutation(self, forest_score_calls):
+        """One call per SDG: the baseline, the 0/1 column ``sysA`` flipped
+        once and the word count permuted once per repetition, 20 rows each."""
         model, rows = _full_model()
         features = feature_sets({g: rows[g] for g in (2, 5, 9)})
         ensemble.model_importance(model, features, repetitions=3, seed=1)
-        n_features = len(model.feature_names)
-        assert forest_score_calls == [20] * 3 * (1 + n_features * 3)
+        flag_columns, other_columns = 1, 1
+        assert forest_score_calls == [(1 + flag_columns + other_columns * 3) * 20] * 3
 
     def test_score_documents_scores_each_sdg_once(self, forest_score_calls):
         model, _ = _full_model()
