@@ -194,20 +194,6 @@ def _matrix_json(system_names: list[str], matrices: dict[str, PredictionMatrix])
     )
 
 
-def _assignment_problem(item, doc_ids: set[str], systems: set[str]) -> str | None:
-    """Why a matrix.json assignment is invalid, or None when it is valid."""
-    if not isinstance(item, list) or len(item) != 3:
-        return "expected [doc_id, system, sdg]"
-    doc_id, system, sdg = item
-    if not isinstance(doc_id, str) or doc_id not in doc_ids:
-        return "unknown doc_id"
-    if not isinstance(system, str) or system not in systems:
-        return "system not listed in 'systems'"
-    if type(sdg) is not int or not 1 <= sdg <= 17:
-        return "SDG id must be an integer in 1..17"
-    return None
-
-
 def _load_matrix_file(
     path: Path, datasets: list[Dataset]
 ) -> tuple[list[str], dict[str, PredictionMatrix]]:
@@ -224,6 +210,7 @@ def _load_matrix_file(
         raise SchemaError(f"{path}: 'systems' lists a name twice: {systems}")
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: 'datasets' must map dataset names to assignments")
+    listed = set(systems)
     matrices: dict[str, PredictionMatrix] = {}
     for ds in datasets:
         if ds.name not in raw:
@@ -232,21 +219,20 @@ def _load_matrix_file(
         assignments = entry.get("assignments") if isinstance(entry, dict) else None
         if not isinstance(assignments, list):
             raise SchemaError(f"{path}: dataset {ds.name!r} has no 'assignments' list")
+        doc_ids = {doc.id for doc in ds.documents}
         rows = {(doc.id, s): 0 for doc in ds.documents for s in systems}
         for item in assignments:
-            # _assignment_problem's test, inline; it is called only to word the error
-            if (
-                type(item) is list
-                and len(item) == 3
-                and type(item[0]) is str
-                and type(item[1]) is str
-                and (item[0], item[1]) in rows
-                and type(item[2]) is int
-                and 1 <= item[2] <= 17
-            ):
+            if type(item) is not list or len(item) != 3:
+                problem = "expected [doc_id, system, sdg]"
+            elif type(item[0]) is not str or item[0] not in doc_ids:
+                problem = "unknown doc_id"
+            elif type(item[1]) is not str or item[1] not in listed:
+                problem = "system not listed in 'systems'"
+            elif type(item[2]) is not int or not 1 <= item[2] <= 17:
+                problem = "SDG id must be an integer in 1..17"
+            else:
                 rows[item[0], item[1]] |= 1 << (item[2] - 1)
                 continue
-            problem = _assignment_problem(item, {doc.id for doc in ds.documents}, set(systems))
             raise SchemaError(f"{path}: dataset {ds.name!r}, assignment {item!r}: {problem}")
         matrices[ds.name] = PredictionMatrix(rows)
     return systems, matrices
@@ -352,35 +338,32 @@ TABLES = {
 
 
 def cmd_detect(args) -> tuple[dict, dict, list]:
-    systems = _load_named(load_system, args.systems, "system")
     externals = [item.split("=", 1) for item in args.external]
     if any(len(pair) != 2 or not pair[0].strip() or not pair[1].strip() for pair in externals):
         raise ParamError("--external expects NAME=PATH")
+    systems = _load_named(load_system, args.systems, "system")
     system_names = [s.name for s in systems] + [name for name, _ in externals]
     _distinct_names(system_names, "system")
     datasets = _load_named(load_documents, args.dataset, "dataset")
+    all_ids = [doc.id for ds in datasets for doc in ds.documents]
+    strict = not args.lenient_external
+    external = [
+        (name, import_external_predictions(path, all_ids, strict)) for name, path in externals
+    ]
     matrices = {}
     hit_rows = []
     freq_rows = []
     for ds in datasets:
         hits = detect(ds, systems)
         matrices[ds.name] = to_matrix(hits, ds, systems)
+        rows = {(doc.id, name): masks[doc.id] for name, masks in external for doc in ds.documents}
+        matrices[ds.name].merge(PredictionMatrix(rows))
         for hit in hits:
             # a hit with no positive literal (a pure NOT query) is one row with no term
             for term, positions in hit.matched_terms or (("", ()),):
                 at = "|".join(str(p) for p in positions)
                 hit_rows.append((ds.name, hit.doc_id, hit.system, hit.sdg, hit.query_id, term, at))
         freq_rows += [(ds.name, *row) for row in keyword_frequencies(hits)]
-
-    all_ids = {doc.id for ds in datasets for doc in ds.documents}
-    for name, path in externals:
-        fragment = import_external_predictions(
-            path, name, known_doc_ids=all_ids, strict=not args.lenient_external
-        )
-        row = fragment.row
-        for ds in datasets:
-            rows = {(doc.id, name): row(doc.id, name) for doc in ds.documents}
-            matrices[ds.name].merge(PredictionMatrix(rows))
 
     atomic_write_text(args.out_dir / "matrix.json", _matrix_json(system_names, matrices))
     return (
@@ -427,13 +410,13 @@ def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, systems: list[str])
 
 
 def cmd_bias(args) -> tuple[dict, dict, list]:
+    if any(":" not in item for item in args.exclude_pair):
+        raise ParamError("--exclude-pair expects NAME:NAME")
     datasets, systems, matrices = _load_scored(args)
 
     names = sorted(d.name for d in datasets)
     excluded = set()
     for item in args.exclude_pair:
-        if ":" not in item:
-            raise ParamError("--exclude-pair expects NAME:NAME")
         a, b = item.split(":", 1)
         for name in (a, b):
             if name not in names:
@@ -495,11 +478,8 @@ def cmd_synth(args) -> tuple[dict, dict, list]:
         raise ParamError("synth takes --lengths or --match, not both")
     if args.match and args.docs_per_length is not None:
         raise ParamError("synth takes --docs-per-length with --lengths only")
-    table = load_frequency_table(args.freq_table)
     if args.match:
-        reference = load_documents(args.match)
-        dataset = generate_matched(table, reference, args.seed)
-        params, inputs = {}, [args.freq_table, args.match]
+        spec, params, inputs = None, {}, [args.freq_table, args.match]
     else:
         if not args.lengths:
             raise ParamError("synth requires --lengths or --match")
@@ -508,8 +488,13 @@ def cmd_synth(args) -> tuple[dict, dict, list]:
         except ValueError:
             raise ParamError(f"invalid --lengths {args.lengths!r}: expected integers") from None
         docs_per_length = 1000 if args.docs_per_length is None else args.docs_per_length
-        dataset = generate_documents(table, SynthSpec(lengths, docs_per_length, args.seed))
+        spec = SynthSpec(lengths, docs_per_length, args.seed)
         params, inputs = {"docs_per_length": docs_per_length}, [args.freq_table]
+    table = load_frequency_table(args.freq_table)
+    if spec is None:
+        dataset = generate_matched(table, load_documents(args.match), args.seed)
+    else:
+        dataset = generate_documents(table, spec)
     save_documents(dataset, args.out_dir / "synthetic.jsonl")
     return {}, params, inputs
 
@@ -521,21 +506,17 @@ def cmd_train(args) -> tuple[dict, dict, list]:
         raise ParamError("--threshold must lie in [0, 1]")
     seed = args.seed
     params = ForestParams(args.trees, args.mtry, args.min_leaf_frac, args.max_depth, seed=seed)
+    # the grid's own values first: of two equal values (0.0 and -0.0) a set keeps the first
+    grid = sorted({*(_parse_k_grid(args.k_grid) if args.k_grid else ()), args.k})
+    config = CvConfig(folds=args.folds, repeats=args.repeats, seed=seed, threshold=args.threshold)
     systems = _load_named(load_system, args.systems, "system")
     labeled, synthetic, matrices = _ensemble_inputs(args, systems)
     system_names = [s.name for s in systems]
 
-    # the grid's own values first: of two equal values (0.0 and -0.0) a set keeps the first
-    grid = sorted({*(_parse_k_grid(args.k_grid) if args.k_grid else ()), args.k})
-
     curve_rows = []
     for kg in grid:
         features = build_features(matrices, system_names, labeled, synthetic, kg)
-        cv = cross_validate(
-            features,
-            CvConfig(folds=args.folds, repeats=args.repeats, seed=seed, threshold=args.threshold),
-            params,
-        )
+        cv = cross_validate(features, config, params)
         curve_rows.append(
             (kg, cv.pooled_report.accuracy, cv.mean_origin_accuracy, cv.synthetic_fp_rate)
         )
@@ -578,6 +559,8 @@ def cmd_predict(args) -> tuple[dict, dict, list]:
 
 
 def cmd_importance(args) -> tuple[dict, dict, list]:
+    if args.repetitions < 1:
+        raise ParamError("repetitions must be >= 1")
     model, systems = _load_model_and_systems(args.model, args.systems)
     labeled, synthetic, matrices = _ensemble_inputs(args, systems)
     features = build_features(matrices, list(model.system_names), labeled, synthetic, model.k)

@@ -20,10 +20,11 @@ A forest is one flat node table. Each tree grows in one generator
 `train_forest` runs the trees of many forests in lockstep and scans each
 step's yielded nodes together in padded blocks, every drawn column (0/1
 flag or word count) stably sorted. Two budgets bound the memory
-(`GROW_ROWS` training rows in the live trees, `SCAN_CELLS` cells per
-block). Each scan's prefix sums are `cumsum`s, left to right, and each
-node's weight totals are numpy's `.sum()` over its rows, exact for
-bootstrap draw counts, so a tree is the one it would be grown alone.
+(`GROW_ROWS` training rows in the live trees, one tree at least;
+`SCAN_CELLS` cells per block, one node at least). Each scan's prefix
+sums are `cumsum`s, left to right, and each node's weight totals are
+numpy's `.sum()` over its rows, exact for bootstrap draw counts, so a
+tree is the one it would be grown alone.
 `forest_score` walks a whole matrix of rows through all trees at once.
 Permutation importance scores each 0/1 column flipped once instead of
 once per repetition, and stacks one forest's matrices into calls of at
@@ -230,10 +231,10 @@ def _child_seed(*parts: int) -> int:
 
 
 # Lockstep growth holds the trees live at once to GROW_ROWS training rows in all
-# (each live tree keeps a weight and a positive weight per row), and each scan
-# block to SCAN_CELLS (segment, row) cells. Permutation importance stacks one
-# forest's matrices to SCORE_PAIRS (row, tree) pairs per forest_score call,
-# and one matrix at least.
+# (each live tree keeps a weight and a positive weight per row), one tree at
+# least, and each scan block to SCAN_CELLS (segment, row) cells, one node at
+# least. Permutation importance stacks one forest's matrices to SCORE_PAIRS
+# (row, tree) pairs per forest_score call, and one matrix at least.
 GROW_ROWS = 1 << 16
 SCAN_CELLS = 1 << 13
 SCORE_PAIRS = 1 << 18
@@ -434,9 +435,9 @@ def train_forest(jobs: Iterable[Job]) -> list[Forest]:
     and runs to its next node to search, and the searched nodes of the step
     are scanned together (``_best_splits``). So each tree is the one it
     would be grown alone. Jobs are read one at a time, when their first
-    tree starts, and trees start while the live trees hold at most
-    ``GROW_ROWS`` rows, so a generator of jobs keeps only the growing jobs'
-    arrays.
+    tree starts, and a tree starts when none is live or while the live
+    trees would hold at most ``GROW_ROWS`` rows with it, so a generator of
+    jobs keeps only the growing jobs' arrays.
     """
     forests: dict[int, Forest] = {}  # by job index
     pending = _started_trees(jobs)
@@ -728,7 +729,7 @@ def permutation_importance(
         raise ParamError("permutation importance needs evaluation rows")
     X, w = features.X, features.w
     n = len(X)
-    total_w = w.sum()
+    total_w = float(w.sum())
     labels = features.y.astype(bool)
 
     def weighted_accuracy(scores: np.ndarray) -> float:

@@ -4,7 +4,10 @@ A system definition is a CSV with header ``system,sdg,query_id,query``
 holding one query per row; multiple queries for the same SDG are
 OR-combined at the system level (any matching query assigns the SDG).
 External (black-box) predictions arrive as ``doc_id,sdg`` CSV and carry
-no keyword evidence.
+no keyword evidence; they are read as one SDG mask per known doc id.
+
+Detection and every reader fill a ``{(doc_id, system): mask}`` dictionary
+and hand it, finished, to a ``PredictionMatrix``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ class SystemEntry:
     sdg: int
     query_id: str
     query: Node
+
+    def __post_init__(self):
+        if not 1 <= self.sdg <= 17:
+            raise SchemaError(f"SDG id {self.sdg} outside 1..17")
 
 
 @dataclass(frozen=True)
@@ -82,23 +89,14 @@ class PredictionMatrix:
     never run on the document.
 
     Each covered (doc, system) pair is one row: a 17-bit mask whose bit
-    ``sdg - 1`` is set when the SDG is predicted. Every lookup is one
-    dictionary probe, and consumers score a whole row with mask
-    operations through ``row``. ``rows`` may hand over such a dictionary
-    whole, which the matrix then owns.
+    ``sdg - 1`` is set when the SDG is predicted. A matrix is built from a
+    finished dictionary of such rows, which it then owns; ``merge`` ORs
+    another matrix's rows in. Every lookup is one dictionary probe, and
+    consumers score a whole row with mask operations through ``row``.
     """
 
-    def __init__(self, rows: dict[tuple[str, str], int] | None = None):
-        self._rows: dict[tuple[str, str], int] = {} if rows is None else rows
-
-    def cover(self, doc_id: str, system: str) -> None:
-        self._rows.setdefault((doc_id, system), 0)
-
-    def add(self, doc_id: str, system: str, sdg: int) -> None:
-        if not 1 <= sdg <= 17:
-            raise SchemaError(f"SDG id {sdg} outside 1..17")
-        key = (doc_id, system)
-        self._rows[key] = self._rows.get(key, 0) | 1 << (sdg - 1)
+    def __init__(self, rows: dict[tuple[str, str], int]):
+        self._rows = rows
 
     def row(self, doc_id: str, system: str) -> int:
         """The pair's SDG mask; 0 when nothing is predicted or it is not covered."""
@@ -109,10 +107,6 @@ class PredictionMatrix:
 
     def covers(self, doc_id: str, system: str) -> bool:
         return (doc_id, system) in self._rows
-
-    @property
-    def systems(self) -> list[str]:
-        return sorted({s for (_, s) in self._rows})
 
     @property
     def assignments(self) -> list[tuple[str, str, int]]:
@@ -191,55 +185,52 @@ def detect_matrix(dataset: Dataset, systems: Sequence[SystemDefinition]) -> Pred
     """``to_matrix(detect(dataset, systems), dataset, systems)``, set straight
     from the matching (document, query) pairs: no positions, hits or sort."""
     entries, _, found = _search(dataset, systems)
-    matrix = _covered(dataset, systems)
-    docs = dataset.documents
+    rows = _covered(dataset, systems)
+    ids = [doc.id for doc in dataset.documents]
+    bits = [1 << (entry.sdg - 1) for _, entry in entries]
     for d, q in found:
-        name, entry = entries[q]
-        matrix.add(docs[d].id, name, entry.sdg)
-    return matrix
+        rows[ids[d], entries[q][0]] |= bits[q]
+    return PredictionMatrix(rows)
 
 
-def _covered(dataset: Dataset, systems: Sequence[SystemDefinition | str]) -> PredictionMatrix:
+def _covered(
+    dataset: Dataset, systems: Sequence[SystemDefinition | str]
+) -> dict[tuple[str, str], int]:
     """An all-false row for every (document, system) of the dataset."""
     names = [s if isinstance(s, str) else s.name for s in systems]
-    return PredictionMatrix({(doc.id, name): 0 for doc in dataset.documents for name in names})
+    return {(doc.id, name): 0 for doc in dataset.documents for name in names}
 
 
 def to_matrix(
     hits: Iterable[Hit], dataset: Dataset, systems: Sequence[SystemDefinition | str]
 ) -> PredictionMatrix:
     """Collapse hits to booleans; zero-hit documents appear as all-false rows."""
-    matrix = _covered(dataset, systems)
+    rows = _covered(dataset, systems)
     for hit in hits:
-        matrix.add(hit.doc_id, hit.system, hit.sdg)
-    return matrix
+        rows[hit.doc_id, hit.system] |= 1 << (hit.sdg - 1)
+    return PredictionMatrix(rows)
 
 
 def import_external_predictions(
-    path: str | Path,
-    system_name: str,
-    known_doc_ids: Iterable[str],
-    strict: bool = True,
-) -> PredictionMatrix:
-    """Import black-box predictions from a ``doc_id,sdg`` CSV.
+    path: str | Path, known_doc_ids: Iterable[str], strict: bool = True
+) -> dict[str, int]:
+    """The SDG mask that a ``doc_id,sdg`` CSV of black-box predictions gives
+    each known doc id, 0 where it names none.
 
     Unknown doc_ids raise E_SCHEMA when strict, otherwise they are
     skipped with a warning on stderr.
     """
     rows = read_csv_rows(path, "predictions file", ("doc_id", "sdg"))
-    known = set(known_doc_ids)
-    matrix = PredictionMatrix()
-    for doc_id in known:
-        matrix.cover(doc_id, system_name)
+    masks = dict.fromkeys(known_doc_ids, 0)
     for where, row in rows:
         doc_id = row["doc_id"] or ""
-        if doc_id not in known:
+        if doc_id not in masks:
             if strict:
                 raise SchemaError(f"{where}: unknown doc_id {doc_id!r}")
             warn(f"{where}: skipping unknown doc_id {doc_id!r}")
             continue
-        matrix.add(doc_id, system_name, row["sdg"])
-    return matrix
+        masks[doc_id] |= 1 << (row["sdg"] - 1)
+    return masks
 
 
 def keyword_frequencies(hits: Iterable[Hit]) -> list[tuple[str, str, int]]:

@@ -232,12 +232,10 @@ def test_c09_k_weighting_contract():
             ),
         )
         synth = Dataset("syn", (Document.from_text("s1", "z"),))
-        matrices = {}
-        for name, ids in (("lab", ["d1", "d2"]), ("syn", ["s1"])):
-            m = PredictionMatrix()
-            for d in ids:
-                m.cover(d, "sysA")
-            matrices[name] = m
+        matrices = {
+            name: PredictionMatrix({(d, "sysA"): 0 for d in ids})
+            for name, ids in (("lab", ["d1", "d2"]), ("syn", ["s1"]))
+        }
         rows0 = build_features(matrices, ["sysA"], [labeled], [synth], k=0.0)
         assert all(not s for g in rows0 for s in rows0[g].synthetic)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sdgdetect import cli
 from sdgdetect.cli import TABLES, build_parser, main
 from sdgdetect.ensemble import CvConfig, ForestParams, model_importance, train_model
 from sdgdetect.query import _MAX_NESTING
@@ -134,6 +135,30 @@ class TestDetect:
         matrix = json.loads((out / "matrix.json").read_text())
         assert "black" in matrix["systems"]
         assert ["d3", "black", 15] in matrix["datasets"]["corpus"]["assignments"]
+
+    def test_refused_external_searches_no_dataset(
+        self, corpus, system, tmp_path, monkeypatch, capsys
+    ):
+        """Every --external CSV is read before any dataset is searched, so one
+        that names an unknown doc id exits 3 with no search and no matrix.json."""
+        searched, search = [], cli.detect
+
+        def counted(ds, systems):
+            searched.append(ds.name)
+            return search(ds, systems)
+
+        monkeypatch.setattr(cli, "detect", counted)
+        ext = tmp_path / "ext.csv"
+        ext.write_text("doc_id,sdg\nd3,15\n")
+        assert _detect(corpus, system, tmp_path / "good", ["--external", f"black={ext}"]) == 0
+        assert searched == ["corpus"]
+        searched.clear()
+        ext.write_text("doc_id,sdg\nd3,15\nd9,2\n")
+        out = tmp_path / "out"
+        assert _detect(corpus, system, out, ["--external", f"black={ext}"]) == 3
+        assert capsys.readouterr().err == "error [E_SCHEMA]: ext.csv:3: unknown doc_id 'd9'\n"
+        assert searched == []
+        assert not (out / "matrix.json").exists()
 
     @pytest.mark.parametrize(
         "names", [["demo"], ["black", "black"]], ids=["same-as-system", "given-twice"]
@@ -758,6 +783,34 @@ class TestPredictRejectsCorruptModel:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--folds", "1"], "folds must be >= 2"),
+            (["train", "--repeats", "0"], "repeats must be >= 1"),
+            (["train", "--k-grid", "x"], "invalid k grid 'x'"),
+            (["synth", "--lengths", "x"], "invalid --lengths 'x': expected integers"),
+            (["detect", "--external", "x"], "--external expects NAME=PATH"),
+            (["bias", "--exclude-pair", "x"], "--exclude-pair expects NAME:NAME"),
+            (["importance", "--repetitions", "0"], "repetitions must be >= 1"),
+        ],
+        ids=["folds", "repeats", "k-grid", "lengths", "external", "exclude-pair", "repetitions"],
+    )
+    def test_flags_checked_before_any_input_is_read(self, tmp_path, capsys, argv, message):
+        """A bad flag is a parameter error (exit 2) even when every input file
+        is missing, which would be an I/O error (exit 3) once read."""
+        missing = str(tmp_path / "missing")
+        inputs = {
+            "train": ["--dataset", missing, "--systems", missing, "--freq-table", missing],
+            "synth": ["--freq-table", missing],
+            "detect": ["--dataset", missing, "--systems", missing],
+            "bias": ["--dataset", missing, "--matrix", missing],
+            "importance": ["--model", missing, "--dataset", missing, "--systems", missing,
+                           "--freq-table", missing],  # fmt: skip
+        }[argv[0]]
+        assert main([*argv, *inputs, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error [E_PARAMS]: {message}\n"
+
     @pytest.mark.parametrize("command", ["evaluate", "bias", "train", "importance"])
     def test_dataset_without_labels_is_e_no_labels(
         self, demo_commands, tmp_path, capsys, command

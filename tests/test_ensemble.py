@@ -73,14 +73,11 @@ class TestBuildFeatures:
             "syn",
             (Document.from_text("s1", "x y z"), Document.from_text("s2", "q")),
         )
-        matrices = {}
-        for name, docs in (("lab", ["d1", "d2"]), ("syn", ["s1", "s2"])):
-            m = PredictionMatrix()
-            for d in docs:
-                m.cover(d, "sysA")
-                m.cover(d, "sysB")
-            matrices[name] = m
-        matrices["lab"].add("d1", "sysA", 1)
+        matrices = {
+            name: PredictionMatrix({(d, s): 0 for d in docs for s in ("sysA", "sysB")})
+            for name, docs in (("lab", ["d1", "d2"]), ("syn", ["s1", "s2"]))
+        }
+        matrices["lab"].merge(PredictionMatrix({("d1", "sysA"): 1 << 0}))
         return matrices, labeled, synth
 
     def test_weights_and_features(self):
@@ -116,8 +113,7 @@ class TestBuildFeatures:
             "lab",
             (Document.from_text("d1", "t", [2], [2, 5]),),
         )
-        m = PredictionMatrix()
-        m.cover("d1", "sysA")
+        m = PredictionMatrix({("d1", "sysA"): 0})
         rows = build_features({"lab": m}, ["sysA"], [labeled], [], k=0.0)
         present = {g for g in rows if rows[g]}
         assert present == {2, 5}
@@ -898,6 +894,18 @@ class TestPermutationImportance:
         a = permutation_importance(forest, feature_set(rows), repetitions=4, seed=11)
         b = permutation_importance(forest, feature_set(rows), repetitions=4, seed=11)
         assert a == b
+
+    def test_importances_are_python_floats(self):
+        """Every importance is a ``float``, not a numpy scalar, so its ``repr``
+        does not depend on numpy's version."""
+        rows = _separable_rows(n=30, rng_seed=3)
+        forest = grow(rows, ForestParams(num_trees=5, seed=0))
+        values = permutation_importance(forest, feature_set(rows), repetitions=2, seed=1)
+        model, model_rows = _full_model()
+        by_sdg = ensemble.model_importance(model, feature_sets(model_rows), repetitions=2, seed=1)
+        values += [v for imps in by_sdg.values() for v in imps.values()]
+        assert len(values) == 2 + 17 * 2
+        assert all(type(v) is float for v in values)
 
 
 def _full_model(seed=0):

@@ -22,12 +22,10 @@ def _labeled(doc_id, labels, evaluated=None):
 
 
 def _matrix(predictions, doc_ids, system="sys"):
-    matrix = PredictionMatrix()
-    for d in doc_ids:
-        matrix.cover(d, system)
+    rows = {(d, system): 0 for d in doc_ids}
     for doc_id, sdg in predictions:
-        matrix.add(doc_id, system, sdg)
-    return matrix
+        rows[doc_id, system] |= 1 << (sdg - 1)
+    return PredictionMatrix(rows)
 
 
 class TestConfusion:
@@ -177,15 +175,13 @@ class TestMaskScoringOracle:
                         f"d{i}", text, tuple(text.split()), self._sdg_set(rng, 0.3), evaluated
                     )
                 )
-        matrix = PredictionMatrix()
+        rows = {}
         for doc in docs:
             for system in ("sys", "other"):
                 if rng.random() < 0.2:
                     continue  # an uncovered (doc, system) pair
-                matrix.cover(doc.id, system)
-                for g in self._sdg_set(rng, rng.random()):
-                    matrix.add(doc.id, system, g)
-        return Dataset("t", tuple(docs)), matrix
+                rows[doc.id, system] = sum(1 << (g - 1) for g in self._sdg_set(rng, rng.random()))
+        return Dataset("t", tuple(docs)), PredictionMatrix(rows)
 
     def test_matches_per_sdg_loops(self):
         rng = random.Random(20)

@@ -116,18 +116,17 @@ def test_emitter_matches_json_dumps():
     def text():
         return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 5)))
 
-    cases = [([], {}), ([], {"d": PredictionMatrix()}), (["s"], {})]
+    cases = [([], {}), ([], {"d": PredictionMatrix({})}), (["s"], {})]
     for _ in range(500):
         systems = sorted({text() for _ in range(rng.randrange(0, 4))})
         matrices = {}
         for _ in range(rng.randrange(0, 4)):
-            matrix = PredictionMatrix()
+            rows = {}
             for _ in range(rng.randrange(0, 8)):
                 doc_id, system = text(), rng.choice(systems or ["s"])
-                matrix.cover(doc_id, system)
-                for g in rng.sample(range(1, 18), rng.randrange(0, 5)):
-                    matrix.add(doc_id, system, g)
-            matrices[text()] = matrix
+                mask = sum(1 << (g - 1) for g in rng.sample(range(1, 18), rng.randrange(0, 5)))
+                rows[doc_id, system] = rows.get((doc_id, system), 0) | mask
+            matrices[text()] = PredictionMatrix(rows)
         cases.append((systems, matrices))
     for systems, matrices in cases:
         assert _matrix_json(systems, matrices) == _old_writer(systems, matrices)

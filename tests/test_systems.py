@@ -8,6 +8,7 @@ from sdgdetect.corpus import Dataset, Document
 from sdgdetect.errors import NearOperandError, QuerySyntaxError, SchemaError
 from sdgdetect.query import _MAX_NESTING, Not, Or, Term, query_to_string
 from sdgdetect.systems import (
+    Hit,
     PredictionMatrix,
     SystemDefinition,
     SystemEntry,
@@ -16,6 +17,7 @@ from sdgdetect.systems import (
     import_external_predictions,
     keyword_frequencies,
     load_system,
+    mask_sdgs,
     to_matrix,
 )
 
@@ -286,16 +288,9 @@ class TestMatrix:
         a = to_matrix(detect(ds, [system]), ds, [system])
         b = to_matrix([], ds, ["other"])
         a.merge(b)
-        assert a.systems == ["demo", "other"]
+        assert a.covers("d1", "demo") and a.covers("d1", "other")
         assert 1 in a.predicted("d1", "demo")
         assert 1 not in a.predicted("d1", "other")
-
-    @pytest.mark.parametrize("sdg", [0, 18, -1])
-    def test_add_rejects_sdg_outside_range(self, sdg):
-        matrix = PredictionMatrix()
-        with pytest.raises(SchemaError):
-            matrix.add("d1", "demo", sdg)
-        assert not matrix.covers("d1", "demo")
 
     def test_matches_oracle_on_random_operations(self):
         rng = random.Random(2024)
@@ -314,13 +309,19 @@ class TestMatrix:
                     ops.append(("add", doc, system, rng.choice(sdgs)))
             return ops
 
+        def matrix_of(ops):
+            """The matrix of the finished rows that ``ops`` describe."""
+            rows = {}
+            for _, doc, system, *sdg in ops:
+                rows[doc, system] = rows.get((doc, system), 0) | sum(1 << (g - 1) for g in sdg)
+            return PredictionMatrix(rows)
+
         def apply(matrix, ops):
             for name, *args in ops:
                 getattr(matrix, name)(*args)
             return matrix
 
         def assert_same(got, want):
-            assert got.systems == want.systems
             assert got.assignments == want.assignments
             for doc in docs + ["absent"]:
                 for system in systems + ["absent"]:
@@ -333,19 +334,19 @@ class TestMatrix:
 
         for _ in range(200):
             ops = random_ops(rng.randrange(0, 40))
-            got, want = apply(PredictionMatrix(), ops), apply(NaiveMatrix(), ops)
+            got, want = matrix_of(ops), apply(NaiveMatrix(), ops)
             assert_same(got, want)
             other_ops = random_ops(rng.randrange(0, 20))
-            got.merge(apply(PredictionMatrix(), other_ops))
+            got.merge(matrix_of(other_ops))
             want.merge(apply(NaiveMatrix(), other_ops))
             assert_same(got, want)
             more = random_ops(5)
-            assert_same(apply(got, more), apply(want, more))
+            got.merge(matrix_of(more))
+            assert_same(got, apply(want, more))
 
     def test_full_row_has_all_seventeen_sdgs(self):
-        matrix = PredictionMatrix()
-        for sdg in range(17, 0, -1):
-            matrix.add("d1", "demo", sdg)
+        hits = [Hit("d1", "demo", sdg, f"q{sdg}", ()) for sdg in range(17, 0, -1)]
+        matrix = to_matrix(hits, _dataset("text"), ["demo"])
         assert matrix.predicted("d1", "demo") == frozenset(range(1, 18))
         assert matrix.assignments == [("d1", "demo", g) for g in range(1, 18)]
 
@@ -354,36 +355,34 @@ class TestExternalPredictions:
     def test_import(self, tmp_path):
         p = tmp_path / "ext.csv"
         p.write_text("doc_id,sdg\nd1,3\nd1,7\n")
-        matrix = import_external_predictions(p, "ext", known_doc_ids=["d1", "d2"])
-        assert matrix.predicted("d1", "ext") == frozenset({3, 7})
-        assert matrix.covers("d2", "ext")
-        assert matrix.predicted("d2", "ext") == frozenset()
+        masks = import_external_predictions(p, ["d1", "d2"])
+        assert masks.keys() == {"d1", "d2"}
+        assert mask_sdgs(masks["d1"]) == [3, 7]
+        assert masks["d2"] == 0
 
     def test_empty_file_all_false(self, tmp_path):
         p = tmp_path / "ext.csv"
         p.write_text("doc_id,sdg\n")
-        matrix = import_external_predictions(p, "ext", known_doc_ids=["d1"])
-        assert matrix.predicted("d1", "ext") == frozenset()
+        assert import_external_predictions(p, ["d1"]) == {"d1": 0}
 
     def test_zero_byte_file_all_false(self, tmp_path):
         p = tmp_path / "ext.csv"
         p.write_bytes(b"")
-        matrix = import_external_predictions(p, "ext", known_doc_ids=["d1"])
-        assert matrix.predicted("d1", "ext") == frozenset()
+        assert import_external_predictions(p, ["d1"]) == {"d1": 0}
 
     def test_ids_with_line_breaks_kept_exactly(self, tmp_path):
         ids = ["d\r1", "d\r\n2", "d\n3"]
         p = tmp_path / "ext.csv"
         with open(p, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([["doc_id", "sdg"]] + [[doc_id, 5] for doc_id in ids])
-        matrix = import_external_predictions(p, "ext", known_doc_ids=ids)
-        assert [matrix.predicted(doc_id, "ext") for doc_id in ids] == [frozenset({5})] * 3
+        masks = import_external_predictions(p, ids)
+        assert [mask_sdgs(masks[doc_id]) for doc_id in ids] == [[5]] * 3
 
     def test_sdg_out_of_range(self, tmp_path):
         p = tmp_path / "ext.csv"
         p.write_text("doc_id,sdg\nd9,21\n")
         with pytest.raises(SchemaError):
-            import_external_predictions(p, "ext", known_doc_ids=["d9"])
+            import_external_predictions(p, ["d9"])
 
     @pytest.mark.parametrize(
         "body,error",
@@ -399,7 +398,7 @@ class TestExternalPredictions:
         p = tmp_path / "ext.csv"
         p.write_text(body)
         with pytest.raises(SchemaError, match=error):
-            import_external_predictions(p, "ext", known_doc_ids=["d1"], strict=strict)
+            import_external_predictions(p, ["d1"], strict=strict)
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_empty_column_name_refused(self, tmp_path, strict):
@@ -407,15 +406,14 @@ class TestExternalPredictions:
         p = tmp_path / "ext.csv"
         p.write_text("doc_id,sdg,\nd01,1,7\n")
         with pytest.raises(SchemaError, match=r"ext\.csv:1: CSV header has an empty column name"):
-            import_external_predictions(p, "ext", known_doc_ids=["d01"], strict=strict)
+            import_external_predictions(p, ["d01"], strict=strict)
 
     def test_unknown_doc_strict_vs_lenient(self, tmp_path, capsys):
         p = tmp_path / "ext.csv"
         p.write_text("doc_id,sdg\nd9,2\n")
         with pytest.raises(SchemaError):
-            import_external_predictions(p, "ext", known_doc_ids=["d1"])
-        matrix = import_external_predictions(p, "ext", known_doc_ids=["d1"], strict=False)
-        assert matrix.predicted("d1", "ext") == frozenset()
+            import_external_predictions(p, ["d1"])
+        assert import_external_predictions(p, ["d1"], strict=False) == {"d1": 0}
         assert "d9" in capsys.readouterr().err
 
 
@@ -442,3 +440,9 @@ class TestKeywordFrequencies:
 def test_system_definition_requires_entries():
     with pytest.raises(SchemaError):
         SystemDefinition("empty", ())
+
+
+@pytest.mark.parametrize("sdg", [0, 18, -1])
+def test_system_entry_rejects_sdg_outside_range(sdg):
+    with pytest.raises(SchemaError, match=f"SDG id {sdg} outside 1..17"):
+        SystemEntry(sdg, "q1", Term("poverty"))
