@@ -279,7 +279,8 @@ def warn(message: str) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 to ``path`` through a temporary file renamed into
-    place, so readers see the old file or the whole new one. On any error the
+    place, so readers see the old file or the whole new one. The file gets the
+    mode ``open`` would give a new one, ``0o666`` less the umask. On any error the
     temporary file is removed; an ``OSError`` is raised as ``IoError``, and
     text that UTF-8 cannot encode (a name holding a lone surrogate, as one
     read from undecodable bytes does) as ``SchemaError``."""
@@ -287,8 +288,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        os.umask(umask := os.umask(0))  # the umask can only be read by setting it
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")  # mode 0o600
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
         tmp = None

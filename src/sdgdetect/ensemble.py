@@ -25,11 +25,10 @@ flag or word count) stably sorted. Two budgets bound the memory
 sums are `cumsum`s, left to right, and each node's weight totals are
 numpy's `.sum()` over its rows, exact for bootstrap draw counts, so a
 tree is the one it would be grown alone.
-`forest_score` walks a whole matrix of rows through all trees at once.
-Permutation importance scores each 0/1 column flipped once instead of
-once per repetition, and stacks one forest's matrices into calls of at
-most `SCORE_PAIRS` (row, tree) pairs. Other float sums run left to right
-(`bias.sum_in_order`).
+`forest_score` walks its rows in blocks of at most `SCORE_PAIRS` (row, tree)
+pairs, one row at least. Permutation importance scores each 0/1 column
+flipped once instead of once per repetition, and scores one forest's stacked
+matrices in one call. Other float sums run left to right (`bias.sum_in_order`).
 """
 
 from __future__ import annotations
@@ -233,8 +232,7 @@ def _child_seed(*parts: int) -> int:
 # Lockstep growth holds the trees live at once to GROW_ROWS training rows in all
 # (each live tree keeps a weight and a positive weight per row), one tree at
 # least, and each scan block to SCAN_CELLS (segment, row) cells, one node at
-# least. Permutation importance stacks one forest's matrices to SCORE_PAIRS
-# (row, tree) pairs per forest_score call, and one matrix at least.
+# least. forest_score walks SCORE_PAIRS (row, tree) pairs at once, one row at least.
 GROW_ROWS = 1 << 16
 SCAN_CELLS = 1 << 13
 SCORE_PAIRS = 1 << 18
@@ -467,26 +465,30 @@ def train_forest(jobs: Iterable[Job]) -> list[Forest]:
 def forest_score(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Each row's mean leaf positive-fraction over all trees, in [0, 1].
 
-    ``X`` is a 2-D float array, one row per feature row. Every (row, tree)
-    pair walks down one level per step, and only the pairs not yet at a
-    leaf advance. Each row's leaf values are then added tree by tree in
+    ``X`` is a 2-D float array, one row per feature row, walked in blocks of
+    at most ``SCORE_PAIRS`` (row, tree) pairs, one row at least. In a block
+    every pair walks down one level per step, and only the pairs not yet at
+    a leaf advance. Each row's leaf values are then added tree by tree in
     stored order, starting from 0.0, and divided by the tree count.
     """
     if X.shape[1] != forest.n_features:
         raise SchemaMismatchError(f"expected {forest.n_features} features, got {X.shape[1]}")
     feature, threshold, right = forest.feature, forest.threshold, forest.right
     n_trees = len(forest.trees)
-    node = np.tile(forest.trees, len(X))  # pair i * n_trees + t: row i in tree t
-    pairs = np.flatnonzero(feature[node] >= 0)
-    while pairs.size:
-        at = node[pairs]
-        goes_left = X[pairs // n_trees, feature[at]] <= threshold[at]
-        node[pairs] = np.where(goes_left, at + 1, right[at])
-        pairs = pairs[feature[node[pairs]] >= 0]
-    leaf_p = forest.p[node].reshape(len(X), n_trees)
+    block = max(1, SCORE_PAIRS // n_trees)
     total = np.zeros(len(X))
-    for t in range(n_trees):
-        total += leaf_p[:, t]
+    for start in range(0, len(X), block):
+        rows, out = X[start : start + block], total[start : start + block]
+        node = np.tile(forest.trees, len(rows))  # pair i * n_trees + t: row i in tree t
+        pairs = np.flatnonzero(feature[node] >= 0)
+        while pairs.size:
+            at = node[pairs]
+            goes_left = rows[pairs // n_trees, feature[at]] <= threshold[at]
+            node[pairs] = np.where(goes_left, at + 1, right[at])
+            pairs = pairs[feature[node[pairs]] >= 0]
+        leaf_p = forest.p[node].reshape(len(rows), n_trees)
+        for t in range(n_trees):
+            out += leaf_p[:, t]
     return total / n_trees
 
 
@@ -718,9 +720,8 @@ def permutation_importance(
     repetition gives each row its baseline score where the permuted value
     equals its own, and its flipped score elsewhere. Any other column (the
     word count) is permuted and scored once per repetition. The baseline,
-    flipped and permuted matrices are stacked and scored in as few
-    ``forest_score`` calls as ``SCORE_PAIRS`` (row, tree) pairs per call
-    allow. The drops are taken in draw order and summed left to right, so
+    flipped and permuted matrices are stacked into one ``forest_score``
+    call. The drops are taken in draw order and summed left to right, so
     each importance is the one that scoring every permuted copy gives.
     """
     if repetitions < 1:
@@ -742,14 +743,10 @@ def permutation_importance(
     edits = [(0, X[:, 0])]  # (column, its values): the baseline first, unchanged
     for f, cols in enumerate(permuted):
         edits += [(f, 1.0 - X[:, f])] if flag[f] else [(f, col) for col in cols]
-    per_call = max(1, SCORE_PAIRS // (n * len(forest.trees)))
-    scores = []
-    for i in range(0, len(edits), per_call):
-        chunk = edits[i : i + per_call]
-        stacked = np.tile(X, (len(chunk), 1))
-        for j, (f, values) in enumerate(chunk):
-            stacked[j * n : (j + 1) * n, f] = values
-        scores.extend(forest_score(forest, stacked).reshape(len(chunk), n))
+    stacked = np.tile(X, (len(edits), 1))
+    for j, (f, values) in enumerate(edits):
+        stacked[j * n : (j + 1) * n, f] = values
+    scores = forest_score(forest, stacked).reshape(len(edits), n)
 
     base, scored = scores[0], iter(scores[1:])
     baseline = weighted_accuracy(base)

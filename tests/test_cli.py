@@ -71,6 +71,28 @@ class TestDetect:
         for name in ("hits.csv", "keyword_frequencies.csv", "matrix.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_outputs_take_the_umask(self, corpus, system, tmp_path, umask, mode):
+        """Each output, new or replacing a file of another mode, gets the mode
+        ``open`` gives a new file: 0o666 less the umask."""
+        new, replaced = tmp_path / "new", tmp_path / "replaced"
+        saved = os.umask(0o077 if umask == 0o022 else 0o022)
+        try:
+            assert _detect(corpus, system, replaced) == 0
+            os.umask(umask)
+            assert _detect(corpus, system, new) == 0
+            assert _detect(corpus, system, replaced) == 0
+        finally:
+            os.umask(saved)
+        for out in (new, replaced):
+            files = sorted(out.iterdir())
+            assert [f.name for f in files] == [
+                "hits.csv", "keyword_frequencies.csv", "manifest.json", "matrix.json"
+            ]
+            assert [f.stat().st_mode & 0o777 for f in files] == [mode] * 4
+
     def test_hit_with_no_positive_literal(self, tmp_path):
         """A pure NOT query's hit is one hits.csv row with no term and no
         positions; keyword_frequencies.csv counts only positive literals."""

@@ -5,6 +5,7 @@ import operator
 import os
 import random
 import sys
+import tracemalloc
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
@@ -544,6 +545,40 @@ class TestForestScores:
         none = forest_score(forest, np.empty((0, 2)))
         assert none.shape == (0,)
 
+    @pytest.mark.parametrize("n", [0, 1, 23])
+    def test_blocks_of_any_size_give_the_same_scores(self, monkeypatch, n):
+        """Rows are walked in blocks of ``SCORE_PAIRS // trees`` rows, one row at
+        least, the last block short; a row's score does not depend on its block."""
+        rows = _separable_rows(rng_seed=8)
+        params = ForestParams(num_trees=5, seed=4)
+        forest = grow(rows, params)
+        trees = len(forest.trees)
+        X = np.vstack([
+            np.array([r.features for r in rows[: n // 2]]).reshape(-1, 2),
+            np.random.default_rng(n).normal(0.5, 0.5, size=(n - n // 2, 2)),
+        ])
+        expected = [naive_forest_score(naive_trees(rows, params), x) for x in X.tolist()]
+        whole = forest_score(forest, X).tolist()  # one block at the default budget
+        assert whole == expected
+        for pairs in (1, trees - 1, trees, trees + 1, 3 * trees):
+            monkeypatch.setattr(ensemble, "SCORE_PAIRS", pairs)
+            assert forest_score(forest, X).tolist() == whole
+
+    def test_memory_is_bounded_by_the_budget(self, monkeypatch):
+        """Beyond the row sums and the scores it returns, a call holds arrays of
+        at most ``SCORE_PAIRS`` (row, tree) pairs, however many rows it scores."""
+        monkeypatch.setattr(ensemble, "SCORE_PAIRS", 2**10)
+        forest = grow(_separable_rows(n=60, rng_seed=5), ForestParams(num_trees=20, seed=1))
+        X = np.random.default_rng(5).normal(0.5, 0.5, size=(30_000, 2))
+        tracemalloc.start()
+        try:
+            scores = forest_score(forest, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few int64 and float64 arrays of one value per pair, with room to spare
+        assert peak <= 2 * scores.nbytes + 64 * 8 * ensemble.SCORE_PAIRS
+
     def test_width_mismatch(self):
         forest = grow(_separable_rows(), ForestParams(num_trees=2))
         with pytest.raises(SchemaMismatchError, match="expected 2 features, got 3"):
@@ -871,20 +906,18 @@ class TestPermutationImportance:
                 if kind in ("zeros", "ones"):
                     assert got[f] == 0.0
 
-    @pytest.mark.parametrize("per_call", [1, 2, 3])
-    def test_matrices_split_over_calls(self, monkeypatch, forest_score_calls, per_call):
-        """With room for ``per_call`` matrices per call, the baseline, the
-        flipped and the permuted matrices are scored ``per_call`` at a time
-        in order, and the importances stay the oracle's."""
+    @pytest.mark.parametrize("block_rows", [1, 2, 3])
+    def test_matrices_scored_in_one_call(self, monkeypatch, forest_score_calls, block_rows):
+        """Whatever the rows of ``forest_score``'s blocks, the baseline, the
+        flipped and the permuted matrices are stacked into one call, and the
+        importances stay the oracle's."""
         kinds, repetitions, n, trees = ("flag", "two", "flag", "tied"), 4, 30, 3
         rows = self._kind_rows(kinds, n, 5)
         params = ForestParams(num_trees=trees, seed=5)
         forest = grow(rows, params)
-        monkeypatch.setattr(ensemble, "SCORE_PAIRS", per_call * n * trees + trees - 1)
+        monkeypatch.setattr(ensemble, "SCORE_PAIRS", block_rows * trees + trees - 1)
         got = permutation_importance(forest, feature_set(rows), repetitions, 9)
-        matrices = 1 + 2 + 2 * repetitions
-        whole, rest = divmod(matrices, per_call)
-        assert forest_score_calls == [per_call * n] * whole + [rest * n] * (rest > 0)
+        assert forest_score_calls == [(1 + 2 + 2 * repetitions) * n]
         expected = naive_permutation_importance(naive_trees(rows, params), rows, repetitions, 9)
         assert got == expected
 

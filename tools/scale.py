@@ -17,14 +17,18 @@ runs ``--folds`` folds of one repeat and ``train_model`` grows the 17 final
 forests, each forest with ``--trees`` trees and every other setting at the
 CLI's default. ``model_importance`` permutes each feature of the trained
 model ``--repetitions`` times (the CLI's default is 10) with seed 0, as
-``sdgdetect importance`` does.
+``sdgdetect importance`` does. Then ``EnsembleModel.score_documents`` scores
+every labeled and synthetic dataset with the trained model, its masks built
+as ``sdgdetect predict`` builds them, and ``tracemalloc`` records the peak
+memory of a second, untimed call (tracing doubled the time of scoring).
 
 The last line of standard output is one JSON object: each SDG's feature rows
 and distinct ``(x, y)`` rows, the wall and CPU seconds of ``detect_matrix``
 (over the four datasets), ``build_features``, ``cross_validate``,
-``train_model`` and ``model_importance``, the SHA-256
-of ``repr`` of the ``CvResult``, of the saved ``model.json`` and of
-``repr`` of the importances, and the process's peak RSS. The digests depend
+``train_model``, ``model_importance`` and scoring, the ``tracemalloc`` peak
+of scoring, the SHA-256 of ``repr`` of the ``CvResult``, of the saved
+``model.json``, of ``repr`` of the importances and of ``repr`` of the score
+lists, and the process's peak RSS. The digests depend
 only on the flags, so two runs of one tree must print the same ones.
 """
 
@@ -36,6 +40,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +86,18 @@ def _timed(call):
     return result, time.perf_counter() - wall, time.process_time() - cpu
 
 
+def _score(model, matrices, datasets):
+    """Each dataset's score lists, computed as ``sdgdetect predict`` computes them."""
+    scores = []
+    for ds in datasets:
+        row = matrices[ds.name].row
+        scores.append(model.score_documents(
+            [[row(doc.id, s) for s in model.system_names] for doc in ds.documents],
+            [doc.word_count for doc in ds.documents],
+        ))
+    return scores
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--docs", type=int, default=1500, help="documents per labeled dataset")
@@ -112,6 +129,15 @@ def main(argv=None) -> int:
         importances, importance_wall, importance_cpu = _timed(
             lambda: model_importance(model, features, repetitions=args.repetitions)
         )
+        predictions, predict_wall, predict_cpu = _timed(
+            lambda: _score(model, matrices, labeled + synthetic)
+        )
+        tracemalloc.start()
+        try:
+            _score(model, matrices, labeled + synthetic)
+            predict_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     result = {
         "docs": 2 * args.docs,
         "trees": args.trees,
@@ -131,9 +157,13 @@ def main(argv=None) -> int:
         "train_model_cpu_s": round(train_cpu, 3),
         "model_importance_wall_s": round(importance_wall, 3),
         "model_importance_cpu_s": round(importance_cpu, 3),
+        "predict_wall_s": round(predict_wall, 3),
+        "predict_cpu_s": round(predict_cpu, 3),
+        "predict_tracemalloc_peak_mb": round(predict_peak / 2**20, 1),
         "cv_result_sha256": hashlib.sha256(repr(cv).encode()).hexdigest(),
         "model_json_sha256": hashlib.sha256(model_bytes).hexdigest(),
         "importance_sha256": hashlib.sha256(repr(importances).encode()).hexdigest(),
+        "predictions_sha256": hashlib.sha256(repr(predictions).encode()).hexdigest(),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     print(json.dumps(result))
