@@ -210,7 +210,6 @@ def _load_matrix_file(
         raise SchemaError(f"{path}: 'systems' lists a name twice: {systems}")
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: 'datasets' must map dataset names to assignments")
-    listed = set(systems)
     matrices: dict[str, PredictionMatrix] = {}
     for ds in datasets:
         if ds.name not in raw:
@@ -219,22 +218,22 @@ def _load_matrix_file(
         assignments = entry.get("assignments") if isinstance(entry, dict) else None
         if not isinstance(assignments, list):
             raise SchemaError(f"{path}: dataset {ds.name!r} has no 'assignments' list")
-        doc_ids = {doc.id for doc in ds.documents}
-        rows = {(doc.id, s): 0 for doc in ds.documents for s in systems}
+        doc_ids = dict.fromkeys((doc.id for doc in ds.documents), 0)  # dataset order
+        columns = {s: doc_ids.copy() for s in systems}
         for item in assignments:
             if type(item) is not list or len(item) != 3:
                 problem = "expected [doc_id, system, sdg]"
             elif type(item[0]) is not str or item[0] not in doc_ids:
                 problem = "unknown doc_id"
-            elif type(item[1]) is not str or item[1] not in listed:
+            elif type(item[1]) is not str or item[1] not in columns:
                 problem = "system not listed in 'systems'"
             elif type(item[2]) is not int or not 1 <= item[2] <= 17:
                 problem = "SDG id must be an integer in 1..17"
             else:
-                rows[item[0], item[1]] |= 1 << (item[2] - 1)
+                columns[item[1]][item[0]] |= 1 << (item[2] - 1)
                 continue
             raise SchemaError(f"{path}: dataset {ds.name!r}, assignment {item!r}: {problem}")
-        matrices[ds.name] = PredictionMatrix(rows)
+        matrices[ds.name] = PredictionMatrix(columns)
     return systems, matrices
 
 
@@ -356,8 +355,8 @@ def cmd_detect(args) -> tuple[dict, dict, list]:
     for ds in datasets:
         hits = detect(ds, systems)
         matrices[ds.name] = to_matrix(hits, ds, systems)
-        rows = {(doc.id, name): masks[doc.id] for name, masks in external for doc in ds.documents}
-        matrices[ds.name].merge(PredictionMatrix(rows))
+        for name, masks in external:
+            matrices[ds.name].columns[name] = {doc.id: masks[doc.id] for doc in ds.documents}
         for hit in hits:
             # a hit with no positive literal (a pure NOT query) is one row with no term
             for term, positions in hit.matched_terms or (("", ()),):
@@ -400,12 +399,12 @@ def cmd_evaluate(args) -> tuple[dict, dict, list]:
 def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, systems: list[str]):
     """The expert SDG profile of a dataset and each system's, by system name;
     a system's counts only the SDGs evaluated on each document."""
-    row, docs = matrix.row, ds.documents
+    docs = ds.documents
     expert = profile([doc.labels for doc in docs])
-    predicted = {
-        s: profile([mask_sdgs(row(doc.id, s) & doc.evaluated_mask) for doc in docs])
-        for s in systems
-    }
+    predicted = {}
+    for s in systems:
+        column = matrix.columns[s]
+        predicted[s] = profile([mask_sdgs(column[doc.id] & doc.evaluated_mask) for doc in docs])
     return expert, predicted
 
 
@@ -543,9 +542,10 @@ def cmd_predict(args) -> tuple[dict, dict, list]:
 
     rows = []
     for ds in datasets:
-        row = detect_matrix(ds, systems).row
+        matrix = detect_matrix(ds, systems)
+        columns = [matrix.columns[s] for s in model.system_names]
         scores = model.score_documents(
-            [[row(doc.id, s) for s in model.system_names] for doc in ds.documents],
+            [[column[doc.id] for column in columns] for doc in ds.documents],
             [doc.word_count for doc in ds.documents],
         )
         for doc, column in zip(ds.documents, zip(*scores)):

@@ -85,6 +85,8 @@ WORD_COUNT_FEATURE = "word_count"
 
 
 def feature_names_for(system_names: Sequence[str]) -> list[str]:
+    if len(set(system_names)) != len(system_names):
+        raise SchemaError(f"system names repeat: {list(system_names)}")
     if WORD_COUNT_FEATURE in system_names:
         raise SchemaError(f"system name {WORD_COUNT_FEATURE!r} is the word-count feature's name")
     return list(system_names) + [WORD_COUNT_FEATURE]
@@ -178,7 +180,7 @@ def build_features(
     Rows follow the labeled datasets' documents, then, when k > 0, the
     synthetic ones', which are negative for all 17 SDGs. A labeled document
     gives a row per SDG in its evaluated set, an unlabeled one (evaluated set
-    empty) none. Every system must cover every synthetic and labeled document.
+    empty) none. Every system must have a column in every dataset's matrix.
     """
     if k < 0:
         raise ParamError("synthetic weight factor k must be non-negative")
@@ -191,6 +193,12 @@ def build_features(
         if not synthetic and not ds.labeled:
             raise NoLabelsError(f"dataset {ds.name!r} has no expert labels")
         matrix = matrices[ds.name]
+        for s in system_names:
+            if s not in matrix.columns:
+                raise MissingSystemError(
+                    f"system {s!r} has no predictions for dataset {ds.name!r}"
+                )
+        columns = [matrix.columns[s] for s in system_names]
         for doc in ds.documents:
             if synthetic:
                 evaluated, labels = (1 << 17) - 1, 0  # every SDG, none of them positive
@@ -198,12 +206,7 @@ def build_features(
                 evaluated, labels = doc.evaluated_mask, doc.label_mask
             else:
                 continue
-            for s in system_names:
-                if not matrix.covers(doc.id, s):
-                    raise MissingSystemError(
-                        f"system {s!r} has no predictions for document {doc.id!r}"
-                    )
-            masks = [matrix.row(doc.id, s) for s in system_names]
+            masks = [column[doc.id] for column in columns]
             table.append(masks + [evaluated, labels, synthetic, doc.word_count])
             keys.append((ds.name, doc.id))
             weights.append(weight)
@@ -469,16 +472,17 @@ def forest_score(forest: Forest, X: np.ndarray) -> np.ndarray:
     at most ``SCORE_PAIRS`` (row, tree) pairs, one row at least. In a block
     every pair walks down one level per step, and only the pairs not yet at
     a leaf advance. Each row's leaf values are then added tree by tree in
-    stored order, starting from 0.0, and divided by the tree count.
+    stored order (one ``cumsum`` per block, which numpy runs left to right)
+    and divided by the tree count.
     """
     if X.shape[1] != forest.n_features:
         raise SchemaMismatchError(f"expected {forest.n_features} features, got {X.shape[1]}")
     feature, threshold, right = forest.feature, forest.threshold, forest.right
     n_trees = len(forest.trees)
     block = max(1, SCORE_PAIRS // n_trees)
-    total = np.zeros(len(X))
+    total = np.empty(len(X))
     for start in range(0, len(X), block):
-        rows, out = X[start : start + block], total[start : start + block]
+        rows = X[start : start + block]
         node = np.tile(forest.trees, len(rows))  # pair i * n_trees + t: row i in tree t
         pairs = np.flatnonzero(feature[node] >= 0)
         while pairs.size:
@@ -487,8 +491,7 @@ def forest_score(forest: Forest, X: np.ndarray) -> np.ndarray:
             node[pairs] = np.where(goes_left, at + 1, right[at])
             pairs = pairs[feature[node[pairs]] >= 0]
         leaf_p = forest.p[node].reshape(len(rows), n_trees)
-        for t in range(n_trees):
-            out += leaf_p[:, t]
+        total[start : start + block] = leaf_p.cumsum(axis=1)[:, -1]
     return total / n_trees
 
 

@@ -57,7 +57,7 @@ class MetricReport:
 def confusion(matrix: PredictionMatrix, dataset: Dataset, system: str) -> ConfusionCounts:
     """Tally TP/FP/TN/FN over every evaluated (document, SDG) pair.
 
-    Each document is one step of mask arithmetic: its prediction row and
+    Each document is one step of mask arithmetic: its prediction mask and
     its labels are each ANDed with its evaluated mask, so SDGs outside the
     evaluated set never count (none of an unlabeled document's), and each
     tally adds the ``bit_count`` of one AND.
@@ -65,10 +65,10 @@ def confusion(matrix: PredictionMatrix, dataset: Dataset, system: str) -> Confus
     if not dataset.labeled:
         raise NoLabelsError(f"dataset {dataset.name!r} has no expert labels")
     tp = fp = tn = fn = 0
-    row = matrix.row
+    column = matrix.columns[system]
     for doc in dataset.documents:
         evaluated = doc.evaluated_mask
-        predicted = row(doc.id, system) & evaluated
+        predicted = column[doc.id] & evaluated
         labeled = doc.label_mask & evaluated
         tp += (predicted & labeled).bit_count()
         fp += (predicted & ~labeled).bit_count()
@@ -106,7 +106,6 @@ def sdgs_per_document(
 ) -> tuple[float, float]:
     """(mean SDGs assigned per document, mean word count) for plotting."""
     n = len(dataset.documents)
-    row = matrix.row
-    total_sdgs = sum(row(doc.id, system).bit_count() for doc in dataset.documents)
+    total_sdgs = sum(mask.bit_count() for mask in matrix.columns[system].values())
     total_words = sum(doc.word_count for doc in dataset.documents)
     return (total_sdgs / n, total_words / n)

@@ -6,8 +6,9 @@ OR-combined at the system level (any matching query assigns the SDG).
 External (black-box) predictions arrive as ``doc_id,sdg`` CSV and carry
 no keyword evidence; they are read as one SDG mask per known doc id.
 
-Detection and every reader fill a ``{(doc_id, system): mask}`` dictionary
-and hand it, finished, to a ``PredictionMatrix``.
+Detection and every reader fill one ``{doc_id: mask}`` column per system,
+over every document of the dataset, and hand the columns, finished, to a
+``PredictionMatrix``.
 """
 
 from __future__ import annotations
@@ -82,41 +83,29 @@ def mask_sdgs(mask: int) -> list[int]:
 
 
 class PredictionMatrix:
-    """Boolean (doc_id, system, sdg) assignments plus coverage tracking.
+    """Boolean (doc_id, system, sdg) assignments of one dataset, one column per system.
 
-    Coverage records which (doc, system) pairs were actually evaluated so
-    that an absent assignment can be told apart from a system that was
-    never run on the document.
-
-    Each covered (doc, system) pair is one row: a 17-bit mask whose bit
-    ``sdg - 1`` is set when the SDG is predicted. A matrix is built from a
-    finished dictionary of such rows, which it then owns; ``merge`` ORs
-    another matrix's rows in. Every lookup is one dictionary probe, and
-    consumers score a whole row with mask operations through ``row``.
+    ``columns[system]`` maps every document id of the dataset to a 17-bit
+    mask whose bit ``sdg - 1`` is set when the system predicts the SDG. A
+    system that was run has a column over every document, all-false rows
+    included, so an absent assignment is told apart from a system that was
+    never run: the latter has no column at all. A matrix is built from
+    finished columns, which it then owns; consumers look each system's
+    column up once and score whole masks.
     """
 
-    def __init__(self, rows: dict[tuple[str, str], int]):
-        self._rows = rows
-
-    def row(self, doc_id: str, system: str) -> int:
-        """The pair's SDG mask; 0 when nothing is predicted or it is not covered."""
-        return self._rows.get((doc_id, system), 0)
+    def __init__(self, columns: dict[str, dict[str, int]]):
+        self.columns = columns
 
     def predicted(self, doc_id: str, system: str) -> frozenset[int]:
-        return frozenset(mask_sdgs(self._rows.get((doc_id, system), 0)))
-
-    def covers(self, doc_id: str, system: str) -> bool:
-        return (doc_id, system) in self._rows
+        """The SDGs predicted for the pair; empty where the system has no column."""
+        return frozenset(mask_sdgs(self.columns.get(system, {}).get(doc_id, 0)))
 
     @property
     def assignments(self) -> list[tuple[str, str, int]]:
-        """Every (doc_id, system, sdg), sorted: rows by key, each row's SDGs ascending."""
-        return [(d, s, g) for (d, s), mask in sorted(self._rows.items()) for g in mask_sdgs(mask)]
-
-    def merge(self, other: "PredictionMatrix") -> None:
-        rows = self._rows
-        for key, mask in other._rows.items():
-            rows[key] = rows.get(key, 0) | mask
+        """Every (doc_id, system, sdg), sorted."""
+        rows = sorted((d, s, m) for s, column in self.columns.items() for d, m in column.items())
+        return [(d, s, g) for d, s, mask in rows for g in mask_sdgs(mask)]
 
 
 def load_system(path: str | Path) -> SystemDefinition:
@@ -185,30 +174,23 @@ def detect_matrix(dataset: Dataset, systems: Sequence[SystemDefinition]) -> Pred
     """``to_matrix(detect(dataset, systems), dataset, systems)``, set straight
     from the matching (document, query) pairs: no positions, hits or sort."""
     entries, _, found = _search(dataset, systems)
-    rows = _covered(dataset, systems)
     ids = [doc.id for doc in dataset.documents]
-    bits = [1 << (entry.sdg - 1) for _, entry in entries]
+    columns = {system.name: dict.fromkeys(ids, 0) for system in systems}
     for d, q in found:
-        rows[ids[d], entries[q][0]] |= bits[q]
-    return PredictionMatrix(rows)
-
-
-def _covered(
-    dataset: Dataset, systems: Sequence[SystemDefinition | str]
-) -> dict[tuple[str, str], int]:
-    """An all-false row for every (document, system) of the dataset."""
-    names = [s if isinstance(s, str) else s.name for s in systems]
-    return {(doc.id, name): 0 for doc in dataset.documents for name in names}
+        name, entry = entries[q]
+        columns[name][ids[d]] |= 1 << (entry.sdg - 1)
+    return PredictionMatrix(columns)
 
 
 def to_matrix(
-    hits: Iterable[Hit], dataset: Dataset, systems: Sequence[SystemDefinition | str]
+    hits: Iterable[Hit], dataset: Dataset, systems: Sequence[SystemDefinition]
 ) -> PredictionMatrix:
-    """Collapse hits to booleans; zero-hit documents appear as all-false rows."""
-    rows = _covered(dataset, systems)
+    """Collapse hits to booleans; zero-hit documents are all-false in every column."""
+    ids = [doc.id for doc in dataset.documents]
+    columns = {system.name: dict.fromkeys(ids, 0) for system in systems}
     for hit in hits:
-        rows[hit.doc_id, hit.system] |= 1 << (hit.sdg - 1)
-    return PredictionMatrix(rows)
+        columns[hit.system][hit.doc_id] |= 1 << (hit.sdg - 1)
+    return PredictionMatrix(columns)
 
 
 def import_external_predictions(

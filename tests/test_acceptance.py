@@ -233,7 +233,7 @@ def test_c09_k_weighting_contract():
         )
         synth = Dataset("syn", (Document.from_text("s1", "z"),))
         matrices = {
-            name: PredictionMatrix({(d, "sysA"): 0 for d in ids})
+            name: PredictionMatrix({"sysA": dict.fromkeys(ids, 0)})
             for name, ids in (("lab", ["d1", "d2"]), ("syn", ["s1"]))
         }
         rows0 = build_features(matrices, ["sysA"], [labeled], [synth], k=0.0)

@@ -804,6 +804,33 @@ class TestPredictRejectsCorruptModel:
         assert not (tmp_path / "pred" / "predictions.csv").exists()
 
 
+class TestModelNamesASystemTwice:
+    """A model.json whose system_names (with feature_names to match) name a
+    system twice is corrupt: predict and importance exit 3 and write nothing."""
+
+    @pytest.mark.parametrize("command", ["predict", "importance"])
+    def test_exits_3(self, demo_commands, command, tmp_path, capsys):
+        argv = list(demo_commands[command])
+        beta = argv.index(str(DEMO / "system_beta.csv"))
+        del argv[beta - 1 : beta + 1]  # the systems the edited model names: alpha and gamma
+        at = argv.index("--model") + 1
+        payload = json.loads(Path(argv[at]).read_text())
+        assert payload["system_names"] == ["alpha", "beta", "gamma"]
+        payload.update(
+            system_names=["alpha", "alpha", "gamma"],
+            feature_names=["alpha", "alpha", "gamma", "word_count"],
+        )
+        argv[at] = str(tmp_path / "model.json")
+        Path(argv[at]).write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error [E_CORRUPT]: ") and "system names repeat" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",

@@ -75,10 +75,10 @@ class TestBuildFeatures:
             (Document.from_text("s1", "x y z"), Document.from_text("s2", "q")),
         )
         matrices = {
-            name: PredictionMatrix({(d, s): 0 for d in docs for s in ("sysA", "sysB")})
+            name: PredictionMatrix({s: dict.fromkeys(docs, 0) for s in ("sysA", "sysB")})
             for name, docs in (("lab", ["d1", "d2"]), ("syn", ["s1", "s2"]))
         }
-        matrices["lab"].merge(PredictionMatrix({("d1", "sysA"): 1 << 0}))
+        matrices["lab"].columns["sysA"]["d1"] = 1 << 0
         return matrices, labeled, synth
 
     def test_weights_and_features(self):
@@ -109,12 +109,23 @@ class TestBuildFeatures:
         with pytest.raises(MissingSystemError):
             build_features(matrices, ["sysA", "sysC"], [labeled], [synth], k=1.0)
 
+    def test_missing_column_names_the_dataset(self):
+        """A matrix with no column for a system is refused, naming the system
+        and the dataset; a synthetic dataset's only when it is read (k > 0)."""
+        matrices, labeled, synth = self._setup()
+        del matrices["syn"].columns["sysB"]
+        features = build_features(matrices, ["sysA", "sysB"], [labeled], [synth], k=0.0)
+        assert sorted(features) == list(range(1, 18))
+        message = "system 'sysB' has no predictions for dataset 'syn'"
+        with pytest.raises(MissingSystemError, match=message):
+            build_features(matrices, ["sysA", "sysB"], [labeled], [synth], k=1.0)
+
     def test_evaluated_restriction(self):
         labeled = Dataset(
             "lab",
             (Document.from_text("d1", "t", [2], [2, 5]),),
         )
-        m = PredictionMatrix({("d1", "sysA"): 0})
+        m = PredictionMatrix({"sysA": {"d1": 0}})
         rows = build_features({"lab": m}, ["sysA"], [labeled], [], k=0.0)
         present = {g for g in rows if rows[g]}
         assert present == {2, 5}
@@ -123,7 +134,7 @@ class TestBuildFeatures:
     def test_demo_rows_match_the_matrix(self, k):
         """Every row of every SDG on the demo, against ``PredictionMatrix.predicted``,
         the word count, the labels and the 1/N and k/N weights, with one document
-        judged for two SDGs only and a plain Document that no system covers."""
+        judged for two SDGs only and a plain Document that no system's column holds."""
         labeled = load_documents(DEMO / "corpus.jsonl")
         systems = [load_system(DEMO / f"system_{s}.csv") for s in ("alpha", "beta", "gamma")]
         table = load_frequency_table(DEMO / "wordfreq.tsv")
@@ -136,7 +147,7 @@ class TestBuildFeatures:
         docs[0] = replace(docs[0], evaluated=frozenset({1, 5}))
         docs.append(Document.from_text("plain", "poverty and hunger"))
         labeled = Dataset(labeled.name, tuple(docs))
-        assert not any(matrices[labeled.name].covers("plain", s) for s in names)
+        assert not any("plain" in column for column in matrices[labeled.name].columns.values())
 
         features = build_features(matrices, names, [labeled], [synthetic], k)
         assert sorted(features) == list(range(1, 18))

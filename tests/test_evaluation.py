@@ -22,10 +22,10 @@ def _labeled(doc_id, labels, evaluated=None):
 
 
 def _matrix(predictions, doc_ids, system="sys"):
-    rows = {(d, system): 0 for d in doc_ids}
+    column = dict.fromkeys(doc_ids, 0)
     for doc_id, sdg in predictions:
-        rows[doc_id, system] |= 1 << (sdg - 1)
-    return PredictionMatrix(rows)
+        column[doc_id] |= 1 << (sdg - 1)
+    return PredictionMatrix({system: column})
 
 
 class TestConfusion:
@@ -175,20 +175,25 @@ class TestMaskScoringOracle:
                         f"d{i}", text, tuple(text.split()), self._sdg_set(rng, 0.3), evaluated
                     )
                 )
-        rows = {}
-        for doc in docs:
-            for system in ("sys", "other"):
-                if rng.random() < 0.2:
-                    continue  # an uncovered (doc, system) pair
-                rows[doc.id, system] = sum(1 << (g - 1) for g in self._sdg_set(rng, rng.random()))
-        return Dataset("t", tuple(docs)), PredictionMatrix(rows)
+        columns = {}
+        for system in ("sys", "other"):
+            if rng.random() < 0.2:
+                continue  # a system with no column
+            columns[system] = {
+                doc.id: sum(1 << (g - 1) for g in self._sdg_set(rng, rng.random())) for doc in docs
+            }
+        return Dataset("t", tuple(docs)), PredictionMatrix(columns)
 
     def test_matches_per_sdg_loops(self):
         rng = random.Random(20)
         scored = 0
-        for _ in range(400):
+        for _ in range(800):
             ds, matrix = self._case(rng)
             for system in ("sys", "other", "absent"):
+                if system not in matrix.columns:  # a system never run is not scored as all-false
+                    with pytest.raises(KeyError):
+                        sdgs_per_document(matrix, ds, system)
+                    continue
                 assert sdgs_per_document(matrix, ds, system) == naive_sdgs_per_document(
                     matrix, ds, system
                 )

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from sdgdetect.cli import _matrix_json, main
+from sdgdetect.cli import _load_matrix_file, _matrix_json, main
+from sdgdetect.corpus import load_documents
 from sdgdetect.query import _MAX_NESTING
 from sdgdetect.systems import PredictionMatrix
 
@@ -97,6 +98,20 @@ def test_golden_matrix(tmp_path):
     assert written == (DATA / "golden_matrix.json").read_bytes()
 
 
+def test_loaded_matrix_round_trips(tmp_path):
+    """Reading the golden matrix back gives every listed system a column over
+    every document, in dataset order, and the columns write the same bytes."""
+    flags = golden_inputs(tmp_path)
+    datasets = [load_documents(path) for path in flags[1:4:2]]
+    path = DATA / "golden_matrix.json"
+    systems, matrices = _load_matrix_file(path, datasets)
+    for ds in datasets:
+        columns = matrices[ds.name].columns
+        assert list(columns) == systems
+        assert all(list(column) == [doc.id for doc in ds.documents] for column in columns.values())
+    assert _matrix_json(systems, matrices) == path.read_text(encoding="utf-8")
+
+
 def _old_writer(system_names, matrices) -> str:
     payload = {
         "systems": sorted(system_names),
@@ -121,12 +136,14 @@ def test_emitter_matches_json_dumps():
         systems = sorted({text() for _ in range(rng.randrange(0, 4))})
         matrices = {}
         for _ in range(rng.randrange(0, 4)):
-            rows = {}
-            for _ in range(rng.randrange(0, 8)):
-                doc_id, system = text(), rng.choice(systems or ["s"])
-                mask = sum(1 << (g - 1) for g in rng.sample(range(1, 18), rng.randrange(0, 5)))
-                rows[doc_id, system] = rows.get((doc_id, system), 0) | mask
-            matrices[text()] = PredictionMatrix(rows)
+            doc_ids = sorted({text() for _ in range(rng.randrange(0, 8))})
+            matrices[text()] = PredictionMatrix({
+                system: {
+                    doc_id: sum(1 << (g - 1) for g in rng.sample(range(1, 18), rng.randrange(0, 5)))
+                    for doc_id in doc_ids
+                }
+                for system in rng.sample(systems, rng.randrange(0, len(systems) + 1))
+            })
         cases.append((systems, matrices))
     for systems, matrices in cases:
         assert _matrix_json(systems, matrices) == _old_writer(systems, matrices)

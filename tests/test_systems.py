@@ -243,13 +243,13 @@ def _random_corpora():
 
 class TestMatrix:
     def test_detect_matrix_equals_the_matrix_of_hits(self):
-        """The matrix set straight from the matching pairs has the rows the
+        """The matrix set straight from the matching pairs has the columns the
         hits give, on the oracle's random corpora: prefix vocabularies,
         pure NOT queries, phrases, NEAR and empty documents."""
         seen = Counter()
         for ds, systems in _random_corpora():
-            rows = list(detect_matrix(ds, systems)._rows.items())
-            assert rows == list(to_matrix(detect(ds, systems), ds, systems)._rows.items())
+            columns = detect_matrix(ds, systems).columns
+            assert columns == to_matrix(detect(ds, systems), ds, systems).columns
             seen["empty documents"] += sum(not doc.tokens for doc in ds.documents)
             for entry in (entry for system in systems for entry in system.entries):
                 text = query_to_string(entry.query)
@@ -258,13 +258,22 @@ class TestMatrix:
                 seen["NEAR"] += "NEAR/" in text
         assert all(seen[kind] for kind in ("empty documents", "pure NOT", "phrase", "NEAR"))
 
+    def test_every_system_has_a_column_over_every_document(self):
+        """Both builders give each system one column holding every document of
+        the dataset, in dataset order, whether or not any of its queries match."""
+        for ds, systems in _random_corpora():
+            ids = [doc.id for doc in ds.documents]
+            for matrix in (detect_matrix(ds, systems), to_matrix([], ds, systems)):
+                assert list(matrix.columns) == [s.name for s in systems]
+                assert all(list(column) == ids for column in matrix.columns.values())
+
     def test_to_matrix(self, tmp_path):
         system = load_system(_system(tmp_path / "s.csv", ["demo,1,q1,poverty"]))
         ds = _dataset("poverty here", "nothing to see")
         matrix = to_matrix(detect(ds, [system]), ds, [system])
         assert 1 in matrix.predicted("d1", "demo")
         assert 1 not in matrix.predicted("d2", "demo")
-        assert matrix.covers("d2", "demo")
+        assert matrix.columns["demo"]["d2"] == 0
 
     def test_duplicate_hits_collapse(self, tmp_path):
         system = load_system(
@@ -282,50 +291,46 @@ class TestMatrix:
         matrix = to_matrix([], ds, [system])
         assert matrix.predicted("d1", "demo") == frozenset()
 
-    def test_merge_keeps_consistency(self, tmp_path):
+    def test_system_without_hits_keeps_its_column(self, tmp_path):
+        """A system that matches nothing has an all-false column beside one that matches."""
         system = load_system(_system(tmp_path / "s.csv", ["demo,1,q1,poverty"]))
+        other = load_system(_system(tmp_path / "o.csv", ["other,1,q1,hunger"]))
         ds = _dataset("poverty")
-        a = to_matrix(detect(ds, [system]), ds, [system])
-        b = to_matrix([], ds, ["other"])
-        a.merge(b)
-        assert a.covers("d1", "demo") and a.covers("d1", "other")
-        assert 1 in a.predicted("d1", "demo")
-        assert 1 not in a.predicted("d1", "other")
+        matrix = to_matrix(detect(ds, [system, other]), ds, [system, other])
+        assert matrix.columns == {"demo": {"d1": 1}, "other": {"d1": 0}}
+        assert 1 in matrix.predicted("d1", "demo")
+        assert 1 not in matrix.predicted("d1", "other")
+        assert matrix.assignments == [("d1", "demo", 1)]
 
     def test_matches_oracle_on_random_operations(self):
+        """Random columns, and further columns added to a built matrix (as
+        ``detect`` adds its external systems' columns), against ``NaiveMatrix``."""
         rng = random.Random(2024)
         docs = [f"d{i}" for i in range(6)]
-        systems = ["a", "b", "c"]
+        systems = ["a", "b", "c", "d", "e"]
         # 1 and 17 are the lowest and highest bits of a row
         sdgs = [1, 2, 9, 16, 17]
 
-        def random_ops(n):
-            ops = []
-            for _ in range(n):
-                doc, system = rng.choice(docs), rng.choice(systems)
-                if rng.random() < 0.3:
-                    ops.append(("cover", doc, system))
-                else:
-                    ops.append(("add", doc, system, rng.choice(sdgs)))
-            return ops
-
-        def matrix_of(ops):
-            """The matrix of the finished rows that ``ops`` describe."""
-            rows = {}
-            for _, doc, system, *sdg in ops:
-                rows[doc, system] = rows.get((doc, system), 0) | sum(1 << (g - 1) for g in sdg)
-            return PredictionMatrix(rows)
-
-        def apply(matrix, ops):
-            for name, *args in ops:
-                getattr(matrix, name)(*args)
-            return matrix
+        def random_columns(names):
+            """Random columns for ``names``, and the same as a NaiveMatrix."""
+            columns, naive = {}, NaiveMatrix()
+            for system in names:
+                columns[system] = dict.fromkeys(docs, 0)
+                for doc in docs:
+                    naive.cover(doc, system)
+                for _ in range(rng.randrange(0, 15)):
+                    doc, sdg = rng.choice(docs), rng.choice(sdgs)
+                    columns[system][doc] |= 1 << (sdg - 1)
+                    naive.add(doc, system, sdg)
+            return columns, naive
 
         def assert_same(got, want):
             assert got.assignments == want.assignments
+            assert sorted(got.columns) == want.systems
             for doc in docs + ["absent"]:
                 for system in systems + ["absent"]:
-                    assert got.covers(doc, system) == want.covers(doc, system)
+                    covered = doc in got.columns.get(system, ())
+                    assert covered == want.covers(doc, system)
                     assert got.predicted(doc, system) == want.predicted(doc, system)
                     for sdg in range(0, 19):
                         assert (sdg in got.predicted(doc, system)) == want.is_predicted(
@@ -333,20 +338,20 @@ class TestMatrix:
                         )
 
         for _ in range(200):
-            ops = random_ops(rng.randrange(0, 40))
-            got, want = matrix_of(ops), apply(NaiveMatrix(), ops)
+            names = rng.sample(systems, rng.randrange(0, len(systems) + 1))
+            split = rng.randrange(0, len(names) + 1)
+            columns, want = random_columns(names[:split])
+            got = PredictionMatrix(columns)
             assert_same(got, want)
-            other_ops = random_ops(rng.randrange(0, 20))
-            got.merge(matrix_of(other_ops))
-            want.merge(apply(NaiveMatrix(), other_ops))
+            added, naive = random_columns(names[split:])
+            got.columns.update(added)
+            want.merge(naive)
             assert_same(got, want)
-            more = random_ops(5)
-            got.merge(matrix_of(more))
-            assert_same(got, apply(want, more))
 
-    def test_full_row_has_all_seventeen_sdgs(self):
+    def test_full_row_has_all_seventeen_sdgs(self, tmp_path):
+        system = load_system(_system(tmp_path / "s.csv", ["demo,1,q1,poverty"]))
         hits = [Hit("d1", "demo", sdg, f"q{sdg}", ()) for sdg in range(17, 0, -1)]
-        matrix = to_matrix(hits, _dataset("text"), ["demo"])
+        matrix = to_matrix(hits, _dataset("text"), [system])
         assert matrix.predicted("d1", "demo") == frozenset(range(1, 18))
         assert matrix.assignments == [("d1", "demo", g) for g in range(1, 18)]
 

@@ -90,9 +90,9 @@ def _score(model, matrices, datasets):
     """Each dataset's score lists, computed as ``sdgdetect predict`` computes them."""
     scores = []
     for ds in datasets:
-        row = matrices[ds.name].row
+        columns = [matrices[ds.name].columns[s] for s in model.system_names]
         scores.append(model.score_documents(
-            [[row(doc.id, s) for s in model.system_names] for doc in ds.documents],
+            [[column[doc.id] for column in columns] for doc in ds.documents],
             [doc.word_count for doc in ds.documents],
         ))
     return scores
