@@ -344,11 +344,18 @@ def cmd_detect(args) -> tuple[dict, dict, list]:
     system_names = [s.name for s in systems] + [name for name, _ in externals]
     _distinct_names(system_names, "system")
     datasets = _load_named(load_documents, args.dataset, "dataset")
-    all_ids = [doc.id for ds in datasets for doc in ds.documents]
-    strict = not args.lenient_external
-    external = [
-        (name, import_external_predictions(path, all_ids, strict)) for name, path in externals
-    ]
+    held: dict[str, list[str]] = {}  # each doc id's datasets
+    for ds in datasets:
+        for doc in ds.documents:
+            held.setdefault(doc.id, []).append(ds.name)
+    external = []
+    for name, path in externals:
+        masks = import_external_predictions(path, held, not args.lenient_external)
+        shared = next((i for i, names in held.items() if len(names) > 1 and masks[i]), None)
+        if shared is not None:  # a doc_id,sdg row cannot say which dataset it means
+            raise SchemaError(f"{Path(path).name}: doc_id {shared!r} is in datasets "
+                              f"{held[shared]}, and a predictions row names no dataset")
+        external.append((name, masks))
     matrices = {}
     hit_rows = []
     freq_rows = []

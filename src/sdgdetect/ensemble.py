@@ -25,10 +25,10 @@ flag or word count) stably sorted. Two budgets bound the memory
 sums are `cumsum`s, left to right, and each node's weight totals are
 numpy's `.sum()` over its rows, exact for bootstrap draw counts, so a
 tree is the one it would be grown alone.
-`forest_score` walks its rows in blocks of at most `SCORE_PAIRS` (row, tree)
-pairs, one row at least. Permutation importance scores each 0/1 column
-flipped once instead of once per repetition, and scores one forest's stacked
-matrices in one call. Other float sums run left to right (`bias.sum_in_order`).
+`forest_score` walks the distinct rows of each window of `SCORE_PAIRS` rows
+once, in blocks of at most `SCORE_PAIRS` (row, tree) pairs, one row at least;
+permutation importance stacks all its copies into one call. Other float sums
+run left to right (`bias.sum_in_order`).
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ def _child_seed(*parts: int) -> int:
 # Lockstep growth holds the trees live at once to GROW_ROWS training rows in all
 # (each live tree keeps a weight and a positive weight per row), one tree at
 # least, and each scan block to SCAN_CELLS (segment, row) cells, one node at
-# least. forest_score walks SCORE_PAIRS (row, tree) pairs at once, one row at least.
+# least. forest_score groups SCORE_PAIRS rows at once, and walks SCORE_PAIRS
+# (row, tree) pairs at once, one row at least.
 GROW_ROWS = 1 << 16
 SCAN_CELLS = 1 << 13
 SCORE_PAIRS = 1 << 18
@@ -465,15 +466,28 @@ def train_forest(jobs: Iterable[Job]) -> list[Forest]:
     return [forests[i] for i in range(len(forests))]
 
 
+def _distinct_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of 2-D ``A``, equal when their bytes are, and each row's
+    index among them."""
+    keys = np.ascontiguousarray(A).view(f"u{A.dtype.itemsize}")  # each value's bytes
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    first = np.ones(len(A), dtype=bool)  # a sorted row unlike the one before it
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(len(A), dtype=np.intp)
+    group[order] = first.cumsum() - 1
+    return A[order[first]], group
+
+
 def forest_score(forest: Forest, X: np.ndarray) -> np.ndarray:
     """Each row's mean leaf positive-fraction over all trees, in [0, 1].
 
-    ``X`` is a 2-D float array, one row per feature row, walked in blocks of
-    at most ``SCORE_PAIRS`` (row, tree) pairs, one row at least. In a block
-    every pair walks down one level per step, and only the pairs not yet at
-    a leaf advance. Each row's leaf values are then added tree by tree in
-    stored order (one ``cumsum`` per block, which numpy runs left to right)
-    and divided by the tree count.
+    ``X`` is a 2-D float array. A score depends only on its row, so each
+    window of ``SCORE_PAIRS`` rows walks only its distinct rows, in blocks of
+    at most ``SCORE_PAIRS`` (row, tree) pairs, one row at least, a level per
+    step. Each distinct row's leaf values are added tree by tree in stored
+    order (one ``cumsum`` per block, numpy's left to right), given to each of
+    its rows and divided by the tree count.
     """
     if X.shape[1] != forest.n_features:
         raise SchemaMismatchError(f"expected {forest.n_features} features, got {X.shape[1]}")
@@ -481,17 +495,21 @@ def forest_score(forest: Forest, X: np.ndarray) -> np.ndarray:
     n_trees = len(forest.trees)
     block = max(1, SCORE_PAIRS // n_trees)
     total = np.empty(len(X))
-    for start in range(0, len(X), block):
-        rows = X[start : start + block]
-        node = np.tile(forest.trees, len(rows))  # pair i * n_trees + t: row i in tree t
-        pairs = np.flatnonzero(feature[node] >= 0)
-        while pairs.size:
-            at = node[pairs]
-            goes_left = rows[pairs // n_trees, feature[at]] <= threshold[at]
-            node[pairs] = np.where(goes_left, at + 1, right[at])
-            pairs = pairs[feature[node[pairs]] >= 0]
-        leaf_p = forest.p[node].reshape(len(rows), n_trees)
-        total[start : start + block] = leaf_p.cumsum(axis=1)[:, -1]
+    for window in range(0, len(X), SCORE_PAIRS):
+        distinct, group = _distinct_rows(X[window : window + SCORE_PAIRS])
+        sums = np.empty(len(distinct))
+        for start in range(0, len(distinct), block):
+            rows = distinct[start : start + block]
+            node = np.tile(forest.trees, len(rows))  # pair i * n_trees + t: row i in tree t
+            pairs = np.flatnonzero(feature[node] >= 0)
+            while pairs.size:
+                at = node[pairs]
+                goes_left = rows[pairs // n_trees, feature[at]] <= threshold[at]
+                node[pairs] = np.where(goes_left, at + 1, right[at])
+                pairs = pairs[feature[node[pairs]] >= 0]
+            leaf_p = forest.p[node].reshape(len(rows), n_trees)
+            sums[start : start + block] = leaf_p.cumsum(axis=1)[:, -1]
+        total[window : window + SCORE_PAIRS] = sums[group]
     return total / n_trees
 
 
@@ -716,53 +734,31 @@ def permutation_importance(
 ) -> list[float]:
     """Per-feature mean drop in weighted accuracy when that column is permuted.
 
-    Every ``rng.permutation`` is drawn first, feature by feature and then
-    repetition by repetition, the order in which permuting and scoring one
-    copy at a time draws them. A row's score depends only on that row, so a
-    column that holds only 0.0 and 1.0 is scored once, flipped: a
-    repetition gives each row its baseline score where the permuted value
-    equals its own, and its flipped score elsewhere. Any other column (the
-    word count) is permuted and scored once per repetition. The baseline,
-    flipped and permuted matrices are stacked into one ``forest_score``
-    call. The drops are taken in draw order and summed left to right, so
-    each importance is the one that scoring every permuted copy gives.
+    Every ``rng.permutation`` is drawn feature by feature, then repetition by
+    repetition, as permuting and scoring one copy at a time draws them. The
+    baseline and every permuted copy are stacked into one ``forest_score``
+    call. The drops are taken in draw order and summed left to right, so each
+    importance is the one that scoring every permuted copy gives.
     """
     if repetitions < 1:
         raise ParamError("repetitions must be >= 1")
     if not len(features):
         raise ParamError("permutation importance needs evaluation rows")
     X, w = features.X, features.w
-    n = len(X)
+    n, width = X.shape
     total_w = float(w.sum())
-    labels = features.y.astype(bool)
-
-    def weighted_accuracy(scores: np.ndarray) -> float:
-        hits = (scores >= threshold) == labels
-        return sum_in_order(w[hits].tolist()) / total_w
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
-    permuted = [[col[rng.permutation(n)] for _ in range(repetitions)] for col in X.T]
-    flag = [bool(((col == 0.0) | (col == 1.0)).all()) for col in X.T]
-    edits = [(0, X[:, 0])]  # (column, its values): the baseline first, unchanged
-    for f, cols in enumerate(permuted):
-        edits += [(f, 1.0 - X[:, f])] if flag[f] else [(f, col) for col in cols]
-    stacked = np.tile(X, (len(edits), 1))
-    for j, (f, values) in enumerate(edits):
-        stacked[j * n : (j + 1) * n, f] = values
-    scores = forest_score(forest, stacked).reshape(len(edits), n)
-
-    base, scored = scores[0], iter(scores[1:])
-    baseline = weighted_accuracy(base)
-    importances = []
-    for f, cols in enumerate(permuted):
-        if flag[f]:
-            flipped = next(scored)
-            repeats = [np.where(col == X[:, f], base, flipped) for col in cols]
-        else:
-            repeats = [next(scored) for _ in cols]
-        drops = [baseline - weighted_accuracy(s) for s in repeats]
-        importances.append(sum_in_order(drops) / repetitions)
-    return importances
+    stacked = np.tile(X, (1 + width * repetitions, 1, 1))  # the baseline first, unchanged
+    for j in range(width * repetitions):  # copy 1 + j permutes column j // repetitions
+        stacked[1 + j, :, j // repetitions] = X[rng.permutation(n), j // repetitions]
+    scores = forest_score(forest, stacked.reshape(-1, width)).reshape(-1, n)
+    hits = (scores >= threshold) == features.y.astype(bool)  # one row per copy
+    accuracy = [sum_in_order(w[row].tolist()) / total_w for row in hits]  # weighted
+    drops = [accuracy[0] - a for a in accuracy[1:]]
+    return [
+        sum_in_order(drops[f * repetitions : (f + 1) * repetitions]) / repetitions
+        for f in range(width)
+    ]
 
 
 def model_importance(
@@ -771,19 +767,15 @@ def model_importance(
     repetitions: int = 10,
     seed: int = 0,
 ) -> dict[int, dict[str, float]]:
-    out: dict[int, dict[str, float]] = {}
-    for sdg in range(1, 18):
-        if not len(features.get(sdg, ())):
-            continue
-        imps = permutation_importance(
-            model.forests[sdg],
-            features[sdg],
-            repetitions=repetitions,
-            seed=_child_seed(seed, sdg),
-            threshold=model.threshold,
-        )
-        out[sdg] = dict(zip(model.feature_names, imps))
-    return out
+    """Each SDG's importances by feature name, for every SDG with evaluation
+    rows; SDG ``sdg`` permutes with the seed ``_child_seed(seed, sdg)``."""
+    return {
+        sdg: dict(zip(model.feature_names, permutation_importance(
+            model.forests[sdg], features[sdg], repetitions, _child_seed(seed, sdg), model.threshold
+        )))
+        for sdg in range(1, 18)
+        if len(features.get(sdg, ()))
+    }
 
 
 # ---------------------------------------------------------------------------

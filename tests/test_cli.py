@@ -182,6 +182,28 @@ class TestDetect:
         assert searched == []
         assert not (out / "matrix.json").exists()
 
+    @pytest.mark.parametrize("lenient", [[], ["--lenient-external"]], ids=["strict", "lenient"])
+    def test_external_id_held_by_two_datasets_is_3(self, system, tmp_path, capsys, lenient):
+        """A doc_id,sdg row names no dataset, so an --external CSV may not name
+        a doc id that two datasets hold; an id that one dataset holds is its own."""
+        a, b, ext = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "ext.csv"
+        a.write_text('{"id":"1","text":"end poverty"}\n')
+        b.write_text('{"id":"1","text":"clean water"}\n{"id":"2","text":"hunger"}\n')
+        ext.write_text("doc_id,sdg\n1,3\n")
+        out = tmp_path / "out"
+        extra = ["--dataset", str(b), "--external", f"ext={ext}", *lenient]
+        assert _detect(str(a), system, out, extra) == 3
+        assert capsys.readouterr().err == (
+            "error [E_SCHEMA]: ext.csv: doc_id '1' is in datasets ['a', 'b'], "
+            "and a predictions row names no dataset\n"
+        )
+        assert not (out / "matrix.json").exists() and not (out / "manifest.json").exists()
+        ext.write_text("doc_id,sdg\n2,3\n")
+        assert _detect(str(a), system, out, extra) == 0
+        assignments = json.loads((out / "matrix.json").read_text())["datasets"]
+        assert [row for row in assignments["b"]["assignments"] if row[1] == "ext"] == [["2", "ext", 3]]
+        assert not [row for row in assignments["a"]["assignments"] if row[1] == "ext"]
+
     @pytest.mark.parametrize(
         "names", [["demo"], ["black", "black"]], ids=["same-as-system", "given-twice"]
     )

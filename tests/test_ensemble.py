@@ -590,6 +590,47 @@ class TestForestScores:
         # a few int64 and float64 arrays of one value per pair, with room to spare
         assert peak <= 2 * scores.nbytes + 64 * 8 * ensemble.SCORE_PAIRS
 
+    @pytest.mark.parametrize(
+        "pairs", [lambda trees: 1, lambda trees: trees, lambda trees: 2**10], ids=["1", "T", "2^10"]
+    )
+    def test_repeated_nan_and_signed_zero_rows_match_oracle(self, monkeypatch, pairs):
+        """Rows repeated many times, rows holding NaN (which every split sends
+        right) and rows that differ only in the sign of a zero each score as
+        the oracle scores them alone, in windows of any number of rows."""
+        rng = random.Random(31)
+        rows = [  # feature 0 is -1 or 1, so a split on it falls at 0.0
+            _row(f"d{i}", (rng.choice([-1.0, 1.0]), float(rng.randint(-3, 3))), rng.random() < 0.5)
+            for i in range(60)
+        ]
+        params = ForestParams(num_trees=7, seed=3)
+        forest = grow(rows, params)
+        values = [0.0, -0.0, 1.0, -1.0, 0.5, math.nan]
+        distinct = np.array([(a, b) for a in values for b in values])
+        X = distinct[np.random.default_rng(31).integers(0, len(distinct), size=500)]
+        trees = naive_trees(rows, params)
+        expected = [naive_forest_score(trees, x) for x in X.tolist()]
+        assert 0.0 in forest.threshold[forest.feature == 0]
+        monkeypatch.setattr(ensemble, "SCORE_PAIRS", pairs(len(forest.trees)))
+        assert forest_score(forest, X).tolist() == expected
+
+    def test_each_distinct_row_is_walked_once(self):
+        """Each walked (row, tree) pair reads one leaf value, and only a
+        window's distinct rows are walked: 3 rows repeated 100 times read 3
+        leaf values per tree, and score as each row alone."""
+        forest = grow(_separable_rows(rng_seed=9), ForestParams(num_trees=4, seed=3))
+        reads = []
+
+        class Leaves(np.ndarray):
+            def __getitem__(self, index):
+                reads.append(np.size(index))
+                return np.asarray(self)[index]
+
+        counted = replace(forest, p=forest.p.view(Leaves))
+        distinct = np.array([[0.0, 0.2], [1.0, 0.7], [1.0, 0.2]])
+        alone = forest_score(forest, distinct).tolist()
+        assert forest_score(counted, distinct[np.arange(300) % 3]).tolist() == alone * 100
+        assert sum(reads) == 3 * 4
+
     def test_width_mismatch(self):
         forest = grow(_separable_rows(), ForestParams(num_trees=2))
         with pytest.raises(SchemaMismatchError, match="expected 2 features, got 3"):
@@ -904,8 +945,8 @@ class TestPermutationImportance:
         ids=["word-count-0-1", "all-0-flags", "all-1-flags", "column-0-2"],
     )
     def test_matches_oracle_on_each_column_kind(self, kinds, repetitions):
-        """A 0/1 column is scored flipped once and every other column per
-        repetition; either way each importance is the oracle's."""
+        """Whatever values a column holds (0/1 flags, constants, two values or
+        ties), each importance is the oracle's."""
         for seed in range(3):
             rows = self._kind_rows(kinds, 40, seed)
             params = ForestParams(num_trees=4, bootstrap=seed != 0, seed=seed)
@@ -919,8 +960,8 @@ class TestPermutationImportance:
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
     def test_matrices_scored_in_one_call(self, monkeypatch, forest_score_calls, block_rows):
-        """Whatever the rows of ``forest_score``'s blocks, the baseline, the
-        flipped and the permuted matrices are stacked into one call, and the
+        """Whatever the rows of ``forest_score``'s blocks, the baseline and every
+        permuted copy of every column are stacked into one call, and the
         importances stay the oracle's."""
         kinds, repetitions, n, trees = ("flag", "two", "flag", "tied"), 4, 30, 3
         rows = self._kind_rows(kinds, n, 5)
@@ -928,7 +969,7 @@ class TestPermutationImportance:
         forest = grow(rows, params)
         monkeypatch.setattr(ensemble, "SCORE_PAIRS", block_rows * trees + trees - 1)
         got = permutation_importance(forest, feature_set(rows), repetitions, 9)
-        assert forest_score_calls == [(1 + 2 + 2 * repetitions) * n]
+        assert forest_score_calls == [(1 + len(kinds) * repetitions) * n]
         expected = naive_permutation_importance(naive_trees(rows, params), rows, repetitions, 9)
         assert got == expected
 
@@ -1018,13 +1059,12 @@ class TestEveryScoreGoesThroughForestScore:
         assert forest_score_calls == [rec.counts.total for rec in result.records]
 
     def test_model_importance_scores_baseline_and_each_permutation(self, forest_score_calls):
-        """One call per SDG: the baseline, the 0/1 column ``sysA`` flipped
-        once and the word count permuted once per repetition, 20 rows each."""
+        """One call per SDG: the baseline, and each of the columns ``sysA`` and
+        ``word_count`` permuted once per repetition, 20 rows each."""
         model, rows = _full_model()
         features = feature_sets({g: rows[g] for g in (2, 5, 9)})
         ensemble.model_importance(model, features, repetitions=3, seed=1)
-        flag_columns, other_columns = 1, 1
-        assert forest_score_calls == [(1 + flag_columns + other_columns * 3) * 20] * 3
+        assert forest_score_calls == [(1 + 2 * 3) * 20] * 3
 
     def test_score_documents_scores_each_sdg_once(self, forest_score_calls):
         model, _ = _full_model()

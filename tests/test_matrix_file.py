@@ -677,9 +677,9 @@ def _external_csv() -> bytes:
     return "".join(["doc_id,sdg\n", *rows]).encode()
 
 
-def _detect_commands(system: Path, external: Path) -> dict:
+def _detect_commands(system: Path, external: Path, extra=()) -> dict:
     argv = ["detect", "--dataset", str(DEMO / "corpus.jsonl"), "--systems", str(system),
-            "--external", f"ext={external}"]  # fmt: skip
+            "--external", f"ext={external}", *extra]  # fmt: skip
     return {
         "strict": lambda out: [*argv, "--out-dir", str(out)],
         "lenient": lambda out: [*argv, "--lenient-external", "--out-dir", str(out)],
@@ -713,6 +713,44 @@ def test_mutated_system_csvs_fail_cleanly(tmp_path, capsys):
     raw = (DEMO / "system_alpha.csv").read_bytes()
     outcomes = _sweep(raw, CSV_MUTATIONS, 61, path, _detect_commands(path, external), capsys)
     _assert_csv_outcomes(outcomes, {"bom", "crlf"})
+
+
+def _second_dataset(kept):
+    """A mutation that copies the demo corpus with the prefix ``b-`` on every
+    doc id but those that ``kept(ids, rng)`` picks."""
+
+    def mutate(raw: bytes, rng: random.Random) -> bytes:
+        records = [json.loads(line) for line in raw.splitlines() if line.strip()]
+        keep = kept([r["id"] for r in records], rng)
+        for r in records:
+            r["id"] = r["id"] if r["id"] in keep else "b-" + r["id"]
+        return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+    return mutate
+
+
+SHARED_ID_MUTATIONS = {
+    "no id shared": _second_dataset(lambda ids, rng: set()),
+    "the unnamed id shared": _second_dataset(lambda ids, rng: {ids[-1]}),
+    "one named id shared": _second_dataset(lambda ids, rng: {rng.choice(ids[:-1])}),
+    "every id shared": _second_dataset(lambda ids, rng: set(ids)),
+}
+
+
+def test_external_ids_held_by_two_datasets_fail_cleanly(tmp_path, capsys):
+    """A doc_id,sdg row names no dataset, so detect refuses an --external CSV
+    that names a doc id two datasets hold (exit 3, with or without
+    --lenient-external), and keeps one that names no shared id. The CSV names
+    every demo document but the last; the second dataset is the demo corpus
+    with some of its ids kept."""
+    path, external = tmp_path / "second.jsonl", tmp_path / "external.csv"
+    external.write_bytes(_external_csv().rsplit(b"\n", 2)[0] + b"\n")
+    commands = _detect_commands(DEMO / "system_alpha.csv", external, ["--dataset", str(path)])
+    raw = (DEMO / "corpus.jsonl").read_bytes()
+    outcomes = _sweep(raw, SHARED_ID_MUTATIONS, 62, path, commands, capsys)
+    for name in SHARED_ID_MUTATIONS:
+        expected = 3 if name in ("one named id shared", "every id shared") else 0
+        assert outcomes[name, "strict"] == outcomes[name, "lenient"] == expected, name
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,14 @@ as ``sdgdetect predict`` builds them, and ``tracemalloc`` records the peak
 memory of a second, untimed call (tracing doubled the time of scoring).
 
 The last line of standard output is one JSON object: each SDG's feature rows
-and distinct ``(x, y)`` rows, the wall and CPU seconds of ``detect_matrix``
-(over the four datasets), ``build_features``, ``cross_validate``,
-``train_model``, ``model_importance`` and scoring, the ``tracemalloc`` peak
-of scoring, the SHA-256 of ``repr`` of the ``CvResult``, of the saved
-``model.json``, of ``repr`` of the importances and of ``repr`` of the score
-lists, and the process's peak RSS. The digests depend
-only on the flags, so two runs of one tree must print the same ones.
+and distinct ``(x, y)`` rows, the wall and CPU seconds and the minor page
+faults of ``detect_matrix`` (over the four datasets), ``build_features``,
+``cross_validate``, ``train_model``, ``model_importance`` and scoring
+(``predict``), the ``tracemalloc`` peak of scoring, the SHA-256 of ``repr``
+of the ``CvResult``, of the saved ``model.json``, of ``repr`` of the
+importances and of ``repr`` of the score lists, and the process's peak RSS. The digests depend only on the flags, so
+two runs of one tree must print the same ones; the times, faults and memory
+figures do not.
 """
 
 import argparse
@@ -79,11 +80,17 @@ def _inputs(docs: int, work: Path):
     return systems, labeled, synthetic
 
 
-def _timed(call):
-    """``call()``'s result, wall seconds and CPU seconds."""
+def _timed(stages: dict, name: str, call):
+    """``call()``'s result; its wall seconds, CPU seconds and minor page faults
+    go to ``stages`` as ``<name>_wall_s``, ``<name>_cpu_s`` and
+    ``<name>_minor_faults``."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     wall, cpu = time.perf_counter(), time.process_time()
     result = call()
-    return result, time.perf_counter() - wall, time.process_time() - cpu
+    stages[f"{name}_wall_s"] = round(time.perf_counter() - wall, 3)
+    stages[f"{name}_cpu_s"] = round(time.process_time() - cpu, 3)
+    stages[f"{name}_minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return result
 
 
 def _score(model, matrices, datasets):
@@ -113,24 +120,29 @@ def main(argv=None) -> int:
         work = Path(tmp)
         systems, labeled, synthetic = _inputs(args.docs, work)
         names = [s.name for s in systems]
-        matrices, detect_wall, detect_cpu = _timed(
-            lambda: {ds.name: detect_matrix(ds, systems) for ds in labeled + synthetic}
+        stages = {}
+        matrices = _timed(
+            stages, "detect_matrix",
+            lambda: {ds.name: detect_matrix(ds, systems) for ds in labeled + synthetic},
         )
-        features, features_wall, features_cpu = _timed(
-            lambda: build_features(matrices, names, labeled, synthetic, k=1.0)
+        features = _timed(
+            stages, "build_features",
+            lambda: build_features(matrices, names, labeled, synthetic, k=1.0),
         )
         params = ForestParams(num_trees=args.trees)
-        cv, cv_wall, cv_cpu = _timed(
-            lambda: cross_validate(features, CvConfig(folds=args.folds, repeats=1), params)
+        cv = _timed(
+            stages, "cross_validate",
+            lambda: cross_validate(features, CvConfig(folds=args.folds, repeats=1), params),
         )
-        model, train_wall, train_cpu = _timed(lambda: train_model(features, names, 1.0, params))
+        model = _timed(stages, "train_model", lambda: train_model(features, names, 1.0, params))
         save_model(model, work / "model.json")
         model_bytes = (work / "model.json").read_bytes()
-        importances, importance_wall, importance_cpu = _timed(
-            lambda: model_importance(model, features, repetitions=args.repetitions)
+        importances = _timed(
+            stages, "model_importance",
+            lambda: model_importance(model, features, repetitions=args.repetitions),
         )
-        predictions, predict_wall, predict_cpu = _timed(
-            lambda: _score(model, matrices, labeled + synthetic)
+        predictions = _timed(
+            stages, "predict", lambda: _score(model, matrices, labeled + synthetic)
         )
         tracemalloc.start()
         try:
@@ -147,18 +159,7 @@ def main(argv=None) -> int:
         "distinct_rows": {
             sdg: len(np.unique(np.column_stack((f.X, f.y)), axis=0)) for sdg, f in features.items()
         },
-        "detect_matrix_wall_s": round(detect_wall, 3),
-        "detect_matrix_cpu_s": round(detect_cpu, 3),
-        "build_features_wall_s": round(features_wall, 3),
-        "build_features_cpu_s": round(features_cpu, 3),
-        "cross_validate_wall_s": round(cv_wall, 3),
-        "cross_validate_cpu_s": round(cv_cpu, 3),
-        "train_model_wall_s": round(train_wall, 3),
-        "train_model_cpu_s": round(train_cpu, 3),
-        "model_importance_wall_s": round(importance_wall, 3),
-        "model_importance_cpu_s": round(importance_cpu, 3),
-        "predict_wall_s": round(predict_wall, 3),
-        "predict_cpu_s": round(predict_cpu, 3),
+        **stages,
         "predict_tracemalloc_peak_mb": round(predict_peak / 2**20, 1),
         "cv_result_sha256": hashlib.sha256(repr(cv).encode()).hexdigest(),
         "model_json_sha256": hashlib.sha256(model_bytes).hexdigest(),
