@@ -767,15 +767,19 @@ def model_importance(
     repetitions: int = 10,
     seed: int = 0,
 ) -> dict[int, dict[str, float]]:
-    """Each SDG's importances by feature name, for every SDG with evaluation
-    rows; SDG ``sdg`` permutes with the seed ``_child_seed(seed, sdg)``."""
-    return {
-        sdg: dict(zip(model.feature_names, permutation_importance(
-            model.forests[sdg], features[sdg], repetitions, _child_seed(seed, sdg), model.threshold
-        )))
-        for sdg in range(1, 18)
-        if len(features.get(sdg, ()))
-    }
+    out: dict[int, dict[str, float]] = {}
+    for sdg in range(1, 18):
+        if not len(features.get(sdg, ())):
+            continue
+        imps = permutation_importance(
+            model.forests[sdg],
+            features[sdg],
+            repetitions=repetitions,
+            seed=_child_seed(seed, sdg),
+            threshold=model.threshold,
+        )
+        out[sdg] = dict(zip(model.feature_names, imps))
+    return out
 
 
 # ---------------------------------------------------------------------------
