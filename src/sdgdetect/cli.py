@@ -549,12 +549,7 @@ def cmd_predict(args) -> tuple[dict, dict, list]:
 
     rows = []
     for ds in datasets:
-        matrix = detect_matrix(ds, systems)
-        columns = [matrix.columns[s] for s in model.system_names]
-        scores = model.score_documents(
-            [[column[doc.id] for column in columns] for doc in ds.documents],
-            [doc.word_count for doc in ds.documents],
-        )
+        scores = model.score_documents(detect_matrix(ds, systems), ds)
         for doc, column in zip(ds.documents, zip(*scores)):
             for sdg, score in enumerate(column, 1):
                 rows.append((ds.name, doc.id, sdg, score, score >= model.threshold))

@@ -1,7 +1,8 @@
 """Per-SDG random-forest ensembles over system predictions and length.
 
-Feature layout: one boolean per base system ("system s assigned this
-SDG") followed by the raw document word count. Rows are weighted 1/N per
+Feature layout, built only by `_mask_table` and `_sdg_features`, for training
+and scoring alike: one boolean per base system ("system s assigned this
+SDG"), then the raw document word count. Rows are weighted 1/N per
 labeled dataset (N = documents) and k/N for length-matched synthetic
 datasets; k = 0 drops synthetic rows entirely. Each SDG's rows are one
 `FeatureSet` of arrays (`X`, labels `y`, weights `w`, each row's `(origin,
@@ -43,7 +44,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bias import sum_in_order
-from .corpus import Dataset, atomic_write_text, read_input
+from .corpus import Dataset, Document, atomic_write_text, read_input
 from .errors import (
     DegenerateInputError,
     MissingSystemError,
@@ -168,6 +169,27 @@ def _forest(trees: list[list[list]], n_features: int, params: ForestParams) -> F
 # ---------------------------------------------------------------------------
 
 
+def _mask_table(
+    matrix: PredictionMatrix, system_names: Sequence[str], dataset: str, docs: Sequence[Document]
+) -> np.ndarray:
+    """One int64 row per document of ``docs``, from dataset ``dataset``: its
+    mask from each named system's column of ``matrix``, then its word count."""
+    for s in system_names:
+        if s not in matrix.columns:
+            raise MissingSystemError(f"system {s!r} has no predictions for dataset {dataset!r}")
+    columns = [matrix.columns[s] for s in system_names]
+    rows = [[column[doc.id] for column in columns] + [doc.word_count] for doc in docs]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(system_names) + 1)
+
+
+def _sdg_features(table: np.ndarray, sdg: int) -> np.ndarray:
+    """The feature rows of SDG ``sdg`` from `_mask_table` rows: each mask's bit
+    ``sdg - 1``, then the word count, as float64."""
+    X = ((table >> (sdg - 1)) & 1).astype(np.float64)
+    X[:, -1] = table[:, -1]
+    return X
+
+
 def build_features(
     matrices: Mapping[str, PredictionMatrix],
     system_names: Sequence[str],
@@ -188,36 +210,27 @@ def build_features(
     sources = [(ds, 1.0 / len(ds.documents), False) for ds in labeled_datasets]
     if k > 0:
         sources += [(ds, k / len(ds.documents), True) for ds in synthetic_datasets]
-    keys, table, weights = [], [], []  # table: system masks, evaluated, labels, synthetic, words
-    for ds, weight, synthetic in sources:
-        if not synthetic and not ds.labeled:
+    tables = [np.empty((0, len(system_names) + 1), dtype=np.int64)]  # no rows without sources
+    keys, weights, synthetic, evaluated, labels = [], [], [], [], []
+    for ds, weight, synth in sources:
+        if not synth and not ds.labeled:
             raise NoLabelsError(f"dataset {ds.name!r} has no expert labels")
-        matrix = matrices[ds.name]
-        for s in system_names:
-            if s not in matrix.columns:
-                raise MissingSystemError(
-                    f"system {s!r} has no predictions for dataset {ds.name!r}"
-                )
-        columns = [matrix.columns[s] for s in system_names]
-        for doc in ds.documents:
-            if synthetic:
-                evaluated, labels = (1 << 17) - 1, 0  # every SDG, none of them positive
-            elif doc.evaluated:
-                evaluated, labels = doc.evaluated_mask, doc.label_mask
-            else:
-                continue
-            masks = [column[doc.id] for column in columns]
-            table.append(masks + [evaluated, labels, synthetic, doc.word_count])
-            keys.append((ds.name, doc.id))
-            weights.append(weight)
-    table = np.array(table, dtype=np.int64).reshape(len(keys), len(system_names) + 4)
-    synthetic, weights = table[:, -2].astype(bool), np.array(weights)
+        docs = ds.documents if synth else [doc for doc in ds.documents if doc.evaluated]
+        tables.append(_mask_table(matrices[ds.name], system_names, ds.name, docs))
+        keys += [(ds.name, doc.id) for doc in docs]
+        weights += [weight] * len(docs)
+        synthetic += [synth] * len(docs)
+        # a synthetic document: every SDG evaluated, none of them positive
+        evaluated += [(1 << 17) - 1 if synth else doc.evaluated_mask for doc in docs]
+        labels += [0 if synth else doc.label_mask for doc in docs]
+    table = np.concatenate(tables)
+    evaluated, labels = np.array(evaluated, dtype=np.int64), np.array(labels, dtype=np.int64)
+    synthetic, weights = np.array(synthetic, dtype=bool), np.array(weights)
     features = {}
     for sdg in range(1, 18):
-        bits = (table >> (sdg - 1)) & 1
-        rows = np.flatnonzero(bits[:, -4])
-        X = np.column_stack((bits[rows, :-4], table[rows, -1])).astype(np.float64)
-        y = bits[rows, -3].astype(np.float64)
+        rows = np.flatnonzero((evaluated >> (sdg - 1)) & 1)
+        X = _sdg_features(table[rows], sdg)
+        y = ((labels[rows] >> (sdg - 1)) & 1).astype(np.float64)
         row_keys = tuple(keys[i] for i in rows.tolist())
         features[sdg] = FeatureSet(X, y, weights[rows], row_keys, synthetic[rows])
     return features
@@ -355,9 +368,10 @@ def _sorted_gains(xs, cw, cp, total, pos, parent, min_leaf_weight) -> np.ndarray
     return np.where(valid, parent - children, -np.inf)
 
 
-def _scan(block: list[_Search]) -> list[list[tuple[float, float]]]:
-    """Per node of ``block``, per drawn feature: the best cut's gain (-inf if
-    no cut is valid) and threshold.
+def _scan(block: list[_Search]) -> list[tuple[int, float] | None]:
+    """Each node's split ``(position in its drawn features, threshold)``: the
+    first drawn feature, ascending, whose best cut's gain is the largest and
+    above 1e-12; None if there is none.
 
     Every (node, drawn feature) segment is a row of one ``(segments x
     rows)`` block of values, each node's rows ascending and padded with NaN
@@ -388,18 +402,14 @@ def _scan(block: list[_Search]) -> list[list[tuple[float, float]]]:
     cw, cp = weights.take(at.take(cells), axis=1).cumsum(axis=2)
     gains = _sorted_gains(xs, cw, cp, *np.array(stats).T[:, :, None])
     i = gains.argmax(axis=1)
-    best = iter(zip(gains[r, i].tolist(), ((xs[r, i] + xs[r, i + 1]) / 2.0).tolist()))
-    return [list(itertools.islice(best, len(node.features))) for node in block]
-
-
-def _split_of(found: list[tuple[float, float]]) -> tuple[int, float] | None:
-    """The split ``(position in the drawn features, threshold)`` of the first
-    drawn feature, ascending, whose gain is the largest and above 1e-12."""
-    best, best_gain = None, 1e-12
-    for j, (gain, threshold) in enumerate(found):
-        if gain > best_gain:
-            best, best_gain = (j, threshold), gain
-    return best
+    gain, threshold = gains[r, i].tolist(), ((xs[r, i] + xs[r, i + 1]) / 2.0).tolist()
+    splits, start = [], 0
+    for node in block:
+        found = gain[start : start + len(node.features)]
+        j = found.index(max(found))
+        splits.append((j, threshold[start + j]) if found[j] > 1e-12 else None)
+        start += len(found)
+    return splits
 
 
 def _best_splits(searched: list[_Search]) -> list[tuple[int, float] | None]:
@@ -408,8 +418,6 @@ def _best_splits(searched: list[_Search]) -> list[tuple[int, float] | None]:
     segments = 0
     for i in sorted(range(len(searched)), key=lambda i: len(searched[i].rows)):
         n, k = len(searched[i].rows), len(searched[i].features)
-        if n < 2:  # no cut
-            continue
         if not blocks or (segments + k) * n > SCAN_CELLS:
             blocks.append([])
             segments = 0
@@ -417,8 +425,8 @@ def _best_splits(searched: list[_Search]) -> list[tuple[int, float] | None]:
         segments += k
     splits: list[tuple[int, float] | None] = [None] * len(searched)
     for block in blocks:
-        for i, found in zip(block, _scan([searched[i] for i in block])):
-            splits[i] = _split_of(found)
+        for i, split in zip(block, _scan([searched[i] for i in block])):
+            splits[i] = split
     return splits
 
 
@@ -547,23 +555,21 @@ class EnsembleModel:
             sum(1 << (g - 1) for g in system_predictions[s] if 1 <= g <= 17)
             for s in self.system_names
         ]
-        columns = self.score_documents([masks], [word_count])
-        scores = {sdg: column[0] for sdg, column in enumerate(columns, 1)}
+        table = np.array([masks + [word_count]], dtype=np.int64)  # its `_mask_table` row
+        scores = {
+            sdg: float(forest_score(self.forests[sdg], _sdg_features(table, sdg))[0])
+            for sdg in range(1, 18)
+        }
         return {sdg for sdg, score in scores.items() if score >= self.threshold}, scores
 
-    def score_documents(
-        self, masks: Sequence[Sequence[int]], word_counts: Sequence[int]
-    ) -> list[list[float]]:
-        """``scores[sdg - 1][i]``: document i's score, where ``masks[i]`` holds its
-        SDG mask (bit ``sdg - 1``) from each system in ``system_names`` order."""
-        masks = np.array(masks, dtype=np.int64).reshape(len(word_counts), len(self.system_names))
-        X = np.empty((len(word_counts), len(self.system_names) + 1))
-        X[:, -1] = word_counts
-        scores = []
-        for sdg in range(1, 18):
-            X[:, :-1] = (masks >> (sdg - 1)) & 1
-            scores.append(forest_score(self.forests[sdg], X).tolist())
-        return scores
+    def score_documents(self, matrix: PredictionMatrix, dataset: Dataset) -> list[list[float]]:
+        """``scores[sdg - 1][i]``: the score of ``dataset``'s document i, from its
+        masks in ``matrix``, which must have a column for each of ``system_names``."""
+        table = _mask_table(matrix, self.system_names, dataset.name, dataset.documents)
+        return [
+            forest_score(self.forests[sdg], _sdg_features(table, sdg)).tolist()
+            for sdg in range(1, 18)
+        ]
 
 
 def train_model(

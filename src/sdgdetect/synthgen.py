@@ -82,8 +82,6 @@ def load_frequency_table(path: str | Path) -> WordFrequencyTable:
         if len(parts) != 2:
             raise SchemaError(f"{path.name}:{lineno}: expected 'word<TAB>count'")
         word = parts[0].strip().lower()
-        if not word:
-            raise SchemaError(f"{path.name}:{lineno}: empty word")
         if tokenize(word) != [word]:
             # a word of several tokens would not survive a save/load round trip
             raise SchemaError(f"{path.name}:{lineno}: word {word!r} is not a single token")

@@ -864,8 +864,14 @@ class TestExitCodes:
             (["detect", "--external", "x"], "--external expects NAME=PATH"),
             (["bias", "--exclude-pair", "x"], "--exclude-pair expects NAME:NAME"),
             (["importance", "--repetitions", "0"], "repetitions must be >= 1"),
+            (["train", "--k-grid", "0,11"], "k values must lie in [0, 10]"),
+            (["train", "--mtry", "0"], "mtry must be positive"),
+            (["train", "--max-depth", "-1"], "max_depth must be non-negative"),
+            (["train", "--min-leaf-frac", "1"], "min_leaf_frac must be in [0, 1)"),
+            (["synth"], "synth requires --lengths or --match"),
         ],
-        ids=["folds", "repeats", "k-grid", "lengths", "external", "exclude-pair", "repetitions"],
+        ids=["folds", "repeats", "k-grid", "lengths", "external", "exclude-pair", "repetitions",
+             "k-grid-range", "mtry", "max-depth", "min-leaf-frac", "synth-bare"],  # fmt: skip
     )
     def test_flags_checked_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         """A bad flag is a parameter error (exit 2) even when every input file
@@ -920,6 +926,33 @@ class TestExitCodes:
             "error [E_SCHEMA]: dataset names collide: "
             "['a', 'synthetic_a', 'synthetic_a', 'synthetic_synthetic_a']\n"
         )
+
+    @pytest.mark.parametrize("command", ["predict", "importance"])
+    def test_other_systems_than_the_models_are_e_schema(
+        self, demo_commands, tmp_path, capsys, command
+    ):
+        """The model was trained on alpha, beta and gamma; run with alpha and
+        gamma only, predict and importance exit 3 and write nothing."""
+        argv = list(demo_commands[command])
+        beta = argv.index(str(DEMO / "system_beta.csv"))
+        del argv[beta - 1 : beta + 1]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error [E_SCHEMA]: model was trained on systems ['alpha', 'beta', 'gamma'], "
+            "got ['alpha', 'gamma']\n"
+        )
+        assert not any(out.iterdir())
+
+    def test_out_dir_that_is_a_file_is_e_io(self, demo_commands, tmp_path, capsys):
+        """The output directory cannot be made where a file stands: exit 3 through
+        main's OSError handler, and the file is left as it was."""
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        assert main([*demo_commands["synth"], "--out-dir", str(taken)]) == 3
+        assert capsys.readouterr().err.startswith("error [E_IO]: ")
+        assert taken.read_text() == "a file\n"
 
     def test_usage_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

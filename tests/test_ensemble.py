@@ -444,6 +444,7 @@ class TestLockstepGrowth:
         jobs = [(fs.X, fs.y, fs.w, params) for fs, (_, params) in zip(sets, cases)]
         forests = train_forest(jobs)
         assert max(searched) >= 300
+        assert min(searched) >= 2  # a searched node holds rows of both classes
         for (rows, params), forest in zip(cases, forests):
             assert forest == grow(rows, params)
             assert _tree_objs(forest) == naive_trees(rows, params), params
@@ -835,6 +836,24 @@ class TestCrossValidate:
         assert result.skipped
         assert all(s[0] == 1 for s in result.skipped)
 
+    def test_sdg_evaluated_on_one_document(self):
+        """With k = 0 and 2 folds, SDG 2 is evaluated on d0 only: the fold that
+        holds d0 has no training rows and is skipped, and the other fold has no
+        test rows, so it gives neither a record nor a skip."""
+        docs = tuple(
+            Document.from_text(
+                f"d{i}", "poverty " * (i + 1), [1] if i % 2 else [], [1, 2] if i == 0 else [1]
+            )
+            for i in range(10)
+        )
+        matrix = PredictionMatrix({"sysA": {doc.id: i % 2 for i, doc in enumerate(docs)}})
+        features = build_features({"lab": matrix}, ["sysA"], [Dataset("lab", docs)], [], k=0.0)
+        assert features[2].keys == (("lab", "d0"),)
+        result = cross_validate(features, CvConfig(folds=2, repeats=1), ForestParams(num_trees=2))
+        fold = result.fold_assignments[0]["lab", "d0"]
+        assert [s for s in result.skipped if s[0] == 2] == [(2, 0, fold, "no training rows")]
+        assert [(r.sdg, r.fold) for r in result.records] == [(1, 0), (1, 1)]
+
     def test_invalid_weight_raises_instead_of_skipping(self):
         rows = self._rows_by_sdg()
         rows[4].w[7] = math.nan
@@ -1068,8 +1087,15 @@ class TestEveryScoreGoesThroughForestScore:
 
     def test_score_documents_scores_each_sdg_once(self, forest_score_calls):
         model, _ = _full_model()
-        model.score_documents([[1], [5], [0]], [10, 200, 30])
+        texts = {"d0": "poverty " * 10, "d1": "hunger " * 200, "d2": "water " * 30}
+        masks = {"d0": 1, "d1": 5, "d2": 0}
+        docs = tuple(Document.from_text(doc_id, text) for doc_id, text in texts.items())
+        assert [doc.word_count for doc in docs] == [10, 200, 30]
+        scores = model.score_documents(PredictionMatrix({"sysA": masks}), Dataset("ds", docs))
         assert forest_score_calls == [3] * 17
+        for sdg, column in enumerate(scores, 1):  # a row: sysA's bit sdg - 1, the word count
+            X = [[(masks[doc.id] >> (sdg - 1)) & 1, doc.word_count] for doc in docs]
+            assert column == forest_score(model.forests[sdg], np.array(X, float)).tolist()
         forest_score_calls.clear()
         model.predict_document({"sysA": {1, 4}}, word_count=100)
         assert forest_score_calls == [1] * 17

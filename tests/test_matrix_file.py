@@ -458,6 +458,7 @@ FREQ_MUTATIONS = {
     "5000-digit count": _freq_line(lambda word, count: word + b"\t" + b"9" * 5000),
     "zero count": _freq_line(lambda word, count: word + b"\t0"),
     "negative count": _freq_line(lambda word, count: word + b"\t-3"),
+    "tab-led line": _freq_line(lambda word, count: b"\t" + count),
     "multi-token word": _freq_line(lambda word, count: word + b"-" + word + b"\t" + count),
     "duplicate words": lambda raw, rng: raw + raw.split(b"\n", 2)[1] + b"\n",
     "two counts of 1e308": lambda raw, rng: raw + b"".join(
@@ -483,6 +484,10 @@ def test_mutated_frequency_tables_fail_cleanly(tmp_path, capsys):
     for name in FREQ_MUTATIONS:
         expected = {0, 3} if name == "truncated" else {0} if name in loads else {3}
         assert {outcomes[name, "synth"], outcomes[name, "train"]} <= expected, name
+    # strip() takes the tab with it, so the line holds one column, not an empty word
+    path.write_bytes(FREQ_MUTATIONS["tab-led line"](raw, random.Random(0)))
+    assert main(commands["synth"](tmp_path / "out" / "tab-led")) == 3
+    assert "expected 'word<TAB>count'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +694,7 @@ def _detect_commands(system: Path, external: Path, extra=()) -> dict:
 def _assert_csv_outcomes(outcomes: dict, loads: set) -> None:
     """Harmless layouts and the ``loads`` mutations exit 0 with and without
     --lenient-external, a truncation 0 or 3, and every other mutation 3."""
-    for name in CSV_MUTATIONS:
+    for name in {name for name, _ in outcomes}:
         expected = {0, 3} if name == "truncated" else {0} if name in loads else {3}
         assert {outcomes[name, "strict"], outcomes[name, "lenient"]} <= expected, name
 
@@ -711,7 +716,11 @@ def test_mutated_system_csvs_fail_cleanly(tmp_path, capsys):
     path, external = tmp_path / "system.csv", tmp_path / "external.csv"
     external.write_bytes(_external_csv())
     raw = (DEMO / "system_alpha.csv").read_bytes()
-    outcomes = _sweep(raw, CSV_MUTATIONS, 61, path, _detect_commands(path, external), capsys)
+    mutations = CSV_MUTATIONS | {
+        "empty system": _cell("system", ""),
+        "empty query_id": _cell("query_id", ""),
+    }
+    outcomes = _sweep(raw, mutations, 61, path, _detect_commands(path, external), capsys)
     _assert_csv_outcomes(outcomes, {"bom", "crlf"})
 
 

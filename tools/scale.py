@@ -18,9 +18,10 @@ forests, each forest with ``--trees`` trees and every other setting at the
 CLI's default. ``model_importance`` permutes each feature of the trained
 model ``--repetitions`` times (the CLI's default is 10) with seed 0, as
 ``sdgdetect importance`` does. Then ``EnsembleModel.score_documents`` scores
-every labeled and synthetic dataset with the trained model, its masks built
-as ``sdgdetect predict`` builds them, and ``tracemalloc`` records the peak
-memory of a second, untimed call (tracing doubled the time of scoring).
+every labeled and synthetic dataset with the trained model, from the dataset
+and its prediction matrix, as ``sdgdetect predict`` does, and ``tracemalloc``
+records the peak memory of a second, untimed call (tracing doubled the time
+of scoring).
 
 The last line of standard output is one JSON object: each SDG's feature rows
 and distinct ``(x, y)`` rows, the wall and CPU seconds and the minor page
@@ -95,14 +96,7 @@ def _timed(stages: dict, name: str, call):
 
 def _score(model, matrices, datasets):
     """Each dataset's score lists, computed as ``sdgdetect predict`` computes them."""
-    scores = []
-    for ds in datasets:
-        columns = [matrices[ds.name].columns[s] for s in model.system_names]
-        scores.append(model.score_documents(
-            [[column[doc.id] for column in columns] for doc in ds.documents],
-            [doc.word_count for doc in ds.documents],
-        ))
-    return scores
+    return [model.score_documents(matrices[ds.name], ds) for ds in datasets]
 
 
 def main(argv=None) -> int:
