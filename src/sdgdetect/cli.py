@@ -16,6 +16,10 @@ Only synth, train, predict and importance load numpy: they import ensemble
 and synthgen when they are dispatched (NUMPY_COMMANDS), and so does looking
 up one of those modules' names on this module (NUMPY_NAMES). detect,
 evaluate, bias, --help, --version and every usage error run without it.
+Every table is streamed: its rows, which detect and predict make as they
+are written, go in batches straight into the temporary CSV file, each
+column formatted by the kind TABLES declares, and its JSON mirror is written
+in the same pass (_write_table).
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ import importlib
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -39,6 +45,7 @@ from .bias import profile, profile_bias, profile_fidelity, sum_in_order
 from .corpus import (
     Dataset,
     atomic_write_text,
+    atomic_writer,
     load_documents,
     read_input,
     save_documents,
@@ -108,33 +115,88 @@ _PARAM_NAMES = {"dataset": "datasets", "exclude_pair": "exclude_pairs"}
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+# The JSON mirror's rows in json.dumps(rows, sort_keys=True, indent=2)'s
+# layout, from json's C encoder, which does no indent: with this item
+# separator a list of row dicts encodes as '[{"a": 1,\n    "b": 2},\n    {...}]',
+# every key already on its own line at its indent. A string cannot hold a raw
+# newline, so "},\n    {" occurs only between rows, and only the braces are
+# moved to lines of their own.
+_JSON_ROWS = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+# How each kind of column's cells are written to CSV; "text" cells (str and
+# int) go to csv.writer as they are.
+_CSV_CELLS = {
+    "float": lambda cells: ["" if v is None else format(v, ".12g") for v in cells],
+    "bool": lambda cells: ["true" if v else "false" for v in cells],
+}
+# One cell of csv.writer's QUOTE_MINIMAL text with a "\n" terminator, quoted
+# or bare, and the comma or line end after it.
+_CSV_CELL = re.compile(r'("(?:[^"]|"")*"|[^,"\n]*)([,\n])')
+_BATCH = 1024  # rows formatted and written in one step
 
 
-def _write_table(out_dir: Path, name: str, header: list[str], rows, as_json: bool) -> None:
-    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
-        writer.writerow(header)
-        writer.writerows(map(_fmt, row) for row in rows)
-        # with a "\n" terminator, only QUOTE_ALL quotes a cell holding "\r",
-        # which csv.reader would otherwise take for the end of the row
-        text = buf.getvalue()
-        if "\r" not in text:
-            break
-    atomic_write_text(out_dir / f"{name}.csv", text)
-    if as_json:
-        payload = [dict(zip(header, row)) for row in rows]
-        atomic_write_text(
-            out_dir / f"{name}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        )
+def _quote_all(text: str) -> str:
+    """CSV text that csv.writer wrote with QUOTE_MINIMAL and a "\\n"
+    terminator, as QUOTE_ALL writes it: each bare cell quoted."""
+    return _CSV_CELL.sub(lambda m: m[0] if m[1].startswith('"') else f'"{m[1]}"{m[2]}', text)
+
+
+def _json_rows(header: list[str], batch: list, opened: str) -> str:
+    """A batch of the JSON mirror's rows, each member of the list laid out as
+    ``json.dumps(..., indent=2)`` lays it out, after ``opened``: the list's
+    "[\\n" for the first batch, else the comma and line end after a row."""
+    text = _JSON_ROWS.encode([dict(zip(header, row)) for row in batch])
+    members = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+    return f"{opened}  {{\n    {members}\n  }}"
+
+
+def _write_table(out_dir: Path, name: str, rows, as_json: bool) -> None:
+    """Write a table's rows, an iterable of tuples in ``TABLES[name]``'s column
+    order, a batch at a time straight into the temporary files that become
+    ``<name>.csv`` and, with ``as_json``, ``<name>.json``; an error raised by
+    the rows leaves both old files. Each column's cells are written to CSV by
+    its kind (``_CSV_CELLS``), and the JSON mirror is ``json.dumps([dict(zip(
+    header, row)), ...], sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    A cell holding "\\r" makes the whole CSV file QUOTE_ALL, since with a
+    "\\n" terminator QUOTE_MINIMAL leaves it bare and csv.reader would take it
+    for the end of the row: the text written so far is read back and quoted.
+    """
+    columns = TABLES[name]
+    header = list(columns)
+    formats = [(i, _CSV_CELLS[kind]) for i, kind in enumerate(columns.values()) if kind != "text"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    quote_all = False
+    opened = "[\n"
+    rows = iter(rows)
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(atomic_writer(out_dir / f"{name}.csv"))
+        mirror = files.enter_context(atomic_writer(out_dir / f"{name}.json")) if as_json else None
+        for batch in iter(lambda: list(islice(rows, _BATCH)), []):
+            if mirror:
+                mirror.write(_json_rows(header, batch, opened))
+                opened = ",\n"
+            if formats:
+                by_column = list(zip(*batch))
+                for i, format_cells in formats:
+                    by_column[i] = format_cells(by_column[i])
+                batch = zip(*by_column)
+            writer.writerows(batch)
+            text = buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+            if not quote_all and "\r" in text:
+                quote_all = True
+                fh.seek(0)
+                text = _quote_all(fh.read() + text)
+                fh.seek(0)
+                fh.truncate()
+                writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            fh.write(text)
+        fh.write(buf.getvalue())  # the header of a table without rows
+        if mirror:
+            mirror.write("[]\n" if opened == "[\n" else "\n]\n")
 
 
 def _sha256(path: Path) -> str:
@@ -159,39 +221,47 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs, seed: int
     )
 
 
-def _json_block(brackets: str, lines: list[str], indent: str) -> str:
-    """A JSON array or object laid out as ``json.dumps(..., indent=2)`` lays it
-    out at ``indent``, from its members' lines, each indented one level more."""
-    if not lines:
-        return brackets
-    return brackets[0] + "\n" + ",\n".join(lines) + "\n" + indent + brackets[1]
+def _json_block(brackets: str, members, indent: str):
+    """The chunks of a JSON array or object laid out as ``json.dumps(...,
+    indent=2)`` lays it out at ``indent``, from its members, each an iterable
+    of its text's chunks, indented one level more."""
+    opened = False
+    for member in members:
+        yield ",\n" if opened else brackets[0] + "\n"
+        opened = True
+        yield from member
+    yield "\n" + indent + brackets[1] if opened else brackets
 
 
-def _matrix_json(system_names: list[str], matrices: dict[str, PredictionMatrix]) -> str:
-    """The text of matrix.json: ``json.dumps(payload, sort_keys=True, indent=2)
-    + "\\n"`` for ``{"systems": sorted(system_names), "datasets": {name:
-    {"assignments": [[doc_id, system, sdg], ...]}}}``, byte for byte.
+def _matrix_json(system_names: list[str], matrices: dict[str, PredictionMatrix]):
+    """The chunks of matrix.json's text: ``json.dumps(payload, sort_keys=True,
+    indent=2) + "\\n"`` for ``{"systems": sorted(system_names), "datasets":
+    {name: {"assignments": [[doc_id, system, sdg], ...]}}}``, byte for byte.
 
     json's C encoder does no ``indent``, so the layout is joined here and
     only each string is encoded, by ``json.dumps``. A row's doc id and
     system are encoded once for all its SDGs.
     """
-    datasets = []
-    for name, matrix in sorted(matrices.items()):
-        items, key, head = [], None, ""
+
+    def assignments(matrix: PredictionMatrix):
+        key, head = None, ""
         for doc_id, system, sdg in matrix.assignments:
             if (doc_id, system) != key:
                 key = (doc_id, system)
                 doc_json, system_json = json.dumps(doc_id), json.dumps(system)
                 head = f"        [\n          {doc_json},\n          {system_json},\n"
-            items.append(f"{head}          {sdg}\n        ]")
-        assignments = _json_block("[]", items, "      ")
-        datasets.append(f'    {json.dumps(name)}: {{\n      "assignments": {assignments}\n    }}')
-    systems = [f"    {json.dumps(s)}" for s in sorted(system_names)]
-    return (
-        f'{{\n  "datasets": {_json_block("{}", datasets, "  ")},\n'
-        f'  "systems": {_json_block("[]", systems, "  ")}\n}}\n'
-    )
+            yield (f"{head}          {sdg}\n        ]",)
+
+    def dataset(name: str, matrix: PredictionMatrix):
+        yield f'    {json.dumps(name)}: {{\n      "assignments": '
+        yield from _json_block("[]", assignments(matrix), "      ")
+        yield "\n    }"
+
+    yield '{\n  "datasets": '
+    yield from _json_block("{}", (dataset(*item) for item in sorted(matrices.items())), "  ")
+    yield ',\n  "systems": '
+    yield from _json_block("[]", ((f"    {json.dumps(s)}",) for s in sorted(system_names)), "  ")
+    yield "\n}\n"
 
 
 def _load_matrix_file(
@@ -307,33 +377,57 @@ def _parse_k_grid(raw: str) -> list[float]:
 # Commands
 #
 # Each cmd_* takes the parsed arguments, with seed, out_dir and json already
-# resolved, and returns (tables, params, inputs): its rows keyed by table
-# name, the manifest params it computes and its input files. main records
+# resolved, and returns (tables, params, inputs): its rows (a list, or a
+# generator that makes them as they are written) keyed by table name, the
+# manifest params it computes and its input files. main records
 # every parsed flag of the command as a manifest param, writes every table
 # and then, last, manifest.json; a command writes only its own files
 # (matrix.json, synthetic.jsonl, model.json).
 # ---------------------------------------------------------------------------
 
-# The columns of each table a command returns, by table name. The count and
-# metric columns are derived: they are the fields of ConfusionCounts and
+# The columns of each table a command returns, by table name, each with the
+# kind that says how its cells are written to CSV (``_CSV_CELLS``). The count
+# and metric columns are derived: they are the fields of ConfusionCounts and
 # MetricReport, and a row takes those cells from the records' attributes in
 # field order (vars, which unlike astuple copies nothing).
-_COUNTS = [f.name for f in fields(ConfusionCounts)]
+def _columns(text: str = "", floats: str = "", bools: str = "") -> dict[str, str]:
+    """Columns in order, each mapped to its kind: the text columns (str or
+    int cells), then the float columns (float or None), then the bool columns,
+    each kind's names split by spaces."""
+    kinds: dict[str, str] = {}
+    for names, kind in ((text, "text"), (floats, "float"), (bools, "bool")):
+        kinds.update(dict.fromkeys(names.split(), kind))
+    return kinds
+
+
+_COUNTS = " ".join(f.name for f in fields(ConfusionCounts))
+_METRICS = " ".join(f.name for f in fields(MetricReport))
 TABLES = {
-    "hits": ["dataset", "doc_id", "system", "sdg", "query_id", "term", "positions"],
-    "keyword_frequencies": ["dataset", "system", "term", "count"],
-    "metrics": ["dataset", "system", *_COUNTS, *(f.name for f in fields(MetricReport))],
-    "roc": ["dataset", "system", "fpr", "tpr"],
-    "sdgs_per_doc": ["dataset", "system", "mean_words", "mean_sdgs_per_doc"],
-    "bias": ["system", "dataset", "sdg", "observed", "predicted", "bias"],
-    "profiles": ["source", "dataset", "sdg", "proportion"],
-    "correlations": ["system", "metric", "value"],
-    "cv_report": ["sdg", "fold", "repeat", *_COUNTS, "accuracy", "f1"],
-    "curve": ["k", "pooled_accuracy", "mean_dataset_accuracy", "synthetic_fp_rate"],
-    "skipped": ["sdg", "repeat", "fold", "reason"],
-    "predictions": ["dataset", "doc_id", "sdg", "score", "assigned"],
-    "importance": ["sdg", "feature", "importance"],
+    "hits": _columns("dataset doc_id system sdg query_id term positions"),
+    "keyword_frequencies": _columns("dataset system term count"),
+    "metrics": _columns(f"dataset system {_COUNTS}", _METRICS),
+    "roc": _columns("dataset system", "fpr tpr"),
+    "sdgs_per_doc": _columns("dataset system", "mean_words mean_sdgs_per_doc"),
+    "bias": _columns("system dataset sdg", "observed predicted bias"),
+    "profiles": _columns("source dataset sdg", "proportion"),
+    "correlations": _columns("system metric", "value"),
+    "cv_report": _columns(f"sdg fold repeat {_COUNTS}", "accuracy f1"),
+    "curve": _columns(floats="k pooled_accuracy mean_dataset_accuracy synthetic_fp_rate"),
+    "skipped": _columns("sdg repeat fold reason"),
+    "predictions": _columns("dataset doc_id sdg", "score", "assigned"),
+    "importance": _columns("sdg feature", "importance"),
 }
+
+
+def _hit_rows(hits_by_dataset):
+    """The hits table's rows, from each dataset's name and hits, generated as
+    they are written."""
+    for dataset, hits in hits_by_dataset:
+        for hit in hits:
+            # a hit with no positive literal (a pure NOT query) is one row with no term
+            for term, positions in hit.matched_terms or (("", ()),):
+                at = "|".join(map(str, positions))
+                yield dataset, hit.doc_id, hit.system, hit.sdg, hit.query_id, term, at
 
 
 def cmd_detect(args) -> tuple[dict, dict, list]:
@@ -357,23 +451,19 @@ def cmd_detect(args) -> tuple[dict, dict, list]:
                               f"{held[shared]}, and a predictions row names no dataset")
         external.append((name, masks))
     matrices = {}
-    hit_rows = []
+    hits_by_dataset = []
     freq_rows = []
     for ds in datasets:
         hits = detect(ds, systems)
         matrices[ds.name] = to_matrix(hits, ds, systems)
         for name, masks in external:
             matrices[ds.name].columns[name] = {doc.id: masks[doc.id] for doc in ds.documents}
-        for hit in hits:
-            # a hit with no positive literal (a pure NOT query) is one row with no term
-            for term, positions in hit.matched_terms or (("", ()),):
-                at = "|".join(str(p) for p in positions)
-                hit_rows.append((ds.name, hit.doc_id, hit.system, hit.sdg, hit.query_id, term, at))
+        hits_by_dataset.append((ds.name, hits))
         freq_rows += [(ds.name, *row) for row in keyword_frequencies(hits)]
 
     atomic_write_text(args.out_dir / "matrix.json", _matrix_json(system_names, matrices))
     return (
-        {"hits": hit_rows, "keyword_frequencies": freq_rows},
+        {"hits": _hit_rows(hits_by_dataset), "keyword_frequencies": freq_rows},
         {},
         args.dataset + args.systems + [path for _, path in externals],
     )
@@ -543,18 +633,21 @@ def cmd_train(args) -> tuple[dict, dict, list]:
     )
 
 
-def cmd_predict(args) -> tuple[dict, dict, list]:
-    model, systems = _load_model_and_systems(args.model, args.systems)
-    datasets = _load_named(load_documents, args.dataset, "dataset")
-
-    rows = []
+def _prediction_rows(model, datasets: list[Dataset], systems):
+    """The predictions table's rows, each dataset scored as they are written."""
     for ds in datasets:
         scores = model.score_documents(detect_matrix(ds, systems), ds)
         for doc, column in zip(ds.documents, zip(*scores)):
             for sdg, score in enumerate(column, 1):
-                rows.append((ds.name, doc.id, sdg, score, score >= model.threshold))
+                yield ds.name, doc.id, sdg, score, score >= model.threshold
+
+
+def cmd_predict(args) -> tuple[dict, dict, list]:
+    model, systems = _load_model_and_systems(args.model, args.systems)
+    datasets = _load_named(load_documents, args.dataset, "dataset")
+
     return (
-        {"predictions": rows},
+        {"predictions": _prediction_rows(model, datasets, systems)},
         {},
         [args.model] + args.dataset + args.systems,
     )
@@ -714,7 +807,7 @@ def main(argv: list[str] | None = None) -> int:
         tables, computed, inputs = args.func(args)
         params = {_PARAM_NAMES.get(k, k): v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, rows in tables.items():
-            _write_table(args.out_dir, name, TABLES[name], rows, args.json)
+            _write_table(args.out_dir, name, rows, args.json)
         _write_manifest(args.out_dir, args.command, params | computed, inputs, args.seed)
         return 0
     except SdgToolError as exc:

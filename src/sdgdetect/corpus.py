@@ -11,12 +11,13 @@ labels/evaluated ``|``-separated). A document is labeled exactly when its
 evaluated set, the SDGs experts judged it for, is not empty; a record with
 labels but no evaluated set was judged for all 17. A document also holds
 its labels and evaluated set as 17-bit masks, the form of a prediction row.
-``read_input``, ``atomic_write_text`` and ``warn`` are the package's one
-reader, writer and warning line.
+``read_input``, ``atomic_writer`` (with ``atomic_write_text`` on it) and
+``warn`` are the package's one reader, writer and warning line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -26,7 +27,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import IoError, ParamError, SchemaError
 
@@ -37,8 +38,10 @@ __all__ = [
     "tokenize",
     "read_input",
     "read_csv_rows",
+    "read_csv_columns",
     "load_documents",
     "save_documents",
+    "atomic_writer",
     "atomic_write_text",
     "warn",
 ]
@@ -183,40 +186,102 @@ def read_input(path: str | Path, what: str) -> str:
         raise SchemaError(f"{what} {path} is not valid UTF-8: {exc}") from exc
 
 
-def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[tuple[str, dict]]:
-    """The data rows of a CSV input as (``file:line``, row) pairs, the line
-    being the one a row ends on; an empty file has none. Only LF, CR and CRLF
-    end a line, and a quoted cell keeps its line breaks. The header names each
-    ``required`` column, no column twice and no column empty (as a trailing
-    comma would), no row is longer than the header, and a required ``sdg``
-    cell is parsed to an int in 1..17."""
+def _read_csv(path: str | Path, what: str, required: Sequence[str], read):
+    """``(header, read(name, reader))`` for a CSV input named ``name``,
+    ``reader`` being a ``csv.DictReader`` past the header. Only LF, CR and
+    CRLF end a line, and a quoted cell keeps its line breaks. The header names
+    each ``required`` column, no column twice and no column empty (as a
+    trailing comma would), unless the file holds only whitespace and ``read``
+    finds no row in it."""
     raw, name = read_input(path, what), Path(path).name
+    must_include = f"{name}: CSV header must include {','.join(required)}"
     limit = csv.field_size_limit(len(raw))  # no field is longer than the file
     try:
         reader = csv.DictReader(io.StringIO(raw, newline=""))
         header = reader.fieldnames or ()
-        if raw.strip() and not set(required) <= set(header):
-            raise SchemaError(f"{name}: CSV header must include {','.join(required)}")
+        missing = not set(required) <= set(header)
+        if missing and raw.strip():
+            raise SchemaError(must_include)
         if len(set(header)) < len(header):
             raise SchemaError(f"{name}:{reader.line_num}: CSV header names a column twice")
         if "" in header:
             raise SchemaError(f"{name}:{reader.line_num}: CSV header has an empty column name")
-        rows = [(f"{name}:{reader.line_num}", row) for row in reader]
+        rows = read(name, reader)
     except csv.Error as exc:
         raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
     finally:
         csv.field_size_limit(limit)  # the limit is process-wide
+    if missing and rows:  # lines of whitespace: a header without the columns after all
+        raise SchemaError(must_include)
+    return header, rows
+
+
+def _located(name: str, reader: csv.DictReader) -> list[tuple[str, dict]]:
+    """Each data row with its ``file:line``, the line the row ends on."""
+    return [(f"{name}:{reader.line_num}", row) for row in reader]
+
+
+def _parse_sdg(cell: str | None) -> int:
+    """A CSV ``sdg`` cell as an int in 1..17; a ``ValueError`` says what is wrong."""
+    try:
+        sdg = int(cell or "")
+    except ValueError:
+        raise ValueError(f"non-integer sdg {cell!r}") from None
+    if not 1 <= sdg <= 17:
+        raise ValueError(f"SDG id {sdg} outside 1..17")
+    return sdg
+
+
+def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[tuple[str, dict]]:
+    """The data rows of a CSV input as (``file:line``, row) pairs, the line
+    being the one a row ends on; an empty file has none. The header is
+    checked as ``_read_csv`` says, no row is longer than the header, and a
+    required ``sdg`` cell is parsed to an int in 1..17."""
+    _, rows = _read_csv(path, what, required, _located)
     for where, row in rows:
         if None in row:  # DictReader files the cells past the header under None
             raise SchemaError(f"{where}: more cells than the header has columns")
         if "sdg" in required:
             try:
-                row["sdg"] = int(row["sdg"] or "")
-            except ValueError:
-                raise SchemaError(f"{where}: non-integer sdg {row['sdg']!r}") from None
-            if not 1 <= row["sdg"] <= 17:
-                raise SchemaError(f"{where}: SDG id {row['sdg']} outside 1..17")
+                row["sdg"] = _parse_sdg(row["sdg"])
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
     return rows
+
+
+def read_csv_columns(
+    path: str | Path, what: str, columns: Sequence[str]
+) -> tuple[list[list], Callable[[int], str]]:
+    """The cells of ``columns`` in each data row of a CSV input, read by
+    position with ``csv.reader`` (``None`` past the end of a short row) and
+    checked as ``read_csv_rows`` checks its rows, and ``where``: ``where(i)``
+    is the ``file:line`` that ``read_csv_rows`` gives data row ``i``. The lines
+    are worked out only when first asked for, by reading the file again."""
+    header, rows = _read_csv(path, what, columns, lambda _, reader: [r for r in reader.reader if r])
+    lines: list[str] = []
+
+    def where(i: int) -> str:
+        if not lines:
+            lines.extend(w for w, _ in _read_csv(path, what, columns, _located)[1])
+        return lines[i]
+
+    width = len(header)
+    at = [header.index(c) for c in columns] if rows else []
+    sdg = columns.index("sdg") if "sdg" in columns else None
+    cells = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            if len(row) > width:
+                raise SchemaError(f"{where(i)}: more cells than the header has columns")
+            row += [None] * (width - len(row))
+        picked = [row[j] for j in at]
+        if sdg is not None:
+            try:
+                picked[sdg] = _parse_sdg(picked[sdg])
+            except ValueError as exc:
+                raise SchemaError(f"{where(i)}: {exc}") from None
+        cells.append(picked)
+    return cells, where
 
 
 def load_documents(path: str | Path, name: str | None = None) -> Dataset:
@@ -277,22 +342,25 @@ def warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path`` through a temporary file renamed into
-    place, so readers see the old file or the whole new one. The file gets the
-    mode ``open`` would give a new one, ``0o666`` less the umask. On any error the
-    temporary file is removed; an ``OSError`` is raised as ``IoError``, and
-    text that UTF-8 cannot encode (a name holding a lone surrogate, as one
-    read from undecodable bytes does) as ``SchemaError``."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A text handle, open for writing and reading, on a temporary file beside
+    ``path`` that is renamed to ``path`` when the block ends without error, so
+    readers see the old file or the whole new one. The file is UTF-8 and gets
+    the mode ``open`` would give a new one, ``0o666`` less the umask. On any
+    error the temporary file is removed and the old file kept; an ``OSError``
+    is raised as ``IoError``, and text that UTF-8 cannot encode (a name
+    holding a lone surrogate, as one read from undecodable bytes does) as
+    ``SchemaError``."""
     path = Path(path)
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         os.umask(umask := os.umask(0))  # the umask can only be read by setting it
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")  # mode 0o600
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w+", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -303,3 +371,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     finally:
         if tmp is not None:
             os.unlink(tmp)
+
+
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string chunks written as they
+    come, to ``path`` through ``atomic_writer``. An error raised while the
+    chunks are made leaves the old file."""
+    with atomic_writer(path) as fh:
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)

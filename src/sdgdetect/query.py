@@ -46,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import NearOperandError, QuerySyntaxError
 
@@ -314,16 +314,17 @@ class TokenIndex:
             if tok in present:
                 positions[tok].append(i)
         self.positions = positions
-        self._literals: dict[_Literal, list[int]] = {}
+        self._literals: dict[_Literal, tuple[int, ...]] = {}
 
-    def literal_positions(self, literal: _Literal) -> list[int]:
-        """Sorted positions of a literal made against this document's corpus."""
+    def literal_positions(self, literal: _Literal) -> tuple[int, ...]:
+        """Sorted positions of a literal made against this document's corpus,
+        kept as the tuple that every hit reporting the literal shares."""
         found = self._literals.get(literal)
         if found is None:
-            found = self._literals[literal] = self._find(literal)
+            found = self._literals[literal] = tuple(self._find(literal))
         return found
 
-    def _find(self, literal: _Literal) -> list[int]:
+    def _find(self, literal: _Literal) -> Iterable[int]:
         if literal.words is not None:
             positions = self.positions
             words = literal.words
@@ -335,11 +336,11 @@ class TokenIndex:
         first, *rest = literal.parts
         tokens = self.tokens
         end = len(tokens) - len(rest)
-        return [
+        return (
             p
             for p in self.literal_positions(first)
             if p < end and all(tokens[p + k] in part.words for k, part in enumerate(rest, 1))
-        ]
+        )
 
 
 class CorpusIndex:
@@ -397,7 +398,7 @@ class CorpusIndex:
         if not held:
             return ()
         index = self._index(d)
-        return tuple((lit.surface, tuple(index.literal_positions(lit))) for lit in held)
+        return tuple((lit.surface, index.literal_positions(lit)) for lit in held)
 
     def release(self, d: int) -> None:
         """Drop document ``d``'s token index, if it has one."""
@@ -496,7 +497,7 @@ class CorpusIndex:
         return [self._literals[node]]
 
 
-def _positions(literals: list[_Literal], index: TokenIndex) -> list[int]:
+def _positions(literals: list[_Literal], index: TokenIndex) -> Sequence[int]:
     """A literal's sorted positions in a document, or the sorted union of an OR's."""
     if len(literals) == 1:
         return index.literal_positions(literals[0])
@@ -512,7 +513,7 @@ def _require_positions(*nodes: Node) -> None:
             )
 
 
-def _near_pair_exists(left: list[int], right: list[int], n: int) -> bool:
+def _near_pair_exists(left: Sequence[int], right: Sequence[int], n: int) -> bool:
     # Both lists sorted; walk the smaller-head pointer.
     i = j = 0
     while i < len(left) and j < len(right):

@@ -4,8 +4,9 @@ Sampling uses numpy's PCG64 generator. Each document draws from its own
 generator seeded with SeedSequence((seed, document_counter)), where the
 counter runs over documents in output order; generation is therefore
 reproducible regardless of scheduling, and parallelizable per document.
-Words are drawn one document at a time with ``Generator.choice`` over the
-table's normalized frequencies.
+Words are drawn one document at a time as ``Generator.choice`` draws them
+with ``p`` set to the table's normalized frequencies: uniform draws looked up
+in the table's cumulative distribution, which is built once per table.
 """
 
 from __future__ import annotations
@@ -103,11 +104,14 @@ def _generate(
 ) -> Dataset:
     """One document per ``(length, doc_id)``; the i-th draws from SeedSequence((seed, i))."""
     words = np.asarray(table.words, dtype=object)
-    probs = table.probabilities
+    # Generator.choice(words, size, p=probs)'s own draw, its checks and sums of
+    # p made once per table instead of once per document
+    cdf = table.probabilities.cumsum()
+    cdf /= cdf[-1]
     documents = []
     for counter, (length, doc_id) in enumerate(docs):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, counter))))
-        tokens = tuple(rng.choice(words, size=length, p=probs).tolist())
+        tokens = tuple(words[cdf.searchsorted(rng.random(length), side="right")].tolist())
         documents.append(Document(doc_id, " ".join(tokens), tokens))
     return Dataset(name, tuple(documents))
 

@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, read_csv_rows, warn
+from .corpus import Dataset, read_csv_columns, read_csv_rows, warn
 from .errors import SchemaError, SdgToolError
 from .query import CorpusIndex, Node, parse_query
 
@@ -202,16 +202,16 @@ def import_external_predictions(
     Unknown doc_ids raise E_SCHEMA when strict, otherwise they are
     skipped with a warning on stderr.
     """
-    rows = read_csv_rows(path, "predictions file", ("doc_id", "sdg"))
+    rows, where = read_csv_columns(path, "predictions file", ("doc_id", "sdg"))
     masks = dict.fromkeys(known_doc_ids, 0)
-    for where, row in rows:
-        doc_id = row["doc_id"] or ""
+    for i, (doc_id, sdg) in enumerate(rows):
+        doc_id = doc_id or ""
         if doc_id not in masks:
             if strict:
-                raise SchemaError(f"{where}: unknown doc_id {doc_id!r}")
-            warn(f"{where}: skipping unknown doc_id {doc_id!r}")
+                raise SchemaError(f"{where(i)}: unknown doc_id {doc_id!r}")
+            warn(f"{where(i)}: skipping unknown doc_id {doc_id!r}")
             continue
-        masks[doc_id] |= 1 << (row["sdg"] - 1)
+        masks[doc_id] |= 1 << (sdg - 1)
     return masks
 
 

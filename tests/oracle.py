@@ -8,9 +8,15 @@ Scoring visits every evaluated (document, SDG) pair on its own. The tree
 grower at the end copies rows and argsorts every candidate column at
 every node, and builds each tree as nested JSON objects, the form
 ``model.json`` stores; the tree scorer walks those objects recursively.
+The table writer at the end formats every cell on its own and builds each
+file's whole text before writing it. The external-predictions reader turns
+every row into a dict and its ``file:line`` as it reads it.
 """
 
+import csv
 import functools
+import io
+import json
 import math
 import operator
 import re
@@ -18,6 +24,7 @@ import re
 import numpy as np
 
 from sdgdetect.bias import profile
+from sdgdetect.corpus import atomic_write_text, read_csv_rows, warn
 from sdgdetect.errors import NearOperandError, NoLabelsError, QuerySyntaxError, SchemaError
 from sdgdetect.evaluation import ConfusionCounts
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term, is_position_bearing
@@ -517,3 +524,50 @@ def naive_permutation_importance(trees, rows, repetitions, seed, threshold=0.5) 
             drops.append(baseline - accuracy(Xp))
         importances.append(functools.reduce(operator.add, drops, 0.0) / repetitions)
     return importances
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def naive_write_table(out_dir, name: str, header: list[str], rows, as_json: bool) -> None:
+    """The CLI's table writer as it was before it streamed: each cell through
+    ``_fmt``, each file's whole text built, then written."""
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(map(_fmt, row) for row in rows)
+        # with a "\n" terminator, only QUOTE_ALL quotes a cell holding "\r",
+        # which csv.reader would otherwise take for the end of the row
+        text = buf.getvalue()
+        if "\r" not in text:
+            break
+    atomic_write_text(out_dir / f"{name}.csv", text)
+    if as_json:
+        payload = [dict(zip(header, row)) for row in rows]
+        atomic_write_text(
+            out_dir / f"{name}.json", json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        )
+
+
+def naive_external_predictions(path, known_doc_ids, strict: bool = True) -> dict[str, int]:
+    """``systems.import_external_predictions`` as it was before it read by
+    position: a dict per row, each with its ``file:line``."""
+    rows = read_csv_rows(path, "predictions file", ("doc_id", "sdg"))
+    masks = dict.fromkeys(known_doc_ids, 0)
+    for where, row in rows:
+        doc_id = row["doc_id"] or ""
+        if doc_id not in masks:
+            if strict:
+                raise SchemaError(f"{where}: unknown doc_id {doc_id!r}")
+            warn(f"{where}: skipping unknown doc_id {doc_id!r}")
+            continue
+        masks[doc_id] |= 1 << (row["sdg"] - 1)
+    return masks

@@ -11,6 +11,8 @@ from sdgdetect.corpus import (
     Document,
     atomic_write_text,
     load_documents,
+    read_csv_columns,
+    read_csv_rows,
     save_documents,
     tokenize,
 )
@@ -311,6 +313,21 @@ class TestLoad:
         p.write_text("\n")
         with pytest.raises(SchemaError):
             load_documents(p)
+
+
+def test_csv_of_whitespace_lines_lacks_the_header(tmp_path):
+    """Lines of whitespace only are a header and rows without the required
+    columns, for every CSV reader; a single such line is an empty file."""
+    path = tmp_path / "blank.csv"
+    path.write_text("  \n \n")
+    for read in (read_csv_rows, read_csv_columns):
+        with pytest.raises(SchemaError, match=r"^blank\.csv: CSV header must include doc_id,sdg$"):
+            read(path, "predictions file", ("doc_id", "sdg"))
+    with pytest.raises(SchemaError, match=r"^blank\.csv: CSV header must include id,text$"):
+        load_documents(path)
+    path.write_text("  \n")
+    assert read_csv_rows(path, "predictions file", ("doc_id", "sdg")) == []
+    assert read_csv_columns(path, "predictions file", ("doc_id", "sdg"))[0] == []
 
 
 class TestAtomicWrite:

@@ -109,7 +109,7 @@ def test_loaded_matrix_round_trips(tmp_path):
         columns = matrices[ds.name].columns
         assert list(columns) == systems
         assert all(list(column) == [doc.id for doc in ds.documents] for column in columns.values())
-    assert _matrix_json(systems, matrices) == path.read_text(encoding="utf-8")
+    assert "".join(_matrix_json(systems, matrices)) == path.read_text(encoding="utf-8")
 
 
 def _old_writer(system_names, matrices) -> str:
@@ -146,7 +146,7 @@ def test_emitter_matches_json_dumps():
             })
         cases.append((systems, matrices))
     for systems, matrices in cases:
-        assert _matrix_json(systems, matrices) == _old_writer(systems, matrices)
+        assert "".join(_matrix_json(systems, matrices)) == _old_writer(systems, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdgdetect.corpus import Dataset, Document, load_documents, save_documents
@@ -117,6 +118,27 @@ class TestGenerate:
         assert time.monotonic() - start < 5.0
         counts = Counter(ds.documents[0].tokens)
         assert counts["a"] / 100_000 == pytest.approx(0.75, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            WordFrequencyTable(("only",), (1,)),
+            WordFrequencyTable(("rare", "common", "rarer"), (1, 10**9, 3)),
+            load_frequency_table(DEMO / "wordfreq.tsv"),
+        ],
+        ids=["one word", "skewed", "demo"],
+    )
+    def test_draws_are_generator_choice(self, table):
+        """Each document's words are those ``Generator.choice`` draws with
+        ``p`` set to the table's probabilities, from the document's own seed."""
+        words = np.asarray(table.words, dtype=object)
+        lengths = [1, 2, 17, 300]
+        for seed in (0, 1, 31, 2**40):
+            ds = generate_documents(table, SynthSpec(tuple(lengths), 2, seed=seed))
+            for counter, doc in enumerate(ds.documents):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, counter))))
+                expected = rng.choice(words, size=doc.word_count, p=table.probabilities)
+                assert doc.tokens == tuple(expected.tolist()), (seed, counter)
 
     def test_matched_lengths_exact(self):
         table = WordFrequencyTable(("x", "y"), (1, 1))

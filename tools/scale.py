@@ -23,13 +23,28 @@ and its prediction matrix, as ``sdgdetect predict`` does, and ``tracemalloc``
 records the peak memory of a second, untimed call (tracing doubled the time
 of scoring).
 
-The last line of standard output is one JSON object: each SDG's feature rows
-and distinct ``(x, y)`` rows, the wall and CPU seconds and the minor page
-faults of ``detect_matrix`` (over the four datasets), ``build_features``,
-``cross_validate``, ``train_model``, ``model_importance`` and scoring
-(``predict``), the ``tracemalloc`` peak of scoring, the SHA-256 of ``repr``
-of the ``CvResult``, of the saved ``model.json``, of ``repr`` of the
-importances and of ``repr`` of the score lists, and the process's peak RSS. The digests depend only on the flags, so
+With ``--detect``, it runs the CLI's ``detect`` instead, as a user labels a
+large corpus:
+
+    python3 tools/scale.py --detect --docs 10000
+
+The dataset is the benchmark's ``detect-heavy`` spec resized to ``--docs``
+documents, seed 5, searched with its generated system and the three demo
+systems. ``python -m sdgdetect.cli detect`` runs in a fresh process, once
+without and once with ``--json``, from the package under ``--src`` (by
+default this checkout's ``src``). The last line of standard output is one
+JSON object holding, for each run, its wall and CPU seconds, its peak RSS
+(``os.wait4``) and the SHA-256 of every file it wrote, manifest.json
+included; the digests depend only on ``--docs`` and the package.
+
+Without ``--detect``, the last line of standard output is one JSON object:
+each SDG's feature rows and distinct ``(x, y)`` rows, the wall and CPU
+seconds and the minor page faults of ``detect_matrix`` (over the four
+datasets), ``build_features``, ``cross_validate``, ``train_model``,
+``model_importance`` and scoring (``predict``), the ``tracemalloc`` peak of
+scoring, the SHA-256 of ``repr`` of the ``CvResult``, of the saved
+``model.json``, of ``repr`` of the importances and of ``repr`` of the score
+lists, and the process's peak RSS. The digests depend only on the flags, so
 two runs of one tree must print the same ones; the times, faults and memory
 figures do not.
 """
@@ -38,7 +53,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -99,13 +116,52 @@ def _score(model, matrices, datasets):
     return [model.score_documents(matrices[ds.name], ds) for ds in datasets]
 
 
+def _detect_runs(docs: int, src: Path) -> dict:
+    """Each detect run's times, peak RSS and output digests, by output directory."""
+    spec = dataclasses.replace(workloads.SPECS["detect-heavy"], labeled=(("heavy", docs),))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        inputs = workloads.generate(spec, 5, DEMO)
+        workloads.write_inputs(inputs, work, DEMO)
+        argv = dict(inputs.chain)["detect"][:-1]  # without its --out-dir value
+        for out, extra in (("out/detect", []), ("out/detect_json", ["--json"])):
+            command = [sys.executable, "-m", "sdgdetect.cli", *argv, out, *extra]
+            wall = time.perf_counter()
+            process = subprocess.Popen(command, cwd=work, env=env)
+            _, status, usage = os.wait4(process.pid, 0)  # the child's own rusage
+            wall = time.perf_counter() - wall
+            # reaped by wait4: Popen must not wait for it again
+            process.returncode = code = os.waitstatus_to_exitcode(status)
+            if code:
+                raise SystemExit(f"{' '.join(command)} exited {code}")
+            runs[out] = {
+                "wall_s": round(wall, 3),
+                "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+                "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+                "sha256": {
+                    f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                    for f in sorted((work / out).iterdir())
+                },
+            }
+    return {"docs": docs, "heavy_queries": len(inputs.heavy_queries), **runs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--docs", type=int, default=1500, help="documents per labeled dataset")
     parser.add_argument("--trees", type=int, default=300, help="trees per forest")
     parser.add_argument("--folds", type=int, default=5, help="cross-validation folds")
     parser.add_argument("--repetitions", type=int, default=10, help="permutations per feature")
+    parser.add_argument("--detect", action="store_true", help="time the CLI's detect instead")
+    parser.add_argument(
+        "--src", type=Path, default=ROOT / "src", help="package source for --detect"
+    )
     args = parser.parse_args(argv)
+    if args.detect:
+        print(json.dumps(_detect_runs(args.docs, args.src.resolve())))
+        return 0
     if args.docs < workloads.N_SDGS:
         parser.error(f"--docs must be at least {workloads.N_SDGS}, one document per SDG")
     if args.repetitions < 1:
