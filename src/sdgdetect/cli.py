@@ -19,7 +19,9 @@ evaluate, bias, --help, --version and every usage error run without it.
 Every table is streamed: its rows, which detect and predict make as they
 are written, go in batches straight into the temporary CSV file, each
 column formatted by the kind TABLES declares, and its JSON mirror is written
-in the same pass (_write_table).
+in the same pass (_write_table). One helper, _json_list, lays out the
+mirror's rows and matrix.json's assignments. manifest.json records the
+digest of the bytes each input gave when it was read (corpus.input_digests).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import hashlib
 import importlib
 import io
 import json
@@ -46,6 +47,7 @@ from .corpus import (
     Dataset,
     atomic_write_text,
     atomic_writer,
+    input_digests,
     load_documents,
     read_input,
     save_documents,
@@ -115,13 +117,6 @@ _PARAM_NAMES = {"dataset": "datasets", "exclude_pair": "exclude_pairs"}
 # ---------------------------------------------------------------------------
 
 
-# The JSON mirror's rows in json.dumps(rows, sort_keys=True, indent=2)'s
-# layout, from json's C encoder, which does no indent: with this item
-# separator a list of row dicts encodes as '[{"a": 1,\n    "b": 2},\n    {...}]',
-# every key already on its own line at its indent. A string cannot hold a raw
-# newline, so "},\n    {" occurs only between rows, and only the braces are
-# moved to lines of their own.
-_JSON_ROWS = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
 # How each kind of column's cells are written to CSV; "text" cells (str and
 # int) go to csv.writer as they are.
 _CSV_CELLS = {
@@ -140,13 +135,27 @@ def _quote_all(text: str) -> str:
     return _CSV_CELL.sub(lambda m: m[0] if m[1].startswith('"') else f'"{m[1]}"{m[2]}', text)
 
 
-def _json_rows(header: list[str], batch: list, opened: str) -> str:
-    """A batch of the JSON mirror's rows, each member of the list laid out as
-    ``json.dumps(..., indent=2)`` lays it out, after ``opened``: the list's
-    "[\\n" for the first batch, else the comma and line end after a row."""
-    text = _JSON_ROWS.encode([dict(zip(header, row)) for row in batch])
-    members = text[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-    return f"{opened}  {{\n    {members}\n  }}"
+def _json_list(members: list, depth: int, opened: str) -> str:
+    """A batch of the members of a JSON list, each a flat dict or a flat list
+    that is not empty, laid out as ``json.dumps(..., sort_keys=True,
+    indent=2)`` lays them out in a list ``depth`` levels deep, after
+    ``opened``: the list's "[\\n" for the first batch, else the comma and line
+    end after a member.
+
+    json's C encoder does no indent; with an item separator that ends in the
+    indent of the members' items, it puts each item on a line of its own:
+    '[{"a": 1,\\n    "b": 2},\\n    {...}]' at depth 0. A string cannot hold a
+    raw newline and no item of a flat member ends in a bracket, so a closing
+    bracket, the separator and an opening bracket occur only between members,
+    and only the members' brackets are moved to lines of their own.
+    """
+    outer, inner = "  " * (depth + 1), "  " * (depth + 2)
+    text = json.dumps(members, sort_keys=True, separators=(",\n" + inner, ": "))
+    opening, closing = text[1], text[-2]
+    text = text[2:-2].replace(
+        f"{closing},\n{inner}{opening}", f"\n{outer}{closing},\n{outer}{opening}\n{inner}"
+    )
+    return f"{opened}{outer}{opening}\n{inner}{text}\n{outer}{closing}"
 
 
 def _write_table(out_dir: Path, name: str, rows, as_json: bool) -> None:
@@ -175,7 +184,7 @@ def _write_table(out_dir: Path, name: str, rows, as_json: bool) -> None:
         mirror = files.enter_context(atomic_writer(out_dir / f"{name}.json")) if as_json else None
         for batch in iter(lambda: list(islice(rows, _BATCH)), []):
             if mirror:
-                mirror.write(_json_rows(header, batch, opened))
+                mirror.write(_json_list([dict(zip(header, row)) for row in batch], 0, opened))
                 opened = ",\n"
             if formats:
                 by_column = list(zip(*batch))
@@ -199,14 +208,6 @@ def _write_table(out_dir: Path, name: str, rows, as_json: bool) -> None:
             mirror.write("[]\n" if opened == "[\n" else "\n]\n")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_manifest(out_dir: Path, command: str, params: dict, inputs, seed: int) -> None:
     manifest = {
         "tool": "sdgdetect",
@@ -214,54 +215,32 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs, seed: int
         "command": command,
         "seed": seed,
         "params": params,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {str(p): input_digests[str(Path(p))] for p in inputs},
     }
     atomic_write_text(
         out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
 
 
-def _json_block(brackets: str, members, indent: str):
-    """The chunks of a JSON array or object laid out as ``json.dumps(...,
-    indent=2)`` lays it out at ``indent``, from its members, each an iterable
-    of its text's chunks, indented one level more."""
-    opened = False
-    for member in members:
-        yield ",\n" if opened else brackets[0] + "\n"
-        opened = True
-        yield from member
-    yield "\n" + indent + brackets[1] if opened else brackets
-
-
 def _matrix_json(system_names: list[str], matrices: dict[str, PredictionMatrix]):
     """The chunks of matrix.json's text: ``json.dumps(payload, sort_keys=True,
     indent=2) + "\\n"`` for ``{"systems": sorted(system_names), "datasets":
-    {name: {"assignments": [[doc_id, system, sdg], ...]}}}``, byte for byte.
-
-    json's C encoder does no ``indent``, so the layout is joined here and
-    only each string is encoded, by ``json.dumps``. A row's doc id and
-    system are encoded once for all its SDGs.
-    """
-
-    def assignments(matrix: PredictionMatrix):
-        key, head = None, ""
-        for doc_id, system, sdg in matrix.assignments:
-            if (doc_id, system) != key:
-                key = (doc_id, system)
-                doc_json, system_json = json.dumps(doc_id), json.dumps(system)
-                head = f"        [\n          {doc_json},\n          {system_json},\n"
-            yield (f"{head}          {sdg}\n        ]",)
-
-    def dataset(name: str, matrix: PredictionMatrix):
-        yield f'    {json.dumps(name)}: {{\n      "assignments": '
-        yield from _json_block("[]", assignments(matrix), "      ")
-        yield "\n    }"
-
-    yield '{\n  "datasets": '
-    yield from _json_block("{}", (dataset(*item) for item in sorted(matrices.items())), "  ")
-    yield ',\n  "systems": '
-    yield from _json_block("[]", ((f"    {json.dumps(s)}",) for s in sorted(system_names)), "  ")
-    yield "\n}\n"
+    {name: {"assignments": [[doc_id, system, sdg], ...]}}}``, byte for byte,
+    each dataset's assignments laid out ``_BATCH`` at a time."""
+    yield '{\n  "datasets": {'
+    comma = "\n"
+    for name, matrix in sorted(matrices.items()):
+        yield f'{comma}    {json.dumps(name)}: {{\n      "assignments": '
+        comma = ",\n"
+        assignments = matrix.assignments
+        opened = "[\n"
+        for start in range(0, len(assignments), _BATCH):
+            yield _json_list(assignments[start : start + _BATCH], 3, opened)
+            opened = ",\n"
+        yield "[]\n    }" if opened == "[\n" else "\n      ]\n    }"
+    yield "}" if comma == "\n" else "\n  }"
+    systems = json.dumps(sorted(system_names), indent=2).replace("\n", "\n  ")
+    yield f',\n  "systems": {systems}\n}}\n'
 
 
 def _load_matrix_file(
@@ -798,6 +777,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        input_digests.clear()
         _resolve_global_flags(args)
         args.out_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's manifest must not outlive a rerun that fails part-way

@@ -12,13 +12,16 @@ evaluated set, the SDGs experts judged it for, is not empty; a record with
 labels but no evaluated set was judged for all 17. A document also holds
 its labels and evaluated set as 17-bit masks, the form of a prediction row.
 ``read_input``, ``atomic_writer`` (with ``atomic_write_text`` on it) and
-``warn`` are the package's one reader, writer and warning line.
+``warn`` are the package's one reader, writer and warning line;
+``read_input`` keeps the SHA-256 of each input's bytes for the manifest, and
+``read_csv_rows`` is the one reader of every CSV input.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -27,7 +30,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import IoError, ParamError, SchemaError
 
@@ -37,8 +40,8 @@ __all__ = [
     "Dataset",
     "tokenize",
     "read_input",
+    "input_digests",
     "read_csv_rows",
-    "read_csv_columns",
     "load_documents",
     "save_documents",
     "atomic_writer",
@@ -171,54 +174,29 @@ def _parse_int_list(raw: str, where: str) -> list[int] | None:
     return out
 
 
+# The SHA-256 of the bytes read_input last read from each input, keyed by
+# ``str(Path(path))``: what a run parsed, also from a pipe that cannot be read
+# twice. cli.main clears it when a run starts and records it in manifest.json.
+input_digests: dict[str, str] = {}
+
+
 def read_input(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 input file, line ends untranslated and a leading
-    byte-order mark dropped. A path holding a NUL byte, which no file system
-    takes, is a ``ParamError``; an ``OSError`` is raised as ``IoError`` and
+    """The text of a UTF-8 input file, read in one call (a pipe gives its
+    bytes once), line ends untranslated and a leading byte-order mark
+    dropped; the SHA-256 of its bytes goes to ``input_digests``. A path holding a NUL byte, which no file system takes,
+    is a ``ParamError``; an ``OSError`` is raised as ``IoError`` and
     undecodable bytes as ``SchemaError``."""
     if "\0" in str(path):
         raise ParamError(f"{what} path must not hold a NUL byte: {str(path)!r}")
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8-sig")
     except OSError as exc:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{what} {path} is not valid UTF-8: {exc}") from exc
-
-
-def _read_csv(path: str | Path, what: str, required: Sequence[str], read):
-    """``(header, read(name, reader))`` for a CSV input named ``name``,
-    ``reader`` being a ``csv.DictReader`` past the header. Only LF, CR and
-    CRLF end a line, and a quoted cell keeps its line breaks. The header names
-    each ``required`` column, no column twice and no column empty (as a
-    trailing comma would), unless the file holds only whitespace and ``read``
-    finds no row in it."""
-    raw, name = read_input(path, what), Path(path).name
-    must_include = f"{name}: CSV header must include {','.join(required)}"
-    limit = csv.field_size_limit(len(raw))  # no field is longer than the file
-    try:
-        reader = csv.DictReader(io.StringIO(raw, newline=""))
-        header = reader.fieldnames or ()
-        missing = not set(required) <= set(header)
-        if missing and raw.strip():
-            raise SchemaError(must_include)
-        if len(set(header)) < len(header):
-            raise SchemaError(f"{name}:{reader.line_num}: CSV header names a column twice")
-        if "" in header:
-            raise SchemaError(f"{name}:{reader.line_num}: CSV header has an empty column name")
-        rows = read(name, reader)
-    except csv.Error as exc:
-        raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
-    finally:
-        csv.field_size_limit(limit)  # the limit is process-wide
-    if missing and rows:  # lines of whitespace: a header without the columns after all
-        raise SchemaError(must_include)
-    return header, rows
-
-
-def _located(name: str, reader: csv.DictReader) -> list[tuple[str, dict]]:
-    """Each data row with its ``file:line``, the line the row ends on."""
-    return [(f"{name}:{reader.line_num}", row) for row in reader]
+    input_digests[str(Path(path))] = hashlib.sha256(data).hexdigest()
+    return text
 
 
 def _parse_sdg(cell: str | None) -> int:
@@ -232,56 +210,58 @@ def _parse_sdg(cell: str | None) -> int:
     return sdg
 
 
-def read_csv_rows(path: str | Path, what: str, required: Sequence[str]) -> list[tuple[str, dict]]:
-    """The data rows of a CSV input as (``file:line``, row) pairs, the line
-    being the one a row ends on; an empty file has none. The header is
-    checked as ``_read_csv`` says, no row is longer than the header, and a
-    required ``sdg`` cell is parsed to an int in 1..17."""
-    _, rows = _read_csv(path, what, required, _located)
-    for where, row in rows:
-        if None in row:  # DictReader files the cells past the header under None
-            raise SchemaError(f"{where}: more cells than the header has columns")
-        if "sdg" in required:
-            try:
-                row["sdg"] = _parse_sdg(row["sdg"])
-            except ValueError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
-    return rows
+def read_csv_rows(
+    path: str | Path, what: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> tuple[str, list[tuple[int, list]]]:
+    """The file name of a CSV input and its data rows as ``(line, cells)``
+    pairs, read in one pass. ``line`` is the line a row ends on; ``cells``
+    holds the row's ``required`` cells, then its ``optional`` ones, ``None``
+    past the end of a short row or where the header lacks an optional column.
+    Blank lines hold no row, and an empty file has none.
 
-
-def read_csv_columns(
-    path: str | Path, what: str, columns: Sequence[str]
-) -> tuple[list[list], Callable[[int], str]]:
-    """The cells of ``columns`` in each data row of a CSV input, read by
-    position with ``csv.reader`` (``None`` past the end of a short row) and
-    checked as ``read_csv_rows`` checks its rows, and ``where``: ``where(i)``
-    is the ``file:line`` that ``read_csv_rows`` gives data row ``i``. The lines
-    are worked out only when first asked for, by reading the file again."""
-    header, rows = _read_csv(path, what, columns, lambda _, reader: [r for r in reader.reader if r])
-    lines: list[str] = []
-
-    def where(i: int) -> str:
-        if not lines:
-            lines.extend(w for w, _ in _read_csv(path, what, columns, _located)[1])
-        return lines[i]
-
+    Only LF, CR and CRLF end a line, and a quoted cell keeps its line breaks.
+    The header names each ``required`` column, no column twice and no column
+    empty (as a trailing comma would), unless the file holds only whitespace
+    and no row. No row is longer than the header, and a required ``sdg``
+    cell is parsed to an int in 1..17.
+    """
+    raw, name = read_input(path, what), Path(path).name
+    must_include = f"{name}: CSV header must include {','.join(required)}"
+    limit = csv.field_size_limit(len(raw))  # no field is longer than the file
+    try:
+        reader = csv.reader(io.StringIO(raw, newline=""))
+        header = next(reader, [])
+        missing = not set(required) <= set(header)
+        if missing and raw.strip():
+            raise SchemaError(must_include)
+        if len(set(header)) < len(header):
+            raise SchemaError(f"{name}:{reader.line_num}: CSV header names a column twice")
+        if "" in header:
+            raise SchemaError(f"{name}:{reader.line_num}: CSV header has an empty column name")
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as exc:
+        raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
+    finally:
+        csv.field_size_limit(limit)  # the limit is process-wide
+    if missing and rows:  # lines of whitespace: a header without the columns after all
+        raise SchemaError(must_include)
     width = len(header)
-    at = [header.index(c) for c in columns] if rows else []
-    sdg = columns.index("sdg") if "sdg" in columns else None
-    cells = []
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            if len(row) > width:
-                raise SchemaError(f"{where(i)}: more cells than the header has columns")
-            row += [None] * (width - len(row))
-        picked = [row[j] for j in at]
+    # a column the header lacks is read at index ``width``, always padded with None
+    at = [header.index(c) if c in header else width for c in (*required, *optional)]
+    sdg = required.index("sdg") if "sdg" in required else None
+    located = []
+    for line, row in rows:
+        if len(row) > width:
+            raise SchemaError(f"{name}:{line}: more cells than the header has columns")
+        row += [None] * (width + 1 - len(row))
+        cells = [row[j] for j in at]
         if sdg is not None:
             try:
-                picked[sdg] = _parse_sdg(picked[sdg])
+                cells[sdg] = _parse_sdg(cells[sdg])
             except ValueError as exc:
-                raise SchemaError(f"{where(i)}: {exc}") from None
-        cells.append(picked)
-    return cells, where
+                raise SchemaError(f"{name}:{line}: {exc}") from None
+        located.append((line, cells))
+    return name, located
 
 
 def load_documents(path: str | Path, name: str | None = None) -> Dataset:
@@ -311,16 +291,11 @@ def load_documents(path: str | Path, name: str | None = None) -> Dataset:
                 )
             )
     else:
-        for where, row in read_csv_rows(path, "dataset", ("id", "text")):
-            documents.append(
-                _build_document(
-                    row.get("id"),
-                    row.get("text"),
-                    _parse_int_list(row.get("labels"), where),
-                    _parse_int_list(row.get("evaluated"), where),
-                    where,
-                )
-            )
+        file, rows = read_csv_rows(path, "dataset", ("id", "text"), ("labels", "evaluated"))
+        for line, (doc_id, text, labels, evaluated) in rows:
+            where = f"{file}:{line}"
+            labels, evaluated = _parse_int_list(labels, where), _parse_int_list(evaluated, where)
+            documents.append(_build_document(doc_id, text, labels, evaluated, where))
 
     return Dataset(name or path.stem, tuple(documents))
 

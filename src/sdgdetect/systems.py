@@ -20,7 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, read_csv_columns, read_csv_rows, warn
+from .corpus import Dataset, read_csv_rows, warn
 from .errors import SchemaError, SdgToolError
 from .query import CorpusIndex, Node, parse_query
 
@@ -110,33 +110,33 @@ class PredictionMatrix:
 
 def load_system(path: str | Path) -> SystemDefinition:
     """Load one system definition; all rows must share the system name."""
-    path = Path(path)
     name: str | None = None
     entries: list[SystemEntry] = []
     seen_ids: set[str] = set()
-    for where, row in read_csv_rows(path, "system file", ("system", "sdg", "query_id", "query")):
-        system = (row.get("system") or "").strip()
+    file, rows = read_csv_rows(path, "system file", ("system", "sdg", "query_id", "query"))
+    for line, (system, sdg, query_id, query) in rows:
+        system = (system or "").strip()
         if not system:
-            raise SchemaError(f"{where}: missing system name")
+            raise SchemaError(f"{file}:{line}: missing system name")
         if name is None:
             name = system
         elif system != name:
-            raise SchemaError(f"{where}: mixed system names ({name!r} vs {system!r})")
-        query_id = (row.get("query_id") or "").strip()
+            raise SchemaError(f"{file}:{line}: mixed system names ({name!r} vs {system!r})")
+        query_id = (query_id or "").strip()
         if not query_id:
-            raise SchemaError(f"{where}: missing query_id")
+            raise SchemaError(f"{file}:{line}: missing query_id")
         if query_id in seen_ids:
-            raise SchemaError(f"{where}: duplicate query_id {query_id!r}")
+            raise SchemaError(f"{file}:{line}: duplicate query_id {query_id!r}")
         seen_ids.add(query_id)
         try:
-            ast = parse_query(row.get("query") or "")
+            ast = parse_query(query or "")
         except SdgToolError as exc:
             # keep the error's type, code and position; only say where it is
             exc.args = (f"system {system!r}, query {query_id!r}: {exc}",)
             raise
-        entries.append(SystemEntry(row["sdg"], query_id, ast))
+        entries.append(SystemEntry(sdg, query_id, ast))
     if name is None:
-        raise SchemaError(f"{path.name}: no rows")
+        raise SchemaError(f"{file}: no rows")
     return SystemDefinition(name, tuple(entries))
 
 
@@ -202,14 +202,14 @@ def import_external_predictions(
     Unknown doc_ids raise E_SCHEMA when strict, otherwise they are
     skipped with a warning on stderr.
     """
-    rows, where = read_csv_columns(path, "predictions file", ("doc_id", "sdg"))
+    file, rows = read_csv_rows(path, "predictions file", ("doc_id", "sdg"))
     masks = dict.fromkeys(known_doc_ids, 0)
-    for i, (doc_id, sdg) in enumerate(rows):
+    for line, (doc_id, sdg) in rows:
         doc_id = doc_id or ""
         if doc_id not in masks:
             if strict:
-                raise SchemaError(f"{where(i)}: unknown doc_id {doc_id!r}")
-            warn(f"{where(i)}: skipping unknown doc_id {doc_id!r}")
+                raise SchemaError(f"{file}:{line}: unknown doc_id {doc_id!r}")
+            warn(f"{file}:{line}: skipping unknown doc_id {doc_id!r}")
             continue
         masks[doc_id] |= 1 << (sdg - 1)
     return masks

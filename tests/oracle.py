@@ -9,8 +9,9 @@ grower at the end copies rows and argsorts every candidate column at
 every node, and builds each tree as nested JSON objects, the form
 ``model.json`` stores; the tree scorer walks those objects recursively.
 The table writer at the end formats every cell on its own and builds each
-file's whole text before writing it. The external-predictions reader turns
-every row into a dict and its ``file:line`` as it reads it.
+file's whole text before writing it. The CSV reader turns every row into a
+``csv.DictReader`` dict and its ``file:line`` as it reads it, and so does the
+external-predictions reader built on it.
 """
 
 import csv
@@ -20,11 +21,12 @@ import json
 import math
 import operator
 import re
+from pathlib import Path
 
 import numpy as np
 
 from sdgdetect.bias import profile
-from sdgdetect.corpus import atomic_write_text, read_csv_rows, warn
+from sdgdetect.corpus import _parse_sdg, atomic_write_text, read_input, warn
 from sdgdetect.errors import NearOperandError, NoLabelsError, QuerySyntaxError, SchemaError
 from sdgdetect.evaluation import ConfusionCounts
 from sdgdetect.query import And, Near, Node, Not, Or, Phrase, Term, is_position_bearing
@@ -557,10 +559,64 @@ def naive_write_table(out_dir, name: str, header: list[str], rows, as_json: bool
         )
 
 
+def _naive_read_csv(path, what: str, required, read):
+    """``(header, read(name, reader))`` for a CSV input named ``name``,
+    ``reader`` being a ``csv.DictReader`` past the header. Only LF, CR and
+    CRLF end a line, and a quoted cell keeps its line breaks. The header names
+    each ``required`` column, no column twice and no column empty (as a
+    trailing comma would), unless the file holds only whitespace and ``read``
+    finds no row in it."""
+    raw, name = read_input(path, what), Path(path).name
+    must_include = f"{name}: CSV header must include {','.join(required)}"
+    limit = csv.field_size_limit(len(raw))  # no field is longer than the file
+    try:
+        reader = csv.DictReader(io.StringIO(raw, newline=""))
+        header = reader.fieldnames or ()
+        missing = not set(required) <= set(header)
+        if missing and raw.strip():
+            raise SchemaError(must_include)
+        if len(set(header)) < len(header):
+            raise SchemaError(f"{name}:{reader.line_num}: CSV header names a column twice")
+        if "" in header:
+            raise SchemaError(f"{name}:{reader.line_num}: CSV header has an empty column name")
+        rows = read(name, reader)
+    except csv.Error as exc:
+        raise SchemaError(f"{name}: malformed CSV ({exc})") from exc
+    finally:
+        csv.field_size_limit(limit)  # the limit is process-wide
+    if missing and rows:  # lines of whitespace: a header without the columns after all
+        raise SchemaError(must_include)
+    return header, rows
+
+
+def _naive_located(name: str, reader: csv.DictReader) -> list[tuple[str, dict]]:
+    """Each data row with its ``file:line``, the line the row ends on."""
+    return [(f"{name}:{reader.line_num}", row) for row in reader]
+
+
+def naive_csv_rows(path, what: str, required) -> list[tuple[str, dict]]:
+    """``corpus.read_csv_rows`` as it was before it read by position: the
+    data rows of a CSV input as (``file:line``, row dict) pairs from a
+    ``csv.DictReader``, the line being the one a row ends on; an empty file
+    has none. The header is checked as ``_naive_read_csv`` says, no row is
+    longer than the header, and a required ``sdg`` cell is parsed to an int
+    in 1..17."""
+    _, rows = _naive_read_csv(path, what, required, _naive_located)
+    for where, row in rows:
+        if None in row:  # DictReader files the cells past the header under None
+            raise SchemaError(f"{where}: more cells than the header has columns")
+        if "sdg" in required:
+            try:
+                row["sdg"] = _parse_sdg(row["sdg"])
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+    return rows
+
+
 def naive_external_predictions(path, known_doc_ids, strict: bool = True) -> dict[str, int]:
     """``systems.import_external_predictions`` as it was before it read by
     position: a dict per row, each with its ``file:line``."""
-    rows = read_csv_rows(path, "predictions file", ("doc_id", "sdg"))
+    rows = naive_csv_rows(path, "predictions file", ("doc_id", "sdg"))
     masks = dict.fromkeys(known_doc_ids, 0)
     for where, row in rows:
         doc_id = row["doc_id"] or ""

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import inspect
 import json
 import os
@@ -250,6 +251,56 @@ class TestDetect:
         assert manifest["command"] == "detect"
         assert manifest["seed"] == 42
         assert corpus in manifest["inputs"]
+
+
+def _read_once(monkeypatch, path: Path, after: bytes = b"") -> None:
+    """Make ``path`` readable once, as a pipe such as ``<(cat ext.csv)`` is:
+    its first ``Path.read_bytes`` returns its bytes and leaves ``after`` in
+    the file, so a second read of it, by any means, sees other bytes."""
+    read_bytes = Path.read_bytes
+
+    def once(self):
+        data = read_bytes(self)
+        if self == path:
+            path.write_bytes(after)
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", once)
+
+
+class TestInputReadOnce:
+    """detect reads each input once: an --external CSV that can be read only
+    once gives the same answer as a file, and manifest.json records the digest
+    of the bytes that were parsed."""
+
+    CSV = b"doc_id,sdg\nd3,15\n\nd9,2\n"
+
+    def _run(self, corpus, system, tmp_path, monkeypatch, extra=()):
+        ext = tmp_path / "ext.csv"
+        ext.write_bytes(self.CSV)
+        _read_once(monkeypatch, ext)
+        return _detect(corpus, system, tmp_path / "out", ["--external", f"black={ext}", *extra])
+
+    def test_unknown_doc_id_is_3(self, corpus, system, tmp_path, monkeypatch, capsys):
+        assert self._run(corpus, system, tmp_path, monkeypatch) == 3
+        assert capsys.readouterr().err == "error [E_SCHEMA]: ext.csv:4: unknown doc_id 'd9'\n"
+
+    def test_lenient_warns_with_the_line(self, corpus, system, tmp_path, monkeypatch, capsys):
+        assert self._run(corpus, system, tmp_path, monkeypatch, ["--lenient-external"]) == 0
+        assert capsys.readouterr().err == "warning: ext.csv:4: skipping unknown doc_id 'd9'\n"
+        matrix = json.loads((tmp_path / "out" / "matrix.json").read_text())
+        assert ["d3", "black", 15] in matrix["datasets"]["corpus"]["assignments"]
+
+    @pytest.mark.parametrize("after", [b"", b"doc_id,sdg\nd1,2\n"], ids=["piped", "changed"])
+    def test_manifest_records_the_bytes_parsed(self, corpus, system, tmp_path, monkeypatch, after):
+        ext = tmp_path / "ext.csv"
+        ext.write_bytes(b"doc_id,sdg\nd3,15\n")
+        _read_once(monkeypatch, ext, after)
+        assert _detect(corpus, system, tmp_path / "out", ["--external", f"black={ext}"]) == 0
+        inputs = json.loads((tmp_path / "out" / "manifest.json").read_text())["inputs"]
+        assert inputs[str(ext)] == hashlib.sha256(b"doc_id,sdg\nd3,15\n").hexdigest()
+        for regular in (corpus, system):  # read as files are, and unchanged
+            assert inputs[regular] == hashlib.sha256(Path(regular).read_bytes()).hexdigest()
 
 
 DEMO_SYSTEMS = [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sdgdetect.cli import _load_matrix_file, _matrix_json, main
+from sdgdetect.cli import _BATCH, _load_matrix_file, _matrix_json, main
 from sdgdetect.corpus import load_documents
 from sdgdetect.query import _MAX_NESTING
 from sdgdetect.systems import PredictionMatrix
@@ -132,6 +132,12 @@ def test_emitter_matches_json_dumps():
         return "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 5)))
 
     cases = [([], {}), ([], {"d": PredictionMatrix({})}), (["s"], {})]
+    # one dataset of as many assignments as a batch lays out, one more and two
+    # batches' worth, beside a dataset with none
+    for size in (_BATCH, _BATCH + 1, 2 * _BATCH):
+        column = {f"d{i:05}": 1 << (i % 17) for i in range(size)}
+        cases.append((["s"], {"big": PredictionMatrix({"s": column}),
+                              "none": PredictionMatrix({"s": {"q": 0}})}))  # fmt: skip
     for _ in range(500):
         systems = sorted({text() for _ in range(rng.randrange(0, 4))})
         matrices = {}
@@ -674,6 +680,12 @@ CSV_MUTATIONS = {
 }
 
 
+SYSTEM_CSV_MUTATIONS = CSV_MUTATIONS | {
+    "empty system": _cell("system", ""),
+    "empty query_id": _cell("query_id", ""),
+}
+
+
 def _external_csv() -> bytes:
     """A valid --external CSV: one prediction for every demo document."""
     with open(DEMO / "corpus.jsonl", encoding="utf-8") as fh:
@@ -716,11 +728,8 @@ def test_mutated_system_csvs_fail_cleanly(tmp_path, capsys):
     path, external = tmp_path / "system.csv", tmp_path / "external.csv"
     external.write_bytes(_external_csv())
     raw = (DEMO / "system_alpha.csv").read_bytes()
-    mutations = CSV_MUTATIONS | {
-        "empty system": _cell("system", ""),
-        "empty query_id": _cell("query_id", ""),
-    }
-    outcomes = _sweep(raw, mutations, 61, path, _detect_commands(path, external), capsys)
+    commands = _detect_commands(path, external)
+    outcomes = _sweep(raw, SYSTEM_CSV_MUTATIONS, 61, path, commands, capsys)
     _assert_csv_outcomes(outcomes, {"bom", "crlf"})
 
 

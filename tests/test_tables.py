@@ -1,8 +1,10 @@
 """The CLI's streamed table writer against the writer it replaced
 (``naive_write_table`` in tests/oracle.py): the same CSV and JSON bytes for
 every table and kind of column, in batches or not, and the same files from
-``detect`` and ``predict`` over two datasets. The lean ``--external`` reader
-against the dict reader it replaced: the same masks, messages and warnings."""
+``detect`` and ``predict`` over two datasets. The one CSV reader, and the
+``--external`` reader built on it, against the dict readers they replaced
+(``naive_csv_rows`` and ``naive_external_predictions``): the same cells, lines,
+masks, messages and warnings."""
 
 import json
 import math
@@ -10,12 +12,18 @@ import random
 from pathlib import Path
 
 import pytest
-from oracle import naive_external_predictions, naive_write_table
-from test_matrix_file import CSV_MUTATIONS, _external_csv
+from oracle import naive_csv_rows, naive_external_predictions, naive_write_table
+from test_matrix_file import (
+    CORPUS_CSV_MUTATIONS,
+    CSV_MUTATIONS,
+    SYSTEM_CSV_MUTATIONS,
+    _demo_corpus_csv,
+    _external_csv,
+)
 
 from sdgdetect import cli
 from sdgdetect.cli import TABLES, _write_table, main
-from sdgdetect.corpus import Dataset, load_documents, save_documents
+from sdgdetect.corpus import Dataset, load_documents, read_csv_rows, save_documents
 from sdgdetect.errors import SchemaError, SdgToolError
 from sdgdetect.systems import detect, detect_matrix, import_external_predictions, load_system
 
@@ -60,7 +68,7 @@ def _assert_as_old_writer(tmp_path: Path, name: str, rows: list) -> None:
 def test_every_table_as_the_old_writer(name, tmp_path):
     """Seeded rows of every column kind, from none to several batches."""
     rng = random.Random(f"tables-{name}")
-    for size in (0, 1, 7, cli._BATCH, 2 * cli._BATCH + 5):
+    for size in (0, 1, 7, cli._BATCH, cli._BATCH + 1, 2 * cli._BATCH + 5):
         _assert_as_old_writer(tmp_path, name, _rows(rng, name, size))
     for seed in range(3):  # cells holding "\r" somewhere
         _assert_as_old_writer(tmp_path, name, _rows(random.Random(seed), name, 40, True))
@@ -218,3 +226,70 @@ def test_external_reader_as_the_dict_reader(tmp_path, capsys):
     path.write_bytes(EXTERNAL_CASES["whitespace only"])
     with pytest.raises(SchemaError, match=r"^ext\.csv: CSV header must include doc_id,sdg$"):
         import_external_predictions(path, ids)
+
+
+# (what, required columns, optional columns) of each kind of CSV input
+CSV_INPUTS = {
+    "system": ("system file", ("system", "sdg", "query_id", "query"), ()),
+    "external": ("predictions file", ("doc_id", "sdg"), ()),
+    "corpus": ("dataset", ("id", "text"), ("labels", "evaluated")),
+}
+
+# hand-made files, each read as every kind of input
+CSV_CASES = {
+    "quoted cell across lines": b'doc_id,sdg,id,text\n"d\n1",3,a,"two\r\nlines"\nd2,4,b,x\n',
+    "cr line ends": b"doc_id,sdg,id,text\rd1,3,a,x\rd2,4,b,y\r",
+    "crlf line ends": b"doc_id,sdg,id,text\r\nd1,3,a,x\r\n\r\nd2,4,b,y\r\n",
+    "bom": b"\xef\xbb\xbfdoc_id,sdg,id,text\nd1,3,a,x\n",
+    "short row": b"doc_id,sdg,id,text\nd1,3\nd2\n",
+    "long row": b"doc_id,sdg,id,text\nd1,3,a,x\nd2,4,b,y,z\n",
+    "optional column the header lacks": b"id,text,labels\na,x,1|2\nb,y\n",
+    "both optional columns": b"evaluated,id,labels,text\n1|2,a,1,x\n,b,,y\n",
+    "system rows": b"system,sdg,query_id,query\ns,1,q1,poverty\ns,18,q2,water\n",
+    "whitespace lines": b"  \n \n",
+    "one whitespace line": b"  \n",
+    "whitespace line among rows": b"doc_id,sdg,id,text\n  \nd1,3,a,x\n",
+    "blank first line": b"\ndoc_id,sdg,id,text\nd1,3,a,x\n",
+    "empty": b"",
+    "header only": b"doc_id,sdg,id,text\n",
+    "header names a column twice": b"doc_id,sdg,id,text,id\nd1,3,a,x,b\n",
+    "header with an empty column": b"doc_id,sdg,id,text,\nd1,3,a,x,\n",
+}
+
+
+def _located_cells(read, path, what, required, optional):
+    """What ``read`` gives as ``(file:line, cells)`` pairs, or its error."""
+    try:
+        if read is naive_csv_rows:
+            rows = read(path, what, required)
+            return [(where, [row.get(c) for c in (*required, *optional)]) for where, row in rows]
+        name, rows = read(path, what, required, optional)
+        return [(f"{name}:{line}", cells) for line, cells in rows]
+    except SdgToolError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_csv_reader_as_the_dict_reader(tmp_path):
+    """Every mutation of the system-CSV, --external and CSV-corpus sweeps, at
+    fixed seeds, and the hand-made files above give the same cells on the same
+    lines, or the same error, from the one reader as from the dict reader."""
+    raws = {
+        "system": ((DEMO / "system_alpha.csv").read_bytes(), SYSTEM_CSV_MUTATIONS),
+        "external": (_external_csv(), CSV_MUTATIONS),
+        "corpus": (_demo_corpus_csv(), {n: m for n, (m, _) in CORPUS_CSV_MUTATIONS.items()}),
+    }
+    cases = [
+        (f"{kind} {name} {seed}", kind, mutate(raw, random.Random(seed)))
+        for kind, (raw, mutations) in raws.items()
+        for name, mutate in mutations.items()
+        for seed in range(4)
+    ]
+    cases += [(name, kind, raw) for name, raw in CSV_CASES.items() for kind in CSV_INPUTS]
+    path = tmp_path / "input.csv"
+    outcomes = set()
+    for name, kind, raw in cases:
+        path.write_bytes(raw)
+        new = _located_cells(read_csv_rows, path, *CSV_INPUTS[kind])
+        assert new == _located_cells(naive_csv_rows, path, *CSV_INPUTS[kind]), name
+        outcomes.add(type(new))
+    assert outcomes == {list, tuple}  # some read, some refused
