@@ -20,8 +20,9 @@ Every table is streamed: its rows, which detect and predict make as they
 are written, go in batches straight into the temporary CSV file, each
 column formatted by the kind TABLES declares, and its JSON mirror is written
 in the same pass (_write_table). One helper, _json_list, lays out the
-mirror's rows and matrix.json's assignments. manifest.json records the
-digest of the bytes each input gave when it was read (corpus.input_digests).
+mirror's rows and matrix.json's assignments. Each cmd_* returns (tables,
+params); manifest.json's inputs are every file the run read, keyed by the path
+as given, with the digest of the bytes read (corpus.input_digests).
 """
 
 from __future__ import annotations
@@ -208,14 +209,14 @@ def _write_table(out_dir: Path, name: str, rows, as_json: bool) -> None:
             mirror.write("[]\n" if opened == "[\n" else "\n]\n")
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs, seed: int) -> None:
+def _write_manifest(out_dir: Path, command: str, params: dict, seed: int) -> None:
     manifest = {
         "tool": "sdgdetect",
         "version": __version__,
         "command": command,
         "seed": seed,
         "params": params,
-        "inputs": {str(p): input_digests[str(Path(p))] for p in inputs},
+        "inputs": input_digests,
     }
     atomic_write_text(
         out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n"
@@ -244,7 +245,7 @@ def _matrix_json(system_names: list[str], matrices: dict[str, PredictionMatrix])
 
 
 def _load_matrix_file(
-    path: Path, datasets: list[Dataset]
+    path: str, datasets: list[Dataset]
 ) -> tuple[list[str], dict[str, PredictionMatrix]]:
     try:
         payload = json.loads(read_input(path, "prediction matrix"))
@@ -314,7 +315,7 @@ def _load_named(load, paths: list[str], kind: str) -> list:
 def _load_scored(args) -> tuple[list[Dataset], list[str], dict[str, PredictionMatrix]]:
     """The datasets that evaluate and bias score, the matrix.json systems and matrices."""
     datasets = _load_named(load_documents, args.dataset, "dataset")
-    return (datasets, *_load_matrix_file(Path(args.matrix), datasets))
+    return (datasets, *_load_matrix_file(args.matrix, datasets))
 
 
 def _load_model_and_systems(model_path: str, system_paths: list[str]):
@@ -346,8 +347,10 @@ def _parse_k_grid(raw: str) -> list[float]:
     try:
         values = [float(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise ParamError(f"invalid k grid {raw!r}") from None
-    if not values or any(not 0 <= v <= 10 for v in values):
+        values = []
+    if not values:
+        raise ParamError(f"invalid k grid {raw!r}")
+    if any(not 0 <= v <= 10 for v in values):
         raise ParamError("k values must lie in [0, 10]")
     return values
 
@@ -356,12 +359,12 @@ def _parse_k_grid(raw: str) -> list[float]:
 # Commands
 #
 # Each cmd_* takes the parsed arguments, with seed, out_dir and json already
-# resolved, and returns (tables, params, inputs): its rows (a list, or a
-# generator that makes them as they are written) keyed by table name, the
-# manifest params it computes and its input files. main records
-# every parsed flag of the command as a manifest param, writes every table
-# and then, last, manifest.json; a command writes only its own files
-# (matrix.json, synthetic.jsonl, model.json).
+# resolved, and returns (tables, params): its rows (a list, or a generator that
+# makes them as they are written) keyed by table name, and the manifest params
+# it computes. main records every parsed flag of the command as a manifest
+# param, writes every table and then, last, manifest.json, whose inputs are the
+# files read_input read (corpus.input_digests); a command writes only its own
+# files (matrix.json, synthetic.jsonl, model.json) and lists no input.
 # ---------------------------------------------------------------------------
 
 # The columns of each table a command returns, by table name, each with the
@@ -409,7 +412,7 @@ def _hit_rows(hits_by_dataset):
                 yield dataset, hit.doc_id, hit.system, hit.sdg, hit.query_id, term, at
 
 
-def cmd_detect(args) -> tuple[dict, dict, list]:
+def cmd_detect(args) -> tuple[dict, dict]:
     externals = [item.split("=", 1) for item in args.external]
     if any(len(pair) != 2 or not pair[0].strip() or not pair[1].strip() for pair in externals):
         raise ParamError("--external expects NAME=PATH")
@@ -441,14 +444,10 @@ def cmd_detect(args) -> tuple[dict, dict, list]:
         freq_rows += [(ds.name, *row) for row in keyword_frequencies(hits)]
 
     atomic_write_text(args.out_dir / "matrix.json", _matrix_json(system_names, matrices))
-    return (
-        {"hits": _hit_rows(hits_by_dataset), "keyword_frequencies": freq_rows},
-        {},
-        args.dataset + args.systems + [path for _, path in externals],
-    )
+    return {"hits": _hit_rows(hits_by_dataset), "keyword_frequencies": freq_rows}, {}
 
 
-def cmd_evaluate(args) -> tuple[dict, dict, list]:
+def cmd_evaluate(args) -> tuple[dict, dict]:
     datasets, systems, matrices = _load_scored(args)
 
     metric_rows = []
@@ -465,11 +464,7 @@ def cmd_evaluate(args) -> tuple[dict, dict, list]:
             mean_sdgs, mean_words = sdgs_per_document(matrix, ds, system)
             spd_rows.append((ds.name, system, mean_words, mean_sdgs))
 
-    return (
-        {"metrics": metric_rows, "roc": roc_rows, "sdgs_per_doc": spd_rows},
-        {},
-        args.dataset + [args.matrix],
-    )
+    return {"metrics": metric_rows, "roc": roc_rows, "sdgs_per_doc": spd_rows}, {}
 
 
 def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, systems: list[str]):
@@ -484,19 +479,20 @@ def _dataset_profiles(ds: Dataset, matrix: PredictionMatrix, systems: list[str])
     return expert, predicted
 
 
-def cmd_bias(args) -> tuple[dict, dict, list]:
-    if any(":" not in item for item in args.exclude_pair):
+def cmd_bias(args) -> tuple[dict, dict]:
+    given = [item.split(":", 1) for item in args.exclude_pair]
+    if any(len(pair) != 2 for pair in given):
         raise ParamError("--exclude-pair expects NAME:NAME")
+    for a, b in given:
+        if a == b:  # a dataset is never paired with itself
+            raise ParamError(f"--exclude-pair names dataset {a!r} twice")
     datasets, systems, matrices = _load_scored(args)
 
     names = sorted(d.name for d in datasets)
-    excluded = set()
-    for item in args.exclude_pair:
-        a, b = item.split(":", 1)
-        for name in (a, b):
-            if name not in names:
-                raise ParamError(f"--exclude-pair: no dataset named {name!r} in this run")
-        excluded.add(frozenset((a, b)))
+    for name in (name for pair in given for name in pair):
+        if name not in names:
+            raise ParamError(f"--exclude-pair: no dataset named {name!r} in this run")
+    excluded = {frozenset(pair) for pair in given}
     pairs = [
         (a, b)
         for i, a in enumerate(names)
@@ -544,17 +540,16 @@ def cmd_bias(args) -> tuple[dict, dict, list]:
     return (
         {"bias": bias_rows, "profiles": profile_rows, "correlations": corr_rows},
         {"pairs": [list(p) for p in pairs]},
-        args.dataset + [args.matrix],
     )
 
 
-def cmd_synth(args) -> tuple[dict, dict, list]:
+def cmd_synth(args) -> tuple[dict, dict]:
     if args.match and args.lengths is not None:
         raise ParamError("synth takes --lengths or --match, not both")
     if args.match and args.docs_per_length is not None:
         raise ParamError("synth takes --docs-per-length with --lengths only")
     if args.match:
-        spec, params, inputs = None, {}, [args.freq_table, args.match]
+        spec, params = None, {}
     else:
         if not args.lengths:
             raise ParamError("synth requires --lengths or --match")
@@ -564,17 +559,17 @@ def cmd_synth(args) -> tuple[dict, dict, list]:
             raise ParamError(f"invalid --lengths {args.lengths!r}: expected integers") from None
         docs_per_length = 1000 if args.docs_per_length is None else args.docs_per_length
         spec = SynthSpec(lengths, docs_per_length, args.seed)
-        params, inputs = {"docs_per_length": docs_per_length}, [args.freq_table]
+        params = {"docs_per_length": docs_per_length}
     table = load_frequency_table(args.freq_table)
     if spec is None:
         dataset = generate_matched(table, load_documents(args.match), args.seed)
     else:
         dataset = generate_documents(table, spec)
     save_documents(dataset, args.out_dir / "synthetic.jsonl")
-    return {}, params, inputs
+    return {}, params
 
 
-def cmd_train(args) -> tuple[dict, dict, list]:
+def cmd_train(args) -> tuple[dict, dict]:
     if not 0 <= args.k <= 10:
         raise ParamError("--k must lie in [0, 10]")
     if not 0 <= args.threshold <= 1:
@@ -582,7 +577,7 @@ def cmd_train(args) -> tuple[dict, dict, list]:
     seed = args.seed
     params = ForestParams(args.trees, args.mtry, args.min_leaf_frac, args.max_depth, seed=seed)
     # the grid's own values first: of two equal values (0.0 and -0.0) a set keeps the first
-    grid = sorted({*(_parse_k_grid(args.k_grid) if args.k_grid else ()), args.k})
+    grid = sorted({*(_parse_k_grid(args.k_grid) if args.k_grid is not None else ()), args.k})
     config = CvConfig(folds=args.folds, repeats=args.repeats, seed=seed, threshold=args.threshold)
     systems = _load_named(load_system, args.systems, "system")
     labeled, synthetic, matrices = _ensemble_inputs(args, systems)
@@ -608,7 +603,6 @@ def cmd_train(args) -> tuple[dict, dict, list]:
     return (
         {"cv_report": cv_rows, "curve": curve_rows, "skipped": final_cv.skipped},
         {"k_grid": grid},
-        args.dataset + args.systems + [args.freq_table],
     )
 
 
@@ -621,18 +615,14 @@ def _prediction_rows(model, datasets: list[Dataset], systems):
                 yield ds.name, doc.id, sdg, score, score >= model.threshold
 
 
-def cmd_predict(args) -> tuple[dict, dict, list]:
+def cmd_predict(args) -> tuple[dict, dict]:
     model, systems = _load_model_and_systems(args.model, args.systems)
     datasets = _load_named(load_documents, args.dataset, "dataset")
 
-    return (
-        {"predictions": _prediction_rows(model, datasets, systems)},
-        {},
-        [args.model] + args.dataset + args.systems,
-    )
+    return {"predictions": _prediction_rows(model, datasets, systems)}, {}
 
 
-def cmd_importance(args) -> tuple[dict, dict, list]:
+def cmd_importance(args) -> tuple[dict, dict]:
     if args.repetitions < 1:
         raise ParamError("repetitions must be >= 1")
     model, systems = _load_model_and_systems(args.model, args.systems)
@@ -644,11 +634,7 @@ def cmd_importance(args) -> tuple[dict, dict, list]:
     for sdg in sorted(importances):
         for feature in feature_names_for(model.system_names):
             out_rows.append((sdg, feature, importances[sdg][feature]))
-    return (
-        {"importance": out_rows},
-        {},
-        [args.model] + args.dataset + args.systems + [args.freq_table],
-    )
+    return {"importance": out_rows}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -777,18 +763,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        input_digests.clear()
         _resolve_global_flags(args)
+        input_digests.clear()  # a config file is not an input
         args.out_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's manifest must not outlive a rerun that fails part-way
         (args.out_dir / "manifest.json").unlink(missing_ok=True)
         if args.command in NUMPY_COMMANDS:
             _import_numpy_names()
-        tables, computed, inputs = args.func(args)
+        tables, computed = args.func(args)
         params = {_PARAM_NAMES.get(k, k): v for k, v in vars(args).items() if k not in _NOT_PARAMS}
         for name, rows in tables.items():
             _write_table(args.out_dir, name, rows, args.json)
-        _write_manifest(args.out_dir, args.command, params | computed, inputs, args.seed)
+        _write_manifest(args.out_dir, args.command, params | computed, args.seed)
         return 0
     except SdgToolError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

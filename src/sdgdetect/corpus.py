@@ -174,18 +174,19 @@ def _parse_int_list(raw: str, where: str) -> list[int] | None:
     return out
 
 
-# The SHA-256 of the bytes read_input last read from each input, keyed by
-# ``str(Path(path))``: what a run parsed, also from a pipe that cannot be read
-# twice. cli.main clears it when a run starts and records it in manifest.json.
+# The SHA-256 of the bytes read_input last read from each input, keyed by the path
+# as its caller gave it: what a run parsed, also from a pipe that cannot be read
+# twice. cli.main clears it after reading the config; it is manifest.json's inputs.
 input_digests: dict[str, str] = {}
 
 
 def read_input(path: str | Path, what: str) -> str:
     """The text of a UTF-8 input file, read in one call (a pipe gives its
     bytes once), line ends untranslated and a leading byte-order mark
-    dropped; the SHA-256 of its bytes goes to ``input_digests``. A path holding a NUL byte, which no file system takes,
-    is a ``ParamError``; an ``OSError`` is raised as ``IoError`` and
-    undecodable bytes as ``SchemaError``."""
+    dropped; the SHA-256 of its bytes goes to ``input_digests`` under
+    ``str(path)``. A path holding a NUL byte, which no file system takes, is a
+    ``ParamError``; an ``OSError`` is raised as ``IoError`` and undecodable
+    bytes as ``SchemaError``."""
     if "\0" in str(path):
         raise ParamError(f"{what} path must not hold a NUL byte: {str(path)!r}")
     try:
@@ -195,7 +196,7 @@ def read_input(path: str | Path, what: str) -> str:
         raise IoError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{what} {path} is not valid UTF-8: {exc}") from exc
-    input_digests[str(Path(path))] = hashlib.sha256(data).hexdigest()
+    input_digests[str(path)] = hashlib.sha256(data).hexdigest()
     return text
 
 
@@ -268,13 +269,13 @@ def load_documents(path: str | Path, name: str | None = None) -> Dataset:
     """Load a dataset from CSV (a ``.csv`` suffix) or else JSONL. JSONL lines
     end at LF (a CR before it is ignored), so a text may hold U+2028 or
     U+0085 unescaped."""
-    path = Path(path)
     documents: list[Document] = []
-    if path.suffix.lower() != ".csv":
+    if Path(path).suffix.lower() != ".csv":
+        file = Path(path).name
         for lineno, line in enumerate(read_input(path, "dataset").split("\n"), start=1):
             if not line.strip():
                 continue
-            where = f"{path.name}:{lineno}"
+            where = f"{file}:{lineno}"
             try:
                 record = json.loads(line)
             except (ValueError, RecursionError) as exc:  # ValueError: also a too-long integer
@@ -297,7 +298,7 @@ def load_documents(path: str | Path, name: str | None = None) -> Dataset:
             labels, evaluated = _parse_int_list(labels, where), _parse_int_list(evaluated, where)
             documents.append(_build_document(doc_id, text, labels, evaluated, where))
 
-    return Dataset(name or path.stem, tuple(documents))
+    return Dataset(name or Path(path).stem, tuple(documents))
 
 
 def save_documents(dataset: Dataset, path: str | Path) -> None:

@@ -73,7 +73,7 @@ def load_frequency_table(path: str | Path) -> WordFrequencyTable:
     Words are lowercased and must each be exactly one token (see
     ``corpus.tokenize``); duplicate rows are merged by summing counts.
     """
-    path = Path(path)
+    file = Path(path).name
     merged: dict[str, int] = {}
     for lineno, line in enumerate(read_input(path, "frequency table").split("\n"), start=1):
         line = line.strip()
@@ -81,20 +81,20 @@ def load_frequency_table(path: str | Path) -> WordFrequencyTable:
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise SchemaError(f"{path.name}:{lineno}: expected 'word<TAB>count'")
+            raise SchemaError(f"{file}:{lineno}: expected 'word<TAB>count'")
         word = parts[0].strip().lower()
         if tokenize(word) != [word]:
             # a word of several tokens would not survive a save/load round trip
-            raise SchemaError(f"{path.name}:{lineno}: word {word!r} is not a single token")
+            raise SchemaError(f"{file}:{lineno}: word {word!r} is not a single token")
         try:
             count = int(parts[1])
         except ValueError:
-            raise SchemaError(f"{path.name}:{lineno}: non-integer count {parts[1]!r}") from None
+            raise SchemaError(f"{file}:{lineno}: non-integer count {parts[1]!r}") from None
         if count <= 0:
-            raise SchemaError(f"{path.name}:{lineno}: non-positive count {count}")
+            raise SchemaError(f"{file}:{lineno}: non-positive count {count}")
         merged[word] = merged.get(word, 0) + count
     if not merged:
-        raise SchemaError(f"{path.name}: no entries")
+        raise SchemaError(f"{file}: no entries")
     words = tuple(merged)
     return WordFrequencyTable(words, tuple(merged[w] for w in words))
 

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -417,6 +418,75 @@ class TestManifestParams:
         assert sorted(json.loads((out / "manifest.json").read_text())["params"]) == sorted(want)
 
 
+def _relative(argv: list[str]) -> tuple[list[str], set[str]]:
+    """``argv`` with each input file copied into the working directory and
+    named ``./<name>``, and the set of those names."""
+    out, given = [], set()
+    for arg in argv:
+        if Path(arg).is_absolute() and Path(arg).is_file():
+            shutil.copyfile(arg, Path(arg).name)
+            arg = f"./{Path(arg).name}"
+            given.add(arg)
+        out.append(arg)
+    return out, given
+
+
+class TestManifestInputs:
+    """manifest.json's inputs are the files the run read, each keyed by its
+    path as given and mapped to the SHA-256 of its bytes. A config file is not
+    an input, and no run's inputs carry over to the next one."""
+
+    @pytest.mark.parametrize("config", ["none", "flag", "env"])
+    def test_inputs_are_the_paths_given(self, demo_commands, tmp_path, monkeypatch, config):
+        monkeypatch.chdir(tmp_path)
+        Path("sdgdetect.conf").write_text("seed = 7\n")
+        flags = ["--config", "./sdgdetect.conf"] if config == "flag" else []
+        if config == "env":
+            monkeypatch.setenv(cli.CONFIG_ENV_VAR, "./sdgdetect.conf")
+        first_id = json.loads((DEMO / "corpus.jsonl").read_text().split("\n", 1)[0])["id"]
+        Path("external.csv").write_text(f"doc_id,sdg\n{first_id},3\n")
+        freq, corpus = str(DEMO / "wordfreq.tsv"), str(DEMO / "corpus.jsonl")
+        runs = {
+            **demo_commands,
+            "synth_match": ["synth", "--freq-table", freq, "--match", corpus],
+            "detect_external": [*demo_commands["detect"], "--external", "ext=./external.csv",
+                                "--lenient-external"],  # fmt: skip
+        }
+        for name, argv in runs.items():  # one process: each run after the one before
+            argv, given = _relative(argv)
+            if name == "detect_external":
+                given.add("./external.csv")
+            assert main([*argv, *flags, "--out-dir", f"out/{name}"]) == 0
+            manifest = json.loads(Path(f"out/{name}/manifest.json").read_text())
+            assert manifest["seed"] == (0 if config == "none" else 7)  # the config was read
+            assert set(manifest["inputs"]) == given, name
+            for path, digest in manifest["inputs"].items():
+                assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), path
+
+    @pytest.mark.parametrize(
+        "command, flag, what",
+        [
+            ("detect", "--systems", "system file"),
+            ("evaluate", "--dataset", "dataset"),
+            ("evaluate", "--matrix", "prediction matrix"),
+            ("synth", "--freq-table", "frequency table"),
+            ("predict", "--model", "model"),
+        ],
+    )
+    def test_io_error_names_the_path_as_given(
+        self, demo_commands, tmp_path, monkeypatch, capsys, command, flag, what
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = list(demo_commands[command])
+        argv[argv.index(flag) + 1] = "./nope"
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", "out"]) == 3
+        assert capsys.readouterr().err == (
+            f"error [E_IO]: cannot read {what} ./nope: "
+            "[Errno 2] No such file or directory: 'nope'\n"
+        )
+
+
 class TestEvaluateAndBias:
     def _matrix(self, corpus, system, tmp_path):
         out = tmp_path / "det"
@@ -479,7 +549,17 @@ class TestEvaluateAndBias:
             "error [E_PARAMS]: --exclude-pair: no dataset named 'nosuch' in this run\n"
         )
         assert not out.exists() or not any(out.iterdir())
-        assert main([*argv, "--exclude-pair", "corpus:corpus"]) == 0
+        # a pair of two datasets of the run is excluded
+        other = tmp_path / "other.jsonl"
+        other.write_bytes(Path(corpus).read_bytes())
+        _detect(corpus, system, tmp_path / "det", ["--dataset", str(other)])
+        argv[1:1] = ["--dataset", str(other)]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["params"]["pairs"] == [
+            ["corpus", "other"]
+        ]
+        assert main([*argv, "--exclude-pair", "other:corpus"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["params"]["pairs"] == []
 
 
 class TestMatrixFileValidation:
@@ -920,9 +1000,14 @@ class TestExitCodes:
             (["train", "--max-depth", "-1"], "max_depth must be non-negative"),
             (["train", "--min-leaf-frac", "1"], "min_leaf_frac must be in [0, 1)"),
             (["synth"], "synth requires --lengths or --match"),
+            (["bias", "--exclude-pair", "corpus:corpus"],
+             "--exclude-pair names dataset 'corpus' twice"),
+            (["train", "--k-grid", ","], "invalid k grid ','"),
+            (["train", "--k-grid", ""], "invalid k grid ''"),
         ],
         ids=["folds", "repeats", "k-grid", "lengths", "external", "exclude-pair", "repetitions",
-             "k-grid-range", "mtry", "max-depth", "min-leaf-frac", "synth-bare"],  # fmt: skip
+             "k-grid-range", "mtry", "max-depth", "min-leaf-frac", "synth-bare",
+             "exclude-pair-twice", "k-grid-no-value", "k-grid-empty"],  # fmt: skip
     )
     def test_flags_checked_before_any_input_is_read(self, tmp_path, capsys, argv, message):
         """A bad flag is a parameter error (exit 2) even when every input file
